@@ -35,47 +35,14 @@
 // queue, and `serve -exec=false` serves the API while leaving execution to
 // such workers.
 //
-// Subcommands:
-//
-//	fig2       single-device execution time across accelerator generations
-//	fig9       collective latency vs ring size
-//	fig11      latency breakdowns (flag: -strategy dp|mp)
-//	fig12      CPU memory bandwidth usage
-//	fig13      normalized performance (flag: -strategy dp|mp)
-//	fig14      batch-size sensitivity
-//	tab4       memory-node power (Table IV / §V-C)
-//	headline   §V-B aggregate speedups
-//	sens       §V-B sensitivity sweep (gen4 / TPUv2 / DGX-2 / cDMA)
-//	scale      §V-D scalability experiment
-//	explore    §III-B design-space sweep over link technology
-//	plane      §VI scale-out plane study on the event-driven plane engine
-//	           (flags: -nodes 1,2,4,8,16 -analytic -compare; transformer
-//	           workloads run on the plane unchanged)
-//	transformer  seqlen × precision × design study over the attention-era
-//	           workloads, plus the "attention doesn't compress" headline
-//	           (flags: -workload, -seqlens, -precisions)
-//	trace      write a Chrome trace of one iteration (flags as `run` + -o)
-//	networks   Table III and transformer benchmark inventory
-//	config     Table II device and memory-node configuration
-//	run        one simulation (flags: -design, -workload, -strategy, -batch,
-//	           -seqlen, -precision, plus the dse axes -links, -gbps,
-//	           -memnodes, -dimm, -compress)
-//	fleet      fleet-scale multi-job cluster simulation: a CSV/JSON trace of
-//	           heterogeneous training jobs scheduled onto iso-cost DC/HC/MC
-//	           clusters under per-pod memory-pool capacity (flags: -trace,
-//	           -jobs, -pods, -designs); reports throughput, queueing delay,
-//	           utilization, deadline misses and jobs/day/$
-//	optimize   cost/TCO design-space optimizer: grid, greedy or surrogate
-//	           (-surrogate: successive halving over a calibrated analytic
-//	           predictor that only full-simulates the predicted frontier)
-//	           Pareto search over the candidate axes under -max-cost/
-//	           -max-power/-min-throughput constraints; every frontier row
-//	           prints the `mcdla run` recipe that reproduces it
-//	serve      long-running HTTP API over the experiment suite
-//	           (flags: -addr, -cache, -worker, -exec; SIGINT/SIGTERM drain
-//	           gracefully; with the global -store DIR the async /v1/jobs
-//	           API and the shared job queue come online)
-//	all        everything above, in paper order
+// Every experiment subcommand — its flags, their defaults and checks — is
+// one entry of the internal/experiments command table, the same entry the
+// HTTP service serves as /v1/<name>; `mcdla help` lists them. The CLI adds
+// three commands of its own: trace (a Chrome trace of one iteration, taking
+// run's flags plus -o FILE), serve (the HTTP API; flags -addr, -cache,
+// -worker, -exec, -debug-addr; SIGINT/SIGTERM drain gracefully; with the
+// global -store DIR the async /v1/jobs API and the shared job queue come
+// online) and all (every table entry in paper order).
 package main
 
 import (
@@ -86,6 +53,7 @@ import (
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the -debug-addr listener
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
@@ -94,17 +62,12 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/memcentric/mcdla/internal/core"
-	"github.com/memcentric/mcdla/internal/dse"
 	"github.com/memcentric/mcdla/internal/experiments"
-	"github.com/memcentric/mcdla/internal/fleet"
 	"github.com/memcentric/mcdla/internal/report"
 	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/server"
 	"github.com/memcentric/mcdla/internal/store"
 	"github.com/memcentric/mcdla/internal/trace"
-	"github.com/memcentric/mcdla/internal/train"
-	"github.com/memcentric/mcdla/internal/units"
 )
 
 // outputFormat is the global -format selection; the zero default renders
@@ -237,250 +200,127 @@ func run(ctx context.Context, args []string) error {
 		usage()
 		return fmt.Errorf("missing subcommand")
 	}
-	cmd, rest := args[0], args[1:]
-	switch cmd {
-	case "fig2":
-		rows, err := experiments.Fig2(ctx)
-		if err != nil {
-			return err
-		}
-		return emit(experiments.Fig2Report(rows))
-	case "fig9":
-		return emit(experiments.Fig9Report(experiments.Fig9()))
-	case "fig11":
-		strategy, err := strategyFlag(rest)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.Fig11(ctx, strategy)
-		if err != nil {
-			return err
-		}
-		return emit(experiments.Fig11Report(rows, strategy))
-	case "fig12":
-		rows, err := experiments.Fig12(ctx)
-		if err != nil {
-			return err
-		}
-		return emit(experiments.Fig12Report(rows))
-	case "fig13":
-		strategy, err := strategyFlag(rest)
-		if err != nil {
-			return err
-		}
-		rows, speedups, err := experiments.Fig13(ctx, strategy)
-		if err != nil {
-			return err
-		}
-		return emit(experiments.Fig13Report(rows, speedups, strategy))
-	case "fig14":
-		rows, err := experiments.Fig14(ctx)
-		if err != nil {
-			return err
-		}
-		return emit(experiments.Fig14Report(rows))
-	case "tab4":
-		return emit(experiments.Table4Report())
-	case "headline":
-		h, err := experiments.RunHeadline(ctx)
-		if err != nil {
-			return err
-		}
-		return emit(experiments.HeadlineReport(h))
-	case "sens":
-		rows, err := experiments.Sensitivity(ctx)
-		if err != nil {
-			return err
-		}
-		return emit(experiments.SensitivityReport(rows))
-	case "scale":
-		rows, err := experiments.Scalability(ctx)
-		if err != nil {
-			return err
-		}
-		return emit(experiments.ScalabilityReport(rows))
-	case "explore":
-		rows, err := experiments.Explore(ctx, []int{4, 6, 8, 12}, []float64{25, 50, 100})
-		if err != nil {
-			return err
-		}
-		return emit(experiments.ExploreReport(rows))
-	case "plane":
-		fs := flag.NewFlagSet("plane", flag.ContinueOnError)
-		workload := fs.String("workload", "VGG-E", "Table III benchmark")
-		nodesCSV := fs.String("nodes", "1,2,4,8,16", "system-node counts")
-		analytic := fs.Bool("analytic", false, "use the retired first-order estimator instead of the event engine")
-		compare := fs.Bool("compare", false, "table analytic vs event-driven MC-plane iteration times")
-		timeline := fs.String("timeline", "", "also write a Perfetto-loadable Chrome trace of the MC-plane sweep to FILE")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		counts, err := parseIntsCSV("-nodes", *nodesCSV)
-		if err != nil {
-			return err
-		}
-		if *timeline != "" {
-			t, err := experiments.PlaneTimeline(ctx, *workload, counts)
-			if err != nil {
-				return err
-			}
-			if err := writeTimeline(*timeline, t); err != nil {
-				return err
-			}
-		}
-		pts, err := experiments.ScaleOutRows(ctx, *workload, counts, *analytic)
-		if err != nil {
-			return err
-		}
-		rep := experiments.ScaleOutReport(*workload, pts, *analytic)
-		if *compare {
-			// Reuse the event-driven study just computed (unless the main
-			// table ran on the analytic engine).
-			event := pts
-			if *analytic {
-				event = nil
-			}
-			rows, err := experiments.ScaleOutCompare(ctx, *workload, counts, event)
-			if err != nil {
-				return err
-			}
-			rep = report.Merge("plane", rep, experiments.ScaleOutCompareReport(*workload, rows))
-		}
-		return emit(rep)
-	case "transformer":
-		return runTransformer(ctx, rest)
-	case "trace":
-		return runTrace(rest)
-	case "networks":
-		return emit(experiments.NetworksReport())
-	case "config":
-		return emit(experiments.ConfigReport())
-	case "run":
-		return runOne(ctx, rest)
-	case "fleet":
-		return runFleet(ctx, rest)
-	case "optimize":
-		return runOptimize(ctx, rest)
+	name, rest := args[0], args[1:]
+	switch name {
 	case "serve":
 		return runServe(ctx, rest)
+	case "trace":
+		return runTrace(rest)
 	case "all":
-		for _, sub := range []string{"config", "networks", "fig2", "fig9", "fig11", "fig12", "fig13", "fig14", "tab4", "headline", "sens", "scale", "explore", "transformer", "plane", "optimize", "fleet"} {
-			// The banner keeps the text stream navigable; structured
-			// formats concatenate clean documents instead.
-			if outputFormat == report.FormatText {
-				fmt.Printf("\n================ %s ================\n", sub)
-			}
-			var err error
-			switch sub {
-			case "fig11", "fig13":
-				err = run(ctx, []string{sub, "-strategy", "dp"})
-				if err == nil {
-					err = run(ctx, []string{sub, "-strategy", "mp"})
-				}
-			default:
-				err = run(ctx, []string{sub})
-			}
-			if err != nil {
-				return err
-			}
-		}
+		return runAll(ctx)
 	case "help", "-h", "--help":
 		usage()
-	default:
+		return nil
+	}
+	c := experiments.Lookup(name)
+	if c == nil {
 		usage()
-		return fmt.Errorf("unknown subcommand %q", cmd)
+		return fmt.Errorf("unknown subcommand %q", name)
 	}
-	return nil
-}
-
-// parseIntsCSV parses a flag's comma-separated list of positive integers
-// through the shared list parser, so `mcdla plane -nodes 1,x` names the
-// offending flag and element exactly like the HTTP API names its parameter.
-func parseIntsCSV(flagName, csv string) ([]int, error) {
-	return units.ParsePositiveInts(flagName, csv)
-}
-
-// parsePrecisionsCSV parses a flag's comma-separated precision list, naming
-// the flag and element on failure.
-func parsePrecisionsCSV(flagName, csv string) ([]train.Precision, error) {
-	out, err := train.ParsePrecisionList(csv)
-	if err != nil {
-		return nil, fmt.Errorf("invalid %s list %q: %v", flagName, csv, err)
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	var timeline string
+	if c.Timeline != nil {
+		fs.StringVar(&timeline, "timeline", "", "also write a Perfetto-loadable Chrome trace of the simulation to FILE")
 	}
-	return out, nil
-}
-
-func strategyFlag(args []string) (train.Strategy, error) {
-	fs := flag.NewFlagSet("strategy", flag.ContinueOnError)
-	s := fs.String("strategy", "dp", "parallelization strategy: dp or mp")
-	if err := fs.Parse(args); err != nil {
-		return 0, err
-	}
-	return parseStrategy(*s)
-}
-
-func parseStrategy(s string) (train.Strategy, error) {
-	strategy, err := train.ParseStrategy(s)
-	if err != nil {
-		return 0, fmt.Errorf("invalid -strategy value: %v", err)
-	}
-	return strategy, nil
-}
-
-func runOne(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	design := fs.String("design", "MC-DLA(B)", "system design point")
-	workload := fs.String("workload", "VGG-E", "benchmark (Table III or transformer)")
-	strategyS := fs.String("strategy", "dp", "dp or mp")
-	batch := fs.Int("batch", experiments.Batch, "global batch size")
-	seqlen := fs.Int("seqlen", 0, "sequence-length override (0: workload default)")
-	precS := fs.String("precision", "fp16", "training precision: fp16, mixed or fp32")
-	links := fs.Int("links", 0, "device link count override (0: Table II N=6)")
-	gbps := fs.Float64("gbps", 0, "per-link bandwidth override in GB/s (0: Table II B=25)")
-	memnodes := fs.Int("memnodes", 0, "memory-node board count (0: one per device; MC designs)")
-	dimm := fs.String("dimm", "", "memory-node DIMM module (default: Table II 128GB-LRDIMM; MC designs)")
-	compressF := fs.Bool("compress", false, "add a cDMA compressing DMA engine on the host virtualization path")
-	workers := fs.Int("workers", 0, "device count (0: the paper's 8)")
-	timeline := fs.String("timeline", "", "also write a Perfetto-loadable Chrome trace of the iteration to FILE")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	strategy, err := parseStrategy(*strategyS)
+	q, err := flagValues(fs, c, rest)
 	if err != nil {
 		return err
 	}
-	prec, err := train.ParsePrecision(*precS)
-	if err != nil {
-		return fmt.Errorf("invalid -precision value: %v", err)
-	}
-	// The dse point is the single source of derived designs: `run` accepts
-	// exactly the axes an optimizer recipe prints, so every frontier row
-	// reproduces through this path.
-	p := dse.Point{
-		Design: *design, Workload: *workload, Strategy: strategy,
-		Batch: *batch, SeqLen: *seqlen, Precision: prec,
-		Links: *links, LinkGBps: *gbps, MemNodes: *memnodes,
-		DIMM: *dimm, Compress: *compressF, Workers: *workers,
-	}
-	d, err := p.DesignPoint()
+	a, err := parseArgs(c, q)
 	if err != nil {
 		return err
 	}
-	if *timeline != "" {
-		t, err := experiments.RunTimeline(d, *workload, strategy, *batch, *seqlen, prec, *workers)
+	if timeline != "" {
+		t, err := c.Timeline(ctx, a)
 		if err != nil {
 			return err
 		}
-		if err := writeTimeline(*timeline, t); err != nil {
+		if err := writeTimeline(timeline, t); err != nil {
 			return err
 		}
 	}
-	rep, err := experiments.RunReportFor(ctx, d, *workload, strategy, *batch, *seqlen, prec, *workers)
+	rep, err := c.Build(ctx, a)
 	if err != nil {
 		return err
 	}
 	return emit(rep)
 }
+
+// runAll runs every table entry's `all` invocations in paper order.
+func runAll(ctx context.Context) error {
+	for _, c := range experiments.Commands() {
+		if c.All == nil {
+			continue
+		}
+		// The banner keeps the text stream navigable; structured formats
+		// concatenate clean documents instead.
+		if outputFormat == report.FormatText {
+			fmt.Printf("\n================ %s ================\n", c.Name)
+		}
+		for _, inv := range c.All {
+			q, err := url.ParseQuery(inv)
+			if err != nil {
+				return err
+			}
+			a, err := parseArgs(c, q)
+			if err != nil {
+				return err
+			}
+			rep, err := c.Build(ctx, a)
+			if err != nil {
+				return err
+			}
+			if err := emit(rep); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// flagValues registers c's parameters on fs — one flag per spelling — and
+// parses args, returning the flags the user set in query form, under their
+// own spellings.
+func flagValues(fs *flag.FlagSet, c *experiments.Command, args []string) (url.Values, error) {
+	q := url.Values{}
+	for _, p := range c.Params {
+		for _, name := range []string{p.Name, p.Alias} {
+			if name != "" {
+				fs.Var(rawFlag{q: q, name: name, def: p.Default, isBool: p.Bool}, name, p.Doc)
+			}
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// parseArgs checks the flag values through the table, first reading each
+// file-valued flag (fleet -trace FILE) into the text HTTP takes inline.
+func parseArgs(c *experiments.Command, q url.Values) (experiments.Args, error) {
+	for _, p := range c.Params {
+		if path := q.Get(p.Name); p.File && path != "" {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return experiments.Args{}, err
+			}
+			q.Set(p.Name, string(data))
+		}
+	}
+	return c.Parse(q.Get, "-")
+}
+
+// rawFlag records a flag's raw value for the table to check.
+type rawFlag struct {
+	q         url.Values
+	name, def string
+	isBool    bool
+}
+
+func (f rawFlag) String() string     { return f.def }
+func (f rawFlag) Set(v string) error { f.q.Set(f.name, v); return nil }
+func (f rawFlag) IsBoolFlag() bool   { return f.isBool }
 
 // writeTimeline serializes a timeline to path in Chrome trace-event JSON.
 func writeTimeline(path string, t *trace.Timeline) error {
@@ -493,171 +333,6 @@ func writeTimeline(path string, t *trace.Timeline) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runOptimize drives the design-space optimizer: a grid, greedy or
-// surrogate-guided Pareto search over the candidate axes, pruned by the
-// cost/power/throughput constraints and rendered as the frontier table.
-// Ctrl-C aborts the search cleanly: queued simulations stop being scheduled.
-func runOptimize(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
-	objectiveS := fs.String("objective", "perf-per-dollar", "frontier ordering: perf-per-dollar, perf-per-watt, throughput, cost or energy")
-	searchS := fs.String("search", "grid", "search driver: grid (exhaustive), greedy (Pareto local search) or surrogate (successive halving over the calibrated analytic predictor)")
-	surrogateF := fs.Bool("surrogate", false, "shorthand for -search surrogate")
-	maxCost := fs.Float64("max-cost", 0, "bill-of-materials ceiling in USD (0: unbounded)")
-	maxPower := fs.Float64("max-power", 0, "wall-power ceiling in watts (0: unbounded)")
-	minThroughput := fs.Float64("min-throughput", 0, "training-throughput floor in samples/s (0: unbounded)")
-	workloadsCSV := fs.String("workloads", "", "comma-separated workloads (default: VGG-E)")
-	designsCSV := fs.String("designs", "", "comma-separated design points (default: DC-DLA,MC-DLA(B))")
-	strategiesCSV := fs.String("strategies", "", "comma-separated strategies (default: dp)")
-	batchesCSV := fs.String("batches", "", "comma-separated global batch sizes (default: 512)")
-	seqlensCSV := fs.String("seqlens", "", "comma-separated sequence lengths (default: workload default)")
-	precsCSV := fs.String("precisions", "", "comma-separated precisions (default: fp16,mixed,fp32)")
-	linksCSV := fs.String("links", "", "comma-separated device link counts (default: Table II N)")
-	gbpsCSV := fs.String("gbps", "", "comma-separated per-link GB/s (default: 25,50)")
-	memnodesCSV := fs.String("memnodes", "", "comma-separated memory-node populations (default: 4,8)")
-	dimmsCSV := fs.String("dimms", "", "comma-separated DIMM modules (default: 32GB-LRDIMM,128GB-LRDIMM)")
-	compressS := fs.String("compress", "both", "cDMA axis on the host designs: off, on or both")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	objective, err := dse.ParseObjective(*objectiveS)
-	if err != nil {
-		return fmt.Errorf("invalid -objective value: %v", err)
-	}
-	search, err := dse.ParseSearch(*searchS)
-	if err != nil {
-		return fmt.Errorf("invalid -search value: %v", err)
-	}
-	if *surrogateF {
-		search = dse.Surrogate
-	}
-	space := experiments.DefaultOptimizeSpace()
-	if *workloadsCSV != "" {
-		space.Workloads = strings.Split(*workloadsCSV, ",")
-	}
-	if *designsCSV != "" {
-		space.Designs = strings.Split(*designsCSV, ",")
-	}
-	if *strategiesCSV != "" {
-		space.Strategies = nil
-		for _, s := range strings.Split(*strategiesCSV, ",") {
-			strategy, err := parseStrategy(s)
-			if err != nil {
-				return err
-			}
-			space.Strategies = append(space.Strategies, strategy)
-		}
-	}
-	if *batchesCSV != "" {
-		if space.Batches, err = parseIntsCSV("-batches", *batchesCSV); err != nil {
-			return err
-		}
-	}
-	if *seqlensCSV != "" {
-		if space.SeqLens, err = parseIntsCSV("-seqlens", *seqlensCSV); err != nil {
-			return err
-		}
-	}
-	if *precsCSV != "" {
-		if space.Precisions, err = parsePrecisionsCSV("-precisions", *precsCSV); err != nil {
-			return err
-		}
-	}
-	if *linksCSV != "" {
-		if space.LinkCounts, err = parseIntsCSV("-links", *linksCSV); err != nil {
-			return err
-		}
-	}
-	if *gbpsCSV != "" {
-		if space.LinkGBps, err = units.ParsePositiveFloats("-gbps", *gbpsCSV); err != nil {
-			return err
-		}
-	}
-	if *memnodesCSV != "" {
-		if space.MemNodes, err = parseIntsCSV("-memnodes", *memnodesCSV); err != nil {
-			return err
-		}
-	}
-	if *dimmsCSV != "" {
-		space.DIMMs = strings.Split(*dimmsCSV, ",")
-	}
-	switch *compressS {
-	case "both":
-		space.Compress = []bool{false, true}
-	case "on":
-		space.Compress = []bool{true}
-	case "off":
-		space.Compress = []bool{false}
-	default:
-		return fmt.Errorf("invalid -compress value %q (want off, on or both)", *compressS)
-	}
-	res, err := experiments.Optimize(ctx, space, dse.Options{
-		Search:    search,
-		Objective: objective,
-		Constraints: dse.Constraints{
-			MaxCostUSD:    *maxCost,
-			MaxPowerW:     *maxPower,
-			MinThroughput: *minThroughput,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	return emit(experiments.OptimizeReport(res))
-}
-
-// runFleet drives the fleet-scale multi-job cluster simulation: a trace of
-// heterogeneous training jobs scheduled onto iso-cost DC/HC/MC clusters
-// under each pod's memory-pool capacity. The CLI and the HTTP /v1/fleet
-// endpoint share the trace parser and the cluster validation, so the same
-// trace yields the same simulation jobs — and therefore the same durable
-// store keys — on both surfaces.
-func runFleet(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
-	traceFile := fs.String("trace", "", "CSV or JSON trace file (default: the built-in 12-job trace)")
-	jobs := fs.Int("jobs", 0, "generate a deterministic synthetic trace of N jobs instead of the default trace")
-	pods := fs.Int("pods", experiments.FleetPods, "iso-cost anchor: the shared budget buys this many pods of the priciest design")
-	designsCSV := fs.String("designs", "", "comma-separated cluster designs (default: DC-DLA,HC-DLA,MC-DLA(B))")
-	timeline := fs.String("timeline", "", "also write a Perfetto-loadable Chrome trace of the job lifecycle to FILE")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var tr []fleet.Job
-	switch {
-	case *traceFile != "" && *jobs > 0:
-		return fmt.Errorf("fleet: -trace and -jobs are mutually exclusive")
-	case *traceFile != "":
-		data, err := os.ReadFile(*traceFile)
-		if err != nil {
-			return err
-		}
-		if tr, err = fleet.ParseTrace(data); err != nil {
-			return err
-		}
-	case *jobs > 0:
-		tr = fleet.SyntheticTrace(*jobs)
-	default:
-		tr = fleet.DefaultTrace()
-	}
-	var designs []string
-	if *designsCSV != "" {
-		designs = strings.Split(*designsCSV, ",")
-	}
-	clusters, err := experiments.FleetClusters(*pods, designs)
-	if err != nil {
-		return err
-	}
-	results, err := experiments.Fleet(ctx, tr, clusters)
-	if err != nil {
-		return err
-	}
-	if *timeline != "" {
-		if err := writeTimeline(*timeline, fleet.Timeline(results)); err != nil {
-			return err
-		}
-	}
-	return emit(experiments.FleetReport(results))
 }
 
 // runServe starts the long-running HTTP API over the experiment suite.
@@ -726,75 +401,22 @@ func runServe(ctx context.Context, args []string) error {
 	return err
 }
 
-// runTransformer drives the seqlen × precision × design study plus the
-// attention-compression headline table.
-func runTransformer(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("transformer", flag.ContinueOnError)
-	workload := fs.String("workload", "", "transformer workload (default: all)")
-	seqlensCSV := fs.String("seqlens", "", "comma-separated sequence lengths (default: 128,256,512,1024)")
-	precsCSV := fs.String("precisions", "", "comma-separated precisions (default: fp16,mixed,fp32)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var workloads []string
-	if *workload != "" {
-		workloads = []string{*workload}
-	}
-	var seqlens []int
-	if *seqlensCSV != "" {
-		var err error
-		if seqlens, err = parseIntsCSV("-seqlens", *seqlensCSV); err != nil {
-			return err
-		}
-	}
-	var precs []train.Precision
-	if *precsCSV != "" {
-		var err error
-		if precs, err = parsePrecisionsCSV("-precisions", *precsCSV); err != nil {
-			return err
-		}
-	}
-	rows, err := experiments.TransformerSweep(ctx, workloads, seqlens, precs)
-	if err != nil {
-		return err
-	}
-	cRows, err := experiments.AttentionCompress(ctx)
-	if err != nil {
-		return err
-	}
-	return emit(experiments.TransformerStudyReport(rows, cRows))
-}
-
+// runTrace writes a chrome://tracing timeline of one iteration of run's
+// design point to -o and reports a one-line summary.
 func runTrace(args []string) error {
+	c := experiments.Lookup("run")
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	design := fs.String("design", "MC-DLA(B)", "system design point")
-	workload := fs.String("workload", "VGG-E", "benchmark (Table III or transformer)")
-	strategyS := fs.String("strategy", "dp", "dp or mp")
-	batch := fs.Int("batch", experiments.Batch, "global batch size")
-	seqlen := fs.Int("seqlen", 0, "sequence-length override (0: workload default)")
-	precS := fs.String("precision", "fp16", "training precision: fp16, mixed or fp32")
 	out := fs.String("o", "trace.json", "output file (chrome://tracing format)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	strategy, err := parseStrategy(*strategyS)
+	q, err := flagValues(fs, c, args)
 	if err != nil {
 		return err
 	}
-	prec, err := train.ParsePrecision(*precS)
-	if err != nil {
-		return fmt.Errorf("invalid -precision value: %v", err)
-	}
-	d, err := core.DesignByName(*design)
-	if err != nil {
-		return err
-	}
-	s, err := train.BuildSeq(*workload, *batch, experiments.Workers, strategy, *seqlen, prec)
+	a, err := parseArgs(c, q)
 	if err != nil {
 		return err
 	}
 	tr := &trace.Log{}
-	r, err := core.SimulateTraced(d, s, tr)
+	r, err := experiments.TraceRun(experiments.RunPoint(a), tr)
 	if err != nil {
 		return err
 	}
@@ -816,7 +438,7 @@ func runTrace(args []string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `mcdla — memory-centric deep-learning system simulator (MICRO-51 reproduction)
+	fmt.Fprint(os.Stderr, `mcdla — memory-centric deep-learning system simulator (MICRO-51 reproduction)
 
 usage: mcdla [-parallel N] [-quiet] [-format F] [-store DIR] <subcommand> [flags]
 
@@ -829,41 +451,45 @@ global flags:
                 /v1/jobs API backed by the same directory
 
 subcommands:
-  fig2 | fig9 | fig11 | fig12 | fig13 | fig14   regenerate a figure
-  tab4 | headline | sens | scale               tables and sweeps
-  explore | plane                              design-space and §VI scale-out sweeps
-  plane -analytic                              retired first-order plane estimator
-  plane -compare                               analytic vs event-driven divergence table
-  transformer                                  seqlen × precision × design study
-    [-workload W] [-seqlens 128,512] [-precisions fp16,mixed,fp32]
-  networks | config                            inventories
-  run -design D -workload W -strategy dp|mp    one simulation
-    [-seqlen N] [-precision fp16|mixed|fp32]
-    [-links N] [-gbps B] [-memnodes M] [-dimm D] [-compress] [-workers K]
-  optimize [-objective perf-per-dollar] [-search grid|greedy|surrogate]
-    [-surrogate] [-max-cost USD] [-max-power W] [-min-throughput S/s]
-    [-workloads ...] [-designs ...] [-gbps 25,50] [-memnodes 4,8]
-    [-dimms ...] [-precisions ...] [-compress off|on|both]
-                                               cost/TCO design-space optimizer:
-                                               Pareto frontier + run recipes
-                                               (-surrogate: successive halving
-                                               over the calibrated predictor)
-  fleet [-trace FILE] [-jobs N] [-pods P]      fleet-scale multi-job cluster
-    [-designs DC-DLA,HC-DLA,MC-DLA(B)]         simulation: iso-cost clusters
-                                               scheduling a CSV/JSON job trace
-                                               under pod memory-pool capacity
-  trace -design D -workload W -o out.json      chrome://tracing timeline
-  run|plane|fleet -timeline FILE               also write a Perfetto-loadable
-                                               Chrome trace of the simulated
-                                               timeline (deterministic at any
-                                               -parallel)
-  serve [-addr :8080] [-cache N]               HTTP API over the experiment suite
-    [-worker] [-exec=false]                    (with -store: async /v1/jobs API;
-    [-debug-addr :6060]                        -worker drains the shared queue
-                                               headlessly, -exec=false serves
-                                               without executing locally;
-                                               -debug-addr serves pprof+expvar;
-                                               /metrics scrapes Prometheus text,
-                                               request log on stderr unless -quiet)
-  all                                          everything`)
+`)
+	for _, c := range experiments.Commands() {
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", c.Name, c.Doc)
+		var flags []string
+		for _, p := range c.Params {
+			f := "-" + p.Name
+			if p.Alias != "" {
+				f += "|-" + p.Alias
+			}
+			switch {
+			case p.File:
+				f += " FILE"
+			case p.Default != "":
+				f += " " + p.Default
+			case !p.Bool:
+				f += " ..."
+			}
+			flags = append(flags, "["+f+"]")
+		}
+		if c.Timeline != nil {
+			flags = append(flags, "[-timeline FILE]")
+		}
+		const indent = "              "
+		line := indent
+		for _, f := range flags {
+			if len(line)+len(f) > 78 {
+				fmt.Fprintln(os.Stderr, line)
+				line = indent
+			}
+			line += " " + f
+		}
+		if len(flags) > 0 {
+			fmt.Fprintln(os.Stderr, line)
+		}
+	}
+	fmt.Fprint(os.Stderr, `  trace        chrome://tracing timeline of one iteration: run's flags plus [-o trace.json]
+  serve        HTTP API over the experiment suite: [-addr :8080] [-cache N]
+               [-worker] [-exec=false] [-debug-addr :6060]; with -store the
+               async /v1/jobs API, -worker drains the shared queue headlessly
+  all          every subcommand above that regenerates the paper, in order
+`)
 }

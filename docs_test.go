@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/memcentric/mcdla/internal/experiments"
 )
 
 // docFiles are the markdown documents whose links CI keeps honest.
@@ -86,17 +88,18 @@ func githubSlug(heading string) string {
 }
 
 // TestDocsMentionEverySubcommand keeps the README cookbook in sync with the
-// CLI dispatcher: every subcommand must appear in README.md.
+// CLI: every command of the experiments table, plus the CLI's own trace,
+// serve and all, must appear in README.md.
 func TestDocsMentionEverySubcommand(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range []string{
-		"fig2", "fig9", "fig11", "fig12", "fig13", "fig14", "tab4", "headline",
-		"sens", "scale", "explore", "plane", "transformer", "networks",
-		"config", "run", "optimize", "fleet", "trace", "serve", "all",
-	} {
+	subs := []string{"trace", "serve", "all"}
+	for _, c := range experiments.Commands() {
+		subs = append(subs, c.Name)
+	}
+	for _, sub := range subs {
 		// The cookbook spells every subcommand as an invocation, so only
 		// the strict "mcdla <sub>" form counts as documentation.
 		if !strings.Contains(string(readme), fmt.Sprintf("mcdla %s", sub)) {

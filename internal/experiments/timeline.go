@@ -1,9 +1,10 @@
-// Timeline builders shared by the CLI (-timeline FILE) and the HTTP service
-// (?timeline=1): both surfaces call exactly these functions and serialize
-// through trace.Timeline.WriteChrome, so the same request produces the same
-// bytes on either surface. Traced simulations bypass the memo cache — a
-// timeline is a re-execution, not a lookup — but they are pure virtual-clock
-// computations, so the output is byte-identical at any parallelism.
+// Timeline faces of the run, plane and fleet commands, shared by the CLI
+// (-timeline FILE) and the HTTP service (?timeline=1): both surfaces call
+// the same table entry and serialize through trace.Timeline.WriteChrome, so
+// the same request produces the same bytes on either surface. Traced
+// simulations bypass the memo cache — a timeline is a re-execution, not a
+// lookup — but they are pure virtual-clock computations, so the output is
+// byte-identical at any parallelism.
 package experiments
 
 import (
@@ -11,25 +12,34 @@ import (
 	"fmt"
 
 	"github.com/memcentric/mcdla/internal/core"
-	"github.com/memcentric/mcdla/internal/fleet"
+	"github.com/memcentric/mcdla/internal/dse"
 	"github.com/memcentric/mcdla/internal/scaleout"
 	"github.com/memcentric/mcdla/internal/trace"
 	"github.com/memcentric/mcdla/internal/train"
 )
 
-// RunTimeline traces one training iteration of workload on d and returns it
-// as a single-process timeline (lanes: compute, stall/sync, offload,
-// prefetch).
-func RunTimeline(d core.Design, workload string, strategy train.Strategy, batch, seqlen int, prec train.Precision, workers int) (*trace.Timeline, error) {
+// TraceRun simulates run's design point once with span tracing into tr.
+func TraceRun(p dse.Point, tr *trace.Log) (core.Result, error) {
+	d, err := p.DesignPoint()
+	if err != nil {
+		return core.Result{}, err
+	}
+	workers := p.Workers
 	if workers <= 0 {
 		workers = Workers
 	}
-	s, err := train.BuildSeq(workload, batch, workers, strategy, seqlen, prec)
+	s, err := train.BuildSeq(p.Workload, p.Batch, workers, p.Strategy, p.SeqLen, p.Precision)
 	if err != nil {
-		return nil, err
+		return core.Result{}, err
 	}
-	tr := &trace.Log{Label: fmt.Sprintf("%s × %s", d.Name, workload)}
-	if _, err := core.SimulateTraced(d, s, tr); err != nil {
+	return core.SimulateTraced(d, s, tr)
+}
+
+// runTimeline traces one training iteration as a single-process timeline
+// (lanes: compute, stall/sync, offload, prefetch).
+func runTimeline(p dse.Point) (*trace.Timeline, error) {
+	tr := &trace.Log{} // the simulation labels it design x workload
+	if _, err := TraceRun(p, tr); err != nil {
 		return nil, err
 	}
 	t := &trace.Timeline{Label: tr.Label}
@@ -37,12 +47,12 @@ func RunTimeline(d core.Design, workload string, strategy train.Strategy, batch,
 	return t, nil
 }
 
-// PlaneTimeline traces the §VI memory-centric plane at each system-node
+// planeTimeline traces the §VI memory-centric plane at each system-node
 // count: one process per plane size, so Perfetto shows how the offload,
 // prefetch and inter-node collective lanes fill as the plane grows. The
 // sweep runs sequentially — timelines are about span layout, not wall-clock
 // speed — and honors ctx between plane sizes.
-func PlaneTimeline(ctx context.Context, workload string, nodeCounts []int) (*trace.Timeline, error) {
+func planeTimeline(ctx context.Context, workload string, nodeCounts []int) (*trace.Timeline, error) {
 	batch := ScaleOutBatch(nodeCounts)
 	t := &trace.Timeline{Label: fmt.Sprintf("plane %s", workload)}
 	for _, n := range nodeCounts {
@@ -56,15 +66,4 @@ func PlaneTimeline(ctx context.Context, workload string, nodeCounts []int) (*tra
 		t.AddProcess(fmt.Sprintf("MC-plane %d nodes", n), tr)
 	}
 	return t, nil
-}
-
-// FleetTimeline runs the fleet simulation (through the shared engine, so
-// iteration times come from the cache hierarchy like any fleet run) and lays
-// each cluster's job lifecycle onto queue and pod lanes.
-func FleetTimeline(ctx context.Context, tr []fleet.Job, clusters []fleet.Cluster) (*trace.Timeline, error) {
-	results, err := Fleet(ctx, tr, clusters)
-	if err != nil {
-		return nil, err
-	}
-	return fleet.Timeline(results), nil
 }

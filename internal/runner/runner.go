@@ -15,7 +15,6 @@ package runner
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,26 +44,24 @@ type Job struct {
 }
 
 // Canonical returns the job's cache identity: the job with its caller-only
-// Tag label cleared. Every durable-store key and cross-surface comparison
-// must go through this one function — the CLI and HTTP paths both feed
-// normalized trace jobs here, so identical simulation inputs can never fork
-// store entries on labeling differences.
+// Tag label cleared. The memo key, every durable-store key and every
+// cross-surface comparison go through this one function — the CLI and HTTP
+// paths both feed normalized trace jobs here, so identical simulation inputs
+// can never fork memo or store entries on labeling differences.
 func (j Job) Canonical() Job {
 	j.Tag = ""
 	return j
 }
 
-// key identifies the simulation's full input space. Design and Schedule are
-// plain value trees (no pointers or maps), so their printed form is a
-// faithful fingerprint.
-func (j Job) key() string {
-	return fmt.Sprintf("%+v|%s|%d|%d|%d|%d|%d", j.Design, j.Workload, j.Strategy, j.Batch, j.Workers, j.SeqLen, j.Precision)
-}
-
 // scheduleKey identifies the train.BuildSeq inputs shared by every design
 // simulated against the same workload point.
-func (j Job) scheduleKey() string {
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%d", j.Workload, j.Strategy, j.Batch, j.Workers, j.SeqLen, j.Precision)
+type scheduleKey struct {
+	workload  string
+	strategy  train.Strategy
+	batch     int
+	workers   int
+	seqLen    int
+	precision train.Precision
 }
 
 // Update is one progress event, emitted after a job finishes (successfully,
@@ -165,8 +162,8 @@ type Engine struct {
 	store       ResultStore
 	metrics     *Metrics
 
-	results memo[core.Result]
-	scheds  memo[*train.Schedule]
+	results memo[Job, core.Result]
+	scheds  memo[scheduleKey, *train.Schedule]
 }
 
 // New builds an Engine.
@@ -183,8 +180,8 @@ func New(opts Options) *Engine {
 		parallelism: p,
 		store:       opts.Store,
 		metrics:     m,
-		results:     newMemo[core.Result](opts.CacheEntries),
-		scheds:      newMemo[*train.Schedule](opts.CacheEntries),
+		results:     newMemo[Job, core.Result](opts.CacheEntries),
+		scheds:      newMemo[scheduleKey, *train.Schedule](opts.CacheEntries),
 	}
 }
 
@@ -282,7 +279,7 @@ feeding:
 // slot, so concurrent callers never race duplicate disk reads either.
 func (e *Engine) simulate(j Job) (core.Result, bool, error) {
 	fromStore := false
-	r, cached, err := e.results.do(j.key(), func() (core.Result, error) {
+	r, cached, err := e.results.do(j.Canonical(), func() (core.Result, error) {
 		if e.store != nil {
 			if r, ok := e.store.Load(j); ok {
 				e.metrics.StoreHits.Inc()
@@ -317,7 +314,8 @@ func (e *Engine) simulate(j Job) (core.Result, bool, error) {
 // schedule-level data alongside a simulation — the run report's resident
 // weight footprint — share the graph build instead of repeating it.
 func (e *Engine) Schedule(j Job) (*train.Schedule, error) {
-	s, _, err := e.scheds.do(j.scheduleKey(), func() (*train.Schedule, error) {
+	k := scheduleKey{j.Workload, j.Strategy, j.Batch, j.Workers, j.SeqLen, j.Precision}
+	s, _, err := e.scheds.do(k, func() (*train.Schedule, error) {
 		return train.BuildSeq(j.Workload, j.Batch, j.Workers, j.Strategy, j.SeqLen, j.Precision)
 	})
 	return s, err
@@ -429,13 +427,13 @@ feeding:
 // entry is one cache slot. The goroutine that creates the slot computes the
 // value and closes done; later arrivals for the same key block on done
 // instead of recomputing.
-type entry[V any] struct {
+type entry[K comparable, V any] struct {
 	done chan struct{}
 	val  V
 	err  error
 	// key and elem tie the slot to its recency-list position so eviction
 	// can unlink both sides; complete guards in-flight slots from eviction.
-	key      string
+	key      K
 	elem     *list.Element
 	complete bool
 }
@@ -444,23 +442,23 @@ type entry[V any] struct {
 // With a positive cap it is an LRU: every hit refreshes the entry's recency
 // and completed entries beyond the cap are evicted oldest-first; in-flight
 // computations are never evicted.
-type memo[V any] struct {
+type memo[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries map[string]*entry[V]
-	order   *list.List // most-recent first; element values are *entry[V]
+	entries map[K]*entry[K, V]
+	order   *list.List // most-recent first; element values are *entry[K, V]
 	cap     int        // ≤ 0: unbounded
 
 	hits, misses atomic.Int64
 }
 
-func newMemo[V any](cap int) memo[V] {
-	return memo[V]{entries: map[string]*entry[V]{}, order: list.New(), cap: cap}
+func newMemo[K comparable, V any](cap int) memo[K, V] {
+	return memo[K, V]{entries: map[K]*entry[K, V]{}, order: list.New(), cap: cap}
 }
 
 // do returns the memoized value for key, computing it with f exactly once
 // across all concurrent callers. The bool reports whether the value came from
 // the cache (either already complete or computed by another in-flight call).
-func (c *memo[V]) do(key string, f func() (V, error)) (V, bool, error) {
+func (c *memo[K, V]) do(key K, f func() (V, error)) (V, bool, error) {
 	c.mu.Lock()
 	if en, ok := c.entries[key]; ok {
 		c.order.MoveToFront(en.elem)
@@ -469,7 +467,7 @@ func (c *memo[V]) do(key string, f func() (V, error)) (V, bool, error) {
 		<-en.done
 		return en.val, true, en.err
 	}
-	en := &entry[V]{done: make(chan struct{}), key: key}
+	en := &entry[K, V]{done: make(chan struct{}), key: key}
 	c.entries[key] = en
 	en.elem = c.order.PushFront(en)
 	c.mu.Unlock()
@@ -487,13 +485,13 @@ func (c *memo[V]) do(key string, f func() (V, error)) (V, bool, error) {
 // evictLocked drops least-recently-used completed entries until the table
 // fits the cap. Incomplete (in-flight) entries are skipped: their creators
 // still need the slot, and waiters hold the entry pointer regardless.
-func (c *memo[V]) evictLocked() {
+func (c *memo[K, V]) evictLocked() {
 	if c.cap <= 0 {
 		return
 	}
 	for e := c.order.Back(); e != nil && len(c.entries) > c.cap; {
 		prev := e.Prev()
-		en := e.Value.(*entry[V])
+		en := e.Value.(*entry[K, V])
 		if en.complete {
 			c.order.Remove(e)
 			delete(c.entries, en.key)

@@ -229,7 +229,7 @@ func TestFanOrderAndErrors(t *testing.T) {
 // oldest-first, a hit refreshes recency, and an evicted key re-simulates.
 func TestLRUCacheEviction(t *testing.T) {
 	var calls atomic.Int64
-	m := newMemo[int](2)
+	m := newMemo[string, int](2)
 	get := func(key string) int {
 		v, _, err := m.do(key, func() (int, error) {
 			calls.Add(1)
@@ -266,7 +266,7 @@ func TestLRUCacheEviction(t *testing.T) {
 // TestLRUSkipsInFlightEntries makes sure eviction never drops a slot whose
 // computation is still running.
 func TestLRUSkipsInFlightEntries(t *testing.T) {
-	m := newMemo[int](1)
+	m := newMemo[string, int](1)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -382,18 +382,18 @@ func TestFanCancelled(t *testing.T) {
 // internal/store and cannot be imported here).
 type fakeStore struct {
 	mu    sync.Mutex
-	m     map[string]core.Result
+	m     map[Job]core.Result
 	loads atomic.Int64
 	saves atomic.Int64
 }
 
-func newFakeStore() *fakeStore { return &fakeStore{m: map[string]core.Result{}} }
+func newFakeStore() *fakeStore { return &fakeStore{m: map[Job]core.Result{}} }
 
 func (f *fakeStore) Load(j Job) (core.Result, bool) {
 	f.loads.Add(1)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	r, ok := f.m[j.key()]
+	r, ok := f.m[j.Canonical()]
 	return r, ok
 }
 
@@ -401,7 +401,7 @@ func (f *fakeStore) Save(j Job, r core.Result) {
 	f.saves.Add(1)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.m[j.key()] = r
+	f.m[j.Canonical()] = r
 }
 
 // TestStoreReadThrough: memo misses consult the store before simulating, and
@@ -492,7 +492,7 @@ func TestStoreHitCountsAsCached(t *testing.T) {
 // and the table shrinks back to the cap only as entries complete.
 func TestInFlightSurvivesBurstBeyondBound(t *testing.T) {
 	const cap, burst = 2, 8
-	m := newMemo[int](cap)
+	m := newMemo[string, int](cap)
 	var computes atomic.Int64
 	started := make(chan int, burst)
 	release := make(chan struct{})
@@ -559,10 +559,14 @@ func TestCanonicalClearsOnlyTag(t *testing.T) {
 	}
 	tagged := j
 	tagged.Tag = "other-label"
-	if tagged.key() != j.key() {
-		t.Fatalf("Tag forked the memo key: %q vs %q", tagged.key(), j.key())
-	}
 	if tagged.Canonical() != j.Canonical() {
 		t.Fatal("Canonical forms of tag-only variants differ")
+	}
+	e := New(Options{Parallelism: 1})
+	if _, err := e.Run(context.Background(), []Job{j, tagged}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Simulated != 1 || st.Hits != 1 {
+		t.Fatalf("Tag forked the memo key: stats %+v, want one simulation and one hit", st)
 	}
 }

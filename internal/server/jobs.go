@@ -195,7 +195,7 @@ func (m *jobsManager) execute(ctx context.Context, rec store.JobRecord) {
 // render produces the job's rendered report exactly as the synchronous
 // endpoint would have.
 func (m *jobsManager) render(ctx context.Context, rec store.JobRecord) (string, error) {
-	rt, ok := reportRoutes[rec.Path]
+	c, ok := reportRoutes[rec.Path]
 	if !ok {
 		return "", fmt.Errorf("job names unknown endpoint %q", rec.Path)
 	}
@@ -207,7 +207,11 @@ func (m *jobsManager) render(ctx context.Context, rec store.JobRecord) (string, 
 	if err != nil {
 		return "", err
 	}
-	rep, err := rt.build(ctx, q)
+	args, err := c.Parse(q.Get, "")
+	if err != nil {
+		return "", err
+	}
+	rep, err := c.Build(ctx, args)
 	if err != nil {
 		return "", err
 	}
@@ -374,8 +378,15 @@ func (m *jobsManager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if path == "" {
 		path = "/v1/run"
 	}
-	if _, ok := reportRoutes[path]; !ok {
+	c, ok := reportRoutes[path]
+	if !ok {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("path %q is not an async-able report endpoint", path))
+		return
+	}
+	// A query that cannot parse would only fail later in the executor;
+	// reject it now, naming the parameter.
+	if _, err := c.Parse(q.Get, ""); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	format, err := formatParam(q)
@@ -472,14 +483,16 @@ func (m *jobsManager) serveEvents(w http.ResponseWriter, r *http.Request, id str
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by this connection"))
 		return
 	}
+	// Subscribe before the comment that promises a live stream: a client
+	// that starts the job on reading it must not lose the first events.
+	ch := m.subscribe(id)
+	defer m.unsubscribe(id, ch)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, ": job %s\n\n", id)
 	fl.Flush()
 
-	ch := m.subscribe(id)
-	defer m.unsubscribe(id, ch)
 	// Every event is stamped with the subscriber's request id and the job's
 	// content hash, so log lines, metrics and SSE streams join on one key.
 	rid := requestID(r.Context())
@@ -487,10 +500,27 @@ func (m *jobsManager) serveEvents(w http.ResponseWriter, r *http.Request, id str
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Name, correlate(ev.Data, rid, id))
 		fl.Flush()
 	}
-	// Re-check after subscribing: a job that went terminal between the first
-	// read and the subscription would otherwise stream nothing forever.
-	if rec, ok := m.st.GetJob(id); ok && rec.State.Terminal() {
+	// finished ends the stream once the record is terminal (possibly set by
+	// another process). Events a local executor already queued go out
+	// first, and its own terminal event is used when it is among them; a
+	// job this process is still executing publishes its terminal event
+	// itself.
+	finished := func() bool {
+		rec, ok := m.st.GetJob(id)
+		if !ok || !rec.State.Terminal() || m.executing(id) {
+			return false
+		}
+		for len(ch) > 0 { // this goroutine is the channel's only receiver
+			ev := <-ch
+			send(ev)
+			if ev.Name != "progress" {
+				return true
+			}
+		}
 		send(m.terminalEvent(rec))
+		return true
+	}
+	if finished() {
 		return
 	}
 	tick := time.NewTicker(m.poll)
@@ -505,12 +535,18 @@ func (m *jobsManager) serveEvents(w http.ResponseWriter, r *http.Request, id str
 				return
 			}
 		case <-tick.C:
-			if rec, ok := m.st.GetJob(id); ok && rec.State.Terminal() {
-				send(m.terminalEvent(rec))
+			if finished() {
 				return
 			}
 		}
 	}
+}
+
+// executing reports whether this process's executor is running job id.
+func (m *jobsManager) executing(id string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.current == id
 }
 
 // RunWorker runs the job-executor loop without an HTTP listener: the

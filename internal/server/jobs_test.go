@@ -243,6 +243,19 @@ func TestJobFailureRecorded(t *testing.T) {
 	}
 }
 
+// TestJobSubmitRejectsBadParams: a query that cannot parse is refused at
+// submission, naming the parameter, and leaves no record behind.
+func TestJobSubmitRejectsBadParams(t *testing.T) {
+	_, ts := newStoreServer(t, t.TempDir())
+	status, body := post(t, ts.URL+"/v1/jobs?path=/v1/run&batch=banana")
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "batch") {
+		t.Fatalf("status = %d body = %s, want 400 naming batch", status, body)
+	}
+	if _, list := get(t, ts.URL+"/v1/jobs"); strings.Contains(string(list), "banana") {
+		t.Fatalf("rejected submission left a record: %s", list)
+	}
+}
+
 func TestJobSubmitRejectsUnknownPath(t *testing.T) {
 	_, ts := newStoreServer(t, t.TempDir())
 	if status, _ := post(t, ts.URL+"/v1/jobs?path=/v1/networks"); status != http.StatusBadRequest {

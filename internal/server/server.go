@@ -1,8 +1,7 @@
 // Package server exposes the simulator as a long-running HTTP service:
-// every experiment family of the CLI becomes a /v1 endpoint whose query
-// parameters map onto the runner's job axes (workload, design, strategy,
-// batch, seqlen, precision, node counts, link technology), with results
-// rendered through the typed report layer as JSON by default or any other
+// every command of the experiments table becomes a /v1/<name> endpoint
+// whose query parameters are the command's flags, parsed and checked by the
+// same table entry the CLI uses, with results rendered through the typed report layer as JSON by default or any other
 // report format on request (?format=text|csv|md).
 //
 // Requests fan out through the shared experiments engine — the same bounded
@@ -21,19 +20,14 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
-	"github.com/memcentric/mcdla/internal/core"
 	"github.com/memcentric/mcdla/internal/dnn"
-	"github.com/memcentric/mcdla/internal/dse"
 	"github.com/memcentric/mcdla/internal/experiments"
 	"github.com/memcentric/mcdla/internal/obs"
 	"github.com/memcentric/mcdla/internal/report"
 	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/store"
-	"github.com/memcentric/mcdla/internal/train"
-	"github.com/memcentric/mcdla/internal/units"
 )
 
 // DefaultCacheEntries is the serve default for the cross-request LRU bound:
@@ -169,61 +163,29 @@ func (s *Server) Serve(ctx context.Context, addr string) error {
 	}
 }
 
-// endpoints lists every route for /v1 discovery.
+// endpoints lists the routes the server owns for /v1 discovery; the index
+// appends one entry per report route from the command table.
 var endpoints = []struct{ Path, Doc string }{
 	{"/healthz", "liveness, uptime, engine parallelism, cache hit/miss accounting, job-queue depth and worker heartbeat"},
 	{"/metrics", "Prometheus text exposition of the process metrics registry (requests, cache, queue, workers)"},
 	{"/v1", "this index"},
 	{"/v1/networks", "workload inventory (Table III + transformers); ?format=text for the CLI shape"},
-	{"/v1/config", "Table II device/memory-node/design-point inventory"},
-	{"/v1/run", "one simulation: ?net=&design=&strategy=dp|mp&batch=&seqlen=&precision=&links=&gbps=&memnodes=&dimm=&compress=&workers= (&timeline=1: Chrome trace of the iteration instead of the report)"},
 	{"/v1/jobs", "async job API over every report endpoint (requires -store): POST ?path=&format= plus the endpoint's params submits (content-addressed id), GET lists; /v1/jobs/{id} polls, …/{id}/events streams SSE progress, …/{id}/result serves the rendered report"},
-	{"/v1/optimize", "cost/TCO design-space optimizer: ?objective=&search=grid|greedy|surrogate&surrogate=1&max-cost=&max-power=&min-throughput= plus candidate axes (workloads, designs, gbps, memnodes, dimms, precisions, compress)"},
-	{"/v1/fleet", "fleet-scale multi-job cluster simulation: ?trace=<CSV/JSON trace>&jobs=N&pods=P&designs=DC-DLA,HC-DLA,MC-DLA(B) — iso-cost clusters scheduling a heterogeneous job trace under pod memory-pool capacity (&timeline=1: Chrome trace of the job lifecycle)"},
-	{"/v1/transformer", "seqlen × precision × design study: ?workload=&seqlens=&precisions="},
-	{"/v1/plane", "§VI scale-out plane: ?workload=&nodes=1,2,4&analytic=&compare= (&timeline=1: Chrome trace of the sweep)"},
-	{"/v1/explore", "§III-B link-technology sweep: ?links=4,8&gbps=25,100"},
-	{"/v1/fig2", "Figure 2 generational study"},
-	{"/v1/fig9", "Figure 9 collective latency"},
-	{"/v1/fig11", "Figure 11 latency breakdown: ?strategy=dp|mp"},
-	{"/v1/fig12", "Figure 12 CPU socket bandwidth"},
-	{"/v1/fig13", "Figure 13 normalized performance: ?strategy=dp|mp"},
-	{"/v1/fig14", "Figure 14 batch sensitivity"},
-	{"/v1/tab4", "Table IV memory-node power"},
-	{"/v1/headline", "§V-B aggregate speedups"},
-	{"/v1/sens", "§V-B sensitivity sweep"},
-	{"/v1/scale", "§V-D scalability"},
 }
 
-// reportRoute is one registered report endpoint: the query→report builder
-// plus whether the endpoint is parameterless (fixed), which decides how
-// builder failures map to status codes. The registry drives both the
-// synchronous routes and the async jobs API — a job names its endpoint by
-// path and executes the same builder, so the two paths cannot drift.
-type reportRoute struct {
-	build func(context.Context, url.Values) (*report.Report, error)
-	fixed bool
-}
-
-var reportRoutes = map[string]reportRoute{
-	"/v1/config":      {buildConfig, true},
-	"/v1/run":         {buildRun, false},
-	"/v1/optimize":    {buildOptimize, false},
-	"/v1/fleet":       {buildFleet, false},
-	"/v1/transformer": {buildTransformer, false},
-	"/v1/plane":       {buildPlane, false},
-	"/v1/explore":     {buildExplore, false},
-	"/v1/fig2":        {buildFig2, true},
-	"/v1/fig9":        {buildFig9, true},
-	"/v1/fig11":       {buildFig11, false},
-	"/v1/fig12":       {buildFig12, true},
-	"/v1/fig13":       {buildFig13, false},
-	"/v1/fig14":       {buildFig14, true},
-	"/v1/tab4":        {buildTab4, true},
-	"/v1/headline":    {buildHeadline, true},
-	"/v1/sens":        {buildSens, true},
-	"/v1/scale":       {buildScale, true},
-}
+// reportRoutes maps each report path onto its command. The registry drives
+// both the synchronous routes and the async jobs API — a job names its
+// endpoint by path and executes the same command, so the two paths cannot
+// drift. /v1/networks answers with its own JSON inventory instead.
+var reportRoutes = func() map[string]*experiments.Command {
+	routes := map[string]*experiments.Command{}
+	for _, c := range experiments.Commands() {
+		if c.Name != "networks" {
+			routes["/v1/"+c.Name] = c
+		}
+	}
+	return routes
+}()
 
 func (s *Server) routes() {
 	handle := func(path string, h http.HandlerFunc) {
@@ -235,423 +197,86 @@ func (s *Server) routes() {
 	handle("/v1/networks", s.networks)
 	handle("/v1/jobs", s.jobsRoot)
 	handle("/v1/jobs/", s.jobByID)
-	for path, rt := range reportRoutes {
-		h := reportHandler(rt.build)
-		if rt.fixed {
-			h = fixedReportHandler(rt.build)
-		}
-		// Routes with a timeline face answer ?timeline=1 with the Chrome
-		// trace document instead of the report.
-		handle(path, withTimeline(path, h))
+	for path, c := range reportRoutes {
+		handle(path, commandHandler(c))
 	}
 }
 
 // ------------------------------------------------------- report endpoints
 
-// reportHandler adapts a query→report builder into an HTTP handler with
-// format negotiation. Builder failures map to errStatus: parameterized
-// endpoints use 400 (their fallible inputs — workload, design, axis lists —
-// arrive in the query string), while fixedReportHandler's parameterless
-// endpoints report builder failures as the server faults they are.
-func reportHandler(build func(context.Context, url.Values) (*report.Report, error)) http.HandlerFunc {
-	return reportHandlerStatus(build, http.StatusBadRequest)
-}
-
-// fixedReportHandler serves endpoints with no data-bearing parameters; a
-// generator failure there cannot be the client's fault.
-func fixedReportHandler(build func(context.Context, url.Values) (*report.Report, error)) http.HandlerFunc {
-	return reportHandlerStatus(build, http.StatusInternalServerError)
-}
-
-func reportHandlerStatus(build func(context.Context, url.Values) (*report.Report, error), errStatus int) http.HandlerFunc {
+// commandHandler serves one command with format negotiation, and its
+// timeline face on ?timeline=1. Parse failures are the client's (400);
+// build failures are too on parameterized commands, whose fallible inputs —
+// workload, design, axis lists — arrive in the query string, while a
+// parameterless command's failure is the server fault it must be (500).
+func commandHandler(c *experiments.Command) http.HandlerFunc {
+	buildStatus := http.StatusBadRequest
+	if c.Fixed() {
+		buildStatus = http.StatusInternalServerError
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 			return
 		}
-		format, err := formatParam(r.URL.Query())
+		q := r.URL.Query()
+		if c.Timeline != nil {
+			if v := q.Get("timeline"); v != "" {
+				want, err := strconv.ParseBool(v)
+				if err != nil {
+					writeError(w, http.StatusBadRequest, fmt.Errorf("invalid timeline value %q (want true or false)", v))
+					return
+				}
+				if want {
+					serveTimeline(w, r, c, q)
+					return
+				}
+			}
+		}
+		format, err := formatParam(q)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		rep, err := build(r.Context(), r.URL.Query())
+		args, err := c.Parse(q.Get, "")
 		if err != nil {
-			writeError(w, errStatus, err)
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		out, err := report.Render(rep, format)
+		rep, err := c.Build(r.Context(), args)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			writeError(w, buildStatus, err)
 			return
 		}
-		w.Header().Set("Content-Type", contentType(format))
-		fmt.Fprint(w, out)
+		writeReport(w, rep, format)
 	}
 }
 
-func buildConfig(context.Context, url.Values) (*report.Report, error) {
-	return experiments.ConfigReport(), nil
+// serveTimeline answers with the Chrome trace-event document of the
+// command's timeline face — the bytes the CLI -timeline flag writes.
+func serveTimeline(w http.ResponseWriter, r *http.Request, c *experiments.Command, q url.Values) {
+	args, err := c.Parse(q.Get, "")
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	t, err := c.Timeline(r.Context(), args)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	t.WriteChrome(w)
 }
 
-func buildFig2(ctx context.Context, _ url.Values) (*report.Report, error) {
-	rows, err := experiments.Fig2(ctx)
+func writeReport(w http.ResponseWriter, rep *report.Report, format report.Format) {
+	out, err := report.Render(rep, format)
 	if err != nil {
-		return nil, err
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	return experiments.Fig2Report(rows), nil
-}
-
-func buildFig9(context.Context, url.Values) (*report.Report, error) {
-	return experiments.Fig9Report(experiments.Fig9()), nil
-}
-
-func buildFig11(ctx context.Context, q url.Values) (*report.Report, error) {
-	strategy, err := strategyParam(q)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := experiments.Fig11(ctx, strategy)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.Fig11Report(rows, strategy), nil
-}
-
-func buildFig12(ctx context.Context, _ url.Values) (*report.Report, error) {
-	rows, err := experiments.Fig12(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.Fig12Report(rows), nil
-}
-
-func buildFig13(ctx context.Context, q url.Values) (*report.Report, error) {
-	strategy, err := strategyParam(q)
-	if err != nil {
-		return nil, err
-	}
-	rows, speedups, err := experiments.Fig13(ctx, strategy)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.Fig13Report(rows, speedups, strategy), nil
-}
-
-func buildFig14(ctx context.Context, _ url.Values) (*report.Report, error) {
-	rows, err := experiments.Fig14(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.Fig14Report(rows), nil
-}
-
-func buildTab4(context.Context, url.Values) (*report.Report, error) {
-	return experiments.Table4Report(), nil
-}
-
-func buildHeadline(ctx context.Context, _ url.Values) (*report.Report, error) {
-	h, err := experiments.RunHeadline(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.HeadlineReport(h), nil
-}
-
-func buildSens(ctx context.Context, _ url.Values) (*report.Report, error) {
-	rows, err := experiments.Sensitivity(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.SensitivityReport(rows), nil
-}
-
-func buildScale(ctx context.Context, _ url.Values) (*report.Report, error) {
-	rows, err := experiments.Scalability(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.ScalabilityReport(rows), nil
-}
-
-func buildRun(ctx context.Context, q url.Values) (*report.Report, error) {
-	workload := firstNonEmpty(q.Get("net"), q.Get("workload"), "VGG-E")
-	strategy, err := strategyParam(q)
-	if err != nil {
-		return nil, err
-	}
-	batch, err := intParam(q, "batch", experiments.Batch)
-	if err != nil {
-		return nil, err
-	}
-	seqlen, err := intParam(q, "seqlen", 0)
-	if err != nil {
-		return nil, err
-	}
-	prec := train.FP16
-	if v := q.Get("precision"); v != "" {
-		if prec, err = train.ParsePrecision(v); err != nil {
-			return nil, fmt.Errorf("invalid precision parameter: %v", err)
-		}
-	}
-	workers, err := intParam(q, "workers", 0)
-	if err != nil {
-		return nil, err
-	}
-	d, err := runDesignPoint(q)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.RunReportFor(ctx, d, workload, strategy, batch, seqlen, prec, workers)
-}
-
-// runDesignPoint derives the /v1/run design from the dse axes in the query —
-// exactly as the CLI `run` flags do, so an optimizer recipe translates 1:1
-// into query parameters. Shared by the report and timeline faces of the
-// endpoint so the traced design is the reported design.
-func runDesignPoint(q url.Values) (core.Design, error) {
-	workload := firstNonEmpty(q.Get("net"), q.Get("workload"), "VGG-E")
-	design := firstNonEmpty(q.Get("design"), "MC-DLA(B)")
-	strategy, err := strategyParam(q)
-	if err != nil {
-		return core.Design{}, err
-	}
-	batch, err := intParam(q, "batch", experiments.Batch)
-	if err != nil {
-		return core.Design{}, err
-	}
-	seqlen, err := intParam(q, "seqlen", 0)
-	if err != nil {
-		return core.Design{}, err
-	}
-	prec := train.FP16
-	if v := q.Get("precision"); v != "" {
-		if prec, err = train.ParsePrecision(v); err != nil {
-			return core.Design{}, fmt.Errorf("invalid precision parameter: %v", err)
-		}
-	}
-	links, err := intParam(q, "links", 0)
-	if err != nil {
-		return core.Design{}, err
-	}
-	gbps, err := floatParam(q, "gbps", 0)
-	if err != nil {
-		return core.Design{}, err
-	}
-	memNodes, err := intParam(q, "memnodes", 0)
-	if err != nil {
-		return core.Design{}, err
-	}
-	compressed, err := boolParam(q, "compress")
-	if err != nil {
-		return core.Design{}, err
-	}
-	workers, err := intParam(q, "workers", 0)
-	if err != nil {
-		return core.Design{}, err
-	}
-	p := dse.Point{
-		Design: design, Workload: workload, Strategy: strategy,
-		Batch: batch, SeqLen: seqlen, Precision: prec,
-		Links: links, LinkGBps: gbps, MemNodes: memNodes,
-		DIMM: q.Get("dimm"), Compress: compressed, Workers: workers,
-	}
-	return p.DesignPoint()
-}
-
-// buildOptimize maps the optimizer's query parameters — the same axes and
-// constraint spellings as `mcdla optimize` — onto a design-space search on
-// the shared engine. The request context rides into the search, so a
-// disconnecting client stops the queued simulations.
-func buildOptimize(ctx context.Context, q url.Values) (*report.Report, error) {
-	objective := dse.PerfPerDollar
-	if v := q.Get("objective"); v != "" {
-		var err error
-		if objective, err = dse.ParseObjective(v); err != nil {
-			return nil, fmt.Errorf("invalid objective parameter: %v", err)
-		}
-	}
-	search := dse.Grid
-	if v := q.Get("search"); v != "" {
-		var err error
-		if search, err = dse.ParseSearch(v); err != nil {
-			return nil, fmt.Errorf("invalid search parameter: %v", err)
-		}
-	}
-	switch q.Get("surrogate") {
-	case "":
-	case "1", "true", "on":
-		search = dse.Surrogate
-	default:
-		return nil, fmt.Errorf("invalid surrogate parameter %q (want 1, true or on)", q.Get("surrogate"))
-	}
-	space := experiments.DefaultOptimizeSpace()
-	if v := q.Get("workloads"); v != "" {
-		space.Workloads = strings.Split(v, ",")
-	}
-	if v := q.Get("designs"); v != "" {
-		space.Designs = strings.Split(v, ",")
-	}
-	if v := q.Get("strategies"); v != "" {
-		space.Strategies = nil
-		for _, s := range strings.Split(v, ",") {
-			strategy, err := train.ParseStrategy(s)
-			if err != nil {
-				return nil, fmt.Errorf("invalid strategies parameter: %v", err)
-			}
-			space.Strategies = append(space.Strategies, strategy)
-		}
-	}
-	var err error
-	if space.Batches, err = intsCSVParam(q, "batches", space.Batches); err != nil {
-		return nil, err
-	}
-	if space.SeqLens, err = intsCSVParam(q, "seqlens", space.SeqLens); err != nil {
-		return nil, err
-	}
-	if v := q.Get("precisions"); v != "" {
-		if space.Precisions, err = train.ParsePrecisionList(v); err != nil {
-			return nil, fmt.Errorf("invalid precisions list %q: %v", v, err)
-		}
-	}
-	if space.LinkCounts, err = intsCSVParam(q, "links", space.LinkCounts); err != nil {
-		return nil, err
-	}
-	if space.LinkGBps, err = floatsCSVParam(q, "gbps", space.LinkGBps); err != nil {
-		return nil, err
-	}
-	if space.MemNodes, err = intsCSVParam(q, "memnodes", space.MemNodes); err != nil {
-		return nil, err
-	}
-	if v := q.Get("dimms"); v != "" {
-		space.DIMMs = strings.Split(v, ",")
-	}
-	switch q.Get("compress") {
-	case "", "both":
-		space.Compress = []bool{false, true}
-	case "on":
-		space.Compress = []bool{true}
-	case "off":
-		space.Compress = []bool{false}
-	default:
-		return nil, fmt.Errorf("invalid compress parameter %q (want off, on or both)", q.Get("compress"))
-	}
-	maxCost, err := floatParam(q, "max-cost", 0)
-	if err != nil {
-		return nil, err
-	}
-	maxPower, err := floatParam(q, "max-power", 0)
-	if err != nil {
-		return nil, err
-	}
-	minThroughput, err := floatParam(q, "min-throughput", 0)
-	if err != nil {
-		return nil, err
-	}
-	res, err := experiments.Optimize(ctx, space, dse.Options{
-		Search:    search,
-		Objective: objective,
-		Constraints: dse.Constraints{
-			MaxCostUSD:    maxCost,
-			MaxPowerW:     maxPower,
-			MinThroughput: minThroughput,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return experiments.OptimizeReport(res), nil
-}
-
-// buildFleet maps /v1/fleet query parameters onto the fleet-scale cluster
-// simulation, through exactly the trace parser, normalization and cluster
-// sizing the CLI uses — the same trace submitted on either surface produces
-// the same simulation jobs, and therefore the same durable store keys.
-func buildFleet(ctx context.Context, q url.Values) (*report.Report, error) {
-	tr, clusters, err := fleetInputs(q)
-	if err != nil {
-		return nil, err
-	}
-	results, err := experiments.Fleet(ctx, tr, clusters)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.FleetReport(results), nil
-}
-
-func buildTransformer(ctx context.Context, q url.Values) (*report.Report, error) {
-	var workloads []string
-	if v := q.Get("workload"); v != "" {
-		workloads = []string{v}
-	}
-	seqlens, err := intsCSVParam(q, "seqlens", nil)
-	if err != nil {
-		return nil, err
-	}
-	var precs []train.Precision
-	if v := q.Get("precisions"); v != "" {
-		var err error
-		if precs, err = train.ParsePrecisionList(v); err != nil {
-			return nil, fmt.Errorf("invalid precisions list %q: %v", v, err)
-		}
-	}
-	rows, err := experiments.TransformerSweep(ctx, workloads, seqlens, precs)
-	if err != nil {
-		return nil, err
-	}
-	cRows, err := experiments.AttentionCompress(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.TransformerStudyReport(rows, cRows), nil
-}
-
-func buildPlane(ctx context.Context, q url.Values) (*report.Report, error) {
-	workload := firstNonEmpty(q.Get("net"), q.Get("workload"), "VGG-E")
-	counts, err := intsCSVParam(q, "nodes", []int{1, 2, 4, 8, 16})
-	if err != nil {
-		return nil, err
-	}
-	analytic, err := boolParam(q, "analytic")
-	if err != nil {
-		return nil, err
-	}
-	compare, err := boolParam(q, "compare")
-	if err != nil {
-		return nil, err
-	}
-	pts, err := experiments.ScaleOutRows(ctx, workload, counts, analytic)
-	if err != nil {
-		return nil, err
-	}
-	rep := experiments.ScaleOutReport(workload, pts, analytic)
-	if compare {
-		event := pts
-		if analytic {
-			event = nil
-		}
-		rows, err := experiments.ScaleOutCompare(ctx, workload, counts, event)
-		if err != nil {
-			return nil, err
-		}
-		rep = report.Merge("plane", rep, experiments.ScaleOutCompareReport(workload, rows))
-	}
-	return rep, nil
-}
-
-func buildExplore(ctx context.Context, q url.Values) (*report.Report, error) {
-	links, err := intsCSVParam(q, "links", []int{4, 6, 8, 12})
-	if err != nil {
-		return nil, err
-	}
-	gbps, err := floatsCSVParam(q, "gbps", []float64{25, 50, 100})
-	if err != nil {
-		return nil, err
-	}
-	rows, err := experiments.Explore(ctx, links, gbps)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.ExploreReport(rows), nil
+	w.Header().Set("Content-Type", contentType(format))
+	fmt.Fprint(w, out)
 }
 
 // --------------------------------------------------------- fixed endpoints
@@ -704,7 +329,29 @@ func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 	for _, e := range endpoints {
 		out.Endpoints = append(out.Endpoints, ep(e))
 	}
+	for _, c := range experiments.Commands() {
+		if path := "/v1/" + c.Name; reportRoutes[path] != nil {
+			out.Endpoints = append(out.Endpoints, ep{path, routeDoc(c)})
+		}
+	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// routeDoc is a report route's index line: the command's doc, its query
+// parameters, and its timeline face.
+func routeDoc(c *experiments.Command) string {
+	doc := c.Doc
+	for i, p := range c.Params {
+		sep := "&"
+		if i == 0 {
+			sep = ": ?"
+		}
+		doc += sep + p.Name + "="
+	}
+	if c.Timeline != nil {
+		doc += " (&timeline=1: Chrome trace instead of the report)"
+	}
+	return doc
 }
 
 // networkInfo is one workload of the /v1/networks discovery inventory.
@@ -730,9 +377,7 @@ func (s *Server) networks(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if f != report.FormatJSON {
-			reportHandler(func(context.Context, url.Values) (*report.Report, error) {
-				return experiments.NetworksReport(), nil
-			})(w, r)
+			writeReport(w, experiments.NetworksReport(), f)
 			return
 		}
 	}
@@ -788,15 +433,6 @@ func contentType(f report.Format) string {
 	return "text/plain; charset=utf-8"
 }
 
-func firstNonEmpty(vals ...string) string {
-	for _, v := range vals {
-		if v != "" {
-			return v
-		}
-	}
-	return ""
-}
-
 // formatParam resolves ?format=, defaulting to JSON — the service shape —
 // rather than the CLI's text default.
 func formatParam(q url.Values) (report.Format, error) {
@@ -809,68 +445,4 @@ func formatParam(q url.Values) (report.Format, error) {
 		return "", fmt.Errorf("invalid format parameter: %v", err)
 	}
 	return f, nil
-}
-
-func strategyParam(q url.Values) (train.Strategy, error) {
-	v := q.Get("strategy")
-	if v == "" {
-		return train.DataParallel, nil
-	}
-	strategy, err := train.ParseStrategy(v)
-	if err != nil {
-		return 0, fmt.Errorf("invalid strategy parameter: %v", err)
-	}
-	return strategy, nil
-}
-
-func intParam(q url.Values, key string, def int) (int, error) {
-	v := q.Get(key)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid %s parameter %q (want a nonnegative integer)", key, v)
-	}
-	return n, nil
-}
-
-func floatParam(q url.Values, key string, def float64) (float64, error) {
-	v := q.Get(key)
-	if v == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || f < 0 {
-		return 0, fmt.Errorf("invalid %s parameter %q (want a nonnegative number)", key, v)
-	}
-	return f, nil
-}
-
-func boolParam(q url.Values, key string) (bool, error) {
-	v := q.Get(key)
-	if v == "" {
-		return false, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("invalid %s parameter %q (want true or false)", key, v)
-	}
-	return b, nil
-}
-
-func intsCSVParam(q url.Values, key string, def []int) ([]int, error) {
-	v := q.Get(key)
-	if v == "" {
-		return def, nil
-	}
-	return units.ParsePositiveInts(key, v)
-}
-
-func floatsCSVParam(q url.Values, key string, def []float64) ([]float64, error) {
-	v := q.Get(key)
-	if v == "" {
-		return def, nil
-	}
-	return units.ParsePositiveFloats(key, v)
 }

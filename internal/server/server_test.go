@@ -214,6 +214,13 @@ func TestBadParamsNameTheParameter(t *testing.T) {
 		"/v1/explore?gbps=0":       "gbps",
 		"/v1/transformer?seqlens=": "",
 		"/v1/run?format=yaml":      "format",
+		"/v1/run?gbps=NaN":         "gbps",
+		"/v1/run?gbps=Inf":         "gbps",
+		"/v1/run?gbps=-5":          "gbps",
+		"/v1/run?links=-3":         "links",
+		"/v1/run?memnodes=-1":      "memnodes",
+		"/v1/explore?gbps=25,NaN":  "gbps",
+		"/v1/explore?gbps=Inf":     "gbps",
 	} {
 		status, body := get(t, ts.URL+url)
 		if url == "/v1/transformer?seqlens=" {
@@ -369,6 +376,12 @@ func TestOptimizeBadParams(t *testing.T) {
 		{"/v1/optimize?compress=maybe", "compress"},
 		{"/v1/optimize?memnodes=0", "memnodes"},
 		{"/v1/optimize?designs=NV-DLA", "NV-DLA"},
+		{"/v1/optimize?max-cost=NaN", "max-cost"},
+		{"/v1/optimize?max-power=Inf", "max-power"},
+		{"/v1/optimize?min-throughput=-1", "min-throughput"},
+		{"/v1/optimize?gbps=25,NaN", "gbps"},
+		{"/v1/optimize?gbps=-Inf", "gbps"},
+		{"/v1/optimize?memnodes=-4", "memnodes"},
 	} {
 		status, body := get(t, ts.URL+c.query)
 		if status != http.StatusBadRequest {
@@ -394,6 +407,17 @@ func TestRunEndpointDSEAxes(t *testing.T) {
 	status, body = get(t, ts.URL+"/v1/run?net=VGG-E&design=MC-DLA(B)&compress=true")
 	if status != http.StatusBadRequest {
 		t.Fatalf("cDMA on a shared-link design: status = %d (%s), want 400", status, body)
+	}
+}
+
+// TestRunEndpointFastLinks: a link bandwidth whose flows complete below the
+// simulator clock's float64 resolution still answers instead of spinning.
+func TestRunEndpointFastLinks(t *testing.T) {
+	ts := newTestServer(t)
+	for _, gbps := range []string{"1e12", "1e308"} {
+		if status, body := get(t, ts.URL+"/v1/run?gbps="+gbps); status != http.StatusOK {
+			t.Fatalf("gbps=%s: status = %d: %s", gbps, status, body)
+		}
 	}
 }
 

@@ -419,6 +419,22 @@ func (c *Channel) AdvanceTo(t units.Time) {
 	}
 }
 
+// advanceToNextCompletion moves the clock to the earliest flow completion.
+// Once the delta falls below the float64 resolution of c.now (a very fast
+// flow late in a long run), AdvanceTo(c.now+delta) is a no-op; the nearest
+// flow is then drained at the current instant, as AdvanceTo's own guard
+// does, so the caller's loop always makes progress.
+func (c *Channel) advanceToNextCompletion() {
+	step := c.nextCompletionDelta()
+	if c.now+step > c.now {
+		c.AdvanceTo(c.now + step)
+		return
+	}
+	c.progress(step)
+	c.forceDrainNearest()
+	c.reap()
+}
+
 // nextCompletionDelta reports the time until the earliest flow completion at
 // current rates. At least one flow must be active.
 func (c *Channel) nextCompletionDelta() units.Time {
@@ -514,7 +530,7 @@ func (c *Channel) Wait(t units.Time, f *Flow) units.Time {
 	}
 	c.AdvanceTo(t)
 	for !f.done {
-		c.AdvanceTo(c.now + c.nextCompletionDelta())
+		c.advanceToNextCompletion()
 	}
 	return units.MaxTime(t, f.doneAt)
 }
@@ -526,7 +542,7 @@ func (c *Channel) Drain(t units.Time) units.Time {
 	end := t
 	for len(c.flows) > 0 {
 		c.drained = append(c.drained[:0], c.flows...)
-		c.AdvanceTo(c.now + c.nextCompletionDelta())
+		c.advanceToNextCompletion()
 		for _, f := range c.drained {
 			if f.done && f.doneAt > end {
 				end = f.doneAt

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/memcentric/mcdla/internal/units"
 )
@@ -451,5 +452,31 @@ func TestPriorityDoesNotCrossGroups(t *testing.T) {
 	endB := ch.Wait(endA, b)
 	if !almostEqual(endA.Seconds(), 1.0, 1e-9) || !almostEqual(endB.Seconds(), 1.0, 1e-9) {
 		t.Fatalf("cross-group priority leak: a=%v b=%v, want 1 s each", endA, endB)
+	}
+}
+
+// TestSubResolutionCompletionTerminates: a flow whose completion delta is
+// below the float64 resolution of a late channel clock must still complete
+// in Wait and Drain instead of spinning on a no-op AdvanceTo.
+func TestSubResolutionCompletionTerminates(t *testing.T) {
+	const now = units.Time(1000) // resolution ~1e-13 s; the flows need ~1e-18 s
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ch := NewChannel("fast", units.GBps(1e12))
+		f := ch.Start(now, "a", 1024, units.GBps(1e12), 0)
+		if got := ch.Wait(now, f); got != now {
+			t.Errorf("Wait returned %v, want %v", got, now)
+		}
+		ch.Start(now, "b", 1024, units.GBps(1e12), 0)
+		ch.Start(now, "c", 2048, units.GBps(1e12), 0)
+		if got := ch.Drain(now); got != now || ch.ActiveFlows() != 0 {
+			t.Errorf("Drain returned %v with %d flows active, want %v and none", got, ch.ActiveFlows(), now)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait/Drain spun on a sub-resolution completion")
 	}
 }

@@ -2,6 +2,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -23,13 +24,14 @@ func ParsePositiveInts(name, csv string) ([]int, error) {
 	return out, nil
 }
 
-// ParsePositiveFloats is ParsePositiveInts for positive real quantities
-// (per-link GB/s in the explore sweep).
+// ParsePositiveFloats is ParsePositiveInts for positive finite real
+// quantities (per-link GB/s in the explore sweep); NaN and ±Inf are
+// rejected with the nonpositive values.
 func ParsePositiveFloats(name, csv string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(csv, ",") {
 		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || f <= 0 {
+		if err != nil || !(f > 0) || math.IsInf(f, 1) {
 			return nil, fmt.Errorf("invalid %s list %q: element %q is not a positive number", name, csv, part)
 		}
 		out = append(out, f)

@@ -2,6 +2,7 @@ package units
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -130,5 +131,23 @@ func TestPropertyMinMaxBracket(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParsePositiveListsRejectNonFinite: the list parsers refuse every
+// element that is not a positive finite number, naming the list.
+func TestParsePositiveListsRejectNonFinite(t *testing.T) {
+	for _, csv := range []string{"25,NaN", "Inf", "+Inf", "-Inf", "1e309", "0", "-1", "x"} {
+		if _, err := ParsePositiveFloats("gbps", csv); err == nil || !strings.Contains(err.Error(), "gbps") {
+			t.Errorf("ParsePositiveFloats(%q) error = %v, want one naming gbps", csv, err)
+		}
+	}
+	for _, csv := range []string{"0", "-1", "1.5", "2x"} {
+		if _, err := ParsePositiveInts("nodes", csv); err == nil || !strings.Contains(err.Error(), "nodes") {
+			t.Errorf("ParsePositiveInts(%q) error = %v, want one naming nodes", csv, err)
+		}
+	}
+	if got, err := ParsePositiveFloats("gbps", "25, 1e3"); err != nil || len(got) != 2 || got[1] != 1000 {
+		t.Fatalf("ParsePositiveFloats = %v, %v", got, err)
 	}
 }
