@@ -72,6 +72,9 @@ func TestBadFlagsNameTheFlag(t *testing.T) {
 		{"optimize", "-max-cost", "NaN"},
 		{"optimize", "-min-throughput", "-1"},
 		{"fleet", "-pods", "-2"},
+		{"run", "-memnodes", "4", "-design", "DC-DLA"},
+		{"run", "-links", "4", "-design", "MC-DLA(S)"},
+		{"run", "-workers", "4", "-design", "MC-DLA(S)"},
 	} {
 		err := run(t.Context(), args)
 		if err == nil || !strings.Contains(err.Error(), args[1]) {

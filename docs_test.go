@@ -2,6 +2,9 @@ package mcdla
 
 import (
 	"fmt"
+	"go/doc"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -105,5 +108,41 @@ func TestDocsMentionEverySubcommand(t *testing.T) {
 		if !strings.Contains(string(readme), fmt.Sprintf("mcdla %s", sub)) {
 			t.Errorf("README.md does not document subcommand %q (no \"mcdla %s\" invocation)", sub, sub)
 		}
+	}
+}
+
+// TestReadmeQuickstartMatchesExample keeps the README's quickstart output
+// honest: its last code block must equal the // Output: of the runnable
+// Example in internal/core, which go test checks against the simulator.
+func TestReadmeQuickstartMatchesExample(t *testing.T) {
+	const src = "internal/core/example_test.go"
+	f, err := parser.ParseFile(token.NewFileSet(), src, nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ""
+	for _, ex := range doc.Examples(f) {
+		if ex.Name == "" {
+			want = strings.TrimSpace(ex.Output)
+		}
+	}
+	if want == "" {
+		t.Fatalf("%s has no package Example with an // Output: block", src)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Quickstart\n")
+	if !ok {
+		t.Fatal("README.md has no Quickstart section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	blocks := strings.Split(section, "```")
+	if len(blocks) < 3 {
+		t.Fatal("README.md Quickstart section has no code block")
+	}
+	if got := strings.TrimSpace(blocks[len(blocks)-2]); got != want {
+		t.Errorf("README.md quickstart output diverged from %s:\nREADME:\n%s\nExample:\n%s", src, got, want)
 	}
 }

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/memcentric/mcdla/internal/accel"
 	"github.com/memcentric/mcdla/internal/collective"
@@ -279,6 +280,14 @@ func DesignFor(name string, dev accel.Config, workers int) (Design, error) {
 	case "HC-DLA":
 		return NewHCDLA(dev, workers), nil
 	case "MC-DLA(S)":
+		// The Figure 7(b) folded rings exist for the DGX example alone:
+		// refuse any other link complex before the builder panics on it.
+		switch def := topo.DefaultParams(); {
+		case dev.Links != def.LinksN:
+			return Design{}, &ParamError{"links", strconv.Itoa(dev.Links), fmt.Sprintf("MC-DLA(S) folds its rings over exactly %d links per device", def.LinksN)}
+		case workers != def.Devices:
+			return Design{}, &ParamError{"workers", strconv.Itoa(workers), fmt.Sprintf("MC-DLA(S) folds its rings over exactly %d devices", def.Devices)}
+		}
 		return NewMCDLAS(dev, workers), nil
 	case "MC-DLA(L)":
 		return NewMCDLAL(dev, workers), nil
@@ -288,6 +297,21 @@ func DesignFor(name string, dev accel.Config, workers int) (Design, error) {
 		return NewDCDLAO(dev, workers), nil
 	}
 	return Design{}, fmt.Errorf("core: unknown design %q", name)
+}
+
+// ParamError rejects a design point for the value of one parameter. Param
+// is the parameter's bare name (links, workers, memnodes, dimm, compress),
+// which is how HTTP spells it; a front end with another spelling renders
+// the error through Spell, so the CLI says -links where HTTP says links.
+type ParamError struct {
+	Param, Value, Reason string
+}
+
+func (e *ParamError) Error() string { return e.Spell("") }
+
+// Spell renders the error with the parameter name behind prefix.
+func (e *ParamError) Spell(prefix string) string {
+	return fmt.Sprintf("invalid %s%s value %q: %s", prefix, e.Param, e.Value, e.Reason)
 }
 
 // Validate reports configuration errors.

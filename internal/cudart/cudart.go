@@ -5,8 +5,8 @@
 // space of §III-B (devicelocal at the bottom, the two neighbouring
 // memory-node halves concatenated above) and the sim engine's DMA channels.
 //
-// Existing DL frameworks program against exactly this surface; the examples
-// directory shows a vDNN-style runtime memory manager written on top of it.
+// Existing DL frameworks program against exactly this surface; package
+// overlay is a vDNN-style runtime memory manager written on top of it.
 package cudart
 
 import (

@@ -1,9 +1,6 @@
 package dnn
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Graph is a network's data-dependency DAG in topological order (builders
 // append layers only after their producers, so slice order is a valid
@@ -203,16 +200,4 @@ func (g *Graph) Summary() string {
 		float64(g.TotalFeatureMapBytes())/1e6,
 		float64(g.StashBytes())/1e6,
 		float64(g.TotalMACs())/1e9)
-}
-
-// SortedWeightGroups returns the unique weight group names in deterministic
-// order (the order dW collectives are issued under data-parallel training).
-func (g *Graph) SortedWeightGroups() []string {
-	groups := g.WeightGroupBytes()
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

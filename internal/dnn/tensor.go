@@ -34,14 +34,6 @@ func (s Shape) Elems() int64 {
 // Bytes reports the storage footprint (ElemBytes per element) of the shape.
 func (s Shape) Bytes() int64 { return s.Elems() * ElemBytes }
 
-// PerSampleBytes reports the footprint of a single batch element.
-func (s Shape) PerSampleBytes() int64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.Bytes() / int64(s.N)
-}
-
 // WithBatch returns the shape with the batch dimension replaced.
 func (s Shape) WithBatch(n int) Shape { s.N = n; return s }
 

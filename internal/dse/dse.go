@@ -18,6 +18,7 @@ package dse
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/memcentric/mcdla/internal/accel"
@@ -125,7 +126,8 @@ func (p Point) DesignPoint() (core.Design, error) {
 	}
 	if p.DIMM != "" {
 		if d.MemNodes == 0 {
-			return core.Design{}, fmt.Errorf("dse: -dimm applies to memory-centric designs, not %s", d.Name)
+			return core.Design{}, &core.ParamError{Param: "dimm", Value: p.DIMM,
+				Reason: "memory-node DIMMs apply to memory-centric designs, not " + d.Name}
 		}
 		dm, err := memnode.DIMMByName(p.DIMM)
 		if err != nil {
@@ -135,10 +137,12 @@ func (p Point) DesignPoint() (core.Design, error) {
 	}
 	if p.MemNodes > 0 {
 		if d.MemNodes == 0 {
-			return core.Design{}, fmt.Errorf("dse: -memnodes applies to memory-centric designs, not %s", d.Name)
+			return core.Design{}, &core.ParamError{Param: "memnodes", Value: strconv.Itoa(p.MemNodes),
+				Reason: "memory-node boards apply to memory-centric designs, not " + d.Name}
 		}
 		if p.MemNodes > d.MemNodes {
-			return core.Design{}, fmt.Errorf("dse: the ring interleaves at most one memory-node per device (%d), got %d", d.MemNodes, p.MemNodes)
+			return core.Design{}, &core.ParamError{Param: "memnodes", Value: strconv.Itoa(p.MemNodes),
+				Reason: fmt.Sprintf("the ring interleaves at most one memory-node per device (%d)", d.MemNodes)}
 		}
 		// A partially populated ring strips remote pages across fewer
 		// boards: the reachable bandwidth shrinks with the population.
@@ -147,7 +151,8 @@ func (p Point) DesignPoint() (core.Design, error) {
 	}
 	if p.Compress {
 		if d.SharedLinks || d.Oracle {
-			return core.Design{}, fmt.Errorf("dse: cDMA compression models the host virtualization path, not %s", d.Name)
+			return core.Design{}, &core.ParamError{Param: "compress", Value: "true",
+				Reason: "cDMA compression models the host virtualization path, not " + d.Name}
 		}
 		ratio, err := p.compressRatio()
 		if err != nil {

@@ -40,7 +40,7 @@ func TestGeneratorsHonorCancelledContext(t *testing.T) {
 		},
 		"attention-compress": func() error { _, err := AttentionCompress(ctx); return err },
 		"run": func() error {
-			_, err := RunReport(ctx, "MC-DLA(B)", "VGG-E", train.DataParallel, Batch, 0, train.FP16)
+			_, err := RunReportFor(ctx, mustDesign("MC-DLA(B)"), "VGG-E", train.DataParallel, Batch, 0, train.FP16, Workers)
 			return err
 		},
 	}

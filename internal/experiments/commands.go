@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 
+	"github.com/memcentric/mcdla/internal/core"
 	"github.com/memcentric/mcdla/internal/dse"
 	"github.com/memcentric/mcdla/internal/fleet"
 	"github.com/memcentric/mcdla/internal/report"
@@ -56,6 +58,8 @@ type Param struct {
 type Args struct {
 	params []Param
 	vals   []any
+	// flag is the surface's parameter prefix Parse was given.
+	flag string
 }
 
 // arg returns the parsed value of the named parameter (the zero T when it
@@ -71,6 +75,16 @@ func arg[T any](a Args, name string) T {
 	panic(fmt.Sprintf("experiments: no parameter %q", name))
 }
 
+// spell names a design point's rejected parameter the way Parse names a
+// rejected value: as the caller's surface spells it.
+func (a Args) spell(err error) error {
+	var pe *core.ParamError
+	if errors.As(err, &pe) {
+		return errors.New(pe.Spell(a.flag))
+	}
+	return err
+}
+
 // Fixed reports whether the command takes no parameters, so a build
 // failure cannot be the caller's fault.
 func (c *Command) Fixed() bool { return len(c.Params) == 0 }
@@ -80,7 +94,7 @@ func (c *Command) Fixed() bool { return len(c.Params) == 0 }
 // error messages — "-" on the CLI, "" over HTTP — so a rejected value is
 // named as the caller spelled it.
 func (c *Command) Parse(get func(string) string, flag string) (Args, error) {
-	a := Args{params: c.Params, vals: make([]any, len(c.Params))}
+	a := Args{params: c.Params, vals: make([]any, len(c.Params)), flag: flag}
 	for i, p := range c.Params {
 		name, raw := p.Name, get(p.Name)
 		if p.Alias != "" {
@@ -349,11 +363,14 @@ var commands = []*Command{
 			p := RunPoint(a)
 			d, err := p.DesignPoint()
 			if err != nil {
-				return nil, err
+				return nil, a.spell(err)
 			}
 			return RunReportFor(ctx, d, p.Workload, p.Strategy, p.Batch, p.SeqLen, p.Precision, p.Workers)
 		},
-		Timeline: func(_ context.Context, a Args) (*trace.Timeline, error) { return runTimeline(RunPoint(a)) }},
+		Timeline: func(_ context.Context, a Args) (*trace.Timeline, error) {
+			t, err := runTimeline(RunPoint(a))
+			return t, a.spell(err)
+		}},
 }
 
 // once runs a command with its defaults in `mcdla all`.
@@ -489,7 +506,7 @@ func buildOptimize(ctx context.Context, a Args) (*report.Report, error) {
 			MinThroughput: arg[float64](a, "min-throughput"),
 		},
 	})
-	return reportOf(OptimizeReport, res, err)
+	return reportOf(OptimizeReport, res, a.spell(err))
 }
 
 // override replaces a default search axis with a given one.

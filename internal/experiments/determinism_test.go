@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/memcentric/mcdla/internal/report"
 	"github.com/memcentric/mcdla/internal/train"
 )
 
@@ -15,45 +16,45 @@ func TestGeneratorsDeterministicUnderParallelism(t *testing.T) {
 	generators := map[string]func() (string, error){
 		"fig2": func() (string, error) {
 			rows, err := Fig2(context.Background())
-			return RenderFig2(rows), err
+			return report.Text(Fig2Report(rows)), err
 		},
 		"fig11-dp": func() (string, error) {
 			rows, err := Fig11(context.Background(), train.DataParallel)
-			return RenderFig11(rows, train.DataParallel), err
+			return report.Text(Fig11Report(rows, train.DataParallel)), err
 		},
 		"fig11-mp": func() (string, error) {
 			rows, err := Fig11(context.Background(), train.ModelParallel)
-			return RenderFig11(rows, train.ModelParallel), err
+			return report.Text(Fig11Report(rows, train.ModelParallel)), err
 		},
 		"fig12": func() (string, error) {
 			rows, err := Fig12(context.Background())
-			return RenderFig12(rows), err
+			return report.Text(Fig12Report(rows)), err
 		},
 		"fig13-dp": func() (string, error) {
 			rows, speedups, err := Fig13(context.Background(), train.DataParallel)
-			return RenderFig13(rows, speedups, train.DataParallel), err
+			return report.Text(Fig13Report(rows, speedups, train.DataParallel)), err
 		},
 		"headline": func() (string, error) {
 			h, err := RunHeadline(context.Background())
-			return RenderHeadline(h), err
+			return report.Text(HeadlineReport(h)), err
 		},
 		"scale": func() (string, error) {
 			rows, err := Scalability(context.Background())
-			return RenderScalability(rows), err
+			return report.Text(ScalabilityReport(rows)), err
 		},
 		"explore": func() (string, error) {
 			rows, err := Explore(context.Background(), []int{6}, []float64{25, 50})
-			return RenderExplore(rows), err
+			return report.Text(ExploreReport(rows)), err
 		},
 	}
 	if !testing.Short() {
 		generators["fig14"] = func() (string, error) {
 			rows, err := Fig14(context.Background())
-			return RenderFig14(rows), err
+			return report.Text(Fig14Report(rows)), err
 		}
 		generators["sens"] = func() (string, error) {
 			rows, err := Sensitivity(context.Background())
-			return RenderSensitivity(rows), err
+			return report.Text(SensitivityReport(rows)), err
 		}
 	}
 
@@ -89,7 +90,7 @@ func TestReportByteIdenticalAcrossRepeats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return RenderExplore(rows)
+		return report.Text(ExploreReport(rows))
 	}
 	want := build()
 	for i := 1; i < 50; i++ {

@@ -32,9 +32,6 @@ const (
 // designNames is the Figure 11/13 presentation order.
 var designNames = []string{"DC-DLA", "HC-DLA", "MC-DLA(S)", "MC-DLA(L)", "MC-DLA(B)", "DC-DLA(O)"}
 
-// DesignNames returns the evaluated design points in paper order.
-func DesignNames() []string { return append([]string(nil), designNames...) }
-
 // Every generator submits its simulation grid to a shared runner engine, so
 // the figures fan out across GOMAXPROCS workers and overlapping sweeps (the
 // headline, Figure 12, and the sensitivity variants revisit the same
@@ -205,9 +202,6 @@ func Fig2Report(rows []Fig2Row) *report.Report {
 	}
 }
 
-// RenderFig2 prints Figure 2 as a table.
-func RenderFig2(rows []Fig2Row) string { return report.Text(Fig2Report(rows)) }
-
 // ---------------------------------------------------------------- Figure 9
 
 // Fig9Point is one ring size's normalized latency for the three collectives.
@@ -272,9 +266,6 @@ func Fig9Report(pts []Fig9Point) *report.Report {
 	}
 }
 
-// RenderFig9 prints the figure's three series.
-func RenderFig9(pts []Fig9Point) string { return report.Text(Fig9Report(pts)) }
-
 // --------------------------------------------------------------- Figure 11
 
 // Fig11Row is one stacked bar: a workload × design latency breakdown
@@ -328,11 +319,6 @@ func Fig11Report(rows []Fig11Row, strategy train.Strategy) *report.Report {
 		Title:    fmt.Sprintf("Figure 11 (%v): latency breakdown, normalized per workload", strategy),
 		Sections: []report.Section{{Table: t}},
 	}
-}
-
-// RenderFig11 prints the stacked-bar data.
-func RenderFig11(rows []Fig11Row, strategy train.Strategy) string {
-	return report.Text(Fig11Report(rows, strategy))
 }
 
 // --------------------------------------------------------------- Figure 12
@@ -390,9 +376,6 @@ func Fig12Report(rows []Fig12Row) *report.Report {
 	}
 }
 
-// RenderFig12 prints the bandwidth-usage table.
-func RenderFig12(rows []Fig12Row) string { return report.Text(Fig12Report(rows)) }
-
 // --------------------------------------------------------------- Figure 13
 
 // Fig13Row is one workload × design performance bar, normalized to the
@@ -440,11 +423,6 @@ func Fig13Report(rows []Fig13Row, speedups []float64, strategy train.Strategy) *
 			fmt.Sprintf("Harmonic-mean MC-DLA(B) speedup over DC-DLA: %.2fx", mean),
 		}}},
 	}
-}
-
-// RenderFig13 prints the performance bars plus the headline speedup.
-func RenderFig13(rows []Fig13Row, speedups []float64, strategy train.Strategy) string {
-	return report.Text(Fig13Report(rows, speedups, strategy))
 }
 
 // --------------------------------------------------------------- Figure 14
@@ -520,9 +498,6 @@ func Fig14Report(rows []Fig14Row) *report.Report {
 		Sections: []report.Section{{Table: t}},
 	}
 }
-
-// RenderFig14 prints the sensitivity table.
-func RenderFig14(rows []Fig14Row) string { return report.Text(Fig14Report(rows)) }
 
 func mustDesign(name string) core.Design {
 	d, err := core.DesignByName(name)

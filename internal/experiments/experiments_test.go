@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/memcentric/mcdla/internal/dnn"
+	"github.com/memcentric/mcdla/internal/report"
 	"github.com/memcentric/mcdla/internal/train"
 )
 
@@ -45,7 +46,7 @@ func TestFig2ShapeMatchesPaper(t *testing.T) {
 			t.Errorf("%s: Volta-era PCIe overhead = %.1f%%, expected substantial (>40%%)", net, rs[3].OverheadPct)
 		}
 	}
-	if !strings.Contains(RenderFig2(rows), "Kepler") {
+	if !strings.Contains(report.Text(Fig2Report(rows)), "Kepler") {
 		t.Error("render output missing generations")
 	}
 }
@@ -80,7 +81,7 @@ func TestFig9ShapeMatchesPaper(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(RenderFig9(pts), "7%") {
+	if !strings.Contains(report.Text(Fig9Report(pts)), "7%") {
 		t.Error("render missing the 7% annotation")
 	}
 }
@@ -109,7 +110,7 @@ func TestFig11Normalization(t *testing.T) {
 				t.Errorf("%s: tallest stack = %.3f, want 1.0 (per-workload normalization)", net, max)
 			}
 		}
-		_ = RenderFig11(rows, strategy)
+		_ = report.Text(Fig11Report(rows, strategy))
 	}
 }
 
@@ -159,7 +160,7 @@ func TestFig12MCDLAIsZero(t *testing.T) {
 	if !foundHot {
 		t.Error("no workload drives HC-DLA near its socket limit (paper: ≈92%)")
 	}
-	_ = RenderFig12(rows)
+	_ = report.Text(Fig12Report(rows))
 }
 
 func TestFig13OracleIsUnity(t *testing.T) {
@@ -179,7 +180,7 @@ func TestFig13OracleIsUnity(t *testing.T) {
 				t.Errorf("%s/%s: performance %.3f out of range", r.Workload, r.Design, r.Performance)
 			}
 		}
-		_ = RenderFig13(rows, speedups, strategy)
+		_ = report.Text(Fig13Report(rows, speedups, strategy))
 	}
 }
 
@@ -212,7 +213,7 @@ func TestFig14Robustness(t *testing.T) {
 	if avg < 1.6 || avg > 3.4 {
 		t.Fatalf("across-batch average speedup = %.2f, want ≈2.17 band", avg)
 	}
-	_ = RenderFig14(rows)
+	_ = report.Text(Fig14Report(rows))
 }
 
 func TestHeadlineBands(t *testing.T) {
@@ -232,7 +233,7 @@ func TestHeadlineBands(t *testing.T) {
 	if h.Average["DC-DLA"] != 1 {
 		t.Errorf("DC-DLA baseline = %.2f, want exactly 1", h.Average["DC-DLA"])
 	}
-	out := RenderHeadline(h)
+	out := report.Text(HeadlineReport(h))
 	if !strings.Contains(out, "MC-DLA(B)") || !strings.Contains(out, "Paper reference") {
 		t.Error("headline render incomplete")
 	}
@@ -262,7 +263,7 @@ func TestSensitivityShape(t *testing.T) {
 		t.Errorf("TPUv2-class gap %.2f should exceed baseline %.2f (paper: 3.2x vs 2.8x)",
 			byName["TPUv2-class device-node"], byName["baseline"])
 	}
-	_ = RenderSensitivity(rows)
+	_ = report.Text(SensitivityReport(rows))
 }
 
 func TestScalabilityShape(t *testing.T) {
@@ -296,11 +297,11 @@ func TestScalabilityShape(t *testing.T) {
 			t.Errorf("%s @%d GPUs: MC-DLA (%.2f) must out-scale DC-DLA (%.2f)", r.Network, r.GPUs, r.SpeedupMC, r.SpeedupVirt)
 		}
 	}
-	_ = RenderScalability(rows)
+	_ = report.Text(ScalabilityReport(rows))
 }
 
 func TestTable4Render(t *testing.T) {
-	out := RenderTable4()
+	out := report.Text(Table4Report())
 	for _, want := range []string{"8GB-RDIMM", "128GB-LRDIMM", "10.1", "+32%", "+7%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table IV output missing %q:\n%s", want, out)
@@ -312,9 +313,8 @@ func TestTable4Render(t *testing.T) {
 }
 
 func TestDesignNamesOrder(t *testing.T) {
-	names := DesignNames()
-	if len(names) != 6 || names[0] != "DC-DLA" || names[5] != "DC-DLA(O)" {
-		t.Fatalf("design order = %v", names)
+	if len(designNames) != 6 || designNames[0] != "DC-DLA" || designNames[5] != "DC-DLA(O)" {
+		t.Fatalf("design order = %v", designNames)
 	}
 	// The registry must match what dnn exposes.
 	if len(dnn.BenchmarkNames()) != 8 {

@@ -87,9 +87,6 @@ func ExploreReport(rows []ExploreRow) *report.Report {
 	}
 }
 
-// RenderExplore prints the sweep.
-func RenderExplore(rows []ExploreRow) string { return report.Text(ExploreReport(rows)) }
-
 // ScaleOutBatch picks the study's global batch: divisible by every plane
 // size so the sweep stays strong scaling.
 func ScaleOutBatch(nodeCounts []int) int {
@@ -136,11 +133,6 @@ func ScaleOutReport(workload string, pts []scaleout.ScalingPoint, analytic bool)
 		Title:    fmt.Sprintf("Scale-out plane (§VI, Figure 15): %s strong scaling across system nodes [%s]", workload, engine),
 		Sections: []report.Section{{Table: t}},
 	}
-}
-
-// RenderScaleOut prints the plane study.
-func RenderScaleOut(workload string, pts []scaleout.ScalingPoint, analytic bool) string {
-	return report.Text(ScaleOutReport(workload, pts, analytic))
 }
 
 // ScaleOutCompareRow tables one plane size's analytic-vs-event-driven
@@ -215,9 +207,4 @@ func ScaleOutCompareReport(workload string, rows []ScaleOutCompareRow) *report.R
 			"on one uplink.",
 		}}},
 	}
-}
-
-// RenderScaleOutCompare prints the engine comparison.
-func RenderScaleOutCompare(workload string, rows []ScaleOutCompareRow) string {
-	return report.Text(ScaleOutCompareReport(workload, rows))
 }

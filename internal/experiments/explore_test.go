@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"github.com/memcentric/mcdla/internal/report"
 )
 
 func TestExploreSweepShape(t *testing.T) {
@@ -31,7 +33,7 @@ func TestExploreSweepShape(t *testing.T) {
 	if byVirt[300] <= byVirt[100] {
 		t.Fatalf("speedup must grow with link technology: %+v", byVirt)
 	}
-	out := RenderExplore(rows)
+	out := report.Text(ExploreReport(rows))
 	if !strings.Contains(out, "Design-space exploration") {
 		t.Error("render incomplete")
 	}
@@ -51,7 +53,7 @@ func TestScaleOutRowsDivisibleBatch(t *testing.T) {
 	if pts[0].SpeedupMC != 1 {
 		t.Fatal("first point must be the baseline")
 	}
-	out := RenderScaleOut("ResNet", pts, false)
+	out := report.Text(ScaleOutReport("ResNet", pts, false))
 	if !strings.Contains(out, "Figure 15") || !strings.Contains(out, "event-driven") {
 		t.Error("render incomplete")
 	}
@@ -86,7 +88,7 @@ func TestScaleOutAnalyticVsEvent(t *testing.T) {
 	if rows[1].Hybrid <= 0 {
 		t.Error("multi-chassis point must carry a hybrid iteration")
 	}
-	out := RenderScaleOutCompare("VGG-E", rows)
+	out := report.Text(ScaleOutCompareReport("VGG-E", rows))
 	if !strings.Contains(out, "divergence") {
 		t.Error("render incomplete")
 	}

@@ -181,6 +181,3 @@ func admissionNotes(results []*fleet.Result) []string {
 	}
 	return notes
 }
-
-// RenderFleet renders the comparison as paper-style text.
-func RenderFleet(results []*fleet.Result) string { return report.Text(FleetReport(results)) }

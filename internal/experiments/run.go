@@ -14,22 +14,11 @@ import (
 	"github.com/memcentric/mcdla/internal/units"
 )
 
-// RunReport simulates one (design, workload, strategy, batch, seqlen,
-// precision) point through the shared engine — so the CLI `run` subcommand
-// and repeated `/v1/run` requests hit the memo cache — and builds the
-// single-simulation report. A zero seqlen keeps the workload default.
-func RunReport(ctx context.Context, design, workload string, strategy train.Strategy, batch, seqlen int, prec train.Precision) (*report.Report, error) {
-	d, err := core.DesignByName(design)
-	if err != nil {
-		return nil, err
-	}
-	return RunReportFor(ctx, d, workload, strategy, batch, seqlen, prec, Workers)
-}
-
-// RunReportFor is RunReport over an already-built design point — the path
-// behind the dse axis flags (-links, -gbps, -memnodes, -dimm, -compress,
-// -workers), whose derived designs have no catalog name to resolve. workers
-// must match the design's device count (≤ 0 selects the paper's 8).
+// RunReportFor simulates one design point through the shared engine — so
+// the CLI `run` subcommand and repeated `/v1/run` requests hit the memo
+// cache — and builds the single-simulation report. A zero seqlen keeps the
+// workload default; workers must match the design's device count (≤ 0
+// selects the paper's 8).
 func RunReportFor(ctx context.Context, d core.Design, workload string, strategy train.Strategy, batch, seqlen int, prec train.Precision, workers int) (*report.Report, error) {
 	if workers <= 0 {
 		workers = Workers

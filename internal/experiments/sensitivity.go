@@ -84,10 +84,6 @@ func HeadlineReport(h Headline) *report.Report {
 	}
 }
 
-// RenderHeadline prints the aggregate table with the paper's reference
-// numbers alongside.
-func RenderHeadline(h Headline) string { return report.Text(HeadlineReport(h)) }
-
 // ----------------------------------------------------------- §V-B sweeps
 
 // SensitivityRow is one §V-B design variant's aggregate result.
@@ -196,9 +192,6 @@ func SensitivityReport(rows []SensitivityRow) *report.Report {
 	}
 }
 
-// RenderSensitivity prints the sweep.
-func RenderSensitivity(rows []SensitivityRow) string { return report.Text(SensitivityReport(rows)) }
-
 // ------------------------------------------------------------ §V-D scaling
 
 // ScalingRow is one point of the §V-D scalability experiment.
@@ -278,9 +271,6 @@ func ScalabilityReport(rows []ScalingRow) *report.Report {
 	}
 }
 
-// RenderScalability prints the §V-D table.
-func RenderScalability(rows []ScalingRow) string { return report.Text(ScalabilityReport(rows)) }
-
 // ------------------------------------------------------------- Table IV
 
 // Table4Report builds the typed Table IV / §V-C report.
@@ -307,9 +297,6 @@ func Table4Report() *report.Report {
 		}}},
 	}
 }
-
-// RenderTable4 prints Table IV plus the §V-C system-level analysis.
-func RenderTable4() string { return report.Text(Table4Report()) }
 
 // MemNodeSummary prints the Table II / §III-A memory-node configuration.
 func MemNodeSummary() string {

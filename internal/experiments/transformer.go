@@ -133,11 +133,6 @@ func TransformerSweepReport(rows []TransformerRow) *report.Report {
 	}
 }
 
-// RenderTransformerSweep prints the study.
-func RenderTransformerSweep(rows []TransformerRow) string {
-	return report.Text(TransformerSweepReport(rows))
-}
-
 // AttnCompressRow is one workload of the compression headline table.
 type AttnCompressRow struct {
 	Workload string
@@ -222,10 +217,4 @@ func AttentionCompressReport(rows []AttnCompressRow) *report.Report {
 			"keep the full memory-centric advantage.",
 		}}},
 	}
-}
-
-// RenderAttentionCompress prints the headline table with per-family
-// harmonic-mean gaps.
-func RenderAttentionCompress(rows []AttnCompressRow) string {
-	return report.Text(AttentionCompressReport(rows))
 }

@@ -221,7 +221,7 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 			}
 			d, err := core.DesignFor(spec.Kind, accel.Default(), j.Devices)
 			if err != nil {
-				return nil, fmt.Errorf("fleet: cluster %q: %v", cluster.Name, err)
+				return nil, fmt.Errorf("fleet: cluster %q: job %q: %v", cluster.Name, j.Name, err)
 			}
 			gridIdx[pk] = len(grid)
 			grid = append(grid, runner.Job{

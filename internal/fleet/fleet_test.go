@@ -280,6 +280,10 @@ func TestRunErrors(t *testing.T) {
 		{"empty trace", testCluster(), nil, fakeSim, "empty trace"},
 		{"nil sim", testCluster(), ok, nil, "nil simulator"},
 		{"bad workload", testCluster(), NormalizeTrace([]Job{{Workload: "NoNet", Iters: 1}}), fakeSim, "NoNet"},
+		// MC-DLA(S) folds its rings for eight devices only: a smaller job
+		// on such a pod is an error naming the job, not a panic.
+		{"unbuildable pod", Cluster{Name: "x", Pods: []PodSpec{{Kind: "MC-DLA(S)", Count: 1}}},
+			NormalizeTrace([]Job{{Name: "small", Workload: "AlexNet", Iters: 1, Devices: 4}}), fakeSim, `job "small": invalid workers value "4"`},
 		{"sim error", testCluster(), ok, func(context.Context, []runner.Job) ([]core.Result, error) {
 			return nil, fmt.Errorf("boom")
 		}, "boom"},

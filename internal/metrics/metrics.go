@@ -1,14 +1,8 @@
-// Package metrics provides the statistical helpers and paper-style table
-// rendering shared by the experiment harnesses. All averages in the paper's
-// evaluation are harmonic means (§V).
+// Package metrics holds the averaging rule of the paper's evaluation: every
+// average it reports is a harmonic mean (§V).
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // HarmonicMean returns the harmonic mean of xs. It panics on nonpositive
 // inputs (speedups and performance ratios are strictly positive) and returns
@@ -25,185 +19,4 @@ func HarmonicMean(xs []float64) float64 {
 		sum += 1 / x
 	}
 	return float64(len(xs)) / sum //mcdlalint:allow floatguard -- every term is validated positive above, so sum > 0
-}
-
-// GeoMean returns the geometric mean of xs.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	prod := 1.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("metrics: geometric mean of nonpositive value %g", x))
-		}
-		prod *= x
-	}
-	return pow(prod, 1/float64(len(xs)))
-}
-
-func pow(x, p float64) float64 {
-	// Tiny wrapper to keep math import localized if ever swapped.
-	return math.Pow(x, p)
-}
-
-// Normalize scales xs so the maximum becomes 1 (Figure 11's normalization
-// to the highest stacked bar). It returns a copy.
-func Normalize(xs []float64) []float64 {
-	max := 0.0
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	out := make([]float64, len(xs))
-	if max == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / max
-	}
-	return out
-}
-
-// Min and Max return the extrema of a nonempty slice.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of a nonempty slice.
-func Max(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Table renders paper-style ASCII tables with a header row and fixed-width
-// columns, used by the CLI's per-figure output.
-type Table struct {
-	header []string
-	rows   [][]string
-}
-
-// NewTable starts a table with the given column headers.
-func NewTable(header ...string) *Table { return &Table{header: header} }
-
-// AddRow appends a row; short rows are padded with empty cells.
-func (t *Table) AddRow(cells ...string) {
-	row := make([]string, len(t.header))
-	for i := range row {
-		if i < len(cells) {
-			row[i] = cells[i]
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
-// AddRowf appends a row of formatted cells: each argument is rendered with
-// %v for strings and %.3g for floats.
-func (t *Table) AddRowf(cells ...interface{}) {
-	out := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			out = append(out, fmt.Sprintf("%.3f", v))
-		case string:
-			out = append(out, v)
-		default:
-			out = append(out, fmt.Sprintf("%v", v))
-		}
-	}
-	t.AddRow(out...)
-}
-
-// String renders the table.
-func (t *Table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	rule := make([]string, len(t.header))
-	for i := range rule {
-		rule[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(rule)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
-// Series is a named sequence of (label, value) points: one line of a figure.
-type Series struct {
-	Name   string
-	Labels []string
-	Values []float64
-}
-
-// Add appends one point.
-func (s *Series) Add(label string, v float64) {
-	s.Labels = append(s.Labels, label)
-	s.Values = append(s.Values, v)
-}
-
-// RenderSeries prints several series sharing the same labels as a table.
-func RenderSeries(series []Series) string {
-	if len(series) == 0 {
-		return ""
-	}
-	header := append([]string{"point"}, make([]string, len(series))...)
-	for i, s := range series {
-		header[i+1] = s.Name
-	}
-	t := NewTable(header...)
-	for i, label := range series[0].Labels {
-		row := []string{label}
-		for _, s := range series {
-			if i < len(s.Values) {
-				row = append(row, fmt.Sprintf("%.4f", s.Values[i]))
-			} else {
-				row = append(row, "")
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t.String()
-}
-
-// SortedKeys returns a map's keys in sorted order (deterministic output).
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -58,9 +58,8 @@ func Render(r *Report, f Format) (string, error) {
 
 // Text renders the report in the paper's presentation shape. The table
 // layout (fixed-width columns, two-space gutters, a dashed rule under the
-// header, every cell left-justified to its column width) reproduces the
-// historical metrics.Table output byte-for-byte, which the golden CLI
-// fixtures under cmd/mcdla/testdata pin.
+// header, every cell left-justified to its column width) is pinned byte for
+// byte by the golden CLI fixtures under cmd/mcdla/testdata.
 func Text(r *Report) string {
 	var b strings.Builder
 	if r.Title != "" {

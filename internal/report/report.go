@@ -126,9 +126,6 @@ func (t *Table) AddRow(cells ...Cell) {
 // Str builds a plain text cell.
 func Str(s string) Cell { return Cell{Text: s} }
 
-// Strf builds a plain text cell from a format string.
-func Strf(format string, args ...any) Cell { return Cell{Text: fmt.Sprintf(format, args...)} }
-
 // Int builds an integer cell rendered in decimal.
 func Int(n int) Cell { return Cell{Text: strconv.Itoa(n), Value: n} }
 

@@ -5,29 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/memcentric/mcdla/internal/metrics"
 	"github.com/memcentric/mcdla/internal/units"
 )
-
-// TestTextTableParity pins the tentpole guarantee: the report text renderer
-// lays tables out byte-identically to the historical metrics.Table, so the
-// report-layer refactor cannot move the golden CLI fixtures.
-func TestTextTableParity(t *testing.T) {
-	mt := metrics.NewTable("workload", "design", "speedup")
-	mt.AddRow("VGG-E", "MC-DLA(B)", "2.18x")
-	mt.AddRow("a-very-long-workload-name", "DC", "1.00x")
-	mt.AddRow("x", "", "")
-
-	rt := NewTable("workload", "design", "speedup")
-	rt.AddRow(Str("VGG-E"), Str("MC-DLA(B)"), Num("2.18x", 2.18))
-	rt.AddRow(Str("a-very-long-workload-name"), Str("DC"), Num("1.00x", 1))
-	rt.AddRow(Str("x"))
-
-	r := &Report{Name: "parity", Sections: []Section{{Table: rt}}}
-	if got, want := Text(r), mt.String(); got != want {
-		t.Fatalf("text table diverged from metrics.Table:\ngot:\n%q\nwant:\n%q", got, want)
-	}
-}
 
 func TestTextTitleHeadingNotesOrder(t *testing.T) {
 	r := &Report{

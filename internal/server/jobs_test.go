@@ -488,6 +488,44 @@ func TestBackgroundExecutorRunsJobs(t *testing.T) {
 	}
 }
 
+// TestJobOnUnbuildableDesignFails: a submission whose design point cannot
+// be built — MC-DLA(S) folds its rings for six links only — parses, so it
+// is accepted, and the real executor then fails the job naming the
+// parameter instead of taking the server down with it.
+func TestJobOnUnbuildableDesignFails(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Parallelism: 4, CacheEntries: 64, Store: st, PollInterval: 10 * time.Millisecond})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	status, body := post(t, ts.URL+"/v1/jobs?path=/v1/run&design=MC-DLA(S)&links=4")
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status = %d: %s", status, body)
+	}
+	rec := decodeRecord(t, body)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		_, polled := get(t, ts.URL+"/v1/jobs/"+rec.ID)
+		if got := decodeRecord(t, polled); got.State.Terminal() {
+			if got.State != store.JobFailed || !strings.Contains(got.Error, "invalid links value") {
+				t.Fatalf("job ended %s (%q), want failed naming links", got.State, got.Error)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("executor never finished the job")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if status, body := get(t, ts.URL+"/healthz"); status != http.StatusOK {
+		t.Fatalf("healthz after the failed job: status = %d: %s", status, body)
+	}
+}
+
 // TestJobsList: the listing includes submitted jobs sorted by id.
 func TestJobsList(t *testing.T) {
 	_, ts := newStoreServer(t, t.TempDir())

@@ -221,6 +221,11 @@ func TestBadParamsNameTheParameter(t *testing.T) {
 		"/v1/run?memnodes=-1":      "memnodes",
 		"/v1/explore?gbps=25,NaN":  "gbps",
 		"/v1/explore?gbps=Inf":     "gbps",
+		// Design-point preconditions name the parameter as HTTP spells it,
+		// not as the CLI flag.
+		"/v1/run?design=MC-DLA(S)&links=4":   "invalid links value",
+		"/v1/run?design=MC-DLA(S)&workers=4": "invalid workers value",
+		"/v1/run?design=DC-DLA&memnodes=4":   "invalid memnodes value",
 	} {
 		status, body := get(t, ts.URL+url)
 		if url == "/v1/transformer?seqlens=" {
@@ -382,6 +387,7 @@ func TestOptimizeBadParams(t *testing.T) {
 		{"/v1/optimize?gbps=25,NaN", "gbps"},
 		{"/v1/optimize?gbps=-Inf", "gbps"},
 		{"/v1/optimize?memnodes=-4", "memnodes"},
+		{"/v1/optimize?designs=MC-DLA(S)&links=4", "invalid links value"},
 	} {
 		status, body := get(t, ts.URL+c.query)
 		if status != http.StatusBadRequest {

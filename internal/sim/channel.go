@@ -556,15 +556,6 @@ func (c *Channel) Drain(t units.Time) units.Time {
 // ActiveFlows reports how many flows are currently in flight.
 func (c *Channel) ActiveFlows() int { return len(c.flows) }
 
-// AggregateRate reports the current total allocated rate across flows.
-func (c *Channel) AggregateRate() units.Bandwidth {
-	var total units.Bandwidth
-	for _, f := range c.flows {
-		total += f.rate
-	}
-	return total
-}
-
 // Reset clears flows, clock and statistics, reusing the channel for a fresh
 // simulation run. The flow arena is dropped wholesale — callers may still
 // hold *Flow pointers from the finished run, so slots are never recycled —

@@ -1,16 +1,7 @@
-// Topology explorer: builds the four device-side interconnects of the paper
-// (the DGX cube-mesh of Figure 5 and the three MC-DLA candidates of
-// Figure 7), validates their link budgets, and compares their ring structure
-// and collective/virtualization characteristics — the §III-B design-space
-// discussion in executable form. It also exercises the Table I runtime API
-// against a simulated MC-DLA device.
-//
-//	go run ./examples/topology
-package main
+package topo_test
 
 import (
 	"fmt"
-	"log"
 
 	"github.com/memcentric/mcdla/internal/collective"
 	"github.com/memcentric/mcdla/internal/cudart"
@@ -19,7 +10,13 @@ import (
 	"github.com/memcentric/mcdla/internal/vmem"
 )
 
-func main() {
+// Example builds the four device-side interconnects of the paper (the DGX
+// cube-mesh of Figure 5 and the three MC-DLA candidates of Figure 7),
+// validates their link budgets, and compares their ring structure and
+// collective/virtualization characteristics — the §III-B design-space
+// discussion in executable form. It also exercises the Table I runtime API
+// against a simulated MC-DLA device.
+func Example() {
 	p := topo.DefaultParams()
 	builds := []struct {
 		name  string
@@ -37,7 +34,7 @@ func main() {
 	for _, b := range builds {
 		t := b.build(p)
 		if err := t.Validate(p.LinksN); err != nil {
-			log.Fatalf("%s: %v", b.name, err)
+			panic(fmt.Sprintf("%s: %v", b.name, err))
 		}
 		fmt.Printf("%s\n", b.name)
 		fmt.Printf("  nodes: %d device + %d memory; rings: %v hops (device participation %v)\n",
@@ -72,23 +69,49 @@ func main() {
 		Placement:  vmem.BWAware,
 	})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("  device memory visible to the driver: %v\n", dev.Capacity())
 	buf, err := dev.MallocRemote(8 * units.GB)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	region, _ := dev.Resolve(buf)
 	fmt.Printf("  cudaMallocRemote(8 GB) -> %#x (%v)\n", uint64(buf), region)
 	ev, err := dev.MemcpyAsync(8*units.GB, cudart.LocalToRemote)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	done := dev.Sync(ev)
 	fmt.Printf("  cudaMemcpyAsync(LocalToRemote, 8 GB) completed at t=%v (BW_AWARE, N*B)\n", done)
 	if err := dev.FreeRemote(buf); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Println("  cudaFreeRemote: ok")
+	// Output:
+	// Figure 5  cube-mesh (DC-DLA)
+	//   nodes: 8 device + 0 memory; rings: [8 8 8] hops (device participation [8 8 8])
+	//   device D0: 0/6 links to memory-nodes -> virtualization bandwidth 12.0 GB/s
+	//   8 MB all-reduce over the longest ring: 201.528 us
+	//
+	// Figure 7a star (derivative)
+	//   nodes: 8 device + 8 memory; rings: [8 8 24 8] hops (device participation [8 8 8 0])
+	//   device D0: 2/6 links to memory-nodes -> virtualization bandwidth 50.0 GB/s
+	//   8 MB all-reduce over the longest ring: 233.412 us
+	//
+	// Figure 7b folded (MC-DLA(S))
+	//   nodes: 8 device + 8 memory; rings: [8 12 20] hops (device participation [8 8 8])
+	//   device D0: 3/6 links to memory-nodes -> virtualization bandwidth 50.0 GB/s
+	//   8 MB all-reduce over the longest ring: 228.237 us
+	//
+	// Figure 7c ring (MC-DLA(L/B))
+	//   nodes: 8 device + 8 memory; rings: [16 16 16] hops (device participation [8 8 8])
+	//   device D0: 6/6 links to memory-nodes -> virtualization bandwidth 150.0 GB/s
+	//   8 MB all-reduce over the longest ring: 222.130 us
+	//
+	// Table I runtime API on an MC-DLA(B) device:
+	//   device memory visible to the driver: 1.27 TB
+	//   cudaMallocRemote(8 GB) -> 0x400000000 (deviceremote/left)
+	//   cudaMemcpyAsync(LocalToRemote, 8 GB) completed at t=57.266 ms (BW_AWARE, N*B)
+	//   cudaFreeRemote: ok
 }
