@@ -1,8 +1,6 @@
 // Command mcdla-lint runs the repo's invariant analyzers (ctxflow,
 // exhaustive, floatguard, maporder, nondeterminism — see internal/analysis)
-// over Go packages. It speaks two protocols:
-//
-// Standalone, for humans and CI:
+// over Go packages:
 //
 //	go run ./cmd/mcdla-lint ./...
 //
@@ -11,24 +9,13 @@
 //
 //	internal/experiments/explore.go:110:24: [ctxflow] context.Background() in library code ...
 //
-// Vettool, for go vet integration:
-//
-//	go vet -vettool=$(which mcdla-lint) ./...
-//
-// implements the unitchecker handshake (-V=full, -flags, a single *.cfg
-// argument) so the standard build system drives the same analyzers with
-// its own caching.
-//
 // Exit status is 0 for a clean run, 1 when any diagnostic is reported,
-// 2 on operational errors. Per-analyzer flags select a subset: -ctxflow
-// runs only ctxflow; -ctxflow=false runs everything but.
+// 2 on operational errors.
 package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -42,134 +29,12 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
-}
-
-func run(args []string) int {
-	analyzers := all.Analyzers()
-
-	fs := flag.NewFlagSet("mcdla-lint", flag.ExitOnError)
-	vFlag := fs.String("V", "", "print version and exit (go vet handshake)")
-	flagsFlag := fs.Bool("flags", false, "print analyzer flags in JSON (go vet handshake)")
-	jsonFlag := fs.Bool("json", false, "emit findings as JSON instead of plain text")
-	selected := map[string]*bool{}
-	for _, a := range analyzers {
-		name := a.Name
-		doc := a.Doc
-		if i := strings.Index(doc, "\n"); i >= 0 {
-			doc = doc[:i]
-		}
-		selected[name] = fs.Bool(name, false, "enable only the "+name+" analyzer ("+doc+")")
+	patterns := os.Args[1:]
+	if len(patterns) == 0 || strings.HasPrefix(patterns[0], "-") {
+		fmt.Fprintln(os.Stderr, "usage: mcdla-lint packages...")
+		os.Exit(2)
 	}
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: mcdla-lint [flags] packages...   (or a single unitchecker *.cfg)\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	if *vFlag != "" {
-		return printVersion(*vFlag)
-	}
-	if *flagsFlag {
-		return printFlags(fs)
-	}
-
-	// If any -NAME flag was set, narrow the suite; a true selects, and
-	// (matching go vet's semantics) all-false flags mean "all but".
-	analyzers = filterAnalyzers(analyzers, fs, selected)
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitcheck(rest[0], analyzers)
-	}
-	if len(rest) == 0 {
-		fs.Usage()
-		return 2
-	}
-	return standalone(rest, analyzers, *jsonFlag)
-}
-
-// filterAnalyzers applies go vet's -NAME flag semantics: if any flag is
-// true run exactly those; else if any flag was explicitly set false run
-// all but those; else run everything.
-func filterAnalyzers(analyzers []*analysis.Analyzer, fs *flag.FlagSet, selected map[string]*bool) []*analysis.Analyzer {
-	set := map[string]bool{} // explicitly set on the command line
-	fs.Visit(func(f *flag.Flag) {
-		if _, ok := selected[f.Name]; ok {
-			set[f.Name] = true
-		}
-	})
-	if len(set) == 0 {
-		return analyzers
-	}
-	anyTrue := false
-	for name := range set {
-		if *selected[name] {
-			anyTrue = true
-		}
-	}
-	var kept []*analysis.Analyzer
-	for _, a := range analyzers {
-		if anyTrue {
-			if set[a.Name] && *selected[a.Name] {
-				kept = append(kept, a)
-			}
-		} else if !set[a.Name] {
-			kept = append(kept, a)
-		}
-	}
-	return kept
-}
-
-// printVersion implements the -V=full handshake: go vet fingerprints the
-// tool binary to key its action cache.
-func printVersion(mode string) int {
-	if mode != "full" {
-		fmt.Fprintf(os.Stderr, "mcdla-lint: unsupported -V mode %q\n", mode)
-		return 2
-	}
-	progname, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcdla-lint:", err)
-		return 2
-	}
-	f, err := os.Open(progname)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcdla-lint:", err)
-		return 2
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintln(os.Stderr, "mcdla-lint:", err)
-		return 2
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", progname, string(h.Sum(nil)))
-	return 0
-}
-
-// printFlags implements the -flags handshake: go vet asks which flags
-// the tool accepts so it can forward the vet ones that apply.
-func printFlags(fs *flag.FlagSet) int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	fs.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcdla-lint:", err)
-		return 2
-	}
-	os.Stdout.Write(data)
-	return 0
+	os.Exit(lint(patterns, all.Analyzers()))
 }
 
 // listedPackage is the subset of `go list -json` output the driver needs.
@@ -179,13 +44,12 @@ type listedPackage struct {
 	GoFiles    []string
 	Standard   bool
 	DepOnly    bool
-	Name       string
 }
 
-// standalone loads the packages matching the patterns from source and
-// runs the analyzers over every non-dependency match.
-func standalone(patterns []string, analyzers []*analysis.Analyzer, asJSON bool) int {
-	cmd := exec.Command("go", append([]string{"list", "-e", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,Name", "-deps"}, patterns...)...)
+// lint loads the packages matching the patterns from source and runs
+// the analyzers over every non-dependency match.
+func lint(patterns []string, analyzers []*analysis.Analyzer) int {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly", "-deps"}, patterns...)...)
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
@@ -229,9 +93,7 @@ func standalone(patterns []string, analyzers []*analysis.Analyzer, asJSON bool) 
 	}
 
 	type finding struct {
-		Position string `json:"position"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
+		position, analyzer, message string
 	}
 	var findings []finding
 	for _, pkg := range roots {
@@ -242,32 +104,19 @@ func standalone(patterns []string, analyzers []*analysis.Analyzer, asJSON bool) 
 				return 2
 			}
 			for _, d := range diags {
-				findings = append(findings, finding{
-					Position: pkg.Fset.Position(d.Pos).String(),
-					Analyzer: a.Name,
-					Message:  d.Message,
-				})
+				findings = append(findings, finding{pkg.Fset.Position(d.Pos).String(), a.Name, d.Message})
 			}
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
-		if findings[i].Position != findings[j].Position {
-			return findings[i].Position < findings[j].Position
+		if findings[i].position != findings[j].position {
+			return findings[i].position < findings[j].position
 		}
-		return findings[i].Analyzer < findings[j].Analyzer
+		return findings[i].analyzer < findings[j].analyzer
 	})
 
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "mcdla-lint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Printf("%s: [%s] %s\n", f.Position, f.Analyzer, f.Message)
-		}
+	for _, f := range findings {
+		fmt.Printf("%s: [%s] %s\n", f.position, f.analyzer, f.message)
 	}
 	if len(findings) > 0 {
 		return 1

@@ -119,33 +119,6 @@ func TestGoldenOutputs(t *testing.T) {
 	experiments.SetParallelism(0)
 }
 
-// TestGoldenTrace pins the trace subcommand: the summary line (span count,
-// iteration time, compute coverage) is deterministic; the output file lands
-// in a temp dir and its path is normalized out of the comparison.
-func TestGoldenTrace(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "trace.json")
-	got := captureRun(t, []string{"trace", "-workload", "AlexNet", "-o", out})
-	got = strings.ReplaceAll(got, dir+string(os.PathSeparator), "")
-	path := goldenPath("trace_alexnet")
-	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing fixture (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("trace output diverged:\ngot:\n%s\nwant:\n%s", got, string(want))
-	}
-	if fi, err := os.Stat(out); err != nil || fi.Size() == 0 {
-		t.Fatalf("trace file not written: %v", err)
-	}
-}
-
 // TestUnknownSubcommandErrors keeps the dispatcher's failure path honest.
 func TestUnknownSubcommandErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"no-such-subcommand"}); err == nil {

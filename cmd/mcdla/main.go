@@ -13,8 +13,8 @@
 // is set (plane fans out through runner.Fan, which reports no progress —
 // its sweeps finish in well under a second). Output on stdout is
 // byte-identical at every parallelism. The single-simulation and analytic
-// subcommands (fig9, tab4, run, trace, networks, config) don't fan out and
-// ignore -parallel.
+// subcommands (fig9, tab4, run, networks, config) don't fan out and ignore
+// -parallel.
 //
 // Every subcommand builds a typed report (internal/report) and renders it
 // through the global -format flag: the default text format reproduces the
@@ -37,12 +37,13 @@
 //
 // Every experiment subcommand — its flags, their defaults and checks — is
 // one entry of the internal/experiments command table, the same entry the
-// HTTP service serves as /v1/<name>; `mcdla help` lists them. The CLI adds
-// three commands of its own: trace (a Chrome trace of one iteration, taking
-// run's flags plus -o FILE), serve (the HTTP API; flags -addr, -cache,
-// -worker, -exec, -debug-addr; SIGINT/SIGTERM drain gracefully; with the
-// global -store DIR the async /v1/jobs API and the shared job queue come
-// online) and all (every table entry in paper order).
+// HTTP service serves as /v1/<name>; `mcdla help` lists them. The commands
+// with a timeline face (run, plane, fleet) take -timeline FILE to also write
+// a Perfetto-loadable Chrome trace of their simulation. The CLI adds two
+// commands of its own: serve (the HTTP API; flags -addr, -cache, -worker,
+// -exec, -debug-addr; SIGINT/SIGTERM drain gracefully; with the global
+// -store DIR the async /v1/jobs API and the shared job queue come online)
+// and all (every table entry in paper order).
 package main
 
 import (
@@ -204,8 +205,6 @@ func run(ctx context.Context, args []string) error {
 	switch name {
 	case "serve":
 		return runServe(ctx, rest)
-	case "trace":
-		return runTrace(rest)
 	case "all":
 		return runAll(ctx)
 	case "help", "-h", "--help":
@@ -401,42 +400,6 @@ func runServe(ctx context.Context, args []string) error {
 	return err
 }
 
-// runTrace writes a chrome://tracing timeline of one iteration of run's
-// design point to -o and reports a one-line summary.
-func runTrace(args []string) error {
-	c := experiments.Lookup("run")
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	out := fs.String("o", "trace.json", "output file (chrome://tracing format)")
-	q, err := flagValues(fs, c, args)
-	if err != nil {
-		return err
-	}
-	a, err := parseArgs(c, q)
-	if err != nil {
-		return err
-	}
-	tr := &trace.Log{}
-	r, err := experiments.TraceRun(experiments.RunPoint(a), tr)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tr.WriteChrome(f); err != nil {
-		return err
-	}
-	return emit(&report.Report{
-		Name: "trace",
-		Sections: []report.Section{{
-			KVs: []report.KV{{Key: "summary", Text: fmt.Sprintf("wrote %s: %d spans over %v (compute covers %.0f%% of the iteration)",
-				*out, len(tr.Spans), r.IterationTime, 100*tr.CriticalPathShare())}},
-		}},
-	})
-}
-
 func usage() {
 	fmt.Fprint(os.Stderr, `mcdla — memory-centric deep-learning system simulator (MICRO-51 reproduction)
 
@@ -486,8 +449,7 @@ subcommands:
 			fmt.Fprintln(os.Stderr, line)
 		}
 	}
-	fmt.Fprint(os.Stderr, `  trace        chrome://tracing timeline of one iteration: run's flags plus [-o trace.json]
-  serve        HTTP API over the experiment suite: [-addr :8080] [-cache N]
+	fmt.Fprint(os.Stderr, `  serve        HTTP API over the experiment suite: [-addr :8080] [-cache N]
                [-worker] [-exec=false] [-debug-addr :6060]; with -store the
                async /v1/jobs API, -worker drains the shared queue headlessly
   all          every subcommand above that regenerates the paper, in order

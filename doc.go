@@ -76,9 +76,9 @@
 // The invariants the packages promise — deterministic simulations,
 // byte-stable reports, one cancellable context root, exhaustive enum
 // switches, guarded float division — are mechanically enforced by the
-// analysis package's mcdla-lint suite (cmd/mcdla-lint; standalone or as a
-// go vet -vettool), with //mcdlalint:allow directives as the only, always
-// grep-able, suppression mechanism.
+// analysis package's mcdla-lint suite (go run ./cmd/mcdla-lint ./...),
+// with //mcdlalint:allow directives as the only, always grep-able,
+// suppression mechanism.
 //
 // The root-level benchmarks in bench_test.go expose one benchmark per
 // table and figure, each reporting its headline number as a custom metric,

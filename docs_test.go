@@ -91,14 +91,14 @@ func githubSlug(heading string) string {
 }
 
 // TestDocsMentionEverySubcommand keeps the README cookbook in sync with the
-// CLI: every command of the experiments table, plus the CLI's own trace,
-// serve and all, must appear in README.md.
+// CLI: every command of the experiments table, plus the CLI's own serve
+// and all, must appear in README.md.
 func TestDocsMentionEverySubcommand(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs := []string{"trace", "serve", "all"}
+	subs := []string{"serve", "all"}
 	for _, c := range experiments.Commands() {
 		subs = append(subs, c.Name)
 	}

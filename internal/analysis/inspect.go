@@ -8,9 +8,9 @@ import (
 // NonTestFiles returns the pass's files excluding _test.go files. The
 // invariants the analyzers enforce govern product code; tests are the
 // probes and may freely use fixed-seed randomness, wall-clock assertions
-// or partial switches. The standalone driver never loads test files, but
-// the go vet -vettool mode hands them to the pass — every analyzer
-// therefore walks NonTestFiles so both entry modes agree.
+// or partial switches. The mcdla-lint driver never loads test files, but
+// x/tools drivers, which this package mirrors, do — every analyzer walks
+// NonTestFiles so its verdict does not depend on the driver.
 func NonTestFiles(pass *Pass) []*ast.File {
 	var out []*ast.File
 	for _, f := range pass.Files {

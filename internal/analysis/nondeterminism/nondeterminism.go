@@ -71,10 +71,9 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	// TypesInfo.Uses is a map; collect idents first and sort by position
-	// so the run itself is deterministic. Under go vet the pass includes
-	// _test.go files (the standalone loader never loads them) — tests may
-	// use fixed-seed randomness and wall-clock assertions, so uses outside
-	// the non-test files are skipped.
+	// so the run itself is deterministic. Tests may use fixed-seed
+	// randomness and wall-clock assertions, so uses outside the non-test
+	// files are skipped (see NonTestFiles).
 	inScope := make(map[*ast.File]bool)
 	for _, f := range analysis.NonTestFiles(pass) {
 		inScope[f] = true

@@ -65,14 +65,9 @@ func EstimateIteration(d Design, s *train.Schedule) (IterationEstimate, error) {
 	}
 
 	if !d.Oracle {
-		// The plan's byte accounting is the graph's 2-byte base; the stash
-		// scale applies the precision policy and the model-parallel recurrent
-		// sharding, exactly as the engine's scaleStash does per tensor.
-		stashScale := float64(s.Precision.ActScale())
-		if s.Strategy == train.ModelParallel && g.Timesteps > 0 {
-			stashScale /= float64(s.Workers)
-		}
-		traffic := units.Bytes(float64(prep.Plan.TrafficBytes())*stashScale + 0.5)
+		// The plan's byte accounting is the graph's 2-byte base; StashBytes
+		// applies the same scale the engine applies per tensor.
+		traffic := s.StashBytes(prep.Plan.TrafficBytes())
 		est.Virt = units.TransferTime(traffic, d.EffectiveVirtBW())
 	}
 

@@ -95,23 +95,6 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 	plan := prep.Plan
 	virtRate := d.EffectiveVirtBW()
 
-	// Under model-parallel training of recurrent networks the hidden state
-	// is sharded across the workers: each device stashes its own slice of
-	// the gate activations and hidden vectors; the full tensors a backward
-	// step needs are re-materialized by the per-timestep collectives that
-	// are already part of the schedule. Convolutional model parallelism
-	// (Krizhevsky-style filter splits) stashes the gathered inputs, which
-	// backward's dW GEMM consumes locally. The precision policy scales the
-	// stash the other way: the plan's bytes are the graph's 2-byte base, and
-	// FP32 activations double every migrated tensor.
-	stashScale := float64(s.Precision.ActScale())
-	if s.Strategy == train.ModelParallel && s.Graph.Timesteps > 0 {
-		stashScale /= float64(s.Workers)
-	}
-	scaleStash := func(b int64) units.Bytes {
-		return units.Bytes(float64(b)*stashScale + 0.5)
-	}
-
 	// Channel layout: MC-DLA designs carry virtualization DMAs and
 	// collectives over the same link complex; DC-DLA and HC-DLA use
 	// disjoint fabrics.
@@ -173,13 +156,13 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 		if !d.Oracle {
 			tensors, extra := prep.Offloads[l.ID], plan.ExtraStash[l.ID]
 			for _, id := range tensors {
-				size := scaleStash(plan.Tensors[id].Bytes)
+				size := s.StashBytes(plan.Tensors[id].Bytes)
 				virtCh.StartGroup(t, "offload", "virt", size, virtRate, 0)
 				tr.Add(g.Layer(id).Name+"/offload", trace.Offload, t, t+units.TransferTime(size, virtRate))
 				res.VirtTraffic += size
 			}
 			if extra > 0 {
-				size := scaleStash(extra)
+				size := s.StashBytes(extra)
 				virtCh.StartGroup(t, "offload", "virt", size, virtRate, 0)
 				tr.Add(l.Name+"/offload-state", trace.Offload, t, t+units.TransferTime(size, virtRate))
 				res.VirtTraffic += size
@@ -224,7 +207,7 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 		}
 		layer := queue[next].Layer
 		for next < len(queue) && queue[next].Layer == layer {
-			bytes := scaleStash(queue[next].Bytes)
+			bytes := s.StashBytes(queue[next].Bytes)
 			fetched[next] = inflight{flow: virtCh.StartGroup(at, "prefetch", "virt", bytes, virtRate, 0), issued: at}
 			res.VirtTraffic += bytes
 			next++

@@ -59,12 +59,14 @@ func TestTracedMatchesUntraced(t *testing.T) {
 	if plain.IterationTime != traced.IterationTime {
 		t.Fatalf("tracing changed the timeline: %v vs %v", plain.IterationTime, traced.IterationTime)
 	}
+	tl := &trace.Timeline{Label: tr.Label}
+	tl.AddProcess(tr.Label, tr)
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := tl.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 {
-		t.Fatal("empty chrome trace")
+	if !bytes.Contains(buf.Bytes(), []byte(`"ph":"X"`)) {
+		t.Fatal("chrome trace has no span events")
 	}
 }
 

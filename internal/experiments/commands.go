@@ -360,7 +360,7 @@ var commands = []*Command{
 			count("workers", "0", "device count (0: the paper's 8)"),
 		},
 		Build: func(ctx context.Context, a Args) (*report.Report, error) {
-			p := RunPoint(a)
+			p := runPoint(a)
 			d, err := p.DesignPoint()
 			if err != nil {
 				return nil, a.spell(err)
@@ -368,7 +368,7 @@ var commands = []*Command{
 			return RunReportFor(ctx, d, p.Workload, p.Strategy, p.Batch, p.SeqLen, p.Precision, p.Workers)
 		},
 		Timeline: func(_ context.Context, a Args) (*trace.Timeline, error) {
-			t, err := runTimeline(RunPoint(a))
+			t, err := runTimeline(runPoint(a))
 			return t, a.spell(err)
 		}},
 }
@@ -421,10 +421,10 @@ func reportOf[T any](build func(T) *report.Report, rows T, err error) (*report.R
 	return build(rows), nil
 }
 
-// RunPoint is the design point behind run's parameters: run accepts exactly
+// runPoint is the design point behind run's parameters: run accepts exactly
 // the axes an optimizer recipe prints, so every frontier row reproduces
 // through it.
-func RunPoint(a Args) dse.Point {
+func runPoint(a Args) dse.Point {
 	return dse.Point{
 		Design:    arg[string](a, "design"),
 		Workload:  arg[string](a, "workload"),

@@ -2,9 +2,10 @@
 // evaluation (§V) plus the motivational Figure 2 and the collective-latency
 // Figure 9. Each experiment returns structured rows, and a *Report builder
 // turns the rows into the typed report layer consumed by the CLI, the HTTP
-// service, benchmarks, and tests; the Render* helpers are the builders'
-// text renderings, byte-identical to the paper-style output the golden CLI
-// fixtures pin.
+// service, benchmarks, and tests; report.Render's text format of those
+// reports is the paper-style output the golden CLI fixtures pin. The
+// command table (commands.go) names every experiment once for both the CLI
+// and the service.
 package experiments
 
 import (

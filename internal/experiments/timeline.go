@@ -18,11 +18,13 @@ import (
 	"github.com/memcentric/mcdla/internal/train"
 )
 
-// TraceRun simulates run's design point once with span tracing into tr.
-func TraceRun(p dse.Point, tr *trace.Log) (core.Result, error) {
+// runTimeline simulates run's design point once with span tracing and
+// returns it as a single-process timeline (lanes: compute, stall/sync,
+// offload, prefetch).
+func runTimeline(p dse.Point) (*trace.Timeline, error) {
 	d, err := p.DesignPoint()
 	if err != nil {
-		return core.Result{}, err
+		return nil, err
 	}
 	workers := p.Workers
 	if workers <= 0 {
@@ -30,16 +32,10 @@ func TraceRun(p dse.Point, tr *trace.Log) (core.Result, error) {
 	}
 	s, err := train.BuildSeq(p.Workload, p.Batch, workers, p.Strategy, p.SeqLen, p.Precision)
 	if err != nil {
-		return core.Result{}, err
+		return nil, err
 	}
-	return core.SimulateTraced(d, s, tr)
-}
-
-// runTimeline traces one training iteration as a single-process timeline
-// (lanes: compute, stall/sync, offload, prefetch).
-func runTimeline(p dse.Point) (*trace.Timeline, error) {
 	tr := &trace.Log{} // the simulation labels it design x workload
-	if _, err := TraceRun(p, tr); err != nil {
+	if _, err := core.SimulateTraced(d, s, tr); err != nil {
 		return nil, err
 	}
 	t := &trace.Timeline{Label: tr.Label}

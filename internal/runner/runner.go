@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"github.com/memcentric/mcdla/internal/core"
-	"github.com/memcentric/mcdla/internal/obs"
 	"github.com/memcentric/mcdla/internal/train"
 )
 
@@ -112,34 +111,6 @@ type Options struct {
 	// internal/store here so memoized results survive restarts and are
 	// shared across worker processes.
 	Store ResultStore
-	// Metrics receives the engine's cache accounting. Nil allocates fresh
-	// unregistered counters private to the engine (the default for tests
-	// and one-shot CLI runs); long-lived callers may inject counters
-	// registered in an obs.Registry to surface them on /metrics.
-	Metrics *Metrics
-}
-
-// Metrics is the engine's cache accounting as obs counters — the same four
-// numbers CacheStats reports, but shareable with a metrics registry. All
-// fields must be non-nil; NewMetrics builds a private set.
-type Metrics struct {
-	// Hits counts jobs served by the in-memory memo (including jobs that
-	// waited on an identical in-flight simulation); Misses counts jobs that
-	// fell through it.
-	Hits, Misses *obs.Counter
-	// StoreHits counts memo misses answered by the durable store;
-	// Simulated counts simulations actually executed.
-	StoreHits, Simulated *obs.Counter
-}
-
-// NewMetrics builds a fresh, unregistered counter set.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		Hits:      &obs.Counter{},
-		Misses:    &obs.Counter{},
-		StoreHits: &obs.Counter{},
-		Simulated: &obs.Counter{},
-	}
 }
 
 // CacheStats reports the memo cache's hit accounting.
@@ -160,7 +131,9 @@ type CacheStats struct {
 type Engine struct {
 	parallelism int
 	store       ResultStore
-	metrics     *Metrics
+
+	// The four CacheStats counters.
+	hits, misses, storeHits, simulated atomic.Int64
 
 	results memo[Job, core.Result]
 	scheds  memo[scheduleKey, *train.Schedule]
@@ -172,14 +145,9 @@ func New(opts Options) *Engine {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	m := opts.Metrics
-	if m == nil {
-		m = NewMetrics()
-	}
 	return &Engine{
 		parallelism: p,
 		store:       opts.Store,
-		metrics:     m,
 		results:     newMemo[Job, core.Result](opts.CacheEntries),
 		scheds:      newMemo[scheduleKey, *train.Schedule](opts.CacheEntries),
 	}
@@ -188,14 +156,13 @@ func New(opts Options) *Engine {
 // Parallelism reports the engine's worker bound.
 func (e *Engine) Parallelism() int { return e.parallelism }
 
-// Stats reports the simulation cache's hit accounting, read from the
-// engine's obs counters (injected or private).
+// Stats reports the simulation cache's hit accounting.
 func (e *Engine) Stats() CacheStats {
 	return CacheStats{
-		Hits:      e.metrics.Hits.Value(),
-		Misses:    e.metrics.Misses.Value(),
-		StoreHits: e.metrics.StoreHits.Value(),
-		Simulated: e.metrics.Simulated.Value(),
+		Hits:      e.hits.Load(),
+		Misses:    e.misses.Load(),
+		StoreHits: e.storeHits.Load(),
+		Simulated: e.simulated.Load(),
 	}
 }
 
@@ -210,64 +177,21 @@ func (e *Engine) Stats() CacheStats {
 // slice — the abort path behind Ctrl-C on a long `mcdla optimize` search and
 // client disconnects on the HTTP service.
 func (e *Engine) Run(ctx context.Context, jobs []Job, progress func(Update)) ([]core.Result, error) {
-	results := make([]core.Result, len(jobs))
-	errs := make([]error, len(jobs))
-
 	// The finished-job count is taken under the same mutex that serializes
 	// the callback, so the stream is strictly monotonic: Done=Total is
 	// always the last update a caller sees.
 	var progressMu sync.Mutex
 	var done int
-	report := func(i int, cached bool) {
-		if progress == nil {
-			return
+	return Fan(ctx, e.parallelism, len(jobs), func(i int) (core.Result, error) {
+		r, cached, err := e.simulate(jobs[i])
+		if progress != nil {
+			progressMu.Lock()
+			done++
+			progress(Update{Done: done, Total: len(jobs), Job: jobs[i], Err: err, Cached: cached})
+			progressMu.Unlock()
 		}
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		done++
-		progress(Update{Done: done, Total: len(jobs), Job: jobs[i], Err: errs[i], Cached: cached})
-	}
-
-	workers := e.parallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	feed := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				var cached bool
-				results[i], cached, errs[i] = e.simulate(jobs[i])
-				report(i, cached)
-			}
-		}()
-	}
-feeding:
-	for i := range jobs {
-		select {
-		case feed <- i:
-		case <-ctx.Done():
-			break feeding
-		}
-	}
-	close(feed)
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+		return r, err
+	})
 }
 
 // simulate runs one job through the cache hierarchy: the in-memory memo
@@ -282,7 +206,7 @@ func (e *Engine) simulate(j Job) (core.Result, bool, error) {
 	r, cached, err := e.results.do(j.Canonical(), func() (core.Result, error) {
 		if e.store != nil {
 			if r, ok := e.store.Load(j); ok {
-				e.metrics.StoreHits.Inc()
+				e.storeHits.Add(1)
 				fromStore = true
 				return r, nil
 			}
@@ -291,7 +215,7 @@ func (e *Engine) simulate(j Job) (core.Result, bool, error) {
 		if err != nil {
 			return core.Result{}, err
 		}
-		e.metrics.Simulated.Inc()
+		e.simulated.Add(1)
 		r, err := core.Simulate(j.Design, s)
 		if err == nil && e.store != nil {
 			e.store.Save(j, r)
@@ -299,9 +223,9 @@ func (e *Engine) simulate(j Job) (core.Result, bool, error) {
 		return r, err
 	})
 	if cached {
-		e.metrics.Hits.Inc()
+		e.hits.Add(1)
 	} else {
-		e.metrics.Misses.Inc()
+		e.misses.Add(1)
 	}
 	// A store hit is a cache hit from the caller's point of view (the
 	// progress stream's Cached flag), even though this goroutine was the
@@ -371,12 +295,13 @@ func (g Grid) Jobs() []Job {
 
 // Fan runs n independent indexed jobs across at most parallelism workers
 // (≤ 0 means GOMAXPROCS) and returns their results in index order. It is the
-// generic fan-out primitive behind grids whose jobs are not core simulations
-// — e.g. the scale-out plane study, where each index is a plane size driven
-// through the event engine. All jobs run to completion even when some fail;
-// the first error in index order is returned alongside the full slice.
-// Cancelling ctx stops the scheduling of queued indices (in-flight calls
-// finish) and Fan returns ctx.Err().
+// one worker pool: Engine.Run is a Fan over its jobs, and grids whose jobs
+// are not core simulations — e.g. the scale-out plane study, where each
+// index is a plane size driven through the event engine — call it directly.
+// All jobs run to completion even when some fail; the first error in index
+// order is returned alongside the full slice. Cancelling ctx stops the
+// scheduling of queued indices (in-flight calls finish) and Fan returns
+// ctx.Err().
 func Fan[T any](ctx context.Context, parallelism, n int, fn func(int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
@@ -447,8 +372,6 @@ type memo[K comparable, V any] struct {
 	entries map[K]*entry[K, V]
 	order   *list.List // most-recent first; element values are *entry[K, V]
 	cap     int        // ≤ 0: unbounded
-
-	hits, misses atomic.Int64
 }
 
 func newMemo[K comparable, V any](cap int) memo[K, V] {
@@ -463,7 +386,6 @@ func (c *memo[K, V]) do(key K, f func() (V, error)) (V, bool, error) {
 	if en, ok := c.entries[key]; ok {
 		c.order.MoveToFront(en.elem)
 		c.mu.Unlock()
-		c.hits.Add(1)
 		<-en.done
 		return en.val, true, en.err
 	}
@@ -472,7 +394,6 @@ func (c *memo[K, V]) do(key K, f func() (V, error)) (V, bool, error) {
 	en.elem = c.order.PushFront(en)
 	c.mu.Unlock()
 
-	c.misses.Add(1)
 	en.val, en.err = f()
 	c.mu.Lock()
 	en.complete = true

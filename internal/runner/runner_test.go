@@ -229,14 +229,18 @@ func TestFanOrderAndErrors(t *testing.T) {
 // oldest-first, a hit refreshes recency, and an evicted key re-simulates.
 func TestLRUCacheEviction(t *testing.T) {
 	var calls atomic.Int64
+	hits := 0
 	m := newMemo[string, int](2)
 	get := func(key string) int {
-		v, _, err := m.do(key, func() (int, error) {
+		v, cached, err := m.do(key, func() (int, error) {
 			calls.Add(1)
 			return int(calls.Load()), nil
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cached {
+			hits++
 		}
 		return v
 	}
@@ -258,8 +262,8 @@ func TestLRUCacheEviction(t *testing.T) {
 	if len(m.entries) != 2 || m.order.Len() != 2 {
 		t.Fatalf("cache size = %d entries / %d list, want 2/2", len(m.entries), m.order.Len())
 	}
-	if m.hits.Load() != 2 {
-		t.Fatalf("hits = %d, want 2", m.hits.Load())
+	if hits != 2 {
+		t.Fatalf("hits = %d, want 2", hits)
 	}
 }
 

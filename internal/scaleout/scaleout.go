@@ -293,21 +293,16 @@ type ScalingPoint struct {
 // Scaling runs the §VI study: strong scaling of a workload across growing
 // plane sizes for the DC- and MC-planes, on the event-driven plane engine.
 func Scaling(workload string, globalBatch int, nodeCounts []int) ([]ScalingPoint, error) {
-	return ScalingPlanes(workload, globalBatch, defaultPlanes(nodeCounts), false)
-}
-
-// ScalingAnalytic is Scaling on the retired first-order estimator, kept for
-// analytic-vs-event-driven comparison tables.
-func ScalingAnalytic(workload string, globalBatch int, nodeCounts []int) ([]ScalingPoint, error) {
-	return ScalingPlanes(workload, globalBatch, defaultPlanes(nodeCounts), true)
-}
-
-func defaultPlanes(nodeCounts []int) []Plane {
-	planes := make([]Plane, len(nodeCounts))
+	out := make([]ScalingPoint, len(nodeCounts))
 	for i, n := range nodeCounts {
-		planes[i] = Default(n)
+		pt, err := Default(n).EvalPoint(workload, globalBatch, false)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = pt
 	}
-	return planes
+	FillSpeedups(out)
+	return out, nil
 }
 
 // EvalPoint evaluates one plane of the §VI study on the chosen engine and
@@ -366,18 +361,4 @@ func FillSpeedups(pts []ScalingPoint) {
 			pts[i].SpeedupMC = baseMC / pts[i].IterMC.Seconds()
 		}
 	}
-}
-
-// ScalingPlanes runs the study over explicit plane configurations.
-func ScalingPlanes(workload string, globalBatch int, planes []Plane, analytic bool) ([]ScalingPoint, error) {
-	var out []ScalingPoint
-	for _, p := range planes {
-		pt, err := p.EvalPoint(workload, globalBatch, analytic)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
-	}
-	FillSpeedups(out)
-	return out, nil
 }

@@ -196,22 +196,27 @@ func TestEstimateRejectsMemCentricWithoutMemNodes(t *testing.T) {
 	}
 }
 
-// Regression: Scaling propagates configuration errors instead of emitting
-// Inf/NaN speedup rows.
+// Regression: the plane study propagates configuration errors instead of
+// emitting Inf/NaN speedup rows.
 func TestScalingPropagatesErrors(t *testing.T) {
 	broken := Default(2)
 	broken.MemNodesPerNode = 0
 	for _, analytic := range []bool{true, false} {
-		pts, err := ScalingPlanes("VGG-E", 1024, []Plane{broken}, analytic)
+		pt, err := broken.EvalPoint("VGG-E", 1024, analytic)
 		if err == nil {
-			t.Fatalf("analytic=%v: expected error, got rows %+v", analytic, pts)
+			t.Fatalf("analytic=%v: expected error, got row %+v", analytic, pt)
 		}
 	}
 	// Sanity: no NaN/Inf ever leaks from a healthy study.
-	pts, err := ScalingAnalytic("VGG-E", 4096, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
+	var pts []ScalingPoint
+	for _, n := range []int{1, 4} {
+		pt, err := Default(n).EvalPoint("VGG-E", 4096, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, pt)
 	}
+	FillSpeedups(pts)
 	for _, pt := range pts {
 		for _, v := range []float64{pt.SpeedupDC, pt.SpeedupMC, pt.IterDC.Seconds(), pt.IterMC.Seconds()} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -299,13 +299,6 @@ func (p Plane) SimulateTraced(workload string, globalBatch int, memCentric bool,
 		return SimResult{}, err
 	}
 	plan := prep.Plan
-	stashScale := float64(s.Precision.ActScale())
-	if s.Strategy == train.ModelParallel && g.Timesteps > 0 {
-		stashScale /= float64(s.Workers)
-	}
-	scaleStash := func(b int64) units.Bytes {
-		return units.Bytes(float64(b)*stashScale + 0.5)
-	}
 
 	var t units.Time
 	var pendingStaged []*stagedOp
@@ -336,13 +329,13 @@ func (p Plane) SimulateTraced(workload string, globalBatch int, memCentric bool,
 
 		tensors, extra := prep.Offloads[l.ID], plan.ExtraStash[l.ID]
 		for _, id := range tensors {
-			size := scaleStash(plan.Tensors[id].Bytes)
+			size := s.StashBytes(plan.Tensors[id].Bytes)
 			virtCh.StartGroup(t, "offload", "virt", size, virtRate, 0)
 			tr.Add(g.Layer(id).Name+"/offload", trace.Offload, t, t+units.TransferTime(size, virtRate))
 			res.Virt += units.TransferTime(size, virtRate)
 		}
 		if extra > 0 {
-			size := scaleStash(extra)
+			size := s.StashBytes(extra)
 			virtCh.StartGroup(t, "offload", "virt", size, virtRate, 0)
 			tr.Add(l.Name+"/offload-state", trace.Offload, t, t+units.TransferTime(size, virtRate))
 			res.Virt += units.TransferTime(size, virtRate)
@@ -380,7 +373,7 @@ func (p Plane) SimulateTraced(workload string, globalBatch int, memCentric bool,
 	var outstanding []*sim.Flow
 	issueItem := func(at units.Time) {
 		it := queue[next]
-		bytes := scaleStash(it.Bytes)
+		bytes := s.StashBytes(it.Bytes)
 		f := virtCh.StartGroupPriority(at, "prefetch", "virt", bytes, virtRate, 0, 1+it.Layer)
 		fetched[next] = inflight{flow: f, issued: at}
 		res.Virt += units.TransferTime(bytes, virtRate)

@@ -383,8 +383,14 @@ func (m *jobsManager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("path %q is not an async-able report endpoint", path))
 		return
 	}
-	// A query that cannot parse would only fail later in the executor;
-	// reject it now, naming the parameter.
+	// A query that cannot parse would only fail later in the executor, and
+	// an undeclared key would fork the job id of identical work; reject
+	// both now, naming the parameter. A job renders the report, so the
+	// timeline key is not one of this route's own.
+	if err := unknownParam(c, q, "path", "format"); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	if _, err := c.Parse(q.Get, ""); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

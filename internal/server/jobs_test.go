@@ -254,6 +254,17 @@ func TestJobSubmitRejectsBadParams(t *testing.T) {
 	if _, list := get(t, ts.URL+"/v1/jobs"); strings.Contains(string(list), "banana") {
 		t.Fatalf("rejected submission left a record: %s", list)
 	}
+	// An undeclared key would queue a second id for identical work; a job
+	// renders the report, so timeline is undeclared here too.
+	for _, key := range []string{"bogus", "timeline"} {
+		status, body := post(t, ts.URL+"/v1/jobs?path=/v1/run&net=VGG-E&"+key+"=1")
+		if status != http.StatusBadRequest || !strings.Contains(string(body), `unknown parameter \"`+key+`\"`) {
+			t.Fatalf("status = %d body = %s, want 400 naming %s", status, body, key)
+		}
+	}
+	if _, list := get(t, ts.URL+"/v1/jobs"); strings.Contains(string(list), "VGG-E") {
+		t.Fatalf("rejected submission left a record: %s", list)
+	}
 }
 
 func TestJobSubmitRejectsUnknownPath(t *testing.T) {

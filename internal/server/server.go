@@ -205,14 +205,19 @@ func (s *Server) routes() {
 // ------------------------------------------------------- report endpoints
 
 // commandHandler serves one command with format negotiation, and its
-// timeline face on ?timeline=1. Parse failures are the client's (400);
-// build failures are too on parameterized commands, whose fallible inputs —
-// workload, design, axis lists — arrive in the query string, while a
-// parameterless command's failure is the server fault it must be (500).
+// timeline face on ?timeline=1. Undeclared keys and parse failures are the
+// client's (400); build failures are too on parameterized commands, whose
+// fallible inputs — workload, design, axis lists — arrive in the query
+// string, while a parameterless command's failure is the server fault it
+// must be (500).
 func commandHandler(c *experiments.Command) http.HandlerFunc {
 	buildStatus := http.StatusBadRequest
 	if c.Fixed() {
 		buildStatus = http.StatusInternalServerError
+	}
+	own := []string{"format"}
+	if c.Timeline != nil {
+		own = append(own, "timeline")
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -220,6 +225,10 @@ func commandHandler(c *experiments.Command) http.HandlerFunc {
 			return
 		}
 		q := r.URL.Query()
+		if err := unknownParam(c, q, own...); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
 		if c.Timeline != nil {
 			if v := q.Get("timeline"); v != "" {
 				want, err := strconv.ParseBool(v)
@@ -250,6 +259,39 @@ func commandHandler(c *experiments.Command) http.HandlerFunc {
 		}
 		writeReport(w, rep, format)
 	}
+}
+
+// unknownParam rejects the query keys that are neither a name or alias c
+// declares nor one of the route's own keys, naming the first in sorted
+// order: a misspelled parameter would otherwise be silently ignored and
+// answer at its default.
+func unknownParam(c *experiments.Command, q url.Values, own ...string) error {
+	first, found := "", false
+	for k := range q {
+		if (!found || k < first) && !declares(c, k, own) {
+			first, found = k, true
+		}
+	}
+	if found {
+		return fmt.Errorf("unknown parameter %q", first)
+	}
+	return nil
+}
+
+// declares reports whether key is one of c's parameter spellings or one of
+// the route's own keys.
+func declares(c *experiments.Command, key string, own []string) bool {
+	for _, p := range c.Params {
+		if key == p.Name || (p.Alias != "" && key == p.Alias) {
+			return true
+		}
+	}
+	for _, k := range own {
+		if key == k {
+			return true
+		}
+	}
+	return false
 }
 
 // serveTimeline answers with the Chrome trace-event document of the

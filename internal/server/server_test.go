@@ -226,6 +226,12 @@ func TestBadParamsNameTheParameter(t *testing.T) {
 		"/v1/run?design=MC-DLA(S)&links=4":   "invalid links value",
 		"/v1/run?design=MC-DLA(S)&workers=4": "invalid workers value",
 		"/v1/run?design=DC-DLA&memnodes=4":   "invalid memnodes value",
+		// Undeclared keys answer 400 instead of being ignored; the first
+		// in sorted order is named.
+		"/v1/run?net=VGG-E&design=MC-DLA(B)&gpbs=50": `unknown parameter "gpbs"`,
+		"/v1/fig2?strategy=mp":                       `unknown parameter "strategy"`,
+		"/v1/run?zz=1&aa=2&batch=64":                 `unknown parameter "aa"`,
+		"/v1/fig2?timeline=1":                        `unknown parameter "timeline"`,
 	} {
 		status, body := get(t, ts.URL+url)
 		if url == "/v1/transformer?seqlens=" {

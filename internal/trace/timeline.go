@@ -84,6 +84,18 @@ func (t *Timeline) AddProcess(name string, l *Log) {
 	t.Processes = append(t.Processes, FromLog(name, l))
 }
 
+// chromeEvent is one Chrome trace-event ("X" = complete event). Times are
+// microseconds per the format.
+type chromeEvent struct {
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	Ts   float64 `json:"ts"`
+	Dur  float64 `json:"dur"`
+	Pid  int     `json:"pid"`
+	Tid  int     `json:"tid"`
+}
+
 // chromeMeta is a Chrome "M" metadata event naming a process or thread.
 type chromeMeta struct {
 	Name string            `json:"name"`

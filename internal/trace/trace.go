@@ -5,10 +5,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
 
 	"github.com/memcentric/mcdla/internal/units"
 )
@@ -79,18 +76,6 @@ func (l *Log) Validate() error {
 	return nil
 }
 
-// chromeEvent is one Chrome trace-event ("X" = complete event). Times are
-// microseconds per the format.
-type chromeEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-}
-
 // track assigns each category a Chrome thread lane so compute, DMA and
 // collective activity render as parallel rows.
 func track(cat Category) int {
@@ -112,30 +97,6 @@ func track(cat Category) int {
 		return 5
 	}
 	return 5
-}
-
-// WriteChrome serializes the log in Chrome trace-event JSON.
-func (l *Log) WriteChrome(w io.Writer) error {
-	events := make([]chromeEvent, 0, len(l.Spans))
-	for _, s := range l.Spans {
-		events = append(events, chromeEvent{
-			Name: s.Name,
-			Cat:  string(s.Category),
-			Ph:   "X",
-			Ts:   s.Start.Microseconds(),
-			Dur:  s.Duration().Microseconds(),
-			Pid:  1,
-			Tid:  track(s.Category),
-		})
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
-	doc := struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-		DisplayUnit string        `json:"displayTimeUnit"`
-		Label       string        `json:"label,omitempty"`
-	}{TraceEvents: events, DisplayUnit: "ms", Label: l.Label}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
 }
 
 // CriticalPathShare reports the fraction of the iteration (first start to

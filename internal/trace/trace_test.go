@@ -60,8 +60,10 @@ func TestValidate(t *testing.T) {
 }
 
 func TestWriteChromeFormat(t *testing.T) {
+	tl := &Timeline{Label: "test"}
+	tl.AddProcess("device", sampleLog())
 	var buf bytes.Buffer
-	if err := sampleLog().WriteChrome(&buf); err != nil {
+	if err := tl.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -79,31 +81,36 @@ func TestWriteChromeFormat(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if len(doc.TraceEvents) != 5 {
-		t.Fatalf("event count = %d", len(doc.TraceEvents))
-	}
 	if doc.Label != "test" || doc.DisplayUnit != "ms" {
 		t.Fatalf("metadata = %q %q", doc.Label, doc.DisplayUnit)
 	}
-	// Events must be time-sorted complete events with lane assignments.
-	prev := -1.0
+	// Metadata events name the process and its lanes; every span follows
+	// as a complete event, time-sorted within its lane.
+	spans := 0
+	prev := map[int]float64{}
+	lanes := map[string]int{}
 	for _, e := range doc.TraceEvents {
-		if e.Ph != "X" {
+		switch e.Ph {
+		case "M":
+			continue
+		case "X":
+		default:
 			t.Fatalf("event phase = %q", e.Ph)
 		}
-		if e.Ts < prev {
-			t.Fatal("events not sorted by start time")
+		spans++
+		if e.Ts < prev[e.Tid] {
+			t.Fatalf("lane %d not sorted by start time", e.Tid)
 		}
-		prev = e.Ts
+		prev[e.Tid] = e.Ts
 		if e.Dur <= 0 {
 			t.Fatalf("event %s has duration %g", e.Name, e.Dur)
 		}
-	}
-	// Compute and DMA lanes must differ so the trace renders as overlap.
-	lanes := map[string]int{}
-	for _, e := range doc.TraceEvents {
 		lanes[e.Cat] = e.Tid
 	}
+	if spans != 5 {
+		t.Fatalf("span event count = %d", spans)
+	}
+	// Compute and DMA lanes must differ so the trace renders as overlap.
 	if lanes["compute"] == lanes["offload"] {
 		t.Fatal("compute and offload share a lane")
 	}

@@ -117,6 +117,23 @@ func (s *Schedule) Prepared(oracle bool) (*vmem.Prepared, error) {
 	return s.prep[idx], nil
 }
 
+// StashBytes scales a plan tensor's bytes — counted at the graph's 2-byte
+// base — to what the device actually stashes and migrates. The precision
+// policy scales every stashed tensor (FP32 activations double it). Under
+// model-parallel training of recurrent networks the hidden state is sharded
+// across the workers: each device stashes its own slice of the gate
+// activations and hidden vectors, and the full tensors a backward step needs
+// are re-materialized by the per-timestep collectives already in the
+// schedule. Convolutional model parallelism (Krizhevsky-style filter splits)
+// stashes the gathered inputs, which backward's dW GEMM consumes locally.
+func (s *Schedule) StashBytes(b int64) units.Bytes {
+	scale := float64(s.Precision.ActScale())
+	if s.Strategy == ModelParallel && s.Graph.Timesteps > 0 {
+		scale /= float64(s.Workers)
+	}
+	return units.Bytes(float64(b)*scale + 0.5)
+}
+
 // Build constructs the per-device schedule for a benchmark at its default
 // sequence length in the seed's fp16 accounting. Workers must divide the
 // global batch under data parallel and every layer's output features under
