@@ -142,14 +142,14 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 		cost := collective.Estimate(op.Op, op.Bytes, d.Sync)
 		res.Breakdown.Sync += cost.Latency(d.Sync.AggregateBW())
 		res.SyncTraffic += op.Bytes
-		return syncCh.StartGroup(at, "sync/"+op.Tag, "sync", cost.WireBytes, d.Sync.AggregateBW(), cost.Fixed)
+		return syncCh.StartGroup(at, op.Tag, "sync", cost.WireBytes, d.Sync.AggregateBW(), cost.Fixed)
 	}
 
 	// ---- Forward propagation ----
 	for _, l := range g.Layers {
 		w := s.Work[l.ID]
 		ft := LayerFwdTime(d.Device, g, l, w)
-		tr.Add(l.Name+"/fwd", trace.Compute, t, t+ft)
+		tr.Add(l.Name, "/fwd", trace.Compute, t, t+ft)
 		t += ft
 		res.Breakdown.Compute += ft
 
@@ -158,13 +158,13 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 			for _, id := range tensors {
 				size := s.StashBytes(plan.Tensors[id].Bytes)
 				virtCh.StartGroup(t, "offload", "virt", size, virtRate, 0)
-				tr.Add(g.Layer(id).Name+"/offload", trace.Offload, t, t+units.TransferTime(size, virtRate))
+				tr.Add(g.Layer(id).Name, "/offload", trace.Offload, t, t+units.TransferTime(size, virtRate))
 				res.VirtTraffic += size
 			}
 			if extra > 0 {
 				size := s.StashBytes(extra)
 				virtCh.StartGroup(t, "offload", "virt", size, virtRate, 0)
-				tr.Add(l.Name+"/offload-state", trace.Offload, t, t+units.TransferTime(size, virtRate))
+				tr.Add(l.Name, "/offload-state", trace.Offload, t, t+units.TransferTime(size, virtRate))
 				res.VirtTraffic += size
 			}
 		}
@@ -174,7 +174,7 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 				continue
 			}
 			done := syncCh.Wait(t, f)
-			tr.Add(l.Name+"/"+op.Op.String(), trace.SyncWait, t, done)
+			tr.Add(l.Name, "/"+op.Op.String(), trace.SyncWait, t, done)
 			t = done
 		}
 	}
@@ -229,12 +229,12 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 			for _, i := range items {
 				f := &fetched[i]
 				t = virtCh.Wait(t, f.flow)
-				if !f.traced {
+				if tr != nil && !f.traced {
 					f.traced = true
-					tr.Add(sched.ItemName(i)+"/prefetch", trace.Prefetch, f.issued, f.flow.DoneAt())
+					tr.Add(sched.ItemName(i), "/prefetch", trace.Prefetch, f.issued, f.flow.DoneAt())
 				}
 			}
-			tr.Add(g.Layer(id).Name+"/stall", trace.Stall, stallFrom, t)
+			tr.Add(g.Layer(id).Name, "/stall", trace.Stall, stallFrom, t)
 			res.StallVirt += t - stallFrom
 			// The DMA engine starts the next queued group immediately.
 			issueNextGroup(t)
@@ -247,7 +247,7 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 			recomputed[rid] = true
 			rl := g.Layer(rid)
 			rt := LayerFwdTime(d.Device, g, rl, s.Work[rid])
-			tr.Add(rl.Name+"/recompute", trace.Recompute, t, t+rt)
+			tr.Add(rl.Name, "/recompute", trace.Recompute, t, t+rt)
 			t += rt
 			res.Breakdown.Compute += rt
 		}
@@ -260,7 +260,7 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 		// dW = Xᵀ·dY, which overlaps with the collective in flight.
 		ops := s.Work[id].BwdSync
 		if len(ops) > 0 && ops[0].Blocking {
-			tr.Add(l.Name+"/bwd", trace.Compute, t, t+bt)
+			tr.Add(l.Name, "/bwd", trace.Compute, t, t+bt)
 			t += bt / 2 // dX GEMM
 			var flows []*sim.Flow
 			for _, op := range ops {
@@ -273,9 +273,9 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 			for _, f := range flows {
 				t = syncCh.Wait(t, f)
 			}
-			tr.Add(l.Name+"/dX-reduce", trace.SyncWait, waitFrom, t)
+			tr.Add(l.Name, "/dX-reduce", trace.SyncWait, waitFrom, t)
 		} else {
-			tr.Add(l.Name+"/bwd", trace.Compute, t, t+bt)
+			tr.Add(l.Name, "/bwd", trace.Compute, t, t+bt)
 			t += bt
 			for _, op := range ops {
 				f := startSync(t, op)
@@ -299,7 +299,7 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 			end = done
 		}
 	}
-	tr.Add("tail/dW-reductions", trace.SyncWait, t, end)
+	tr.Add("tail/dW-reductions", "", trace.SyncWait, t, end)
 	if !d.Oracle {
 		if drained := virtCh.Drain(end); drained > end {
 			end = drained

@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"github.com/memcentric/mcdla/internal/accel"
+	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/trace"
 	"github.com/memcentric/mcdla/internal/train"
 )
@@ -47,20 +47,35 @@ func TestSimulateTracedConsistency(t *testing.T) {
 	}
 }
 
+// TestTracedMatchesUntraced guards the tracing hook: attaching a log must
+// not change a single field of the result, on every Table II design ×
+// Table III network under both strategies. Span names are joined only when
+// a log is attached, so this is what catches a call site whose traced and
+// untraced paths drift apart.
 func TestTracedMatchesUntraced(t *testing.T) {
-	s := train.MustBuild("GoogLeNet", paperBatch, paperWorkers, train.ModelParallel)
-	d := NewMCDLAB(accel.Default(), paperWorkers)
-	plain := MustSimulate(d, s)
-	tr := &trace.Log{}
-	traced, err := SimulateTraced(d, s, tr)
-	if err != nil {
-		t.Fatal(err)
+	var last *trace.Log
+	for _, name := range dnn.BenchmarkNames() {
+		for _, strategy := range []train.Strategy{train.DataParallel, train.ModelParallel} {
+			s := train.MustBuild(name, paperBatch, paperWorkers, strategy)
+			for _, d := range StandardDesigns() {
+				plain := MustSimulate(d, s)
+				tr := &trace.Log{}
+				traced, err := SimulateTraced(d, s, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plain != traced {
+					t.Errorf("%s %s %v: tracing changed the result:\n  plain  %+v\n  traced %+v", d.Name, name, strategy, plain, traced)
+				}
+				if len(tr.Spans) == 0 {
+					t.Errorf("%s %s %v: traced run recorded no spans", d.Name, name, strategy)
+				}
+				last = tr
+			}
+		}
 	}
-	if plain.IterationTime != traced.IterationTime {
-		t.Fatalf("tracing changed the timeline: %v vs %v", plain.IterationTime, traced.IterationTime)
-	}
-	tl := &trace.Timeline{Label: tr.Label}
-	tl.AddProcess(tr.Label, tr)
+	tl := &trace.Timeline{Label: last.Label}
+	tl.AddProcess(last.Label, last)
 	var buf bytes.Buffer
 	if err := tl.WriteChrome(&buf); err != nil {
 		t.Fatal(err)

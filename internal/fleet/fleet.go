@@ -287,6 +287,9 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 		active  []running
 	)
 	for arrived < len(order) || len(active) > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("fleet: cluster %q: %w", cluster.Name, err)
+		}
 		next := units.Time(math.Inf(1))
 		if arrived < len(order) {
 			next = trace[order[arrived]].Arrival

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -301,6 +302,23 @@ func TestRunErrors(t *testing.T) {
 				t.Fatalf("error %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunHonorsCancellation pins that the event loop stops once the context
+// is cancelled: a client that disconnects after the simulations land must
+// not keep the scheduler replaying the trace.
+func TestRunHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sim := func(ctx context.Context, jobs []runner.Job) ([]core.Result, error) {
+		out, err := fakeSim(ctx, jobs)
+		cancel() // the client goes away after the simulations finish
+		return out, err
+	}
+	res, err := Run(ctx, testCluster(), randomTrace(1, 50), cost.Default(), sim)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run after cancellation = %v, %v; want context.Canceled", res, err)
 	}
 }
 

@@ -63,9 +63,11 @@ type SimResult struct {
 }
 
 // flowStage is one lap of a staged hierarchical collective: a bandwidth flow
-// on a channel plus the lap's fixed (α and pipeline-fill) latency.
+// on a channel plus the lap's fixed (α and pipeline-fill) latency. Its trace
+// span is named span+tag ("sync/dW-rs", "inter/dW").
 type flowStage struct {
 	ch      *sim.Channel
+	span    string
 	tag     string
 	group   string
 	cat     trace.Category
@@ -84,27 +86,24 @@ type flowStage struct {
 // the channel state their predecessors left behind.
 type stagedOp struct {
 	stages []flowStage
-	ch     *sim.Channel
+	st     flowStage // the lap in flight
 	cur    *sim.Flow
 	tr     *trace.Log
 	issued units.Time
-	cat    trace.Category
-	tag    string
 }
 
-func (so *stagedOp) issueNext(t units.Time) bool {
+func (so *stagedOp) issueNext(t units.Time) {
 	if len(so.stages) == 0 {
-		so.cur, so.ch = nil, nil
-		return false
+		so.cur = nil
+		return
 	}
 	st := so.stages[0]
 	so.stages = so.stages[1:]
 	for i := 0; i < st.siblings; i++ {
-		st.ch.StartGroup(t, st.tag+"~sibling", st.group, st.bytes, st.maxRate, st.fixed)
+		st.ch.StartGroup(t, st.tag, st.group, st.bytes, st.maxRate, st.fixed)
 	}
 	so.cur = st.ch.StartGroup(t, st.tag, st.group, st.bytes, st.maxRate, st.fixed)
-	so.ch, so.issued, so.cat, so.tag = st.ch, t, st.cat, st.tag
-	return true
+	so.st, so.issued = st, t
 }
 
 // pump advances the collective without blocking the caller: channels are
@@ -114,12 +113,12 @@ func (so *stagedOp) issueNext(t units.Time) bool {
 // instead of all later laps queueing behind the iteration-end drain.
 func (so *stagedOp) pump(at units.Time) {
 	for so.cur != nil {
-		so.ch.AdvanceTo(at)
+		so.st.ch.AdvanceTo(at)
 		if !so.cur.Done() {
 			return
 		}
 		done := so.cur.DoneAt()
-		so.tr.Add(so.tag, so.cat, so.issued, done)
+		so.tr.Add(so.st.span, so.st.tag, so.st.cat, so.issued, done)
 		so.issueNext(done)
 	}
 }
@@ -129,9 +128,9 @@ func (so *stagedOp) pump(at units.Time) {
 func (so *stagedOp) drain(t units.Time) units.Time {
 	resume := t
 	for so.cur != nil {
-		resume = so.ch.Wait(t, so.cur)
+		resume = so.st.ch.Wait(t, so.cur)
 		done := so.cur.DoneAt()
-		so.tr.Add(so.tag, so.cat, so.issued, done)
+		so.tr.Add(so.st.span, so.st.tag, so.st.cat, so.issued, done)
 		so.issueNext(done)
 	}
 	return resume
@@ -220,14 +219,14 @@ func (p Plane) SimulateTraced(workload string, globalBatch int, memCentric bool,
 	localStage := func(op collective.Op, size units.Bytes, tag string) flowStage {
 		cost := collective.Estimate(op, size, intra)
 		return flowStage{
-			ch: links, tag: "sync/" + tag, group: "sync", cat: trace.SyncWait,
+			ch: links, span: "sync/", tag: tag, group: "sync", cat: trace.SyncWait,
 			bytes: cost.WireBytes, maxRate: localSyncBW, fixed: cost.Fixed,
 		}
 	}
 	interStage := func(size units.Bytes, tag string) flowStage {
 		cost := collective.Estimate(collective.AllReduce, size, p.interConfig())
 		return flowStage{
-			ch: uplink, tag: "inter/" + tag, group: "inter", cat: trace.InterSync,
+			ch: uplink, span: "inter/", tag: tag, group: "inter", cat: trace.InterSync,
 			bytes: cost.WireBytes, maxRate: p.UplinkBW, fixed: cost.Fixed,
 			siblings: p.DevicesPerNode - 1,
 		}
@@ -323,7 +322,7 @@ func (p Plane) SimulateTraced(workload string, globalBatch int, memCentric bool,
 	for _, l := range g.Layers {
 		w := s.Work[l.ID]
 		ft := core.LayerFwdTime(p.Device, g, l, w)
-		tr.Add(l.Name+"/fwd", trace.Compute, t, t+ft)
+		tr.Add(l.Name, "/fwd", trace.Compute, t, t+ft)
 		t += ft
 		res.Compute += ft
 
@@ -331,18 +330,18 @@ func (p Plane) SimulateTraced(workload string, globalBatch int, memCentric bool,
 		for _, id := range tensors {
 			size := s.StashBytes(plan.Tensors[id].Bytes)
 			virtCh.StartGroup(t, "offload", "virt", size, virtRate, 0)
-			tr.Add(g.Layer(id).Name+"/offload", trace.Offload, t, t+units.TransferTime(size, virtRate))
+			tr.Add(g.Layer(id).Name, "/offload", trace.Offload, t, t+units.TransferTime(size, virtRate))
 			res.Virt += units.TransferTime(size, virtRate)
 		}
 		if extra > 0 {
 			size := s.StashBytes(extra)
 			virtCh.StartGroup(t, "offload", "virt", size, virtRate, 0)
-			tr.Add(l.Name+"/offload-state", trace.Offload, t, t+units.TransferTime(size, virtRate))
+			tr.Add(l.Name, "/offload-state", trace.Offload, t, t+units.TransferTime(size, virtRate))
 			res.Virt += units.TransferTime(size, virtRate)
 		}
 		for _, op := range w.FwdSync {
 			done := blockingLocal(t, op)
-			tr.Add(l.Name+"/"+op.Op.String(), trace.SyncWait, t, done)
+			tr.Add(l.Name, "/"+op.Op.String(), trace.SyncWait, t, done)
 			t = done
 		}
 	}
@@ -413,12 +412,12 @@ func (p Plane) SimulateTraced(workload string, globalBatch int, memCentric bool,
 			for _, i := range items {
 				f := &fetched[i]
 				t = virtCh.Wait(t, f.flow)
-				if !f.traced {
+				if tr != nil && !f.traced {
 					f.traced = true
-					tr.Add(sched.ItemName(i)+"/prefetch", trace.Prefetch, f.issued, f.flow.DoneAt())
+					tr.Add(sched.ItemName(i), "/prefetch", trace.Prefetch, f.issued, f.flow.DoneAt())
 				}
 			}
-			tr.Add(g.Layer(id).Name+"/stall", trace.Stall, stallFrom, t)
+			tr.Add(g.Layer(id).Name, "/stall", trace.Stall, stallFrom, t)
 			res.StallVirt += t - stallFrom
 			fillPrefetchQueue(t)
 		}
@@ -429,14 +428,14 @@ func (p Plane) SimulateTraced(workload string, globalBatch int, memCentric bool,
 			recomputed[rid] = true
 			rl := g.Layer(rid)
 			rt := core.LayerFwdTime(p.Device, g, rl, s.Work[rid])
-			tr.Add(rl.Name+"/recompute", trace.Recompute, t, t+rt)
+			tr.Add(rl.Name, "/recompute", trace.Recompute, t, t+rt)
 			t += rt
 			res.Compute += rt
 		}
 		l := g.Layer(id)
 		bt := core.LayerBwdTime(p.Device, g, l, s.Work[id])
 		res.Compute += bt
-		tr.Add(l.Name+"/bwd", trace.Compute, t, t+bt)
+		tr.Add(l.Name, "/bwd", trace.Compute, t, t+bt)
 
 		ops := s.Work[id].BwdSync
 		if len(ops) > 0 && ops[0].Blocking {
@@ -449,7 +448,7 @@ func (p Plane) SimulateTraced(workload string, globalBatch int, memCentric bool,
 			for _, op := range ops {
 				t = units.MaxTime(t, blockingLocal(reduceFrom, op))
 			}
-			tr.Add(l.Name+"/dX-reduce", trace.SyncWait, waitFrom, t)
+			tr.Add(l.Name, "/dX-reduce", trace.SyncWait, waitFrom, t)
 		} else {
 			t += bt
 			for _, op := range ops {

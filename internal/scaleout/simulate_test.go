@@ -138,6 +138,31 @@ func TestSimulateTracedRecordsInterSync(t *testing.T) {
 	}
 }
 
+// TestTracedMatchesUntraced is the plane engine's tracing guard: attaching a
+// log must not change a single field of the result, on a four-chassis
+// memory-centric plane under both strategies (staged uplink laps, chassis
+// collectives and the prefetch queue all emit spans).
+func TestTracedMatchesUntraced(t *testing.T) {
+	p := Default(4)
+	for _, strategy := range []Strategy{DataParallel, Hybrid} {
+		plain, err := p.Simulate("VGG-E", defaultBatch, true, strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &trace.Log{}
+		traced, err := p.SimulateTraced("VGG-E", defaultBatch, true, strategy, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain != traced {
+			t.Errorf("%v: tracing changed the result:\n  plain  %+v\n  traced %+v", strategy, plain, traced)
+		}
+		if len(tr.Spans) == 0 {
+			t.Errorf("%v: traced run recorded no spans", strategy)
+		}
+	}
+}
+
 func TestSimulateErrors(t *testing.T) {
 	p := Default(2)
 	if _, err := p.Simulate("VGG-E", 100, true, DataParallel); err == nil {

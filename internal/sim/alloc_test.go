@@ -27,7 +27,7 @@ func TestChannelReallocateAllocBudget(t *testing.T) {
 		now = ch.Wait(now, prefetch)
 		now = ch.Drain(now)
 	}
-	round() // warm the scratch buffers, group caps and stats tags
+	round() // warm the scratch buffers and the first arena block
 	allocs := testing.AllocsPerRun(200, round)
 	// 4 flows/round against a 64-slot arena: amortized 1/16 allocation per
 	// round. Anything near 1 means a scratch buffer regressed to the heap.

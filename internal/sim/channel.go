@@ -22,7 +22,7 @@ import (
 // Flow is an in-flight bulk transfer on a Channel.
 type Flow struct {
 	ch        *Channel
-	tag       string
+	tag       string  // names the flow in panic messages
 	group     string  // shared-cap group ("" = independent)
 	pri       int     // priority class within the group (higher first)
 	remaining float64 // bytes left to move
@@ -32,9 +32,6 @@ type Flow struct {
 	doneAt    units.Time
 	extra     units.Time // fixed latency appended after the last byte lands
 }
-
-// Tag reports the accounting tag the flow was started with.
-func (f *Flow) Tag() string { return f.tag }
 
 // Done reports whether the flow has completed.
 func (f *Flow) Done() bool { return f.done }
@@ -64,13 +61,12 @@ type Channel struct {
 	// and sort permutations are unchanged, keeping results bit-identical.
 	arena      []Flow // current flow allocation block (see newFlow)
 	arenaUsed  int
-	units      []allocUnit    // allocate's unit list
-	grouped    map[string]int // allocate's group → unit index
-	topFill    fillScratch    // top-level fill across units
-	memberFill fillScratch    // per-unit fill across member flows
-	classFill  fillScratch    // per-priority-class fill inside priorityFill
-	pri        priScratch     // priorityFill's order/output buffers
-	drained    []*Flow        // Drain's per-step completion snapshot
+	units      []allocUnit // allocate's unit list
+	topFill    fillScratch // top-level fill across units
+	memberFill fillScratch // per-unit fill across member flows
+	classFill  fillScratch // per-priority-class fill inside priorityFill
+	pri        priScratch  // priorityFill's order/output buffers
+	drained    []*Flow     // Drain's per-step completion snapshot
 }
 
 // arenaBlock is the Flow allocation granularity: steady state pays one heap
@@ -104,10 +100,11 @@ func (c *Channel) SetGroupCap(group string, cap units.Bandwidth) {
 	c.groupCaps[group] = cap
 }
 
-// ChannelStats accumulates the accounting needed by Figure 12 (CPU memory
-// bandwidth usage) and the latency-breakdown bookkeeping of Figure 11.
+// ChannelStats accumulates a channel's traffic accounting: the bytes moved
+// (TotalBytes, cross-checked by RateIntegral), the time the channel was busy
+// (the plane's switch and uplink occupancy) and the peak aggregate rate
+// (Figure 12's peak CPU memory bandwidth).
 type ChannelStats struct {
-	BytesByTag map[string]float64
 	TotalBytes float64
 	// BusyTime integrates wall time during which at least one flow was active.
 	BusyTime units.Time
@@ -123,11 +120,7 @@ func NewChannel(name string, capacity units.Bandwidth) *Channel {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: channel %q capacity must be positive, got %v", name, capacity))
 	}
-	return &Channel{
-		name:     name,
-		capacity: capacity,
-		stats:    ChannelStats{BytesByTag: make(map[string]float64)},
-	}
+	return &Channel{name: name, capacity: capacity}
 }
 
 // Name reports the channel's name.
@@ -140,18 +133,12 @@ func (c *Channel) Capacity() units.Bandwidth { return c.capacity }
 func (c *Channel) Now() units.Time { return c.now }
 
 // Stats returns a copy of the accumulated statistics.
-func (c *Channel) Stats() ChannelStats {
-	s := c.stats
-	s.BytesByTag = make(map[string]float64, len(c.stats.BytesByTag))
-	for k, v := range c.stats.BytesByTag {
-		s.BytesByTag[k] = v
-	}
-	return s
-}
+func (c *Channel) Stats() ChannelStats { return c.stats }
 
 // allocUnit is one contender in the top-level water-fill: either a lone flow
-// or a whole group of flows sharing a cap.
+// (group "") or a whole group of flows sharing a cap.
 type allocUnit struct {
+	group string
 	cap   float64
 	flows []*Flow
 }
@@ -160,31 +147,27 @@ type allocUnit struct {
 // two-level water-filling: groups (and independent flows) share the channel
 // capacity max-min fairly, then each group's allocation is water-filled
 // across its members. It runs on every flow start and completion, so all of
-// its working storage lives in Channel scratch buffers.
+// its working storage lives in Channel scratch buffers. A flow finds its
+// group's unit by a linear scan: a channel carries a handful of units.
 func (c *Channel) allocate() {
 	if len(c.flows) == 0 {
 		return
 	}
 	c.units = c.units[:0]
-	if c.grouped == nil {
-		c.grouped = make(map[string]int)
-	}
-	clear(c.grouped)
 	for _, f := range c.flows {
 		if f.group == "" {
-			u := c.pushUnit(float64(f.maxRate))
+			u := c.pushUnit("", float64(f.maxRate))
 			u.flows = append(u.flows, f)
 			continue
 		}
-		idx, ok := c.grouped[f.group]
-		if !ok {
+		idx := c.unitOf(f.group)
+		if idx < 0 {
 			groupCap := math.Inf(1)
 			if g, has := c.groupCaps[f.group]; has {
 				groupCap = float64(g)
 			}
 			idx = len(c.units)
-			c.grouped[f.group] = idx
-			c.pushUnit(groupCap)
+			c.pushUnit(f.group, groupCap)
 		}
 		c.units[idx].flows = append(c.units[idx].flows, f)
 	}
@@ -215,18 +198,28 @@ func (c *Channel) allocate() {
 	}
 }
 
+// unitOf reports the index of the named group's unit, or -1.
+func (c *Channel) unitOf(group string) int {
+	for i := range c.units {
+		if c.units[i].group == group {
+			return i
+		}
+	}
+	return -1
+}
+
 // pushUnit appends a unit to the scratch list, reusing the member-flow slice
 // capacity a previous allocate round left in the slot.
-func (c *Channel) pushUnit(capLimit float64) *allocUnit {
+func (c *Channel) pushUnit(group string, capLimit float64) *allocUnit {
 	n := len(c.units)
 	if n < cap(c.units) {
 		c.units = c.units[:n+1]
 		u := &c.units[n]
-		u.cap = capLimit
+		u.group, u.cap = group, capLimit
 		u.flows = u.flows[:0]
 		return u
 	}
-	c.units = append(c.units, allocUnit{cap: capLimit})
+	c.units = append(c.units, allocUnit{group: group, cap: capLimit})
 	return &c.units[n]
 }
 
@@ -381,11 +374,9 @@ func (c *Channel) StartGroupPriority(t units.Time, tag, group string, size units
 		// Stamp from the channel clock, not the caller's t: AdvanceTo may
 		// have left now past t (the clock is shared between issue sites),
 		// and a completion in the clock's past would run Wait/Drain
-		// backwards. Zero bytes move, so only the tag is registered in the
-		// stats; byte counters and the rate integral stay untouched.
+		// backwards. Zero bytes move, so the stats stay untouched.
 		f.done = true
 		f.doneAt = c.now + extra
-		c.stats.BytesByTag[tag] += 0
 		return f
 	}
 	c.flows = append(c.flows, f)
@@ -475,7 +466,6 @@ func (c *Channel) forceDrainNearest() {
 		}
 	}
 	if nearest != nil {
-		c.stats.BytesByTag[nearest.tag] += nearest.remaining
 		c.stats.TotalBytes += nearest.remaining
 		c.stats.RateIntegral += nearest.remaining
 		nearest.remaining = 0
@@ -493,7 +483,6 @@ func (c *Channel) progress(dt units.Time) {
 			moved = f.remaining
 		}
 		f.remaining -= moved
-		c.stats.BytesByTag[f.tag] += moved
 		c.stats.TotalBytes += moved
 		c.stats.RateIntegral += moved
 	}
@@ -563,7 +552,7 @@ func (c *Channel) ActiveFlows() int { return len(c.flows) }
 func (c *Channel) Reset() {
 	c.flows = nil
 	c.now = 0
-	c.stats = ChannelStats{BytesByTag: make(map[string]float64)}
+	c.stats = ChannelStats{}
 	c.arena = nil
 	c.arenaUsed = 0
 	clear(c.units[:cap(c.units)])

@@ -45,12 +45,14 @@ type Log struct {
 	Spans []Span
 }
 
-// Add records a span; zero-length spans are dropped.
-func (l *Log) Add(name string, cat Category, start, end units.Time) {
+// Add records a span named name+suffix; zero-length spans are dropped. The
+// name is joined only once a span is kept, so an untraced run (nil log)
+// builds no span names.
+func (l *Log) Add(name, suffix string, cat Category, start, end units.Time) {
 	if l == nil || end <= start {
 		return
 	}
-	l.Spans = append(l.Spans, Span{Name: name, Category: cat, Start: start, End: end})
+	l.Spans = append(l.Spans, Span{Name: name + suffix, Category: cat, Start: start, End: end})
 }
 
 // Summary totals span time per category.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"github.com/memcentric/mcdla/internal/units"
@@ -10,26 +11,37 @@ import (
 
 func sampleLog() *Log {
 	l := &Log{Label: "test"}
-	l.Add("conv1/fwd", Compute, 0, units.Milliseconds(2))
-	l.Add("conv1/offload", Offload, units.Milliseconds(2), units.Milliseconds(5))
-	l.Add("conv2/fwd", Compute, units.Milliseconds(2), units.Milliseconds(4))
-	l.Add("conv2/stall", Stall, units.Milliseconds(4), units.Milliseconds(6))
-	l.Add("tail/dW", SyncWait, units.Milliseconds(6), units.Milliseconds(7))
+	l.Add("conv1", "/fwd", Compute, 0, units.Milliseconds(2))
+	l.Add("conv1", "/offload", Offload, units.Milliseconds(2), units.Milliseconds(5))
+	l.Add("conv2", "/fwd", Compute, units.Milliseconds(2), units.Milliseconds(4))
+	l.Add("conv2", "/stall", Stall, units.Milliseconds(4), units.Milliseconds(6))
+	l.Add("tail/dW", "", SyncWait, units.Milliseconds(6), units.Milliseconds(7))
 	return l
 }
 
 func TestAddDropsEmptySpans(t *testing.T) {
 	l := &Log{}
-	l.Add("noop", Compute, 5, 5)
-	l.Add("backwards", Compute, 5, 4)
+	l.Add("noop", "", Compute, 5, 5)
+	l.Add("backwards", "", Compute, 5, 4)
 	if len(l.Spans) != 0 {
 		t.Fatalf("degenerate spans recorded: %d", len(l.Spans))
 	}
 }
 
+// TestAddJoinsName pins that a kept span's name is name+suffix.
+func TestAddJoinsName(t *testing.T) {
+	var want []string
+	for _, s := range sampleLog().Spans {
+		want = append(want, s.Name)
+	}
+	if got := strings.Join(want, ","); got != "conv1/fwd,conv1/offload,conv2/fwd,conv2/stall,tail/dW" {
+		t.Fatalf("span names = %s", got)
+	}
+}
+
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
-	l.Add("x", Compute, 0, 1) // must not panic
+	l.Add("x", "", Compute, 0, 1) // must not panic
 }
 
 func TestSummary(t *testing.T) {

@@ -35,8 +35,12 @@ func Prepare(g *dnn.Graph, opt Options) (*Prepared, error) {
 		Offloads:  make([][]int, len(g.Layers)),
 		Recompute: make([][]int, len(g.Layers)),
 	}
+	// One pass in ascending producer order, so each Offloads bucket comes
+	// out sorted: the table OffloadsAfter would build layer by layer.
 	for id := range g.Layers {
-		pr.Offloads[id], _ = plan.OffloadsAfter(id)
+		if tp, ok := plan.Tensors[id]; ok && tp.Action == Stash {
+			pr.Offloads[tp.OffloadAfter] = append(pr.Offloads[tp.OffloadAfter], id)
+		}
 		pr.Recompute[id] = plan.RecomputeFor(id)
 	}
 	return pr, nil

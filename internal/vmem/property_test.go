@@ -3,6 +3,7 @@ package vmem_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/memcentric/mcdla/internal/accel"
@@ -193,5 +194,34 @@ func TestOracleHasNoPlan(t *testing.T) {
 	if len(p.Tensors) != 0 || len(p.PrefetchQueue()) != 0 || p.TrafficBytes() != 0 {
 		t.Fatalf("oracle plan moves data: %d tensors, %d queued, %d bytes",
 			len(p.Tensors), len(p.PrefetchQueue()), p.TrafficBytes())
+	}
+}
+
+// TestPreparedOffloadsMatchOffloadsAfter is the differential test for
+// Prepare's one-pass offload table: on every Table III network plus the
+// transformers, under both strategies and with recompute on and off, each
+// layer's bucket equals what OffloadsAfter derives for that layer alone
+// (slices.Equal treats nil and empty as equal).
+func TestPreparedOffloadsMatchOffloadsAfter(t *testing.T) {
+	names := append(dnn.BenchmarkNames(), dnn.TransformerNames()...)
+	for _, name := range names {
+		for _, strategy := range []train.Strategy{train.DataParallel, train.ModelParallel} {
+			s, err := train.Build(name, 64, 8, strategy)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, strategy, err)
+			}
+			for _, opt := range []vmem.Options{{}, {DisableRecompute: true}} {
+				pr, err := vmem.Prepare(s.Graph, opt)
+				if err != nil {
+					t.Fatalf("%s %v %+v: %v", name, strategy, opt, err)
+				}
+				for id := range s.Graph.Layers {
+					want, _ := pr.Plan.OffloadsAfter(id)
+					if got := pr.Offloads[id]; !slices.Equal(got, want) {
+						t.Errorf("%s %v %+v layer %d: Offloads = %v, OffloadsAfter = %v", name, strategy, opt, id, got, want)
+					}
+				}
+			}
+		}
 	}
 }
