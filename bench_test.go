@@ -283,6 +283,9 @@ func BenchmarkRunnerCached(b *testing.B) {
 
 // ---- Microbenchmarks: simulator throughput per workload --------------------
 
+// benchSimulate times untraced MC-DLA(B) iterations, then reports the
+// water-fill rounds of one traced run outside the timer: an exact work
+// counter that benchgate holds equal to the baseline.
 func benchSimulate(b *testing.B, workload string, strategy train.Strategy) {
 	s := train.MustBuild(workload, 512, 8, strategy)
 	d, err := core.DesignByName("MC-DLA(B)")
@@ -295,6 +298,12 @@ func benchSimulate(b *testing.B, workload string, strategy train.Strategy) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	tr := &trace.Log{}
+	if _, err := core.SimulateTraced(d, s, tr); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(tr.Fills), "fills/op")
 }
 
 func BenchmarkSimulateAlexNetDP(b *testing.B)   { benchSimulate(b, "AlexNet", train.DataParallel) }
@@ -510,7 +519,13 @@ func BenchmarkPlaneSimulate(b *testing.B) {
 		}
 		div = 100 * (sim.Iteration.Seconds() - est.Iteration.Seconds()) / est.Iteration.Seconds()
 	}
+	b.StopTimer()
+	tr := &trace.Log{}
+	if _, err := p.SimulateTraced("VGG-E", batch, true, scaleout.DataParallel, tr); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(div, "divergence-%")
+	b.ReportMetric(float64(tr.Fills), "fills/op")
 }
 
 // BenchmarkPlaneHybrid times the hybrid (MP-in-chassis × DP-across-chassis)

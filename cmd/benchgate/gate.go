@@ -13,11 +13,15 @@ import (
 
 // Result is one benchmark's measurements from a test2json stream. NsPerOp is
 // always present on a result line; the memory columns require -benchmem.
+// FillsPerOp is the simulator's water-fill round count, reported by the
+// event-loop benchmarks as the custom "fills/op" metric.
 type Result struct {
 	NsPerOp     float64
 	BytesPerOp  float64
 	AllocsPerOp float64
 	HasMem      bool
+	FillsPerOp  float64
+	HasFills    bool
 }
 
 // event is the slice of a test2json record benchgate cares about.
@@ -90,7 +94,7 @@ func stripProcSuffix(name string) string {
 }
 
 // parseMeasurements walks the tab-separated "value unit" pairs of a result
-// line, keeping the comparable units and ignoring custom metrics.
+// line, keeping the comparable units and ignoring other custom metrics.
 func parseMeasurements(s string) (Result, bool) {
 	var res Result
 	var hasTime bool
@@ -110,6 +114,9 @@ func parseMeasurements(s string) (Result, bool) {
 		case "allocs/op":
 			res.AllocsPerOp = v
 			res.HasMem = true
+		case "fills/op":
+			res.FillsPerOp = v
+			res.HasFills = true
 		}
 	}
 	return res, hasTime
@@ -192,6 +199,15 @@ func compare(baseline, current map[string]Result, th Thresholds) []Row {
 			}
 			if base.HasMem && cur.HasMem && row.AllocPct > th.AllocsPct {
 				fails = append(fails, fmt.Sprintf("allocs/op +%.1f%% > %.1f%%", row.AllocPct, th.AllocsPct))
+			}
+			// fills/op is an exact work count: any change, either way, means
+			// the event loop does different work and the baseline must be
+			// regenerated with the change that explains it.
+			switch {
+			case base.HasFills && !cur.HasFills:
+				fails = append(fails, "fills/op missing from current run")
+			case base.HasFills && cur.FillsPerOp != base.FillsPerOp:
+				fails = append(fails, fmt.Sprintf("fills/op %.0f != baseline %.0f (regenerate the baseline if intended)", cur.FillsPerOp, base.FillsPerOp))
 			}
 			if len(fails) > 0 {
 				row.Verdict = regressed

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,6 +101,47 @@ func TestCompareVerdicts(t *testing.T) {
 	}
 	if len(rows) != len(want) {
 		t.Fatalf("compared %d rows, want %d", len(rows), len(want))
+	}
+}
+
+// TestFillsGateIsExact: fills/op must equal the baseline. Fewer rounds fail
+// as well as more (the baseline must be regenerated with the change that
+// explains them), and a baseline count the current run no longer reports
+// fails too. A fills/op the baseline lacks is informational.
+func TestFillsGateIsExact(t *testing.T) {
+	const line = "BenchmarkSimulateVGGEDP-2 \t       1\t    147273 ns/op\t        %s\t   28096 B/op\t     193 allocs/op"
+	parse := func(metric string) Result {
+		t.Helper()
+		res, err := Parse(strings.NewReader(stream(fmt.Sprintf(line, metric))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res["BenchmarkSimulateVGGEDP"]
+	}
+	base := parse("78.00 fills/op")
+	if !base.HasFills || base.FillsPerOp != 78 {
+		t.Fatalf("fills/op not parsed: %+v", base)
+	}
+	th := Thresholds{TimePct: 400, AllocsPct: 10}
+	for _, c := range []struct {
+		name   string
+		base   Result
+		metric string
+		want   verdict
+	}{
+		{"equal", base, "78.00 fills/op", pass},
+		{"higher", base, "79.00 fills/op", regressed},
+		{"lower", base, "77.00 fills/op", regressed},
+		{"missing", base, "1.5 divergence-%", regressed},
+		{"new", parse("1.5 divergence-%"), "78.00 fills/op", pass},
+	} {
+		rows := compare(map[string]Result{"B": c.base}, map[string]Result{"B": parse(c.metric)}, th)
+		if rows[0].Verdict != c.want {
+			t.Errorf("%s: verdict %v (%s), want %v", c.name, rows[0].Verdict, rows[0].Detail, c.want)
+		}
+		if c.name == "lower" && !strings.Contains(rows[0].Detail, "regenerate the baseline") {
+			t.Errorf("lower: detail %q does not say to regenerate the baseline", rows[0].Detail)
+		}
 	}
 }
 

@@ -14,7 +14,9 @@
 // runners are different machines and the trajectory files run at
 // -benchtime 1x, so wall-clock is gated loosely — it catches order-of-
 // magnitude blowups — while allocs/op, which is deterministic and
-// machine-independent, carries the tight bound.
+// machine-independent, carries the tight bound. A benchmark that reports
+// the simulator's fills/op (water-fill rounds) must match its baseline
+// exactly: the count is a pure function of the simulated work.
 //
 // New benchmarks (in current, not in baseline) are reported but pass: they
 // gate once the baseline is regenerated. Benchmarks present in the baseline

@@ -19,12 +19,14 @@ func TestSimulateAllocBudget(t *testing.T) {
 		strategy train.Strategy
 		budget   float64
 	}{
-		// Measured: 104, 68, 1169 and 608 allocs/op (305, 265, 3421 and
-		// 2856 before span names went lazy and the per-flow tag map went).
-		{"DC-DLA", "VGG-E", train.DataParallel, 130},
-		{"MC-DLA(B)", "VGG-E", train.DataParallel, 85},
-		{"DC-DLA", "RNN-GRU", train.ModelParallel, 1460},
-		{"MC-DLA(B)", "RNN-GRU", train.ModelParallel, 760},
+		// Measured: 50, 47, 599 and 593 allocs/op once the water-fill
+		// stopped keeping per-unit member lists (104, 68, 1169 and 608
+		// before; 305, 265, 3421 and 2856 before span names went lazy and
+		// the per-flow tag map went).
+		{"DC-DLA", "VGG-E", train.DataParallel, 63},
+		{"MC-DLA(B)", "VGG-E", train.DataParallel, 59},
+		{"DC-DLA", "RNN-GRU", train.ModelParallel, 750},
+		{"MC-DLA(B)", "RNN-GRU", train.ModelParallel, 742},
 	}
 	for _, c := range cases {
 		d, err := DesignByName(c.design)

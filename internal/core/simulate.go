@@ -326,6 +326,12 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 		}
 		res.MaxHostSocketBW = units.Bandwidth(float64(virtCh.Stats().PeakRate) * float64(devs))
 	}
+	if tr != nil {
+		tr.Fills += virtCh.Stats().Fills
+		if syncCh != nil && syncCh != virtCh {
+			tr.Fills += syncCh.Stats().Fills
+		}
+	}
 	return res, nil
 }
 

@@ -21,12 +21,12 @@ func TestSimulateAllocBudget(t *testing.T) {
 	run() // warm the schedule memo and its prepared vmem analysis
 	allocs := testing.AllocsPerRun(5, run)
 	t.Logf("scaleout.Simulate(BERT-Large) steady state: %.0f allocs/op", allocs)
-	// Measured 727 allocs/op once span names were built only for a trace log
-	// and flows stopped carrying per-flow tag strings into a stats map
-	// (~4.0k before that, ~93.5k before the sim.Channel scratch buffers
+	// Measured 514 allocs/op once the water-fill stopped keeping per-unit
+	// member lists (727 before that; ~4.0k before span names were built only
+	// for a trace log, ~93.5k before the sim.Channel scratch buffers
 	// landed); the budget leaves ~25% headroom for benign drift while still
 	// catching any per-event or per-span regression.
-	const budget = 910
+	const budget = 643
 	if allocs > budget {
 		t.Fatalf("plane iteration allocated %.0f objects/op, budget %d", allocs, budget)
 	}

@@ -489,5 +489,14 @@ func (p Plane) SimulateTraced(workload string, globalBatch int, memCentric bool,
 	if uplink != nil {
 		res.UplinkBusy = uplink.Stats().BusyTime
 	}
+	if tr != nil {
+		tr.Fills += links.Stats().Fills
+		if virtCh != links {
+			tr.Fills += virtCh.Stats().Fills
+		}
+		if uplink != nil {
+			tr.Fills += uplink.Stats().Fills
+		}
+	}
 	return res, nil
 }

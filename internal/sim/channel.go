@@ -25,6 +25,7 @@ type Flow struct {
 	tag       string  // names the flow in panic messages
 	group     string  // shared-cap group ("" = independent)
 	pri       int     // priority class within the group (higher first)
+	unit      int     // index of the flow's unit in the last allocate round
 	remaining float64 // bytes left to move
 	maxRate   units.Bandwidth
 	rate      units.Bandwidth // current allocated rate
@@ -62,6 +63,7 @@ type Channel struct {
 	arena      []Flow // current flow allocation block (see newFlow)
 	arenaUsed  int
 	units      []allocUnit // allocate's unit list
+	members    []*Flow     // one non-uniform unit's member flows
 	topFill    fillScratch // top-level fill across units
 	memberFill fillScratch // per-unit fill across member flows
 	classFill  fillScratch // per-priority-class fill inside priorityFill
@@ -113,6 +115,9 @@ type ChannelStats struct {
 	// RateIntegral is ∫rate·dt (bytes moved), kept separately from TotalBytes
 	// as a self-check: the two must agree.
 	RateIntegral float64
+	// Fills counts water-fill rounds over a nonempty flow set: an exact,
+	// machine-independent measure of the event loop's work.
+	Fills int
 }
 
 // NewChannel creates a channel with the given aggregate capacity.
@@ -136,11 +141,20 @@ func (c *Channel) Now() units.Time { return c.now }
 func (c *Channel) Stats() ChannelStats { return c.stats }
 
 // allocUnit is one contender in the top-level water-fill: either a lone flow
-// (group "") or a whole group of flows sharing a cap.
+// (group "") or a whole group of flows sharing a cap. A uniform unit (every
+// member shares pri and maxRate) is filled in flow order in one pass: its
+// caps are all equal, so the sort inside fill is the identity permutation
+// and the generic route would hand out exactly the same shares.
 type allocUnit struct {
-	group string
-	cap   float64
-	flows []*Flow
+	group   string
+	cap     float64         // group cap, then bounded by sum
+	sum     float64         // member maxRates, added in flow order
+	n       int             // member count
+	pri     int             // first member's priority
+	rate    units.Bandwidth // first member's maxRate
+	uniform bool
+	rem     float64 // uniform fill: share not yet handed out
+	left    int     // uniform fill: members not yet filled
 }
 
 // allocate recomputes max-min fair rates for the active flows using
@@ -149,48 +163,72 @@ type allocUnit struct {
 // across its members. It runs on every flow start and completion, so all of
 // its working storage lives in Channel scratch buffers. A flow finds its
 // group's unit by a linear scan: a channel carries a handful of units.
+//
+// Deferring a round to the next rate read would skip only states that last
+// zero simulated time, yet it would change PeakRate: the peak is the largest
+// rounded total, and a zero-duration state's total can exceed those of the
+// states around it by an ulp (TestPeakRateCountsZeroDurationStates).
 func (c *Channel) allocate() {
 	if len(c.flows) == 0 {
 		return
 	}
+	c.stats.Fills++
 	c.units = c.units[:0]
 	for _, f := range c.flows {
-		if f.group == "" {
-			u := c.pushUnit("", float64(f.maxRate))
-			u.flows = append(u.flows, f)
-			continue
+		idx := -1
+		if f.group != "" {
+			idx = c.unitOf(f.group)
 		}
-		idx := c.unitOf(f.group)
 		if idx < 0 {
-			groupCap := math.Inf(1)
-			if g, has := c.groupCaps[f.group]; has {
-				groupCap = float64(g)
+			groupCap := float64(f.maxRate)
+			if f.group != "" {
+				groupCap = math.Inf(1)
+				if g, has := c.groupCaps[f.group]; has {
+					groupCap = float64(g)
+				}
 			}
 			idx = len(c.units)
-			c.pushUnit(f.group, groupCap)
+			c.units = append(c.units, allocUnit{group: f.group, cap: groupCap, pri: f.pri, rate: f.maxRate, uniform: true})
 		}
-		c.units[idx].flows = append(c.units[idx].flows, f)
+		u := &c.units[idx]
+		u.n++
+		u.sum += float64(f.maxRate)
+		u.uniform = u.uniform && f.pri == u.pri && f.maxRate == u.rate
+		f.unit = idx
 	}
 	// A group's effective demand is also bounded by its members' caps.
 	c.topFill.caps = c.topFill.caps[:0]
 	for i := range c.units {
-		var memberSum float64
-		for _, f := range c.units[i].flows {
-			memberSum += float64(f.maxRate)
-		}
-		c.units[i].cap = math.Min(c.units[i].cap, memberSum)
+		c.units[i].cap = math.Min(c.units[i].cap, c.units[i].sum)
 		c.topFill.caps = append(c.topFill.caps, c.units[i].cap)
 	}
 	shares := c.topFill.fill(float64(c.capacity))
 	for i := range c.units {
 		u := &c.units[i]
-		memberShares := c.priorityFill(shares[i], u.flows)
-		for j, f := range u.flows {
-			f.rate = units.Bandwidth(memberShares[j])
+		u.rem, u.left = shares[i], u.n
+		if u.uniform {
+			continue
+		}
+		c.members = c.members[:0]
+		for _, f := range c.flows {
+			if f.unit == i {
+				c.members = append(c.members, f)
+			}
+		}
+		for j, r := range c.priorityFill(shares[i], c.members) {
+			c.members[j].rate = units.Bandwidth(r)
 		}
 	}
+	// Uniform units: fill's arithmetic over the identity order.
 	total := units.Bandwidth(0)
 	for _, f := range c.flows {
+		if u := &c.units[f.unit]; u.uniform {
+			share := u.rem / float64(u.left) //mcdlalint:allow floatguard -- left counts down from the unit's member count, one per member, so left >= 1 here
+			r := math.Min(float64(f.maxRate), share)
+			f.rate = units.Bandwidth(r)
+			u.rem -= r
+			u.left--
+		}
 		total += f.rate
 	}
 	if total > c.stats.PeakRate {
@@ -206,21 +244,6 @@ func (c *Channel) unitOf(group string) int {
 		}
 	}
 	return -1
-}
-
-// pushUnit appends a unit to the scratch list, reusing the member-flow slice
-// capacity a previous allocate round left in the slot.
-func (c *Channel) pushUnit(group string, capLimit float64) *allocUnit {
-	n := len(c.units)
-	if n < cap(c.units) {
-		c.units = c.units[:n+1]
-		u := &c.units[n]
-		u.group, u.cap = group, capLimit
-		u.flows = u.flows[:0]
-		return u
-	}
-	c.units = append(c.units, allocUnit{group: group, cap: capLimit})
-	return &c.units[n]
 }
 
 // priScratch holds priorityFill's reusable buffers. It doubles as the
@@ -555,8 +578,8 @@ func (c *Channel) Reset() {
 	c.stats = ChannelStats{}
 	c.arena = nil
 	c.arenaUsed = 0
-	clear(c.units[:cap(c.units)])
-	c.units = c.units[:0]
+	clear(c.members[:cap(c.members)])
+	c.members = c.members[:0]
 	clear(c.drained[:cap(c.drained)])
 	c.drained = c.drained[:0]
 	c.pri.flows = nil

@@ -43,6 +43,10 @@ type Log struct {
 	// Label names the run (design × workload).
 	Label string
 	Spans []Span
+	// Fills counts the run's water-fill rounds, summed over its distinct
+	// channels (sim.ChannelStats.Fills): an exact work counter for
+	// benchmarks, kept out of the engines' results.
+	Fills int
 }
 
 // Add records a span named name+suffix; zero-length spans are dropped. The
