@@ -9,7 +9,8 @@ import (
 
 // The chunk-level ring simulation must agree with the closed-form Estimate
 // across the Figure 9 sweep — this is the fidelity argument for using the
-// analytical model inside the full-system simulator.
+// analytical model inside the full-system simulator. ReduceScatter is in the
+// sweep because the scale-out plane prices its dW-rs lap with it.
 func TestPacketSimValidatesAnalyticalModel(t *testing.T) {
 	// The closed form is tight at the synchronization sizes that matter
 	// (the paper's 8 MB target and above) and conservative — it
@@ -24,7 +25,7 @@ func TestPacketSimValidatesAnalyticalModel(t *testing.T) {
 	}
 	for _, n := range []int{2, 4, 8, 16, 24, 36} {
 		cfg := fig9Config(n)
-		for _, op := range []Op{AllReduce, AllGather, Broadcast} {
+		for _, op := range []Op{AllReduce, ReduceScatter, AllGather, Broadcast} {
 			for size, tol := range tolerances {
 				if err := ValidateModel(op, size, cfg); err > tol {
 					t.Errorf("n=%d %v %v: model error %.1f%% exceeds %.0f%%", n, op, size, err*100, tol*100)

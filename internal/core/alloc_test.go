@@ -19,14 +19,16 @@ func TestSimulateAllocBudget(t *testing.T) {
 		strategy train.Strategy
 		budget   float64
 	}{
-		// Measured: 50, 47, 599 and 593 allocs/op once the water-fill
-		// stopped keeping per-unit member lists (104, 68, 1169 and 608
-		// before; 305, 265, 3421 and 2856 before span names went lazy and
-		// the per-flow tag map went).
-		{"DC-DLA", "VGG-E", train.DataParallel, 63},
-		{"MC-DLA(B)", "VGG-E", train.DataParallel, 59},
-		{"DC-DLA", "RNN-GRU", train.ModelParallel, 750},
-		{"MC-DLA(B)", "RNN-GRU", train.ModelParallel, 742},
+		// Measured: 32, 29, 40 and 34 allocs/op once both engines ran one
+		// iteration kernel and Schedule.Validate stopped copying each
+		// layer's sync ops (50, 47, 599 and 593 before; 104, 68, 1169 and
+		// 608 before the water-fill stopped keeping per-unit member lists;
+		// 305, 265, 3421 and 2856 before span names went lazy and the
+		// per-flow tag map went).
+		{"DC-DLA", "VGG-E", train.DataParallel, 40},
+		{"MC-DLA(B)", "VGG-E", train.DataParallel, 36},
+		{"DC-DLA", "RNN-GRU", train.ModelParallel, 50},
+		{"MC-DLA(B)", "RNN-GRU", train.ModelParallel, 43},
 	}
 	for _, c := range cases {
 		d, err := DesignByName(c.design)

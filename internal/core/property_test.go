@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"github.com/memcentric/mcdla/internal/accel"
+	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/train"
 	"github.com/memcentric/mcdla/internal/units"
 )
@@ -135,5 +136,35 @@ func TestSensitivityVariantsSane(t *testing.T) {
 	tpu := MustSimulate(NewDCDLAO(accel.TPUv2Class(), paperWorkers), s)
 	if tpu.IterationTime >= volta.IterationTime {
 		t.Fatalf("TPUv2-class oracle (%v) must beat Volta oracle (%v)", tpu.IterationTime, volta.IterationTime)
+	}
+}
+
+// TestOverlapBounds checks the device-iteration kernel's overlap argument
+// (vDNN's) on the node engine: the iteration never beats perfect overlap of
+// compute with the virtualization traffic at its DMA rate, and never exceeds
+// running compute, virtualization and sync back to back. Every standard
+// design × Table III network × dp/mp × batch 256/512/1024.
+func TestOverlapBounds(t *testing.T) {
+	const tol = 1e-12
+	points := 0
+	for _, d := range StandardDesigns() {
+		rate := d.EffectiveVirtBW()
+		for _, net := range dnn.BenchmarkNames() {
+			for _, st := range []train.Strategy{train.DataParallel, train.ModelParallel} {
+				for _, batch := range []int{256, 512, 1024} {
+					r := MustSimulate(d, train.MustBuild(net, batch, paperWorkers, st))
+					points++
+					virt := units.TransferTime(r.VirtTraffic, rate)
+					lower := max(r.Breakdown.Compute, virt)
+					upper := r.Breakdown.Compute + virt + r.Breakdown.Sync
+					if r.IterationTime < lower*(1-tol) || r.IterationTime > upper*(1+tol) {
+						t.Errorf("%s %s %v %d: iteration %v outside [%v, %v]", d.Name, net, st, batch, r.IterationTime, lower, upper)
+					}
+				}
+			}
+		}
+	}
+	if points != 288 {
+		t.Fatalf("checked %d points, want 288", points)
 	}
 }

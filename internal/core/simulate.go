@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"github.com/memcentric/mcdla/internal/accel"
 	"github.com/memcentric/mcdla/internal/collective"
-	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/sim"
 	"github.com/memcentric/mcdla/internal/trace"
 	"github.com/memcentric/mcdla/internal/train"
@@ -92,7 +90,6 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 	if err != nil {
 		return Result{}, err
 	}
-	plan := prep.Plan
 	virtRate := d.EffectiveVirtBW()
 
 	// Channel layout: MC-DLA designs carry virtualization DMAs and
@@ -118,200 +115,34 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 		}
 	}
 
-	res := Result{
-		Design:    d.Name,
-		Workload:  s.Name,
-		Strategy:  s.Strategy,
-		Precision: s.Precision,
-	}
-
 	if tr != nil {
 		tr.Label = d.Name + " x " + s.Name
 	}
-	g := s.Graph
-	var t units.Time
-
-	startSync := func(at units.Time, op train.SyncOp) *sim.Flow {
-		// A collective with a single participant is a no-op, and
-		// single-worker designs without shared links have no collective
-		// fabric at all (syncCh is nil) — short-circuit instead of pricing
-		// a ring that does not exist or dereferencing a nil channel.
-		if s.Workers == 1 || syncCh == nil {
-			return nil
-		}
-		cost := collective.Estimate(op.Op, op.Bytes, d.Sync)
-		res.Breakdown.Sync += cost.Latency(d.Sync.AggregateBW())
-		res.SyncTraffic += op.Bytes
-		return syncCh.StartGroup(at, op.Tag, "sync", cost.WireBytes, d.Sync.AggregateBW(), cost.Fixed)
+	rings := &ringSync{cfg: d.Sync, tr: tr}
+	if s.Workers > 1 {
+		// A collective with a single participant is a no-op: a one-worker
+		// node prices no ring (and without shared links has no fabric).
+		rings.ch = syncCh
 	}
+	it := Iteration{Device: d.Device, Sched: s, Prep: prep, Virt: virtCh, VirtRate: virtRate, Trace: tr}
+	it.Run(rings)
+	end := it.End
 
-	// ---- Forward propagation ----
-	for _, l := range g.Layers {
-		w := s.Work[l.ID]
-		ft := LayerFwdTime(d.Device, g, l, w)
-		tr.Add(l.Name, "/fwd", trace.Compute, t, t+ft)
-		t += ft
-		res.Breakdown.Compute += ft
-
-		if !d.Oracle {
-			tensors, extra := prep.Offloads[l.ID], plan.ExtraStash[l.ID]
-			for _, id := range tensors {
-				size := s.StashBytes(plan.Tensors[id].Bytes)
-				virtCh.StartGroup(t, "offload", "virt", size, virtRate, 0)
-				tr.Add(g.Layer(id).Name, "/offload", trace.Offload, t, t+units.TransferTime(size, virtRate))
-				res.VirtTraffic += size
-			}
-			if extra > 0 {
-				size := s.StashBytes(extra)
-				virtCh.StartGroup(t, "offload", "virt", size, virtRate, 0)
-				tr.Add(l.Name, "/offload-state", trace.Offload, t, t+units.TransferTime(size, virtRate))
-				res.VirtTraffic += size
-			}
-		}
-		for _, op := range w.FwdSync {
-			f := startSync(t, op)
-			if f == nil {
-				continue
-			}
-			done := syncCh.Wait(t, f)
-			tr.Add(l.Name, "/"+op.Op.String(), trace.SyncWait, t, done)
-			t = done
-		}
+	res := Result{
+		Design:        d.Name,
+		Workload:      s.Name,
+		Strategy:      s.Strategy,
+		Precision:     s.Precision,
+		IterationTime: end,
+		Breakdown:     Breakdown{Compute: it.Compute, Sync: rings.sync},
+		VirtTraffic:   it.VirtBytes,
+		SyncTraffic:   rings.traffic,
+		StallVirt:     it.StallVirt,
 	}
-
-	// ---- Backward propagation (reverse topological order) ----
-	//
-	// Prefetches run as a FIFO pipeline over the plan's deduplicated queue:
-	// the DMA engine fetches each stash tensor exactly once, ordered by first
-	// backward use, so a transfer is always in flight underneath the backward
-	// computation (the vDNN/LMS performance-aware overlap of §IV) and a
-	// tensor shared by several backward consumers moves once and stays
-	// resident. The device stalls only when the channel falls behind the
-	// compute.
-	type inflight struct {
-		flow   *sim.Flow
-		issued units.Time
-		traced bool
-	}
-	sched := prep.Sched
-	queue := sched.Items
-	fetched := make([]inflight, len(queue))
-	// The pipeline issues whole per-layer groups: all items first needed at
-	// the same backward step enter the channel together, so the lookahead
-	// unit matches the old per-layer blob and a transfer is in flight during
-	// the preceding layers' compute.
-	next := 0
-	issueNextGroup := func(at units.Time) {
-		if d.Oracle || next >= len(queue) {
-			return
-		}
-		layer := queue[next].Layer
-		for next < len(queue) && queue[next].Layer == layer {
-			bytes := s.StashBytes(queue[next].Bytes)
-			fetched[next] = inflight{flow: virtCh.StartGroup(at, "prefetch", "virt", bytes, virtRate, 0), issued: at}
-			res.VirtTraffic += bytes
-			next++
-		}
-	}
-	recomputed := make(map[int]bool)
-	var pending []*sim.Flow
-
-	last := len(g.Layers) - 1
-	issueNextGroup(t)
-	for id := last; id >= 0; id-- {
-		if items := sched.NeededAt(id); len(items) > 0 && !d.Oracle {
-			// Force the FIFO through everything this layer needs, then block
-			// on the transfers (already-landed shared tensors wait for free).
-			for next <= sched.MaxNeededAt(id) {
-				issueNextGroup(t)
-			}
-			stallFrom := t
-			for _, i := range items {
-				f := &fetched[i]
-				t = virtCh.Wait(t, f.flow)
-				if tr != nil && !f.traced {
-					f.traced = true
-					tr.Add(sched.ItemName(i), "/prefetch", trace.Prefetch, f.issued, f.flow.DoneAt())
-				}
-			}
-			tr.Add(g.Layer(id).Name, "/stall", trace.Stall, stallFrom, t)
-			res.StallVirt += t - stallFrom
-			// The DMA engine starts the next queued group immediately.
-			issueNextGroup(t)
-		}
-		// Recompute cheap producers whose outputs were not stashed.
-		for _, rid := range prep.Recompute[id] {
-			if recomputed[rid] {
-				continue
-			}
-			recomputed[rid] = true
-			rl := g.Layer(rid)
-			rt := LayerFwdTime(d.Device, g, rl, s.Work[rid])
-			tr.Add(rl.Name, "/recompute", trace.Recompute, t, t+rt)
-			t += rt
-			res.Breakdown.Compute += rt
-		}
-		l := g.Layer(id)
-		bt := LayerBwdTime(d.Device, g, l, s.Work[id])
-		res.Breakdown.Compute += bt
-
-		// Backward runs two independent GEMMs: dX = dY·Wᵀ first (its result
-		// feeds the blocking dX all-reduce under model parallel), then
-		// dW = Xᵀ·dY, which overlaps with the collective in flight.
-		ops := s.Work[id].BwdSync
-		if len(ops) > 0 && ops[0].Blocking {
-			tr.Add(l.Name, "/bwd", trace.Compute, t, t+bt)
-			t += bt / 2 // dX GEMM
-			var flows []*sim.Flow
-			for _, op := range ops {
-				if f := startSync(t, op); f != nil {
-					flows = append(flows, f)
-				}
-			}
-			t += bt / 2 // dW GEMM, concurrent with the reduction
-			waitFrom := t
-			for _, f := range flows {
-				t = syncCh.Wait(t, f)
-			}
-			tr.Add(l.Name, "/dX-reduce", trace.SyncWait, waitFrom, t)
-		} else {
-			tr.Add(l.Name, "/bwd", trace.Compute, t, t+bt)
-			t += bt
-			for _, op := range ops {
-				f := startSync(t, op)
-				if f == nil {
-					continue
-				}
-				if op.Blocking {
-					t = syncCh.Wait(t, f)
-				} else {
-					pending = append(pending, f)
-				}
-			}
-		}
-	}
-
-	// ---- Iteration end: overlapped collectives and DMAs must land ----
-	end := t
-	for _, f := range pending {
-		done := syncCh.Wait(end, f)
-		if done > end {
-			end = done
-		}
-	}
-	tr.Add("tail/dW-reductions", "", trace.SyncWait, t, end)
-	if !d.Oracle {
-		if drained := virtCh.Drain(end); drained > end {
-			end = drained
-		}
-	}
-	res.IterationTime = end
-
 	// Standalone virtualization latency for the Figure 11 stack: the DMA
 	// time of the whole traffic at the design's nominal policy bandwidth.
-	res.Breakdown.Virt = units.TransferTime(res.VirtTraffic, d.VirtBW)
-	if d.Oracle {
-		res.Breakdown.Virt = 0
+	if !d.Oracle {
+		res.Breakdown.Virt = units.TransferTime(res.VirtTraffic, d.VirtBW)
 	}
 
 	// Figure 12 accounting.
@@ -344,40 +175,49 @@ func MustSimulate(d Design, s *train.Schedule) Result {
 	return r
 }
 
-// LayerFwdTime estimates the device's forward latency for its shard of the
-// layer (full layer under data parallel, an output slice under model
-// parallel; elementwise layers run replicated on gathered tensors).
-func LayerFwdTime(dev accel.Config, g *dnn.Graph, l *dnn.Layer, w train.LayerWork) units.Time {
-	if l.Kind == dnn.Input {
-		return 0
-	}
-	if len(w.GEMMs) > 0 {
-		weightBytes := w.WeightBytes
-		if g.Timesteps > 1 {
-			// Recurrent weight matrices are resident across the sequence:
-			// the double-buffered PE-array SRAM tiles them with
-			// inter-timestep reuse, so HBM weight traffic amortizes over
-			// the timesteps instead of re-streaming 8h² every step. This
-			// matches the paper's compute-limited device model for RNNs
-			// (§IV: "high data locality with highly deterministic
-			// dataflow").
-			weightBytes /= int64(g.Timesteps)
-		}
-		hbm := w.InputBytes + weightBytes + w.OutputBytes
-		var ewElems int64
-		if l.EwOps > 0 && len(l.GEMMs) > 0 && l.GEMMs[0].N > 0 {
-			frac := float64(w.GEMMs[0].N) / float64(l.GEMMs[0].N)
-			ewElems = int64(float64(l.Out.Elems()) * frac)
-		}
-		return dev.WorkTime(w.GEMMs, hbm, ewElems, l.EwOps)
-	}
-	return dev.WorkTime(nil, 0, l.Out.Elems(), l.EwOps)
+// ringSync prices each collective as one ring flow on the node's sync
+// channel (nil for a single worker, whose collectives are no-ops); the
+// data-parallel dW reductions trail the backward pass and land at its end.
+type ringSync struct {
+	ch      *sim.Channel
+	cfg     collective.Config
+	tr      *trace.Log
+	sync    units.Time
+	traffic units.Bytes
+	pending []*sim.Flow
 }
 
-// LayerBwdTime is the standard 2× backward estimate (dX and dW GEMMs).
-func LayerBwdTime(dev accel.Config, g *dnn.Graph, l *dnn.Layer, w train.LayerWork) units.Time {
-	if l.Kind == dnn.Input {
-		return 0
+func (rs *ringSync) start(at units.Time, op train.SyncOp) *sim.Flow {
+	cost := collective.Estimate(op.Op, op.Bytes, rs.cfg)
+	rs.sync += cost.Latency(rs.cfg.AggregateBW())
+	rs.traffic += op.Bytes
+	return rs.ch.StartGroup(at, op.Tag, "sync", cost.WireBytes, rs.cfg.AggregateBW(), cost.Fixed)
+}
+
+func (rs *ringSync) Blocking(issue, resume units.Time, op train.SyncOp) units.Time {
+	if rs.ch == nil {
+		return resume
 	}
-	return units.Time(accel.BackwardFactor * float64(LayerFwdTime(dev, g, l, w)))
+	return rs.ch.Wait(resume, rs.start(issue, op))
+}
+
+func (rs *ringSync) Overlapped(_ int, t units.Time, ops []train.SyncOp) {
+	for _, op := range ops {
+		if rs.ch != nil {
+			rs.pending = append(rs.pending, rs.start(t, op))
+		}
+	}
+}
+
+func (rs *ringSync) Boundary(units.Time) {}
+
+func (rs *ringSync) Drain(t units.Time) units.Time {
+	end := t
+	for _, f := range rs.pending {
+		if done := rs.ch.Wait(end, f); done > end {
+			end = done
+		}
+	}
+	rs.tr.Add("tail/dW-reductions", "", trace.SyncWait, t, end)
+	return end
 }

@@ -21,12 +21,14 @@ func TestSimulateAllocBudget(t *testing.T) {
 	run() // warm the schedule memo and its prepared vmem analysis
 	allocs := testing.AllocsPerRun(5, run)
 	t.Logf("scaleout.Simulate(BERT-Large) steady state: %.0f allocs/op", allocs)
-	// Measured 514 allocs/op once the water-fill stopped keeping per-unit
-	// member lists (727 before that; ~4.0k before span names were built only
-	// for a trace log, ~93.5k before the sim.Channel scratch buffers
-	// landed); the budget leaves ~25% headroom for benign drift while still
-	// catching any per-event or per-span regression.
-	const budget = 643
+	// Measured 126 allocs/op once the plane ran the shared iteration kernel
+	// with staged ops held by value and the prefetch window counted in place
+	// (514 before that; 727 before the water-fill stopped keeping per-unit
+	// member lists; ~4.0k before span names were built only for a trace log,
+	// ~93.5k before the sim.Channel scratch buffers landed); the budget
+	// leaves ~25% headroom for benign drift while still catching any
+	// per-event or per-span regression.
+	const budget = 158
 	if allocs > budget {
 		t.Fatalf("plane iteration allocated %.0f objects/op, budget %d", allocs, budget)
 	}

@@ -11,7 +11,11 @@
 // over real sim.Channels (per-chassis switch link complexes, a shared
 // uplink carrying the inter-node shard rings, memory-node delivery as a
 // group cap), and Estimate, the retired first-order closed form kept for
-// analytic-vs-event-driven comparison.
+// analytic-vs-event-driven comparison. Simulate runs the node engine's
+// device-iteration kernel, core.Iteration: the plane supplies only its
+// channel layout, its prefetch window, its staged hierarchical collectives
+// (stagedSync) with the hybrid strategy's uplink dW reductions, and its
+// own result fields.
 package scaleout
 
 import (

@@ -350,7 +350,9 @@ func (s *Schedule) ComputeMACs() int64 {
 	return total
 }
 
-// Validate checks schedule invariants.
+// Validate checks schedule invariants, among them the collective shape the
+// event engines' device-iteration kernel relies on: every forward op blocks,
+// and a layer's backward pass carries at most one op.
 func (s *Schedule) Validate() error {
 	if len(s.Work) != len(s.Graph.Layers) {
 		return fmt.Errorf("train: %s: work entries %d != layers %d", s.Name, len(s.Work), len(s.Graph.Layers))
@@ -359,10 +361,19 @@ func (s *Schedule) Validate() error {
 		if w.LayerID != i {
 			return fmt.Errorf("train: %s: work %d has layer ID %d", s.Name, i, w.LayerID)
 		}
-		for _, op := range append(append([]SyncOp(nil), w.FwdSync...), w.BwdSync...) {
+		if len(w.BwdSync) > 1 {
+			return fmt.Errorf("train: %s: layer %d has %d backward collectives, want at most one", s.Name, i, len(w.BwdSync))
+		}
+		for _, op := range w.FwdSync {
+			if !op.Blocking {
+				return fmt.Errorf("train: %s: layer %d has a non-blocking forward collective", s.Name, i)
+			}
 			if op.Bytes < 0 {
 				return fmt.Errorf("train: %s: layer %d has negative sync bytes", s.Name, i)
 			}
+		}
+		if len(w.BwdSync) == 1 && w.BwdSync[0].Bytes < 0 {
+			return fmt.Errorf("train: %s: layer %d has negative sync bytes", s.Name, i)
 		}
 	}
 	return nil

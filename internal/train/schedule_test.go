@@ -224,3 +224,27 @@ func TestMustBuildPanics(t *testing.T) {
 	}()
 	MustBuild("NoSuchNet", 512, 8, DataParallel)
 }
+
+// Validate holds the collective shape the event engines' iteration kernel
+// relies on: forward ops block, and a backward pass carries at most one op.
+func TestValidateRejectsUnsupportedSyncShapes(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(w *LayerWork)
+	}{
+		{"two backward ops", func(w *LayerWork) { w.BwdSync = append(w.BwdSync, w.BwdSync[0]) }},
+		{"non-blocking forward op", func(w *LayerWork) { w.FwdSync[0].Blocking = false }},
+		{"negative backward bytes", func(w *LayerWork) { w.BwdSync[0].Bytes = -1 }},
+	} {
+		s := MustBuild("AlexNet", paperBatch, paperWorkers, ModelParallel)
+		for i := range s.Work {
+			if len(s.Work[i].FwdSync) > 0 && len(s.Work[i].BwdSync) > 0 {
+				c.mutate(&s.Work[i])
+				break
+			}
+		}
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the schedule", c.name)
+		}
+	}
+}
