@@ -107,7 +107,9 @@ type Design struct {
 	// HostSocketShared, when positive, caps the aggregate virtualization
 	// throughput of a socket's devices (the §V-D scalability experiment
 	// models the shared host root complex this way; the main experiments
-	// leave it zero).
+	// leave it zero). Simulate enforces each device's share per DMA flow,
+	// not on the device's total: a device with several DMAs in flight
+	// exceeds it (EXPERIMENTS.md §V-D).
 	HostSocketShared units.Bandwidth
 
 	// Workers is the device count participating in the node.

@@ -32,16 +32,15 @@ type Collectives interface {
 
 // Iteration is the device-iteration kernel both event engines run: one
 // representative device executes the schedule while its virtualization
-// DMAs become flows on Virt. It owns forward compute with its offloads, the
-// backward prefetch pipeline, stalls, recomputes and dX/dW GEMM split, the
-// final DMA drain and the tallies; the engine sets the inputs, calls Run
-// with its Collectives, and reads the tallies.
+// DMAs become flows in the Virt group. It owns forward compute with its
+// offloads, the backward prefetch pipeline, stalls, recomputes and dX/dW
+// GEMM split, the final DMA drain and the tallies; the engine sets the
+// inputs, calls Run with its Collectives, and reads the tallies.
 type Iteration struct {
-	Device   accel.Config
-	Sched    *train.Schedule
-	Prep     *vmem.Prepared
-	Virt     *sim.Channel
-	VirtRate units.Bandwidth
+	Device accel.Config
+	Sched  *train.Schedule
+	Prep   *vmem.Prepared
+	Virt   sim.Group
 	// Window is each engine's constant prefetch policy. Zero issues whole
 	// per-layer groups FIFO, the next once the device takes the last (the
 	// node engine). A positive window keeps that many items in flight,
@@ -50,7 +49,8 @@ type Iteration struct {
 	Window int
 	Trace  *trace.Log
 
-	// Tallies, set by Run. VirtTime sums each transfer's time at VirtRate.
+	// Tallies, set by Run. VirtTime sums each transfer's time at Virt's
+	// rate.
 	Compute, StallVirt units.Time
 	VirtBytes          units.Bytes
 	VirtTime, End      units.Time
@@ -117,7 +117,7 @@ func (it *Iteration) Run(c Collectives) {
 			stallFrom := t
 			for _, i := range items {
 				f := &it.fetched[i]
-				t = it.Virt.Wait(t, f.flow)
+				t = it.Virt.Channel().Wait(t, f.flow)
 				if tr != nil && !f.traced {
 					f.traced = true
 					tr.Add(sched.ItemName(i), "/prefetch", trace.Prefetch, f.issued, f.flow.DoneAt())
@@ -161,14 +161,14 @@ func (it *Iteration) Run(c Collectives) {
 	}
 
 	// ---- Iteration end: overlapped collectives and DMAs must land ----
-	it.End = it.Virt.Drain(c.Drain(t))
+	it.End = it.Virt.Channel().Drain(c.Drain(t))
 }
 
 // offload starts one stash transfer toward the backing store at t.
 func (it *Iteration) offload(t units.Time, name, suffix string, planBytes int64) {
 	size := it.Sched.StashBytes(planBytes)
-	dt := units.TransferTime(size, it.VirtRate)
-	it.Virt.StartGroup(t, "offload", "virt", size, it.VirtRate, 0)
+	dt := units.TransferTime(size, it.Virt.Rate())
+	it.Virt.Channel().Start(t, it.Virt, size, 0, 0)
 	it.Trace.Add(name, suffix, trace.Offload, t, t+dt)
 	it.VirtBytes += size
 	it.VirtTime += dt
@@ -184,10 +184,10 @@ func (it *Iteration) issue(at units.Time) {
 	}
 	for {
 		size := it.Sched.StashBytes(queue[it.next].Bytes)
-		f := it.Virt.StartGroupPriority(at, "prefetch", "virt", size, it.VirtRate, 0, pri)
+		f := it.Virt.Channel().Start(at, it.Virt, size, 0, pri)
 		it.fetched[it.next] = inflight{flow: f, issued: at}
 		it.VirtBytes += size
-		it.VirtTime += units.TransferTime(size, it.VirtRate)
+		it.VirtTime += units.TransferTime(size, it.Virt.Rate())
 		it.next++
 		if it.Window > 0 || it.next == len(queue) || queue[it.next].Layer != layer {
 			return
@@ -207,7 +207,7 @@ func (it *Iteration) refill(at units.Time) {
 		}
 		return
 	}
-	it.Virt.AdvanceTo(at)
+	it.Virt.Channel().AdvanceTo(at)
 	for it.lo < it.next && it.fetched[it.lo].flow.Done() {
 		it.lo++
 	}

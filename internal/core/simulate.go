@@ -91,27 +91,27 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 		return Result{}, err
 	}
 	virtRate := d.EffectiveVirtBW()
+	if virtRate <= 0 {
+		virtRate = units.GBps(1) // an oracle moves no virtualization bytes
+	}
 
 	// Channel layout: MC-DLA designs carry virtualization DMAs and
 	// collectives over the same link complex; DC-DLA and HC-DLA use
 	// disjoint fabrics.
-	var virtCh, syncCh *sim.Channel
+	var virt, sync sim.Group
 	if d.SharedLinks {
 		ch := sim.NewChannel("links", d.LinkComplexBW)
 		// The DMA engine's link group and the collective rings each top out
-		// below the full link complex; group caps keep their aggregates
+		// below the full link complex; shared groups keep their aggregates
 		// honest while still letting them contend for the shared links.
-		ch.SetGroupCap("virt", virtRate)
-		ch.SetGroupCap("sync", d.Sync.AggregateBW())
-		virtCh, syncCh = ch, ch
+		virt = ch.Group(virtRate, true)
+		sync = ch.Group(d.Sync.AggregateBW(), true)
 	} else {
-		capBW := d.VirtBW
-		if capBW <= 0 {
-			capBW = units.GBps(1) // oracle: unused
-		}
-		virtCh = sim.NewChannel("host", capBW)
+		// The host channel runs at the policy bandwidth; each DMA moves at
+		// most the device's socket share of it.
+		virt = sim.NewChannel("host", max(d.VirtBW, virtRate)).Group(virtRate, false)
 		if s.Workers > 1 {
-			syncCh = sim.NewChannel("rings", d.Sync.AggregateBW())
+			sync = sim.NewChannel("rings", d.Sync.AggregateBW()).Group(d.Sync.AggregateBW(), false)
 		}
 	}
 
@@ -122,9 +122,9 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 	if s.Workers > 1 {
 		// A collective with a single participant is a no-op: a one-worker
 		// node prices no ring (and without shared links has no fabric).
-		rings.ch = syncCh
+		rings.g = sync
 	}
-	it := Iteration{Device: d.Device, Sched: s, Prep: prep, Virt: virtCh, VirtRate: virtRate, Trace: tr}
+	it := Iteration{Device: d.Device, Sched: s, Prep: prep, Virt: virt, Trace: tr}
 	it.Run(rings)
 	end := it.End
 
@@ -146,6 +146,7 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 	}
 
 	// Figure 12 accounting.
+	virtCh := virt.Channel()
 	if d.HostInterface && !d.Oracle {
 		res.HostBytes = res.VirtTraffic
 		devs := d.DevicesPerSocket
@@ -159,7 +160,7 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 	}
 	if tr != nil {
 		tr.Fills += virtCh.Stats().Fills
-		if syncCh != nil && syncCh != virtCh {
+		if syncCh := sync.Channel(); syncCh != nil && syncCh != virtCh {
 			tr.Fills += syncCh.Stats().Fills
 		}
 	}
@@ -175,11 +176,11 @@ func MustSimulate(d Design, s *train.Schedule) Result {
 	return r
 }
 
-// ringSync prices each collective as one ring flow on the node's sync
-// channel (nil for a single worker, whose collectives are no-ops); the
+// ringSync prices each collective as one ring flow in the node's sync
+// group (zero for a single worker, whose collectives are no-ops); the
 // data-parallel dW reductions trail the backward pass and land at its end.
 type ringSync struct {
-	ch      *sim.Channel
+	g       sim.Group
 	cfg     collective.Config
 	tr      *trace.Log
 	sync    units.Time
@@ -191,19 +192,19 @@ func (rs *ringSync) start(at units.Time, op train.SyncOp) *sim.Flow {
 	cost := collective.Estimate(op.Op, op.Bytes, rs.cfg)
 	rs.sync += cost.Latency(rs.cfg.AggregateBW())
 	rs.traffic += op.Bytes
-	return rs.ch.StartGroup(at, op.Tag, "sync", cost.WireBytes, rs.cfg.AggregateBW(), cost.Fixed)
+	return rs.g.Channel().Start(at, rs.g, cost.WireBytes, cost.Fixed, 0)
 }
 
 func (rs *ringSync) Blocking(issue, resume units.Time, op train.SyncOp) units.Time {
-	if rs.ch == nil {
+	if rs.g.Channel() == nil {
 		return resume
 	}
-	return rs.ch.Wait(resume, rs.start(issue, op))
+	return rs.g.Channel().Wait(resume, rs.start(issue, op))
 }
 
 func (rs *ringSync) Overlapped(_ int, t units.Time, ops []train.SyncOp) {
 	for _, op := range ops {
-		if rs.ch != nil {
+		if rs.g.Channel() != nil {
 			rs.pending = append(rs.pending, rs.start(t, op))
 		}
 	}
@@ -214,7 +215,7 @@ func (rs *ringSync) Boundary(units.Time) {}
 func (rs *ringSync) Drain(t units.Time) units.Time {
 	end := t
 	for _, f := range rs.pending {
-		if done := rs.ch.Wait(end, f); done > end {
+		if done := rs.g.Channel().Wait(end, f); done > end {
 			end = done
 		}
 	}

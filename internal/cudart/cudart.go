@@ -75,8 +75,8 @@ type Device struct {
 	cfg   Config
 	space vmem.AddressSpace
 
-	links *sim.Channel // memory-node link complex
-	host  *sim.Channel // legacy PCIe
+	links sim.Group // memory-node link complex, at the placement's stripe rate
+	host  sim.Group // legacy PCIe
 
 	clock units.Time
 
@@ -106,10 +106,11 @@ func NewDevice(cfg Config) (*Device, error) {
 		return nil, fmt.Errorf("cudart: device needs positive host bandwidth")
 	}
 	d := &Device{
-		cfg:    cfg,
-		space:  space,
-		links:  sim.NewChannel("links", units.Bandwidth(float64(cfg.LinkBW)*float64(cfg.Links))),
-		host:   sim.NewChannel("host", cfg.HostBW),
+		cfg:   cfg,
+		space: space,
+		links: sim.NewChannel("links", units.Bandwidth(float64(cfg.LinkBW)*float64(cfg.Links))).
+			Group(cfg.Placement.RemoteBandwidth(cfg.Links, cfg.LinkBW), false),
+		host:   sim.NewChannel("host", cfg.HostBW).Group(cfg.HostBW, false),
 		allocs: make(map[Ptr]allocation),
 	}
 	return d, nil
@@ -192,19 +193,17 @@ func (d *Device) MemcpyAsync(size units.Bytes, dir Direction) (*Event, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("cudart: memcpy size must be positive")
 	}
-	var ch *sim.Channel
-	var rate units.Bandwidth
+	var g sim.Group
 	switch dir {
 	case HostToLocal, LocalToHost:
-		ch, rate = d.host, d.cfg.HostBW
+		g = d.host
 	case LocalToRemote, RemoteToLocal:
-		ch = d.links
-		rate = d.cfg.Placement.RemoteBandwidth(d.cfg.Links, d.cfg.LinkBW)
+		g = d.links
 	default:
 		return nil, fmt.Errorf("cudart: unknown direction %v", dir)
 	}
-	f := ch.Start(d.clock, dir.String(), size, rate, 0)
-	return &Event{ch: ch, flow: f}, nil
+	f := g.Channel().Start(d.clock, g, size, 0, 0)
+	return &Event{ch: g.Channel(), flow: f}, nil
 }
 
 // Sync blocks until the event's copy completes, advancing the device clock.

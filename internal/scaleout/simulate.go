@@ -63,15 +63,14 @@ type SimResult struct {
 }
 
 // flowStage is one lap of a staged hierarchical collective: a bandwidth flow
-// on a channel plus the lap's fixed (α and pipeline-fill) latency. Its trace
-// span is named span+tag ("sync/dW-rs", "inter/dW").
+// in a channel group plus the lap's fixed (α and pipeline-fill) latency. Its
+// trace span is named span+tag ("sync/dW-rs", "inter/dW").
 type flowStage struct {
-	ch               *sim.Channel
-	span, tag, group string
-	cat              trace.Category
-	bytes            units.Bytes
-	maxRate          units.Bandwidth
-	fixed            units.Time
+	g         sim.Group
+	span, tag string
+	cat       trace.Category
+	bytes     units.Bytes
+	fixed     units.Time
 	// siblings is how many symmetric flows the chassis's other device ranks
 	// contribute to the same channel at the same instant. The inter-node
 	// stage sets it to DevicesPerNode−1: every rank runs its own shard ring,
@@ -99,7 +98,7 @@ func (so *stagedOp) issueNext(t units.Time) {
 	st := &so.laps[so.next]
 	so.next++
 	for range 1 + st.siblings { // the siblings' flows, then the op's own
-		so.cur = st.ch.StartGroup(t, st.tag, st.group, st.bytes, st.maxRate, st.fixed)
+		so.cur = st.g.Channel().Start(t, st.g, st.bytes, st.fixed, 0)
 	}
 	so.issued = t
 }
@@ -119,7 +118,7 @@ func (so *stagedOp) land() {
 // instead of all later laps queueing behind the iteration-end drain.
 func (so *stagedOp) pump(at units.Time) {
 	for so.cur != nil {
-		so.laps[so.next-1].ch.AdvanceTo(at)
+		so.laps[so.next-1].g.Channel().AdvanceTo(at)
 		if !so.cur.Done() {
 			return
 		}
@@ -132,7 +131,7 @@ func (so *stagedOp) pump(at units.Time) {
 func (so *stagedOp) drain(t units.Time) units.Time {
 	resume := t
 	for so.cur != nil {
-		resume = so.laps[so.next-1].ch.Wait(t, so.cur)
+		resume = so.laps[so.next-1].g.Channel().Wait(t, so.cur)
 		so.land()
 	}
 	return resume
@@ -199,25 +198,24 @@ func (p Plane) simulate(workload string, globalBatch int, memCentric bool, strat
 
 	// Channel layout. The representative device owns a LinksPerDevice×LinkBW
 	// complex into the chassis crossbar; local ring laps and (on the
-	// MC-plane) virtualization DMAs contend there under group caps, exactly
+	// MC-plane) virtualization DMAs contend there in shared groups, exactly
 	// like the single-node MC-DLA designs. The DC-plane's PCIe path is a
 	// disjoint fabric, as in core's non-shared-link layout.
 	e := &stagedSync{p: p, tr: tr, intra: p.intraConfig()}
 	e.links = sim.NewChannel("switch", p.DeviceLinkBW())
-	e.localSyncBW = min(e.intra.AggregateBW(), p.DeviceLinkBW())
 	if p.DevicesPerNode > 1 {
-		e.links.SetGroupCap("sync", e.localSyncBW)
+		e.ring = e.links.Group(min(e.intra.AggregateBW(), p.DeviceLinkBW()), true)
 	}
-	virtCh := e.links
+	var virt sim.Group
 	if memCentric {
 		// Memory-node delivery bandwidth (shared across the chassis's
 		// devices) caps the DMA engine's aggregate.
-		e.links.SetGroupCap("virt", virtRate)
+		virt = e.links.Group(virtRate, true)
 	} else {
-		virtCh = sim.NewChannel("host", virtRate)
+		virt = sim.NewChannel("host", virtRate).Group(virtRate, false)
 	}
 	if p.SystemNodes > 1 {
-		e.uplink = sim.NewChannel("uplink", p.UplinkBW)
+		e.uplink = sim.NewChannel("uplink", p.UplinkBW).Group(p.UplinkBW, false)
 	}
 	if tr != nil {
 		tr.Label = fmt.Sprintf("plane(%d nodes) x %s (%v)", p.SystemNodes, workload, strategy)
@@ -241,7 +239,7 @@ func (p Plane) simulate(workload string, globalBatch int, memCentric bool, strat
 		}
 	}
 
-	it := core.Iteration{Device: p.Device, Sched: s, Prep: prep, Virt: virtCh, VirtRate: virtRate, Window: window, Trace: tr}
+	it := core.Iteration{Device: p.Device, Sched: s, Prep: prep, Virt: virt, Window: window, Trace: tr}
 	it.Run(e)
 
 	res := SimResult{
@@ -249,16 +247,17 @@ func (p Plane) simulate(workload string, globalBatch int, memCentric bool, strat
 		Compute: it.Compute, Virt: it.VirtTime, Sync: e.sync, StallVirt: it.StallVirt,
 		SwitchBusy: e.links.Stats().BusyTime, UplinkBytes: e.uplinkBytes,
 	}
-	if e.uplink != nil {
-		res.UplinkBusy = e.uplink.Stats().BusyTime
+	uplink := e.uplink.Channel()
+	if uplink != nil {
+		res.UplinkBusy = uplink.Stats().BusyTime
 	}
 	if tr != nil {
 		tr.Fills += e.links.Stats().Fills
-		if virtCh != e.links {
+		if virtCh := virt.Channel(); virtCh != e.links {
 			tr.Fills += virtCh.Stats().Fills
 		}
-		if e.uplink != nil {
-			tr.Fills += e.uplink.Stats().Fills
+		if uplink != nil {
+			tr.Fills += uplink.Stats().Fills
 		}
 	}
 	return res, nil
@@ -268,23 +267,23 @@ func (p Plane) simulate(workload string, globalBatch int, memCentric bool, strat
 // chassis-ring laps on the switch links, and inter-node shard rings on the
 // uplink carrying every local rank's flow.
 type stagedSync struct {
-	p             Plane
-	links, uplink *sim.Channel
-	intra         collective.Config
-	localSyncBW   units.Bandwidth
-	tr            *trace.Log
-	hybridDW      map[int]units.Bytes
-	pending       []stagedOp
-	sync          units.Time
-	uplinkBytes   units.Bytes
+	p            Plane
+	links        *sim.Channel
+	ring, uplink sim.Group // chassis-ring laps; inter-node shard rings
+	intra        collective.Config
+	tr           *trace.Log
+	hybridDW     map[int]units.Bytes
+	pending      []stagedOp
+	sync         units.Time
+	uplinkBytes  units.Bytes
 }
 
 // local builds the chassis-ring lap for op.
 func (e *stagedSync) local(op collective.Op, size units.Bytes, tag string) flowStage {
 	cost := collective.Estimate(op, size, e.intra)
 	return flowStage{
-		ch: e.links, span: "sync/", tag: tag, group: "sync", cat: trace.SyncWait,
-		bytes: cost.WireBytes, maxRate: e.localSyncBW, fixed: cost.Fixed,
+		g: e.ring, span: "sync/", tag: tag, cat: trace.SyncWait,
+		bytes: cost.WireBytes, fixed: cost.Fixed,
 	}
 }
 
@@ -293,8 +292,8 @@ func (e *stagedSync) local(op collective.Op, size units.Bytes, tag string) flowS
 func (e *stagedSync) inter(size units.Bytes, tag string) flowStage {
 	cost := collective.Estimate(collective.AllReduce, size, e.p.interConfig())
 	return flowStage{
-		ch: e.uplink, span: "inter/", tag: tag, group: "inter", cat: trace.InterSync,
-		bytes: cost.WireBytes, maxRate: e.p.UplinkBW, fixed: cost.Fixed,
+		g: e.uplink, span: "inter/", tag: tag, cat: trace.InterSync,
+		bytes: cost.WireBytes, fixed: cost.Fixed,
 		siblings: e.p.DevicesPerNode - 1,
 	}
 }
@@ -307,8 +306,8 @@ func (e *stagedSync) issue(t units.Time, tr *trace.Log, laps ...flowStage) stage
 	var standalone units.Time
 	for i, st := range laps {
 		so.laps[i] = st
-		standalone += units.TransferTime(st.bytes, st.maxRate) + st.fixed
-		if st.ch == e.uplink {
+		standalone += units.TransferTime(st.bytes, st.g.Rate()) + st.fixed
+		if st.g == e.uplink {
 			e.uplinkBytes += units.Bytes(int64(st.bytes) * int64(1+st.siblings))
 		}
 	}
@@ -378,8 +377,8 @@ func (e *stagedSync) Drain(t units.Time) units.Time {
 		}
 	}
 	end = e.links.Drain(end)
-	if e.uplink != nil {
-		end = e.uplink.Drain(end)
+	if uplink := e.uplink.Channel(); uplink != nil {
+		end = uplink.Drain(end)
 	}
 	return end
 }

@@ -8,21 +8,22 @@ import (
 
 // TestChannelReallocateAllocBudget pins the steady-state heap cost of the
 // rate-reallocation hot path: every Start/completion reruns the two-level
-// water-fill, and after warm-up all of its working storage (unit lists,
-// fill shares, sort orders, the Drain snapshot) must come from Channel
+// water-fill, and after warm-up all of its working storage (fill caps,
+// shares and sort order, the Drain snapshot) must come from Channel
 // scratch. The only permitted heap traffic is the amortized flow-arena
 // block — one allocation per arenaBlock flow starts.
 func TestChannelReallocateAllocBudget(t *testing.T) {
 	ch := NewChannel("switch", units.GBps(150))
-	ch.SetGroupCap("virt", units.GBps(40))
-	ch.SetGroupCap("sync", units.GBps(75))
+	solo := ch.Group(units.GBps(25), false)
+	virt := ch.Group(units.GBps(40), true)
+	sync := ch.Group(units.GBps(75), true)
 	var now units.Time
 	round := func() {
-		solo := ch.Start(now, "solo", 64*units.MB, units.GBps(25), 0)
-		offload := ch.StartGroup(now, "offload", "virt", 32*units.MB, units.GBps(40), 0)
-		prefetch := ch.StartGroupPriority(now, "prefetch", "virt", 48*units.MB, units.GBps(40), 0, 7)
-		ch.StartGroup(now, "sync/dW", "sync", 96*units.MB, units.GBps(75), 0)
-		now = ch.Wait(now, solo)
+		s := ch.Start(now, solo, 64*units.MB, 0, 0)
+		offload := ch.Start(now, virt, 32*units.MB, 0, 0)
+		prefetch := ch.Start(now, virt, 48*units.MB, 0, 7)
+		ch.Start(now, sync, 96*units.MB, 0, 0)
+		now = ch.Wait(now, s)
 		now = ch.Wait(now, offload)
 		now = ch.Wait(now, prefetch)
 		now = ch.Drain(now)

@@ -4,10 +4,11 @@
 // coarse-grained bulk DMA transfers over fixed-bandwidth channels, with
 // computation overlapped against communication. Package sim provides exactly
 // that abstraction: a Channel is a shared bandwidth resource carrying
-// concurrent Flows under max-min fair sharing, where each Flow may be capped
-// at its own maximum rate (e.g. a DMA engine that can only stripe across two
-// of a memory-node's six links). Completions are resolved lazily as simulated
-// time advances, so a single sequential actor — one symmetric device of the
+// concurrent Flows under max-min fair sharing. Every Flow belongs to a Group
+// declared once on its channel with one rate: each member moves at most that
+// rate (e.g. a DMA engine that can only stripe across two of a memory-node's
+// six links), and a shared group's members also split it as their total.
+// Completions are resolved lazily as simulated time advances, so a single sequential actor — one symmetric device of the
 // 8-device node — can drive the whole timeline deterministically.
 package sim
 
@@ -22,12 +23,9 @@ import (
 // Flow is an in-flight bulk transfer on a Channel.
 type Flow struct {
 	ch        *Channel
-	tag       string  // names the flow in panic messages
-	group     string  // shared-cap group ("" = independent)
-	pri       int     // priority class within the group (higher first)
-	unit      int     // index of the flow's unit in the last allocate round
-	remaining float64 // bytes left to move
-	maxRate   units.Bandwidth
+	group     int             // index of the flow's group in ch.groups
+	pri       int             // priority class within the group (higher first)
+	remaining float64         // bytes left to move
 	rate      units.Bandwidth // current allocated rate
 	done      bool
 	doneAt    units.Time
@@ -40,35 +38,57 @@ func (f *Flow) Done() bool { return f.done }
 // DoneAt reports the completion time. It is only meaningful once Done.
 func (f *Flow) DoneAt() units.Time { return f.doneAt }
 
+// Group is a handle on one of a channel's flow groups: its members move at
+// most the group's rate each, and a shared group also caps their total at
+// that rate. The zero Group belongs to no channel.
+type Group struct {
+	ch *Channel
+	id int
+}
+
+// Channel reports the channel the group was declared on.
+func (g Group) Channel() *Channel { return g.ch }
+
+// Rate reports the group's per-member rate.
+func (g Group) Rate() units.Bandwidth { return g.ch.groups[g.id].rate }
+
+// group is one declared group and its working state in the current
+// allocate round.
+type group struct {
+	rate   units.Bandwidth
+	shared bool
+
+	n     int     // active members
+	sum   float64 // n copies of rate, added in flow order
+	unit  int     // index among the round's active groups
+	pri   int     // highest active priority class
+	left  int     // members of the class being filled not yet filled
+	rem   float64 // group share not yet handed out
+	lower bool    // some member sits below the top class
+}
+
 // Channel is a shared, half-duplex bandwidth resource. Concurrent flows
-// receive max-min fair shares of Capacity, each additionally capped by its
-// own maxRate. The zero Channel is not usable; construct with NewChannel.
+// receive max-min fair shares of Capacity through their groups: groups
+// share the channel, and each group's share goes to its members, each
+// moving at most the group's rate. The zero Channel is not usable;
+// construct with NewChannel.
 type Channel struct {
 	name     string
 	capacity units.Bandwidth
 	now      units.Time
 	flows    []*Flow
-	// groupCaps bounds the aggregate rate of all flows sharing a group —
-	// e.g. a DMA engine whose link group tops out below the channel's full
-	// link complex (MC-DLA(S)'s two memory-node links on six shared links).
-	groupCaps map[string]units.Bandwidth
+	groups   []group
 
 	stats ChannelStats
 
 	// Scratch state below keeps the steady-state hot path (Start → allocate
 	// → water-fill, and the Drain loop) off the heap: every flow start and
 	// completion reruns the two-level water-fill, so these buffers are hit
-	// once per event. All of it is pure capacity reuse — the fill arithmetic
-	// and sort permutations are unchanged, keeping results bit-identical.
-	arena      []Flow // current flow allocation block (see newFlow)
-	arenaUsed  int
-	units      []allocUnit // allocate's unit list
-	members    []*Flow     // one non-uniform unit's member flows
-	topFill    fillScratch // top-level fill across units
-	memberFill fillScratch // per-unit fill across member flows
-	classFill  fillScratch // per-priority-class fill inside priorityFill
-	pri        priScratch  // priorityFill's order/output buffers
-	drained    []*Flow     // Drain's per-step completion snapshot
+	// once per event.
+	arena     []Flow // current flow allocation block (see newFlow)
+	arenaUsed int
+	topFill   fillScratch // top-level fill across groups
+	drained   []*Flow     // Drain's per-step completion snapshot
 }
 
 // arenaBlock is the Flow allocation granularity: steady state pays one heap
@@ -88,33 +108,27 @@ func (c *Channel) newFlow() *Flow {
 	return f
 }
 
-// SetGroupCap bounds the aggregate rate of flows started in the named group.
-func (c *Channel) SetGroupCap(group string, cap units.Bandwidth) {
-	if group == "" {
-		panic("sim: group name must be nonempty")
+// Group declares a flow group whose members each move at most rate. A
+// shared group's members also share rate as their total — e.g. a DMA engine
+// whose link group tops out below the channel's full link complex
+// (MC-DLA(S)'s two memory-node links on six shared links).
+func (c *Channel) Group(rate units.Bandwidth, shared bool) Group {
+	if rate <= 0 {
+		panic(fmt.Sprintf("sim: channel %q: group rate must be positive, got %v", c.name, rate))
 	}
-	if cap <= 0 {
-		panic(fmt.Sprintf("sim: group %q cap must be positive", group))
-	}
-	if c.groupCaps == nil {
-		c.groupCaps = make(map[string]units.Bandwidth)
-	}
-	c.groupCaps[group] = cap
+	c.groups = append(c.groups, group{rate: rate, shared: shared})
+	return Group{ch: c, id: len(c.groups) - 1}
 }
 
-// ChannelStats accumulates a channel's traffic accounting: the bytes moved
-// (TotalBytes, cross-checked by RateIntegral), the time the channel was busy
-// (the plane's switch and uplink occupancy) and the peak aggregate rate
-// (Figure 12's peak CPU memory bandwidth).
+// ChannelStats accumulates a channel's traffic accounting: the bytes moved,
+// the time the channel was busy (the plane's switch and uplink occupancy)
+// and the peak aggregate rate (Figure 12's peak CPU memory bandwidth).
 type ChannelStats struct {
 	TotalBytes float64
 	// BusyTime integrates wall time during which at least one flow was active.
 	BusyTime units.Time
 	// PeakRate is the maximum instantaneous aggregate rate observed.
 	PeakRate units.Bandwidth
-	// RateIntegral is ∫rate·dt (bytes moved), kept separately from TotalBytes
-	// as a self-check: the two must agree.
-	RateIntegral float64
 	// Fills counts water-fill rounds over a nonempty flow set: an exact,
 	// machine-independent measure of the event loop's work.
 	Fills int
@@ -140,29 +154,14 @@ func (c *Channel) Now() units.Time { return c.now }
 // Stats returns a copy of the accumulated statistics.
 func (c *Channel) Stats() ChannelStats { return c.stats }
 
-// allocUnit is one contender in the top-level water-fill: either a lone flow
-// (group "") or a whole group of flows sharing a cap. A uniform unit (every
-// member shares pri and maxRate) is filled in flow order in one pass: its
-// caps are all equal, so the sort inside fill is the identity permutation
-// and the generic route would hand out exactly the same shares.
-type allocUnit struct {
-	group   string
-	cap     float64         // group cap, then bounded by sum
-	sum     float64         // member maxRates, added in flow order
-	n       int             // member count
-	pri     int             // first member's priority
-	rate    units.Bandwidth // first member's maxRate
-	uniform bool
-	rem     float64 // uniform fill: share not yet handed out
-	left    int     // uniform fill: members not yet filled
-}
-
 // allocate recomputes max-min fair rates for the active flows using
-// two-level water-filling: groups (and independent flows) share the channel
-// capacity max-min fairly, then each group's allocation is water-filled
-// across its members. It runs on every flow start and completion, so all of
-// its working storage lives in Channel scratch buffers. A flow finds its
-// group's unit by a linear scan: a channel carries a handful of units.
+// two-level water-filling. The active groups, in order of their first
+// member, share the channel capacity max-min fairly, each demanding its
+// rate if shared and n·rate if not. Each group's share then goes to its
+// members by descending priority class. Members share one rate, so a
+// class's max-min fill is one pass in flow order: the ascending-cap order
+// of a general fill is the identity on equal caps. It runs on every flow
+// start and completion, so its working storage lives in the channel.
 //
 // Deferring a round to the next rate read would skip only states that last
 // zero simulated time, yet it would change PeakRate: the peak is the largest
@@ -173,62 +172,56 @@ func (c *Channel) allocate() {
 		return
 	}
 	c.stats.Fills++
-	c.units = c.units[:0]
+	for i := range c.groups {
+		c.groups[i].n = 0
+	}
+	caps := c.topFill.caps[:0]
 	for _, f := range c.flows {
-		idx := -1
-		if f.group != "" {
-			idx = c.unitOf(f.group)
+		g := &c.groups[f.group]
+		if g.n == 0 {
+			*g = group{rate: g.rate, shared: g.shared, unit: len(caps), pri: f.pri}
+			caps = append(caps, 0)
 		}
-		if idx < 0 {
-			groupCap := float64(f.maxRate)
-			if f.group != "" {
-				groupCap = math.Inf(1)
-				if g, has := c.groupCaps[f.group]; has {
-					groupCap = float64(g)
-				}
+		g.n++
+		g.sum += float64(g.rate)
+		switch {
+		case f.pri == g.pri:
+			g.left++
+		case f.pri > g.pri:
+			g.pri, g.left, g.lower = f.pri, 1, true
+		default:
+			g.lower = true
+		}
+	}
+	for i := range c.groups {
+		if g := &c.groups[i]; g.n > 0 {
+			caps[g.unit] = g.sum
+			if g.shared {
+				caps[g.unit] = float64(g.rate)
 			}
-			idx = len(c.units)
-			c.units = append(c.units, allocUnit{group: f.group, cap: groupCap, pri: f.pri, rate: f.maxRate, uniform: true})
 		}
-		u := &c.units[idx]
-		u.n++
-		u.sum += float64(f.maxRate)
-		u.uniform = u.uniform && f.pri == u.pri && f.maxRate == u.rate
-		f.unit = idx
 	}
-	// A group's effective demand is also bounded by its members' caps.
-	c.topFill.caps = c.topFill.caps[:0]
-	for i := range c.units {
-		c.units[i].cap = math.Min(c.units[i].cap, c.units[i].sum)
-		c.topFill.caps = append(c.topFill.caps, c.units[i].cap)
-	}
+	c.topFill.caps = caps
 	shares := c.topFill.fill(float64(c.capacity))
-	for i := range c.units {
-		u := &c.units[i]
-		u.rem, u.left = shares[i], u.n
-		if u.uniform {
-			continue
-		}
-		c.members = c.members[:0]
-		for _, f := range c.flows {
-			if f.unit == i {
-				c.members = append(c.members, f)
-			}
-		}
-		for j, r := range c.priorityFill(shares[i], c.members) {
-			c.members[j].rate = units.Bandwidth(r)
+	for i := range c.groups {
+		if g := &c.groups[i]; g.n > 0 {
+			g.rem = shares[g.unit]
 		}
 	}
-	// Uniform units: fill's arithmetic over the identity order.
+	for _, f := range c.flows {
+		g := &c.groups[f.group]
+		f.rate = 0
+		if f.pri == g.pri {
+			f.rate = g.take()
+		}
+	}
+	for i := range c.groups {
+		if c.groups[i].n > 0 && c.groups[i].lower {
+			c.cascade(i)
+		}
+	}
 	total := units.Bandwidth(0)
 	for _, f := range c.flows {
-		if u := &c.units[f.unit]; u.uniform {
-			share := u.rem / float64(u.left) //mcdlalint:allow floatguard -- left counts down from the unit's member count, one per member, so left >= 1 here
-			r := math.Min(float64(f.maxRate), share)
-			f.rate = units.Bandwidth(r)
-			u.rem -= r
-			u.left--
-		}
 		total += f.rate
 	}
 	if total > c.stats.PeakRate {
@@ -236,87 +229,47 @@ func (c *Channel) allocate() {
 	}
 }
 
-// unitOf reports the index of the named group's unit, or -1.
-func (c *Channel) unitOf(group string) int {
-	for i := range c.units {
-		if c.units[i].group == group {
-			return i
-		}
-	}
-	return -1
+// take hands the next member of the class being filled its max-min share.
+func (g *group) take() units.Bandwidth {
+	share := g.rem / float64(g.left) //mcdlalint:allow floatguard -- left counts down from the class's member count, one per member, so left >= 1 here
+	r := math.Min(float64(g.rate), share)
+	g.rem -= r
+	g.left--
+	return units.Bandwidth(r)
 }
 
-// priScratch holds priorityFill's reusable buffers. It doubles as the
-// sort.Stable interface ordering flow indices by descending priority class —
-// sort.Stable and sort.SliceStable share one stable-sort implementation, so
-// the permutation (and thus every tie-broken fill) is unchanged.
-type priScratch struct {
-	order []int
-	out   []float64
-	flows []*Flow
+// cascade hands what group id's top class left over to its lower classes,
+// one class at a time in descending priority.
+func (c *Channel) cascade(id int) {
+	g := &c.groups[id]
+	for above := g.pri; ; {
+		g.left = 0
+		for _, f := range c.flows {
+			if f.group != id || f.pri >= above {
+				continue
+			}
+			if g.left == 0 || f.pri > g.pri {
+				g.pri, g.left = f.pri, 0
+			}
+			if f.pri == g.pri {
+				g.left++
+			}
+		}
+		if g.left == 0 {
+			return
+		}
+		for _, f := range c.flows {
+			if f.group == id && f.pri == g.pri {
+				f.rate = g.take()
+			}
+		}
+		above = g.pri
+	}
 }
 
-func (s *priScratch) Len() int           { return len(s.order) }
-func (s *priScratch) Less(a, b int) bool { return s.flows[s.order[a]].pri > s.flows[s.order[b]].pri }
-func (s *priScratch) Swap(a, b int)      { s.order[a], s.order[b] = s.order[b], s.order[a] }
-
-// priorityFill distributes a unit's capacity across its member flows:
-// strictly by descending priority class, max-min fairly within a class.
-// The common all-priority-zero case reduces to a plain water-fill. The
-// returned slice is scratch, valid until the next allocate round.
-func (c *Channel) priorityFill(capacity float64, fs []*Flow) []float64 {
-	uniform := true
-	for _, f := range fs {
-		if f.pri != fs[0].pri {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		c.memberFill.caps = c.memberFill.caps[:0]
-		for _, f := range fs {
-			c.memberFill.caps = append(c.memberFill.caps, float64(f.maxRate))
-		}
-		return c.memberFill.fill(capacity)
-	}
-	s := &c.pri
-	s.order = resizeInts(s.order, len(fs))
-	for i := range s.order {
-		s.order[i] = i
-	}
-	s.flows = fs
-	sort.Stable(s)
-	s.flows = nil
-	order := s.order
-	s.out = resizeFloats(s.out, len(fs))
-	out := s.out
-	remaining := capacity
-	for lo := 0; lo < len(order); {
-		hi := lo
-		for hi < len(order) && fs[order[hi]].pri == fs[order[lo]].pri {
-			hi++
-		}
-		c.classFill.caps = c.classFill.caps[:0]
-		for _, i := range order[lo:hi] {
-			c.classFill.caps = append(c.classFill.caps, float64(fs[i].maxRate))
-		}
-		shares := c.classFill.fill(remaining)
-		for k, i := range order[lo:hi] {
-			out[i] = shares[k]
-			remaining -= shares[k]
-		}
-		lo = hi
-	}
-	return out
-}
-
-// fillScratch is one water-fill working set: callers load caps, fill
-// computes shares in place. The three fill sites (top-level across units,
-// per-unit across members, per-class inside priorityFill) nest, so each
-// owns its own scratch. fillScratch is also the sort.Sort interface ordering
-// indices by ascending cap — sort.Sort and sort.Slice share one pdqsort
-// implementation, so the permutation is identical to the previous
-// closure-based sort and results stay bit-identical.
+// fillScratch is the top-level water-fill's working set: callers load
+// caps, fill computes shares in place. It is also the sort.Sort interface
+// ordering indices by ascending cap.
 type fillScratch struct {
 	caps  []float64
 	out   []float64
@@ -329,7 +282,7 @@ func (fs *fillScratch) Swap(a, b int)      { fs.order[a], fs.order[b] = fs.order
 
 // fill distributes capacity across fs.caps max-min fairly: ascending caps,
 // leftover shared among the unfilled. The returned slice aliases fs.out and
-// is valid until the next fill on the same scratch.
+// is valid until the next fill.
 func (fs *fillScratch) fill(capacity float64) []float64 {
 	n := len(fs.caps)
 	fs.out = resizeFloats(fs.out, n)
@@ -364,35 +317,24 @@ func resizeInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// Start begins a transfer of size bytes at time t, capped at maxRate.
-// extra is a fixed latency appended after the final byte (used by the
-// collective model for its per-step α terms). Start panics if t precedes the
-// channel clock: the single-actor discipline requires monotone issue times.
-func (c *Channel) Start(t units.Time, tag string, size units.Bytes, maxRate units.Bandwidth, extra units.Time) *Flow {
-	return c.StartGroup(t, tag, "", size, maxRate, extra)
-}
-
-// StartGroup is Start with the flow placed in a shared-cap group (see
-// SetGroupCap).
-func (c *Channel) StartGroup(t units.Time, tag, group string, size units.Bytes, maxRate units.Bandwidth, extra units.Time) *Flow {
-	return c.StartGroupPriority(t, tag, group, size, maxRate, extra, 0)
-}
-
-// StartGroupPriority is StartGroup with a priority class: a group's
-// bandwidth goes to its highest-priority active flows first (equal
-// priorities share max-min fairly), modeling DMA queues where demand
-// fetches outrank background lookahead. Priorities do not cross group
-// boundaries — groups still share the channel max-min fairly.
-func (c *Channel) StartGroupPriority(t units.Time, tag, group string, size units.Bytes, maxRate units.Bandwidth, extra units.Time, pri int) *Flow {
+// Start begins a transfer of size bytes in group g at time t, in priority
+// class pri: a group's bandwidth goes to its highest-priority active flows
+// first (equal priorities share max-min fairly), modeling DMA queues where
+// demand fetches outrank background lookahead. Priorities do not cross
+// groups. extra is a fixed latency appended after the final byte (used by
+// the collective model for its per-step α terms). Start panics if t
+// precedes the channel clock: the single-actor discipline requires monotone
+// issue times.
+func (c *Channel) Start(t units.Time, g Group, size units.Bytes, extra units.Time, pri int) *Flow {
+	if g.ch != c {
+		panic(fmt.Sprintf("sim: channel %q: flow started in a group not declared on it", c.name))
+	}
 	if size < 0 {
 		panic(fmt.Sprintf("sim: channel %q: negative transfer size %d", c.name, size))
 	}
-	if maxRate <= 0 {
-		panic(fmt.Sprintf("sim: channel %q: flow %q max rate must be positive", c.name, tag))
-	}
 	c.AdvanceTo(t)
 	f := c.newFlow()
-	*f = Flow{ch: c, tag: tag, group: group, pri: pri, remaining: float64(size), maxRate: maxRate, extra: extra}
+	*f = Flow{ch: c, group: g.id, pri: pri, remaining: float64(size), extra: extra}
 	if size == 0 {
 		// Stamp from the channel clock, not the caller's t: AdvanceTo may
 		// have left now past t (the clock is shared between issue sites),
@@ -490,7 +432,6 @@ func (c *Channel) forceDrainNearest() {
 	}
 	if nearest != nil {
 		c.stats.TotalBytes += nearest.remaining
-		c.stats.RateIntegral += nearest.remaining
 		nearest.remaining = 0
 	}
 }
@@ -507,7 +448,6 @@ func (c *Channel) progress(dt units.Time) {
 		}
 		f.remaining -= moved
 		c.stats.TotalBytes += moved
-		c.stats.RateIntegral += moved
 	}
 	c.stats.BusyTime += dt
 }
@@ -538,7 +478,7 @@ func (c *Channel) reap() {
 // caller resumes: never earlier than t (the caller's own clock).
 func (c *Channel) Wait(t units.Time, f *Flow) units.Time {
 	if f.ch != c {
-		panic(fmt.Sprintf("sim: flow %q waited on wrong channel %q", f.tag, c.name))
+		panic(fmt.Sprintf("sim: flow waited on wrong channel %q", c.name))
 	}
 	c.AdvanceTo(t)
 	for !f.done {
@@ -571,16 +511,14 @@ func (c *Channel) ActiveFlows() int { return len(c.flows) }
 // Reset clears flows, clock and statistics, reusing the channel for a fresh
 // simulation run. The flow arena is dropped wholesale — callers may still
 // hold *Flow pointers from the finished run, so slots are never recycled —
-// and scratch buffers release the flow pointers they were caching.
+// and scratch buffers release the flow pointers they were caching. Declared
+// groups stay.
 func (c *Channel) Reset() {
 	c.flows = nil
 	c.now = 0
 	c.stats = ChannelStats{}
 	c.arena = nil
 	c.arenaUsed = 0
-	clear(c.members[:cap(c.members)])
-	c.members = c.members[:0]
 	clear(c.drained[:cap(c.drained)])
 	c.drained = c.drained[:0]
-	c.pri.flows = nil
 }

@@ -14,9 +14,14 @@ func gb(x float64) units.Bytes { return units.Bytes(x * 1e9) }
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// lone starts a flow in a one-member group of its own at rate.
+func lone(ch *Channel, t units.Time, size units.Bytes, rate units.Bandwidth, extra units.Time) *Flow {
+	return ch.Start(t, ch.Group(rate, false), size, extra, 0)
+}
+
 func TestSingleFlowUncontended(t *testing.T) {
 	ch := NewChannel("pcie", units.GBps(16))
-	f := ch.Start(0, "offload", gb(16), units.GBps(16), 0)
+	f := lone(ch, 0, gb(16), units.GBps(16), 0)
 	end := ch.Wait(0, f)
 	want := 1.0
 	if !almostEqual(end.Seconds(), want, 1e-9) {
@@ -26,7 +31,7 @@ func TestSingleFlowUncontended(t *testing.T) {
 
 func TestFlowCappedBelowCapacity(t *testing.T) {
 	ch := NewChannel("links", units.GBps(150))
-	f := ch.Start(0, "local", gb(75), units.GBps(75), 0)
+	f := lone(ch, 0, gb(75), units.GBps(75), 0)
 	end := ch.Wait(0, f)
 	if !almostEqual(end.Seconds(), 1.0, 1e-9) {
 		t.Fatalf("capped flow took %v, want 1 s", end)
@@ -35,8 +40,8 @@ func TestFlowCappedBelowCapacity(t *testing.T) {
 
 func TestTwoEqualFlowsShareCapacity(t *testing.T) {
 	ch := NewChannel("ch", units.GBps(100))
-	a := ch.Start(0, "a", gb(100), units.GBps(100), 0)
-	b := ch.Start(0, "b", gb(100), units.GBps(100), 0)
+	a := lone(ch, 0, gb(100), units.GBps(100), 0)
+	b := lone(ch, 0, gb(100), units.GBps(100), 0)
 	endA := ch.Wait(0, a)
 	endB := ch.Wait(0, b)
 	// Both run at 50 GB/s for 2 s.
@@ -46,10 +51,11 @@ func TestTwoEqualFlowsShareCapacity(t *testing.T) {
 }
 
 func TestMaxMinFairnessWithCappedFlow(t *testing.T) {
-	// Capacity 150; a capped at 25 gets 25, b takes the remaining 125.
+	// Capacity 150; a one-member group at 25 gets 25, one at 150 takes the
+	// remaining 125.
 	ch := NewChannel("ch", units.GBps(150))
-	a := ch.Start(0, "small", gb(25), units.GBps(25), 0)
-	b := ch.Start(0, "big", gb(125), units.GBps(150), 0)
+	a := lone(ch, 0, gb(25), units.GBps(25), 0)
+	b := lone(ch, 0, gb(125), units.GBps(150), 0)
 	endA := ch.Wait(0, a)
 	endB := ch.Wait(0, b)
 	if !almostEqual(endA.Seconds(), 1.0, 1e-9) {
@@ -64,8 +70,8 @@ func TestRateReallocationAfterCompletion(t *testing.T) {
 	// A 150 GB flow on a 100 GB/s channel, with a 100 GB flow arriving at
 	// t=1. First flow: 1 s alone at 100, then shares at 50.
 	ch := NewChannel("ch", units.GBps(100))
-	a := ch.Start(0, "a", gb(150), units.GBps(100), 0)
-	b := ch.Start(1, "b", gb(100), units.GBps(100), 0)
+	a := lone(ch, 0, gb(150), units.GBps(100), 0)
+	b := lone(ch, 1, gb(100), units.GBps(100), 0)
 	endA := ch.Wait(1, a)
 	// a has 50 GB left at t=1, shares 50 GB/s: finishes at t=2.
 	if !almostEqual(endA.Seconds(), 2.0, 1e-9) {
@@ -80,7 +86,7 @@ func TestRateReallocationAfterCompletion(t *testing.T) {
 
 func TestExtraLatencyAppended(t *testing.T) {
 	ch := NewChannel("ring", units.GBps(75))
-	f := ch.Start(0, "allreduce", gb(75), units.GBps(75), units.Milliseconds(3))
+	f := lone(ch, 0, gb(75), units.GBps(75), units.Milliseconds(3))
 	end := ch.Wait(0, f)
 	if !almostEqual(end.Seconds(), 1.003, 1e-9) {
 		t.Fatalf("flow with extra latency finished at %v, want 1.003 s", end)
@@ -89,7 +95,7 @@ func TestExtraLatencyAppended(t *testing.T) {
 
 func TestZeroSizeFlowCompletesImmediately(t *testing.T) {
 	ch := NewChannel("ch", units.GBps(10))
-	f := ch.Start(5, "noop", 0, units.GBps(10), units.Microseconds(2))
+	f := lone(ch, 5, 0, units.GBps(10), units.Microseconds(2))
 	if !f.Done() {
 		t.Fatal("zero-size flow not immediately done")
 	}
@@ -100,7 +106,7 @@ func TestZeroSizeFlowCompletesImmediately(t *testing.T) {
 
 func TestWaitNeverReturnsBeforeCaller(t *testing.T) {
 	ch := NewChannel("ch", units.GBps(100))
-	f := ch.Start(0, "a", gb(1), units.GBps(100), 0)
+	f := lone(ch, 0, gb(1), units.GBps(100), 0)
 	// Flow done at 0.01 s; caller at 1 s must resume at 1 s.
 	if got := ch.Wait(1, f); got != 1 {
 		t.Fatalf("Wait returned %v, want caller time 1 s", got)
@@ -109,8 +115,8 @@ func TestWaitNeverReturnsBeforeCaller(t *testing.T) {
 
 func TestDrainReturnsLastCompletion(t *testing.T) {
 	ch := NewChannel("ch", units.GBps(100))
-	ch.Start(0, "a", gb(50), units.GBps(100), 0)
-	ch.Start(0, "b", gb(150), units.GBps(100), 0)
+	lone(ch, 0, gb(50), units.GBps(100), 0)
+	lone(ch, 0, gb(150), units.GBps(100), 0)
 	end := ch.Drain(0)
 	// Total 200 GB at 100 GB/s aggregate: done at 2 s.
 	if !almostEqual(end.Seconds(), 2.0, 1e-9) {
@@ -123,19 +129,16 @@ func TestDrainReturnsLastCompletion(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	ch := NewChannel("ch", units.GBps(100))
-	a := ch.Start(0, "offload", gb(30), units.GBps(100), 0)
+	a := lone(ch, 0, gb(30), units.GBps(100), 0)
 	ch.Wait(0, a)
 	if got := ch.Stats().TotalBytes; !almostEqual(got, float64(gb(30)), 1) {
 		t.Errorf("bytes after the offload = %g, want 30 GB", got)
 	}
-	b := ch.Start(1, "prefetch", gb(20), units.GBps(100), 0)
+	b := lone(ch, 1, gb(20), units.GBps(100), 0)
 	ch.Wait(1, b)
 	s := ch.Stats()
 	if !almostEqual(s.TotalBytes, float64(gb(50)), 1) {
 		t.Errorf("total bytes = %g", s.TotalBytes)
-	}
-	if !almostEqual(s.RateIntegral, s.TotalBytes, 1) {
-		t.Errorf("rate integral %g disagrees with total bytes %g", s.RateIntegral, s.TotalBytes)
 	}
 	// Busy: 0.3 s for a, then idle 0.7, then 0.2 for b.
 	if !almostEqual(s.BusyTime.Seconds(), 0.5, 1e-9) {
@@ -148,8 +151,8 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestPeakRateWithConcurrentCappedFlows(t *testing.T) {
 	ch := NewChannel("ch", units.GBps(150))
-	ch.Start(0, "virt", gb(10), units.GBps(50), 0)
-	ch.Start(0, "sync", gb(10), units.GBps(75), 0)
+	lone(ch, 0, gb(10), units.GBps(50), 0)
+	lone(ch, 0, gb(10), units.GBps(75), 0)
 	ch.Drain(0)
 	if got := ch.Stats().PeakRate.GBps(); !almostEqual(got, 125, 1e-6) {
 		t.Fatalf("peak rate = %g GB/s, want 125", got)
@@ -158,7 +161,7 @@ func TestPeakRateWithConcurrentCappedFlows(t *testing.T) {
 
 func TestResetClearsState(t *testing.T) {
 	ch := NewChannel("ch", units.GBps(10))
-	ch.Start(0, "a", gb(1), units.GBps(10), 0)
+	lone(ch, 0, gb(1), units.GBps(10), 0)
 	ch.Drain(0)
 	ch.Reset()
 	if ch.Now() != 0 || ch.ActiveFlows() != 0 || ch.Stats().TotalBytes != 0 {
@@ -173,7 +176,7 @@ func TestStartPanicsOnNegativeSize(t *testing.T) {
 		}
 	}()
 	ch := NewChannel("ch", units.GBps(10))
-	ch.Start(0, "bad", -1, units.GBps(10), 0)
+	lone(ch, 0, -1, units.GBps(10), 0)
 }
 
 func TestNewChannelPanicsOnZeroCapacity(t *testing.T) {
@@ -185,10 +188,21 @@ func TestNewChannelPanicsOnZeroCapacity(t *testing.T) {
 	NewChannel("bad", 0)
 }
 
-// Property: bytes are conserved — for any set of flows, the per-tag byte
-// totals after draining equal the requested sizes, and the drain time is at
-// least total/capacity (work conservation) and at most the sum of serial
-// times.
+// conservesBytes drains ch from t and reports whether it moved exactly the
+// total bytes started on it, no faster than its capacity allows.
+func conservesBytes(ch *Channel, t units.Time, total float64) bool {
+	end := ch.Drain(t)
+	if !almostEqual(ch.Stats().TotalBytes, total, total*1e-9+1) {
+		return false
+	}
+	return end.Seconds() >= total/float64(ch.Capacity())-1e-9
+}
+
+// Property: bytes are conserved — for any set of flows, the bytes moved
+// after draining equal the requested sizes, and the drain time is at least
+// total/capacity (work conservation). The quick inputs are lone flows; a
+// seeded grid adds shared and unshared groups, priority classes and
+// staggered issue times.
 func TestPropertyByteConservation(t *testing.T) {
 	f := func(sizes []uint16, capGBps uint8, capsRaw []uint8) bool {
 		if len(sizes) == 0 || len(sizes) > 12 {
@@ -203,19 +217,37 @@ func TestPropertyByteConservation(t *testing.T) {
 			if len(capsRaw) > 0 {
 				maxRate = units.GBps(float64(capsRaw[i%len(capsRaw)]%100) + 1)
 			}
-			ch.Start(0, "t", size, maxRate, 0)
+			lone(ch, 0, size, maxRate, 0)
 			total += float64(size)
 		}
-		end := ch.Drain(0)
-		s := ch.Stats()
-		if !almostEqual(s.TotalBytes, total, total*1e-9+1) {
-			return false
-		}
-		lower := total / float64(capacity)
-		return end.Seconds() >= lower-1e-9
+		return conservesBytes(ch, 0, total)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		ch := NewChannel("grid", units.GBps(float64(10+rng.Intn(200))))
+		var groups []Group
+		for i := 0; i < 3; i++ {
+			groups = append(groups, ch.Group(units.GBps(float64(5+rng.Intn(100))), rng.Intn(2) == 0))
+		}
+		var issue units.Time
+		total := 0.0
+		for i := 0; i < 3+rng.Intn(12); i++ {
+			size := units.Bytes(1+rng.Intn(4096)) * units.MB
+			g := groups[rng.Intn(len(groups))]
+			if rng.Intn(4) == 0 {
+				g = ch.Group(units.GBps(float64(1+rng.Intn(150))), false)
+			}
+			ch.Start(issue, g, size, 0, rng.Intn(3))
+			total += float64(size)
+			issue += units.Time(rng.Float64() * 0.05)
+		}
+		if !conservesBytes(ch, issue, total) {
+			t.Fatalf("trial %d: moved %.3f bytes of %.3f", trial, ch.Stats().TotalBytes, total)
+		}
 	}
 }
 
@@ -230,11 +262,11 @@ func TestPropertyAllocationRespectsCaps(t *testing.T) {
 			if len(caps) > 0 {
 				r = units.GBps(float64(caps[i%len(caps)]%200) + 1)
 			}
-			ch.Start(0, "t", units.GB, r, 0)
+			lone(ch, 0, units.GB, r, 0)
 		}
 		var sum units.Bandwidth
 		for _, fl := range ch.flows {
-			if fl.rate > fl.maxRate+1 {
+			if fl.rate > ch.groups[fl.group].rate+1 {
 				return false
 			}
 			sum += fl.rate
@@ -256,13 +288,14 @@ func TestMonotoneAdvance(t *testing.T) {
 }
 
 func TestGroupCapBoundsAggregate(t *testing.T) {
-	// Three DMA flows in a 50 GB/s group on a 150 GB/s channel: the group
-	// moves 50 GB in 1 s no matter how many member flows it spreads over.
+	// Three DMA flows in a shared 50 GB/s group on a 150 GB/s channel: the
+	// group moves 50 GB in 1 s no matter how many member flows it spreads
+	// over.
 	ch := NewChannel("links", units.GBps(150))
-	ch.SetGroupCap("virt", units.GBps(50))
+	virt := ch.Group(units.GBps(50), true)
 	var flows []*Flow
 	for i := 0; i < 3; i++ {
-		flows = append(flows, ch.StartGroup(0, "offload", "virt", gb(50.0/3), units.GBps(50), 0))
+		flows = append(flows, ch.Start(0, virt, gb(50.0/3), 0, 0))
 	}
 	end := ch.Drain(0)
 	if !almostEqual(end.Seconds(), 1.0, 1e-6) {
@@ -275,14 +308,28 @@ func TestGroupCapBoundsAggregate(t *testing.T) {
 	}
 }
 
+func TestUnsharedGroupCapsEachMember(t *testing.T) {
+	// Three flows in an unshared 20 GB/s group on a 100 GB/s channel each
+	// move at 20: the group demands 60 in total.
+	ch := NewChannel("host", units.GBps(100))
+	dma := ch.Group(units.GBps(20), false)
+	for i := 0; i < 3; i++ {
+		ch.Start(0, dma, gb(20), 0, 0)
+	}
+	if end := ch.Drain(0); !almostEqual(end.Seconds(), 1.0, 1e-9) {
+		t.Fatalf("unshared group drained at %v, want 1 s", end)
+	}
+	if got := ch.Stats().PeakRate.GBps(); !almostEqual(got, 60, 1e-6) {
+		t.Fatalf("peak rate = %g GB/s, want 60", got)
+	}
+}
+
 func TestGroupsShareChannelFairly(t *testing.T) {
 	// virt group capped at 50, sync group capped at 75, on 150 capacity:
 	// no contention — both run at their caps.
 	ch := NewChannel("links", units.GBps(150))
-	ch.SetGroupCap("virt", units.GBps(50))
-	ch.SetGroupCap("sync", units.GBps(75))
-	v := ch.StartGroup(0, "prefetch", "virt", gb(50), units.GBps(50), 0)
-	s := ch.StartGroup(0, "allreduce", "sync", gb(75), units.GBps(75), 0)
+	v := ch.Start(0, ch.Group(units.GBps(50), true), gb(50), 0, 0)
+	s := ch.Start(0, ch.Group(units.GBps(75), true), gb(75), 0, 0)
 	if got := ch.Wait(0, v).Seconds(); !almostEqual(got, 1.0, 1e-6) {
 		t.Fatalf("virt group finished at %g s, want 1", got)
 	}
@@ -294,10 +341,8 @@ func TestGroupsShareChannelFairly(t *testing.T) {
 func TestGroupContentionSplitsCapacity(t *testing.T) {
 	// Two 100-capped groups on a 150 channel contend: max-min gives each 75.
 	ch := NewChannel("links", units.GBps(150))
-	ch.SetGroupCap("a", units.GBps(100))
-	ch.SetGroupCap("b", units.GBps(100))
-	fa := ch.StartGroup(0, "a", "a", gb(75), units.GBps(100), 0)
-	fb := ch.StartGroup(0, "b", "b", gb(75), units.GBps(100), 0)
+	fa := ch.Start(0, ch.Group(units.GBps(100), true), gb(75), 0, 0)
+	fb := ch.Start(0, ch.Group(units.GBps(100), true), gb(75), 0, 0)
 	ea := ch.Wait(0, fa)
 	eb := ch.Wait(0, fb)
 	if !almostEqual(ea.Seconds(), 1.0, 1e-6) || !almostEqual(eb.Seconds(), 1.0, 1e-6) {
@@ -305,26 +350,28 @@ func TestGroupContentionSplitsCapacity(t *testing.T) {
 	}
 }
 
-func TestUngroupedFlowCompetesWithGroups(t *testing.T) {
-	// A lone flow (cap 100) against a 50-capped group on 120 capacity:
+func TestLoneFlowCompetesWithGroups(t *testing.T) {
+	// A lone flow (rate 100) against a 50-capped group on 120 capacity:
 	// water-fill gives the group 50 and the lone flow 70.
 	ch := NewChannel("links", units.GBps(120))
-	ch.SetGroupCap("g", units.GBps(50))
-	g := ch.StartGroup(0, "g", "g", gb(50), units.GBps(50), 0)
-	lone := ch.Start(0, "lone", gb(70), units.GBps(100), 0)
+	g := ch.Start(0, ch.Group(units.GBps(50), true), gb(50), 0, 0)
+	solo := lone(ch, 0, gb(70), units.GBps(100), 0)
 	if got := ch.Wait(0, g).Seconds(); !almostEqual(got, 1.0, 1e-6) {
 		t.Fatalf("group finished at %g s, want 1", got)
 	}
-	if got := ch.Wait(0, lone).Seconds(); !almostEqual(got, 1.0, 1e-6) {
+	if got := ch.Wait(0, solo).Seconds(); !almostEqual(got, 1.0, 1e-6) {
 		t.Fatalf("lone flow finished at %g s, want 1", got)
 	}
 }
 
-func TestSetGroupCapPanics(t *testing.T) {
+func TestGroupPanics(t *testing.T) {
 	ch := NewChannel("ch", units.GBps(10))
+	other := NewChannel("other", units.GBps(10)).Group(units.GBps(1), false)
 	for _, f := range []func(){
-		func() { ch.SetGroupCap("", units.GBps(1)) },
-		func() { ch.SetGroupCap("g", 0) },
+		func() { ch.Group(0, true) },
+		func() { ch.Group(-1, false) },
+		func() { ch.Start(0, other, 1, 0, 0) },
+		func() { ch.Start(0, Group{}, 1, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -337,9 +384,9 @@ func TestSetGroupCapPanics(t *testing.T) {
 	}
 }
 
-// Property: with a single group holding all flows, the drain time equals
-// total bytes over min(channel capacity, group cap), regardless of how the
-// bytes are split across member flows.
+// Property: with a single shared group holding all flows, the drain time
+// equals total bytes over min(channel capacity, group rate), regardless of
+// how the bytes are split across member flows.
 func TestPropertyGroupWorkConservation(t *testing.T) {
 	f := func(parts []uint16, capRaw, groupRaw uint8) bool {
 		if len(parts) == 0 || len(parts) > 10 {
@@ -348,11 +395,11 @@ func TestPropertyGroupWorkConservation(t *testing.T) {
 		capacity := units.GBps(float64(capRaw%100) + 10)
 		groupCap := units.GBps(float64(groupRaw%100) + 5)
 		ch := NewChannel("prop", capacity)
-		ch.SetGroupCap("g", groupCap)
+		g := ch.Group(groupCap, true)
 		total := 0.0
 		for _, p := range parts {
 			size := units.Bytes(p%2048+1) * units.MB
-			ch.StartGroup(0, "t", "g", size, groupCap, 0)
+			ch.Start(0, g, size, 0, 0)
 			total += float64(size)
 		}
 		end := ch.Drain(0)
@@ -371,10 +418,10 @@ func TestPropertyGroupWorkConservation(t *testing.T) {
 func TestZeroSizeFlowStampsFromChannelClock(t *testing.T) {
 	ch := NewChannel("ch", units.GBps(10))
 	// Advance the clock well past the zero-size flow's nominal issue time.
-	ch.Start(0, "warm", gb(50), units.GBps(10), 0)
+	lone(ch, 0, gb(50), units.GBps(10), 0)
 	ch.AdvanceTo(5)
 	before := ch.Stats()
-	f := ch.Start(1, "alpha-only", 0, units.GBps(10), 2)
+	f := lone(ch, 1, 0, units.GBps(10), 2)
 	if !f.Done() {
 		t.Fatal("zero-size flow must complete immediately")
 	}
@@ -387,39 +434,9 @@ func TestZeroSizeFlowStampsFromChannelClock(t *testing.T) {
 		t.Fatalf("zero-size flow changed the stats: %+v, want %+v", after, before)
 	}
 	// A zero-size flow issued after the clock advances stamps from t.
-	g := ch.Start(9, "later", 0, units.GBps(10), 1)
+	g := lone(ch, 9, 0, units.GBps(10), 1)
 	if !almostEqual(g.DoneAt().Seconds(), 10, 1e-12) {
 		t.Fatalf("doneAt = %v, want 10 s", g.DoneAt())
-	}
-}
-
-// TestRateIntegralMatchesTotalBytes checks the documented ChannelStats
-// invariant RateIntegral ≈ TotalBytes across a randomized grid of grouped,
-// capped, priority-classed flows issued at staggered times.
-func TestRateIntegralMatchesTotalBytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		ch := NewChannel("grid", units.GBps(float64(10+rng.Intn(200))))
-		groups := []string{"", "a", "b", "c"}
-		for _, g := range groups[1:] {
-			ch.SetGroupCap(g, units.GBps(float64(5+rng.Intn(100))))
-		}
-		var issue units.Time
-		for i := 0; i < 3+rng.Intn(12); i++ {
-			size := units.Bytes(1+rng.Intn(4096)) * units.MB
-			rate := units.GBps(float64(1 + rng.Intn(150)))
-			ch.StartGroupPriority(issue, "flow", groups[rng.Intn(len(groups))], size, rate, 0, rng.Intn(3))
-			issue += units.Time(rng.Float64() * 0.05)
-		}
-		ch.Drain(issue)
-		s := ch.Stats()
-		if s.TotalBytes <= 0 {
-			t.Fatalf("trial %d: no bytes moved", trial)
-		}
-		if diff := math.Abs(s.RateIntegral - s.TotalBytes); diff > 1e-6*s.TotalBytes+1 {
-			t.Fatalf("trial %d: RateIntegral %.3f != TotalBytes %.3f (diff %.3f)",
-				trial, s.RateIntegral, s.TotalBytes, diff)
-		}
 	}
 }
 
@@ -427,9 +444,9 @@ func TestPriorityClassesWithinGroup(t *testing.T) {
 	// Two flows share a 10 GB/s group; the high-priority one takes the whole
 	// group until it drains, then the background flow proceeds.
 	ch := NewChannel("dma", units.GBps(10))
-	ch.SetGroupCap("virt", units.GBps(10))
-	bg := ch.StartGroupPriority(0, "lookahead", "virt", gb(10), units.GBps(10), 0, 0)
-	hi := ch.StartGroupPriority(0, "demand", "virt", gb(10), units.GBps(10), 0, 5)
+	virt := ch.Group(units.GBps(10), true)
+	bg := ch.Start(0, virt, gb(10), 0, 0)
+	hi := ch.Start(0, virt, gb(10), 0, 5)
 	endHi := ch.Wait(0, hi)
 	if !almostEqual(endHi.Seconds(), 1.0, 1e-9) {
 		t.Fatalf("demand flow finished at %v, want 1 s (full group rate)", endHi)
@@ -440,12 +457,28 @@ func TestPriorityClassesWithinGroup(t *testing.T) {
 	}
 }
 
+func TestLowerClassTakesLeftover(t *testing.T) {
+	// An unshared 10 GB/s group alone on a 25 GB/s channel: its top-class
+	// flow moves at 10, and the 15 GB/s left over go to the classes below,
+	// highest first: 10 to class 1, the last 5 to class 0.
+	ch := NewChannel("host", units.GBps(25))
+	dma := ch.Group(units.GBps(10), false)
+	for pri := 0; pri < 3; pri++ {
+		ch.Start(0, dma, gb(10), 0, pri)
+	}
+	for i, want := range []float64{5, 10, 10} {
+		if got := ch.flows[i].rate.GBps(); !almostEqual(got, want, 1e-9) {
+			t.Errorf("class %d flow moves at %g GB/s, want %g", i, got, want)
+		}
+	}
+}
+
 func TestPriorityDoesNotCrossGroups(t *testing.T) {
 	// A high-priority flow in one group must not starve another group: the
 	// two groups still split the channel max-min fairly.
 	ch := NewChannel("links", units.GBps(100))
-	a := ch.StartGroupPriority(0, "a", "virt", gb(50), units.GBps(100), 0, 9)
-	b := ch.StartGroup(0, "b", "sync", gb(50), units.GBps(100), 0)
+	a := ch.Start(0, ch.Group(units.GBps(100), false), gb(50), 0, 9)
+	b := lone(ch, 0, gb(50), units.GBps(100), 0)
 	endA := ch.Wait(0, a)
 	endB := ch.Wait(endA, b)
 	if !almostEqual(endA.Seconds(), 1.0, 1e-9) || !almostEqual(endB.Seconds(), 1.0, 1e-9) {
@@ -462,12 +495,12 @@ func TestSubResolutionCompletionTerminates(t *testing.T) {
 	go func() {
 		defer close(done)
 		ch := NewChannel("fast", units.GBps(1e12))
-		f := ch.Start(now, "a", 1024, units.GBps(1e12), 0)
+		f := lone(ch, now, 1024, units.GBps(1e12), 0)
 		if got := ch.Wait(now, f); got != now {
 			t.Errorf("Wait returned %v, want %v", got, now)
 		}
-		ch.Start(now, "b", 1024, units.GBps(1e12), 0)
-		ch.Start(now, "c", 2048, units.GBps(1e12), 0)
+		lone(ch, now, 1024, units.GBps(1e12), 0)
+		lone(ch, now, 2048, units.GBps(1e12), 0)
 		if got := ch.Drain(now); got != now || ch.ActiveFlows() != 0 {
 			t.Errorf("Drain returned %v with %d flows active, want %v and none", got, ch.ActiveFlows(), now)
 		}

@@ -1,128 +1,200 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/memcentric/mcdla/internal/units"
 )
 
-// generalRates is the generic water-fill route: member lists per unit, the
-// top-level fill across units, then priorityFill on every unit. allocate
-// keeps this route for non-uniform units and fills uniform ones in one pass;
-// the two must agree bit for bit.
-func generalRates(c *Channel) map[*Flow]float64 {
-	var groups []string
+// referenceRates is the sorted two-level water-fill that allocate's
+// one-pass member fill replaced, kept as its oracle: the top-level fill
+// across groups, then in each group a stable sort by descending priority
+// and an ascending-cap fill per class, each class taking what the classes
+// above it left.
+func referenceRates(c *Channel) map[*Flow]float64 {
+	var ids []int
 	var members [][]*Flow
-	var top fillScratch
 	for _, f := range c.flows {
-		idx := -1
-		for i, g := range groups {
-			if f.group != "" && g == f.group {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			groupCap := float64(f.maxRate)
-			if f.group != "" {
-				groupCap = math.Inf(1)
-				if g, has := c.groupCaps[f.group]; has {
-					groupCap = float64(g)
-				}
-			}
-			idx = len(groups)
-			groups = append(groups, f.group)
+		i := slices.Index(ids, f.group)
+		if i < 0 {
+			i = len(ids)
+			ids = append(ids, f.group)
 			members = append(members, nil)
-			top.caps = append(top.caps, groupCap)
 		}
-		members[idx] = append(members[idx], f)
+		members[i] = append(members[i], f)
 	}
+	var top fillScratch
 	for i, fs := range members {
-		var sum float64
-		for _, f := range fs {
-			sum += float64(f.maxRate)
+		g := c.groups[ids[i]]
+		groupCap, sum := math.Inf(1), 0.0
+		if g.shared {
+			groupCap = float64(g.rate)
 		}
-		top.caps[i] = math.Min(top.caps[i], sum)
+		for range fs {
+			sum += float64(g.rate)
+		}
+		top.caps = append(top.caps, math.Min(groupCap, sum))
 	}
 	shares := top.fill(float64(c.capacity))
 	out := make(map[*Flow]float64, len(c.flows))
 	for i, fs := range members {
-		for j, r := range c.priorityFill(shares[i], fs) {
-			out[fs[j]] = r
+		rate := float64(c.groups[ids[i]].rate)
+		sort.SliceStable(fs, func(a, b int) bool { return fs[a].pri > fs[b].pri })
+		remaining := shares[i]
+		for lo := 0; lo < len(fs); {
+			hi := lo
+			for hi < len(fs) && fs[hi].pri == fs[lo].pri {
+				hi++
+			}
+			var class fillScratch
+			for range fs[lo:hi] {
+				class.caps = append(class.caps, rate)
+			}
+			for k, r := range class.fill(remaining) {
+				out[fs[lo+k]] = r
+				remaining -= r
+			}
+			lo = hi
 		}
 	}
 	return out
 }
 
-// randomChannel builds a seeded flow set: 1–64 flows over 0–3 capped (or
-// uncapped) groups plus independent flows, maxRates drawn from a small set
-// so equal caps are common, and a share of non-zero priorities. One trial in
-// three packs a uniform group of 13–40 members, past sort.Sort's
-// insertion-sort cutoff.
-func randomChannel(rng *rand.Rand) *Channel {
-	rates := []float64{10, 25, 40, 75, 100.0 / 3, 150}
-	ch := NewChannel("diff", units.GBps(float64(50+rng.Intn(250))))
-	ngroups := rng.Intn(4)
-	for g := 0; g < ngroups; g++ {
-		if rng.Intn(4) > 0 {
-			ch.SetGroupCap(fmt.Sprint("g", g), units.GBps(rates[rng.Intn(len(rates))]*float64(1+rng.Intn(3))))
+// fillRates are the group rates in GB/s a decoded channel draws from: a
+// small set, so equal caps are common.
+var fillRates = []float64{10, 25, 40, 75, 100.0 / 3, 150}
+
+// decodeChannel builds a flow set from data: a capacity byte, a layout byte
+// (1–4 groups, and which of them are shared), one rate byte per group, then
+// two bytes per flow, at most 64 flows: its group and priority class (0–3),
+// and its size. Missing bytes read as zero.
+func decodeChannel(data []byte) *Channel {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
 		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
 	}
-	priRate := rng.Float64() * 0.5
-	if ngroups > 0 && rng.Intn(3) == 0 {
-		r := units.GBps(rates[rng.Intn(len(rates))])
-		for i, n := 0, 13+rng.Intn(28); i < n; i++ {
-			ch.StartGroup(0, "bulk", "g0", units.Bytes(1+rng.Intn(1<<30)), r, 0)
-		}
+	ch := NewChannel("fill", units.GBps(float64(10+next())))
+	layout := next()
+	groups := make([]Group, 1+layout%4)
+	for i := range groups {
+		r := next()
+		rate := fillRates[r%len(fillRates)] * float64(1+r/len(fillRates)%3)
+		groups[i] = ch.Group(units.GBps(rate), layout>>(2+i)&1 == 1)
 	}
-	for i, n := 0, 1+rng.Intn(64-len(ch.flows)); i < n; i++ {
-		group := ""
-		if ngroups > 0 && rng.Intn(3) > 0 {
-			group = fmt.Sprint("g", rng.Intn(ngroups))
-		}
-		pri := 0
-		if rng.Float64() < priRate {
-			pri = 1 + rng.Intn(3)
-		}
-		r := units.GBps(rates[rng.Intn(len(rates))])
-		ch.StartGroupPriority(0, "f", group, units.Bytes(1+rng.Intn(1<<30)), r, 0, pri)
+	for n := 0; len(data) > 0 && n < 64; n++ {
+		gp, size := next(), next()
+		ch.Start(0, groups[gp%len(groups)], units.Bytes(1+size)*4*units.MB, 0, gp/4%4)
 	}
 	return ch
 }
 
-// TestUniformFillMatchesGeneralRoute drives seeded random flow sets through
-// allocate at every completion and compares each flow's rate, by its bits,
-// with the generic route's.
-func TestUniformFillMatchesGeneralRoute(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	var uniformBig, nonUniform int
-	for trial := 0; trial < 300; trial++ {
-		ch := randomChannel(rng)
-		for step := 0; len(ch.flows) > 0; step++ {
-			ch.allocate()
-			for _, u := range ch.units {
-				switch {
-				case !u.uniform:
-					nonUniform++
-				case u.n > 12:
-					uniformBig++
-				}
-			}
-			want := generalRates(ch)
-			for i, f := range ch.flows {
-				if math.Float64bits(float64(f.rate)) != math.Float64bits(want[f]) {
-					t.Fatalf("trial %d step %d flow %d (group %q pri %d cap %v): rate %v, general route %v",
-						trial, step, i, f.group, f.pri, f.maxRate, float64(f.rate), want[f])
-				}
-			}
-			ch.advanceToNextCompletion()
+// randomFillInput draws a decodeChannel input: a share of flows outside
+// priority class 0, and in one trial in three a bulk class of 13–40
+// members, past sort.Sort's insertion-sort cutoff.
+func randomFillInput(rng *rand.Rand) []byte {
+	data := []byte{byte(40 + rng.Intn(216)), byte(rng.Intn(256))}
+	for i := 0; i <= int(data[1])%4; i++ {
+		data = append(data, byte(rng.Intn(256)))
+	}
+	if rng.Intn(3) == 0 {
+		gp := byte(rng.Intn(256))
+		for i, n := 0, 13+rng.Intn(28); i < n; i++ {
+			data = append(data, gp, byte(rng.Intn(256)))
 		}
 	}
-	if uniformBig == 0 || nonUniform == 0 {
-		t.Fatalf("coverage: %d uniform units over 12 flows, %d non-uniform units; want both > 0", uniformBig, nonUniform)
+	priRate := rng.Float64() * 0.5
+	for i, n := 0, 1+rng.Intn(40); i < n; i++ {
+		gp := byte(rng.Intn(256))
+		if rng.Float64() >= priRate {
+			gp &^= 12 // class 0
+		}
+		data = append(data, gp, byte(rng.Intn(256)))
 	}
+	return data
+}
+
+// fillCoverage counts the flow states a fill check walked through: groups
+// with more than one priority class, classes of more than 12 members, and
+// flows below their group's top class that received bandwidth.
+type fillCoverage struct{ multiClass, bigClass, lowerFed int }
+
+func (c fillCoverage) complete() bool { return c.multiClass > 0 && c.bigClass > 0 && c.lowerFed > 0 }
+
+// checkFill drains ch one completion at a time and compares every flow's
+// rate, by its bits, with the reference route's at each flow set.
+func checkFill(tb testing.TB, ch *Channel, cov *fillCoverage) {
+	tb.Helper()
+	for step := 0; len(ch.flows) > 0; step++ {
+		want := referenceRates(ch)
+		top := map[int]int{}
+		class := map[[2]int]int{}
+		for _, f := range ch.flows {
+			if p, ok := top[f.group]; !ok || f.pri > p {
+				top[f.group] = f.pri
+			}
+			class[[2]int{f.group, f.pri}]++
+		}
+		for i, f := range ch.flows {
+			if math.Float64bits(float64(f.rate)) != math.Float64bits(want[f]) {
+				tb.Fatalf("step %d flow %d (group %d, class %d): rate %v, reference %v",
+					step, i, f.group, f.pri, float64(f.rate), want[f])
+			}
+			if f.pri < top[f.group] && f.rate > 0 {
+				cov.lowerFed++
+			}
+		}
+		for k, n := range class {
+			if n > 12 {
+				cov.bigClass++
+			}
+			if k[1] < top[k[0]] {
+				cov.multiClass++
+			}
+		}
+		ch.advanceToNextCompletion()
+	}
+}
+
+// TestFillMatchesReference drives seeded random flow sets, with shared and
+// unshared groups and 1–4 priority classes, through allocate at every
+// completion and compares each flow's rate with the reference route's.
+func TestFillMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var cov fillCoverage
+	for trial := 0; trial < 300; trial++ {
+		checkFill(t, decodeChannel(randomFillInput(rng)), &cov)
+	}
+	t.Logf("coverage %+v", cov)
+	if !cov.complete() {
+		t.Fatalf("coverage %+v: want every count above zero", cov)
+	}
+}
+
+// FuzzChannelFill decodes a flow set from its input and checks the fill
+// against the reference route at every completion. Its seed corpus must
+// reach every coverage count.
+func FuzzChannelFill(f *testing.F) {
+	rng := rand.New(rand.NewSource(20))
+	var cov fillCoverage
+	for i := 0; i < 12; i++ {
+		seed := randomFillInput(rng)
+		checkFill(f, decodeChannel(seed), &cov)
+		f.Add(seed)
+	}
+	if !cov.complete() {
+		f.Fatalf("seed corpus coverage %+v: want every count above zero", cov)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFill(t, decodeChannel(data), &fillCoverage{})
+	})
 }
 
 // TestFillsCountsFlowSetChanges pins the work counter exactly: every start
@@ -131,9 +203,10 @@ func TestUniformFillMatchesGeneralRoute(t *testing.T) {
 func TestFillsCountsFlowSetChanges(t *testing.T) {
 	const n = 10
 	ch := NewChannel("burst", units.GBps(100))
+	burst := ch.Group(units.GBps(100), false)
 	var last *Flow
 	for i := 0; i < n; i++ {
-		last = ch.Start(0, "f", gb(1), units.GBps(100), 0)
+		last = ch.Start(0, burst, gb(1), 0, 0)
 	}
 	ch.Wait(0, last) // all n complete together, leaving the channel empty
 	if got := ch.Stats().Fills; got != n {
@@ -141,11 +214,11 @@ func TestFillsCountsFlowSetChanges(t *testing.T) {
 	}
 
 	ch = NewChannel("handoff", units.GBps(100))
-	a := ch.Start(0, "a", gb(1), units.GBps(100), 0)
-	ch.Start(0, "c", gb(10), units.GBps(100), 0)
+	a := lone(ch, 0, gb(1), units.GBps(100), 0)
+	lone(ch, 0, gb(10), units.GBps(100), 0)
 	before := ch.Stats().Fills
 	end := ch.Wait(0, a)
-	ch.Start(end, "b", gb(1), units.GBps(100), 0)
+	lone(ch, end, gb(1), units.GBps(100), 0)
 	if got := ch.Stats().Fills - before; got != 2 {
 		t.Fatalf("a completion then a same-instant start: %d fills, want 2", got)
 	}
@@ -160,7 +233,7 @@ func TestFillsCountsFlowSetChanges(t *testing.T) {
 func TestPeakRateCountsZeroDurationStates(t *testing.T) {
 	ch := NewChannel("host", units.GBps(16))
 	for i := 0; i < 4; i++ {
-		ch.Start(0, "f", gb(1), units.GBps(16), 0)
+		lone(ch, 0, gb(1), units.GBps(16), 0)
 	}
 	ch.Drain(0)
 	if peak := ch.Stats().PeakRate; peak <= ch.Capacity() {
