@@ -34,6 +34,7 @@ import (
 	"github.com/memcentric/mcdla/internal/power"
 	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/scaleout"
+	"github.com/memcentric/mcdla/internal/sim"
 	"github.com/memcentric/mcdla/internal/trace"
 	"github.com/memcentric/mcdla/internal/train"
 	"github.com/memcentric/mcdla/internal/units"
@@ -311,6 +312,37 @@ func BenchmarkSimulateGoogLeNetDP(b *testing.B) { benchSimulate(b, "GoogLeNet", 
 func BenchmarkSimulateVGGEDP(b *testing.B)      { benchSimulate(b, "VGG-E", train.DataParallel) }
 func BenchmarkSimulateResNetDP(b *testing.B)    { benchSimulate(b, "ResNet", train.DataParallel) }
 func BenchmarkSimulateGRUMP(b *testing.B)       { benchSimulate(b, "RNN-GRU", train.ModelParallel) }
+
+// BenchmarkChannelFill times the water-fill on a host-like channel: 12 GB/s
+// with one unshared 3 GB/s group (DC-DLA's per-DMA host share) and 56 flows
+// in flight, the host channel's average in a study grid. The flows start
+// staggered, 1 MB apart, so they land one at a time in start order. One op
+// waits for the oldest flow and starts a 56 MB replacement: one completion
+// and one start, two fills. The flow arena allocates one block per 64
+// starts, less than one per op, so the loop holds 0 allocs/op.
+func BenchmarkChannelFill(b *testing.B) {
+	const inFlight = 56
+	ch := sim.NewChannel("host", units.GBps(12))
+	dma := ch.Group(units.GBps(3), false)
+	var ring [inFlight]*sim.Flow
+	for i := range ring {
+		ring[i] = ch.Start(0, dma, units.Bytes(i+1)*units.MB, 0, 0)
+	}
+	var t units.Time
+	fills := ch.Stats().Fills
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % inFlight
+		t = ch.Wait(t, ring[k])
+		ring[k] = ch.Start(t, dma, inFlight*units.MB, 0, 0)
+	}
+	b.StopTimer()
+	if n := ch.ActiveFlows(); n != inFlight {
+		b.Fatalf("%d flows in flight, want %d", n, inFlight)
+	}
+	b.ReportMetric(float64(ch.Stats().Fills-fills)/float64(b.N), "fills/op")
+}
 
 // BenchmarkTransformerSimulate times one BERT-Large-class training iteration
 // through the engine (the longest single-node workload of the new axis).

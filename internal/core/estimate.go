@@ -52,7 +52,7 @@ func EstimateIteration(d Design, s *train.Schedule) (IterationEstimate, error) {
 	// Recompute bursts are real device time (the engine charges them in its
 	// compute category); dedupe like the engine's recomputed set and sum in
 	// layer order so float accumulation is run-to-run identical.
-	recompute := map[int]bool{}
+	recompute := make([]bool, len(g.Layers))
 	for _, l := range g.Layers {
 		for _, rid := range prep.Recompute[l.ID] {
 			recompute[rid] = true

@@ -100,7 +100,7 @@ func (it *Iteration) Run(c Collectives) {
 	// stalls only when the channel falls behind the compute.
 	sched := prep.Sched
 	it.fetched = make([]inflight, len(sched.Items))
-	recomputed := make(map[int]bool)
+	recomputed := make([]bool, len(g.Layers))
 	it.refill(t)
 	for id := len(g.Layers) - 1; id >= 0; id-- {
 		if it.Window > 0 {

@@ -8,8 +8,9 @@
 // declared once on its channel with one rate: each member moves at most that
 // rate (e.g. a DMA engine that can only stripe across two of a memory-node's
 // six links), and a shared group's members also split it as their total.
-// Completions are resolved lazily as simulated time advances, so a single sequential actor — one symmetric device of the
-// 8-device node — can drive the whole timeline deterministically.
+// Completions are resolved lazily as simulated time advances, so a single
+// sequential actor — one symmetric device of the 8-device node — can drive
+// the whole timeline deterministically.
 package sim
 
 import (
@@ -80,6 +81,11 @@ type Channel struct {
 	groups   []group
 
 	stats ChannelStats
+
+	// next caches nextCompletionDelta while nextOK: allocate sets it, and
+	// whatever moves bytes without a re-fill clears nextOK.
+	next   units.Time
+	nextOK bool
 
 	// Scratch state below keeps the steady-state hot path (Start → allocate
 	// → water-fill, and the Drain loop) off the heap: every flow start and
@@ -163,11 +169,19 @@ func (c *Channel) Stats() ChannelStats { return c.stats }
 // of a general fill is the identity on equal caps. It runs on every flow
 // start and completion, so its working storage lives in the channel.
 //
+// After a counting pass, one pass over the flows fills every top class,
+// sums the total in flow order and finds the next completion. Only a group
+// whose top class left part of its share unspent cascades to its lower
+// classes, and only then are the total and the next completion re-summed:
+// a lower-class flow the cascade does not reach keeps rate +0, which adds
+// nothing to either.
+//
 // Deferring a round to the next rate read would skip only states that last
 // zero simulated time, yet it would change PeakRate: the peak is the largest
 // rounded total, and a zero-duration state's total can exceed those of the
 // states around it by an ulp (TestPeakRateCountsZeroDurationStates).
 func (c *Channel) allocate() {
+	c.nextOK = false
 	if len(c.flows) == 0 {
 		return
 	}
@@ -208,41 +222,59 @@ func (c *Channel) allocate() {
 			g.rem = shares[g.unit]
 		}
 	}
+	total, next := units.Bandwidth(0), math.Inf(1)
 	for _, f := range c.flows {
 		g := &c.groups[f.group]
 		f.rate = 0
 		if f.pri == g.pri {
 			f.rate = g.take()
+			total += f.rate
+			next = min(next, f.completesIn())
 		}
 	}
+	fed := false
 	for i := range c.groups {
-		if c.groups[i].n > 0 && c.groups[i].lower {
+		// A class's last member takes all that is left unless every member
+		// took the full rate, so rem is exactly 0 once the share is spent.
+		if g := &c.groups[i]; g.n > 0 && g.lower && g.rem > 0 {
 			c.cascade(i)
+			fed = true
 		}
 	}
-	total := units.Bandwidth(0)
-	for _, f := range c.flows {
-		total += f.rate
+	if fed {
+		total, next = 0, math.Inf(1)
+		for _, f := range c.flows {
+			total += f.rate
+			next = min(next, f.completesIn())
+		}
 	}
+	c.next, c.nextOK = units.Time(next), true
 	if total > c.stats.PeakRate {
 		c.stats.PeakRate = total
 	}
 }
 
 // take hands the next member of the class being filled its max-min share.
+// The rate is positive and the share non-negative, both finite, so the
+// inline compare returns math.Min's bits.
 func (g *group) take() units.Bandwidth {
 	share := g.rem / float64(g.left) //mcdlalint:allow floatguard -- left counts down from the class's member count, one per member, so left >= 1 here
-	r := math.Min(float64(g.rate), share)
+	r := float64(g.rate)
+	if share < r {
+		r = share
+	}
 	g.rem -= r
 	g.left--
 	return units.Bandwidth(r)
 }
 
 // cascade hands what group id's top class left over to its lower classes,
-// one class at a time in descending priority.
+// one class at a time in descending priority, until the share is spent:
+// each member takes at most rem, so rem never goes negative, and the
+// classes below a spent share keep rate +0.
 func (c *Channel) cascade(id int) {
 	g := &c.groups[id]
-	for above := g.pri; ; {
+	for above := g.pri; g.rem > 0; above = g.pri {
 		g.left = 0
 		for _, f := range c.flows {
 			if f.group != id || f.pri >= above {
@@ -263,7 +295,6 @@ func (c *Channel) cascade(id int) {
 				f.rate = g.take()
 			}
 		}
-		above = g.pri
 	}
 }
 
@@ -281,8 +312,9 @@ func (fs *fillScratch) Less(a, b int) bool { return fs.caps[fs.order[a]] < fs.ca
 func (fs *fillScratch) Swap(a, b int)      { fs.order[a], fs.order[b] = fs.order[b], fs.order[a] }
 
 // fill distributes capacity across fs.caps max-min fairly: ascending caps,
-// leftover shared among the unfilled. The returned slice aliases fs.out and
-// is valid until the next fill.
+// leftover shared among the unfilled. Caps are positive and finite, so the
+// inline compare returns math.Min's bits. The returned slice aliases fs.out
+// and is valid until the next fill.
 func (fs *fillScratch) fill(capacity float64) []float64 {
 	n := len(fs.caps)
 	fs.out = resizeFloats(fs.out, n)
@@ -295,7 +327,10 @@ func (fs *fillScratch) fill(capacity float64) []float64 {
 	left := n
 	for _, i := range fs.order {
 		share := remaining / float64(left) //mcdlalint:allow floatguard -- left counts down from n over exactly n iterations, so left >= 1 here
-		r := math.Min(fs.caps[i], share)
+		r := fs.caps[i]
+		if share < r {
+			r = share
+		}
 		fs.out[i] = r
 		remaining -= r
 		left--
@@ -392,28 +427,32 @@ func (c *Channel) advanceToNextCompletion() {
 }
 
 // nextCompletionDelta reports the time until the earliest flow completion at
-// current rates. At least one flow must be active.
+// current rates. At least one flow must be active. allocate leaves the delta
+// cached; progress and forceDrainNearest, which move bytes, drop it.
 func (c *Channel) nextCompletionDelta() units.Time {
-	min := math.Inf(1)
-	for _, f := range c.flows {
-		if f.rate <= 0 {
-			continue
+	if !c.nextOK {
+		next := math.Inf(1)
+		for _, f := range c.flows {
+			next = min(next, f.completesIn())
 		}
-		remaining := f.remaining
-		if remaining < byteEpsilon {
-			remaining = byteEpsilon
-		}
-		d := remaining / float64(f.rate)
-		if d < min {
-			min = d
-		}
+		c.next, c.nextOK = units.Time(next), true
 	}
-	if math.IsInf(min, 1) {
+	if math.IsInf(float64(c.next), 1) {
 		// All active flows are rate-starved, which cannot happen with a
 		// positive-capacity channel and positive max rates.
 		panic(fmt.Sprintf("sim: channel %q deadlocked with %d rate-starved flows", c.name, len(c.flows)))
 	}
-	return units.Time(min)
+	return c.next
+}
+
+// completesIn reports the time until f completes at its current rate, +Inf
+// for a flow without bandwidth. A residue below byteEpsilon counts as
+// byteEpsilon.
+func (f *Flow) completesIn() float64 {
+	if f.rate <= 0 {
+		return math.Inf(1)
+	}
+	return max(f.remaining, byteEpsilon) / float64(f.rate)
 }
 
 // forceDrainNearest zeroes the remaining bytes of the flow closest to
@@ -433,6 +472,7 @@ func (c *Channel) forceDrainNearest() {
 	if nearest != nil {
 		c.stats.TotalBytes += nearest.remaining
 		nearest.remaining = 0
+		c.nextOK = false
 	}
 }
 
@@ -441,6 +481,7 @@ func (c *Channel) progress(dt units.Time) {
 	if dt <= 0 {
 		return
 	}
+	c.nextOK = false
 	for _, f := range c.flows {
 		moved := float64(f.rate) * float64(dt)
 		if moved > f.remaining {
@@ -517,6 +558,7 @@ func (c *Channel) Reset() {
 	c.flows = nil
 	c.now = 0
 	c.stats = ChannelStats{}
+	c.nextOK = false
 	c.arena = nil
 	c.arenaUsed = 0
 	clear(c.drained[:cap(c.drained)])
