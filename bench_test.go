@@ -284,12 +284,12 @@ func BenchmarkRunnerCached(b *testing.B) {
 
 // ---- Microbenchmarks: simulator throughput per workload --------------------
 
-// benchSimulate times untraced MC-DLA(B) iterations, then reports the
-// water-fill rounds of one traced run outside the timer: an exact work
-// counter that benchgate holds equal to the baseline.
-func benchSimulate(b *testing.B, workload string, strategy train.Strategy) {
+// benchSimulate times untraced iterations on design, then reports the
+// water-fill rounds and flow visits of one traced run outside the timer:
+// exact work counters that benchgate holds equal to the baseline.
+func benchSimulate(b *testing.B, design, workload string, strategy train.Strategy) {
 	s := train.MustBuild(workload, 512, 8, strategy)
-	d, err := core.DesignByName("MC-DLA(B)")
+	d, err := core.DesignByName(design)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -305,13 +305,35 @@ func benchSimulate(b *testing.B, workload string, strategy train.Strategy) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(tr.Fills), "fills/op")
+	b.ReportMetric(float64(tr.Visits), "visits/op")
 }
 
-func BenchmarkSimulateAlexNetDP(b *testing.B)   { benchSimulate(b, "AlexNet", train.DataParallel) }
-func BenchmarkSimulateGoogLeNetDP(b *testing.B) { benchSimulate(b, "GoogLeNet", train.DataParallel) }
-func BenchmarkSimulateVGGEDP(b *testing.B)      { benchSimulate(b, "VGG-E", train.DataParallel) }
-func BenchmarkSimulateResNetDP(b *testing.B)    { benchSimulate(b, "ResNet", train.DataParallel) }
-func BenchmarkSimulateGRUMP(b *testing.B)       { benchSimulate(b, "RNN-GRU", train.ModelParallel) }
+func BenchmarkSimulateAlexNetDP(b *testing.B) {
+	benchSimulate(b, "MC-DLA(B)", "AlexNet", train.DataParallel)
+}
+
+func BenchmarkSimulateGoogLeNetDP(b *testing.B) {
+	benchSimulate(b, "MC-DLA(B)", "GoogLeNet", train.DataParallel)
+}
+
+func BenchmarkSimulateVGGEDP(b *testing.B) {
+	benchSimulate(b, "MC-DLA(B)", "VGG-E", train.DataParallel)
+}
+
+func BenchmarkSimulateResNetDP(b *testing.B) {
+	benchSimulate(b, "MC-DLA(B)", "ResNet", train.DataParallel)
+}
+
+func BenchmarkSimulateGRUMP(b *testing.B) {
+	benchSimulate(b, "MC-DLA(B)", "RNN-GRU", train.ModelParallel)
+}
+
+// BenchmarkSimulateVGGEDPHost runs VGG-E on DC-DLA, whose offloads and
+// prefetches share the host channel as unshared per-DMA flows: the channel
+// that does most of a study grid's flow visits.
+func BenchmarkSimulateVGGEDPHost(b *testing.B) {
+	benchSimulate(b, "DC-DLA", "VGG-E", train.DataParallel)
+}
 
 // BenchmarkChannelFill times the water-fill on a host-like channel: 12 GB/s
 // with one unshared 3 GB/s group (DC-DLA's per-DMA host share) and 56 flows
@@ -329,7 +351,7 @@ func BenchmarkChannelFill(b *testing.B) {
 		ring[i] = ch.Start(0, dma, units.Bytes(i+1)*units.MB, 0, 0)
 	}
 	var t units.Time
-	fills := ch.Stats().Fills
+	start := ch.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -341,7 +363,9 @@ func BenchmarkChannelFill(b *testing.B) {
 	if n := ch.ActiveFlows(); n != inFlight {
 		b.Fatalf("%d flows in flight, want %d", n, inFlight)
 	}
-	b.ReportMetric(float64(ch.Stats().Fills-fills)/float64(b.N), "fills/op")
+	end := ch.Stats()
+	b.ReportMetric(float64(end.Fills-start.Fills)/float64(b.N), "fills/op")
+	b.ReportMetric(float64(end.Visits-start.Visits)/float64(b.N), "visits/op")
 }
 
 // BenchmarkTransformerSimulate times one BERT-Large-class training iteration
@@ -558,6 +582,7 @@ func BenchmarkPlaneSimulate(b *testing.B) {
 	}
 	b.ReportMetric(div, "divergence-%")
 	b.ReportMetric(float64(tr.Fills), "fills/op")
+	b.ReportMetric(float64(tr.Visits), "visits/op")
 }
 
 // BenchmarkPlaneHybrid times the hybrid (MP-in-chassis × DP-across-chassis)

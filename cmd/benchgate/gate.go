@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,16 +14,20 @@ import (
 
 // Result is one benchmark's measurements from a test2json stream. NsPerOp is
 // always present on a result line; the memory columns require -benchmem.
-// FillsPerOp is the simulator's water-fill round count, reported by the
-// event-loop benchmarks as the custom "fills/op" metric.
+// Counters holds the exact work counters the line reported, by unit.
 type Result struct {
 	NsPerOp     float64
 	BytesPerOp  float64
 	AllocsPerOp float64
 	HasMem      bool
-	FillsPerOp  float64
-	HasFills    bool
+	Counters    map[string]float64
 }
+
+// exactCounters are the custom metrics that count the simulator's work
+// exactly, reported by the event-loop benchmarks: water-fill rounds and
+// flow visits. They do not depend on the machine, so the gate holds each to
+// its baseline value.
+var exactCounters = []string{"fills/op", "visits/op"}
 
 // event is the slice of a test2json record benchgate cares about.
 type event struct {
@@ -114,9 +119,13 @@ func parseMeasurements(s string) (Result, bool) {
 		case "allocs/op":
 			res.AllocsPerOp = v
 			res.HasMem = true
-		case "fills/op":
-			res.FillsPerOp = v
-			res.HasFills = true
+		default:
+			if slices.Contains(exactCounters, fields[i+1]) {
+				if res.Counters == nil {
+					res.Counters = map[string]float64{}
+				}
+				res.Counters[fields[i+1]] = v
+			}
 		}
 	}
 	return res, hasTime
@@ -200,14 +209,18 @@ func compare(baseline, current map[string]Result, th Thresholds) []Row {
 			if base.HasMem && cur.HasMem && row.AllocPct > th.AllocsPct {
 				fails = append(fails, fmt.Sprintf("allocs/op +%.1f%% > %.1f%%", row.AllocPct, th.AllocsPct))
 			}
-			// fills/op is an exact work count: any change, either way, means
-			// the event loop does different work and the baseline must be
-			// regenerated with the change that explains it.
-			switch {
-			case base.HasFills && !cur.HasFills:
-				fails = append(fails, "fills/op missing from current run")
-			case base.HasFills && cur.FillsPerOp != base.FillsPerOp:
-				fails = append(fails, fmt.Sprintf("fills/op %.0f != baseline %.0f (regenerate the baseline if intended)", cur.FillsPerOp, base.FillsPerOp))
+			// An exact counter's change, either way, means the event loop
+			// does different work, and the baseline must be regenerated with
+			// the change that explains it.
+			for _, unit := range exactCounters {
+				want, inBase := base.Counters[unit]
+				got, inCur := cur.Counters[unit]
+				switch {
+				case inBase && !inCur:
+					fails = append(fails, unit+" missing from current run")
+				case inBase && got != want:
+					fails = append(fails, fmt.Sprintf("%s %.0f != baseline %.0f (regenerate the baseline if intended)", unit, got, want))
+				}
 			}
 			if len(fails) > 0 {
 				row.Verdict = regressed

@@ -108,36 +108,52 @@ func TestCompareVerdicts(t *testing.T) {
 // as well as more (the baseline must be regenerated with the change that
 // explains them), and a baseline count the current run no longer reports
 // fails too. A fills/op the baseline lacks is informational.
-func TestFillsGateIsExact(t *testing.T) {
-	const line = "BenchmarkSimulateVGGEDP-2 \t       1\t    147273 ns/op\t        %s\t   28096 B/op\t     193 allocs/op"
-	parse := func(metric string) Result {
+func TestFillsGateIsExact(t *testing.T) { checkExactCounter(t, "fills/op", 78, "2451 visits/op") }
+
+// TestVisitsGateIsExact holds visits/op to the same rule, beside an
+// unchanged fills/op.
+func TestVisitsGateIsExact(t *testing.T) { checkExactCounter(t, "visits/op", 2451, "78.00 fills/op") }
+
+// checkExactCounter gates a result line reporting unit at value, and the
+// other exact counter as other, against lines that move unit by one either
+// way, drop it, or add it to a baseline that lacks it.
+func checkExactCounter(t *testing.T, unit string, value float64, other string) {
+	t.Helper()
+	const line = "BenchmarkSimulateVGGEDP-2 \t       1\t    147273 ns/op\t        %s\t        %s\t   28096 B/op\t     193 allocs/op"
+	parse := func(v float64) Result {
 		t.Helper()
-		res, err := Parse(strings.NewReader(stream(fmt.Sprintf(line, metric))))
+		metric := fmt.Sprintf("%.2f %s", v, unit)
+		if v < 0 {
+			metric = "1.5 divergence-%"
+		}
+		res, err := Parse(strings.NewReader(stream(fmt.Sprintf(line, metric, other))))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res["BenchmarkSimulateVGGEDP"]
 	}
-	base := parse("78.00 fills/op")
-	if !base.HasFills || base.FillsPerOp != 78 {
-		t.Fatalf("fills/op not parsed: %+v", base)
+	base := parse(value)
+	if got, ok := base.Counters[unit]; !ok || got != value {
+		t.Fatalf("%s not parsed: %+v", unit, base)
 	}
 	th := Thresholds{TimePct: 400, AllocsPct: 10}
 	for _, c := range []struct {
-		name   string
-		base   Result
-		metric string
-		want   verdict
+		name      string
+		base, cur float64
+		want      verdict
 	}{
-		{"equal", base, "78.00 fills/op", pass},
-		{"higher", base, "79.00 fills/op", regressed},
-		{"lower", base, "77.00 fills/op", regressed},
-		{"missing", base, "1.5 divergence-%", regressed},
-		{"new", parse("1.5 divergence-%"), "78.00 fills/op", pass},
+		{"equal", value, value, pass},
+		{"higher", value, value + 1, regressed},
+		{"lower", value, value - 1, regressed},
+		{"missing", value, -1, regressed},
+		{"new", -1, value, pass},
 	} {
-		rows := compare(map[string]Result{"B": c.base}, map[string]Result{"B": parse(c.metric)}, th)
+		rows := compare(map[string]Result{"B": parse(c.base)}, map[string]Result{"B": parse(c.cur)}, th)
 		if rows[0].Verdict != c.want {
 			t.Errorf("%s: verdict %v (%s), want %v", c.name, rows[0].Verdict, rows[0].Detail, c.want)
+		}
+		if c.want == regressed && !strings.HasPrefix(rows[0].Detail, unit+" ") {
+			t.Errorf("%s: detail %q does not name %s", c.name, rows[0].Detail, unit)
 		}
 		if c.name == "lower" && !strings.Contains(rows[0].Detail, "regenerate the baseline") {
 			t.Errorf("lower: detail %q does not say to regenerate the baseline", rows[0].Detail)

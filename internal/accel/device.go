@@ -70,6 +70,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// PriceKey returns c with every field a layer's compute price does not
+// read zeroed: the PE array, clock and devicelocal memory stay, the name,
+// SRAM and links go. Configs with one key price every layer alike, and the
+// key itself prices as c does.
+func (c Config) PriceKey() Config {
+	return Config{PEs: c.PEs, MACsPerPE: c.MACsPerPE, FreqHz: c.FreqHz, MemBW: c.MemBW, MemLatencyCycles: c.MemLatencyCycles}
+}
+
 // PeakMACsPerSec reports the array's peak MAC throughput.
 func (c Config) PeakMACsPerSec() float64 {
 	return float64(c.PEs) * float64(c.MACsPerPE) * c.FreqHz

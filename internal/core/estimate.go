@@ -43,11 +43,11 @@ func EstimateIteration(d Design, s *train.Schedule) (IterationEstimate, error) {
 		return IterationEstimate{}, err
 	}
 	g := s.Graph
+	fwd := ForwardPrices(d.Device, s)
 
 	var est IterationEstimate
 	for _, l := range g.Layers {
-		ft := LayerFwdTime(d.Device, g, l, s.Work[l.ID])
-		est.Compute += units.Time((1 + accel.BackwardFactor) * float64(ft))
+		est.Compute += units.Time((1 + accel.BackwardFactor) * float64(fwd[l.ID]))
 	}
 	// Recompute bursts are real device time (the engine charges them in its
 	// compute category); dedupe like the engine's recomputed set and sum in
@@ -60,7 +60,7 @@ func EstimateIteration(d Design, s *train.Schedule) (IterationEstimate, error) {
 	}
 	for _, l := range g.Layers {
 		if recompute[l.ID] {
-			est.Compute += LayerFwdTime(d.Device, g, l, s.Work[l.ID])
+			est.Compute += fwd[l.ID]
 		}
 	}
 

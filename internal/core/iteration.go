@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"github.com/memcentric/mcdla/internal/accel"
 	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/sim"
@@ -68,12 +70,13 @@ type inflight struct {
 // Run simulates the iteration; Sched must pass train.Schedule.Validate.
 func (it *Iteration) Run(c Collectives) {
 	s, g, prep, tr := it.Sched, it.Sched.Graph, it.Prep, it.Trace
+	fwd := ForwardPrices(it.Device, s)
 	var t units.Time
 
 	// ---- Forward propagation ----
 	for _, l := range g.Layers {
 		w := s.Work[l.ID]
-		ft := LayerFwdTime(it.Device, g, l, w)
+		ft := fwd[l.ID]
 		tr.Add(l.Name, "/fwd", trace.Compute, t, t+ft)
 		t += ft
 		it.Compute += ft
@@ -134,13 +137,13 @@ func (it *Iteration) Run(c Collectives) {
 			}
 			recomputed[rid] = true
 			rl := g.Layer(rid)
-			rt := LayerFwdTime(it.Device, g, rl, s.Work[rid])
+			rt := fwd[rid]
 			tr.Add(rl.Name, "/recompute", trace.Recompute, t, t+rt)
 			t += rt
 			it.Compute += rt
 		}
 		l := g.Layer(id)
-		bt := LayerBwdTime(it.Device, g, l, s.Work[id])
+		bt := units.Time(accel.BackwardFactor * float64(fwd[id]))
 		it.Compute += bt
 		tr.Add(l.Name, "/bwd", trace.Compute, t, t+bt)
 
@@ -222,10 +225,15 @@ func (it *Iteration) refill(at units.Time) {
 	}
 }
 
+// layerPrices counts LayerFwdTime evaluations, so a test can hold the price
+// tables to one evaluation per layer, schedule and price key.
+var layerPrices atomic.Int64
+
 // LayerFwdTime estimates the device's forward latency for its shard of the
 // layer (full layer under data parallel, an output slice under model
 // parallel; elementwise layers run replicated on gathered tensors).
 func LayerFwdTime(dev accel.Config, g *dnn.Graph, l *dnn.Layer, w train.LayerWork) units.Time {
+	layerPrices.Add(1)
 	if l.Kind == dnn.Input {
 		return 0
 	}
@@ -252,10 +260,15 @@ func LayerFwdTime(dev accel.Config, g *dnn.Graph, l *dnn.Layer, w train.LayerWor
 	return dev.WorkTime(nil, 0, l.Out.Elems(), l.EwOps)
 }
 
-// LayerBwdTime is the standard 2× backward estimate (dX and dW GEMMs).
-func LayerBwdTime(dev accel.Config, g *dnn.Graph, l *dnn.Layer, w train.LayerWork) units.Time {
-	if l.Kind == dnn.Input {
-		return 0
-	}
-	return units.Time(accel.BackwardFactor * float64(LayerFwdTime(dev, g, l, w)))
+// ForwardPrices returns s's per-layer forward price table on dev, indexed by
+// layer ID: entry l.ID is LayerFwdTime of layer l. It is built once per
+// schedule and dev.PriceKey() (train.Schedule.ForwardPrices) and shared, so
+// callers must not modify it. A layer's backward price is
+// accel.BackwardFactor times its entry (the dX and dW GEMMs), and a
+// recompute costs the entry again.
+func ForwardPrices(dev accel.Config, s *train.Schedule) []units.Time {
+	key := dev.PriceKey()
+	return s.ForwardPrices(key, func(l *dnn.Layer, w train.LayerWork) units.Time {
+		return LayerFwdTime(key, s.Graph, l, w)
+	})
 }

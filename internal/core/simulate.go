@@ -158,11 +158,9 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 		}
 		res.MaxHostSocketBW = units.Bandwidth(float64(virtCh.Stats().PeakRate) * float64(devs))
 	}
-	if tr != nil {
-		tr.Fills += virtCh.Stats().Fills
-		if syncCh := sync.Channel(); syncCh != nil && syncCh != virtCh {
-			tr.Fills += syncCh.Stats().Fills
-		}
+	tr.Tally(virtCh.Stats())
+	if syncCh := sync.Channel(); syncCh != nil && syncCh != virtCh {
+		tr.Tally(syncCh.Stats())
 	}
 	return res, nil
 }

@@ -253,9 +253,10 @@ func (p Plane) Estimate(workload string, globalBatch int, memCentric bool) (Iter
 	}
 	// Summed in layer order: float64 accumulation over map iteration order
 	// would make the estimate differ in the low ULPs run to run.
+	fwd := core.ForwardPrices(p.Device, s)
 	for _, l := range g.Layers {
 		if recompute[l.ID] {
-			compute += core.LayerFwdTime(p.Device, g, l, s.Work[l.ID])
+			compute += fwd[l.ID]
 		}
 	}
 	virtBW := p.HostBW

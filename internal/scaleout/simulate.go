@@ -251,14 +251,12 @@ func (p Plane) simulate(workload string, globalBatch int, memCentric bool, strat
 	if uplink != nil {
 		res.UplinkBusy = uplink.Stats().BusyTime
 	}
-	if tr != nil {
-		tr.Fills += e.links.Stats().Fills
-		if virtCh := virt.Channel(); virtCh != e.links {
-			tr.Fills += virtCh.Stats().Fills
-		}
-		if uplink != nil {
-			tr.Fills += uplink.Stats().Fills
-		}
+	tr.Tally(e.links.Stats())
+	if virtCh := virt.Channel(); virtCh != e.links {
+		tr.Tally(virtCh.Stats())
+	}
+	if uplink != nil {
+		tr.Tally(uplink.Stats())
 	}
 	return res, nil
 }

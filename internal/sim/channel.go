@@ -88,13 +88,14 @@ type Channel struct {
 	nextOK bool
 
 	// Scratch state below keeps the steady-state hot path (Start → allocate
-	// → water-fill, and the Drain loop) off the heap: every flow start and
-	// completion reruns the two-level water-fill, so these buffers are hit
-	// once per event.
+	// → water-fill) off the heap: every flow start and completion reruns the
+	// two-level water-fill, so these buffers are hit once per event.
 	arena     []Flow // current flow allocation block (see newFlow)
 	arenaUsed int
 	topFill   fillScratch // top-level fill across groups
-	drained   []*Flow     // Drain's per-step completion snapshot
+
+	// latest is the latest completion time stamped since Drain set it.
+	latest units.Time
 }
 
 // arenaBlock is the Flow allocation granularity: steady state pays one heap
@@ -138,6 +139,10 @@ type ChannelStats struct {
 	// Fills counts water-fill rounds over a nonempty flow set: an exact,
 	// machine-independent measure of the event loop's work.
 	Fills int
+	// Visits counts flow visits: every pass over the in-flight flows adds
+	// their number once. It measures what each event costs, as Fills
+	// measures how many events there are.
+	Visits int
 }
 
 // NewChannel creates a channel with the given aggregate capacity.
@@ -170,11 +175,12 @@ func (c *Channel) Stats() ChannelStats { return c.stats }
 // start and completion, so its working storage lives in the channel.
 //
 // After a counting pass, one pass over the flows fills every top class,
-// sums the total in flow order and finds the next completion. Only a group
-// whose top class left part of its share unspent cascades to its lower
-// classes, and only then are the total and the next completion re-summed:
-// a lower-class flow the cascade does not reach keeps rate +0, which adds
-// nothing to either.
+// sums the total in flow order and finds the next completion. A flow set
+// of one group and one class, the common case, takes fillUniform's loop
+// instead. Only a group whose top class left part of its share unspent
+// cascades to its lower classes, and only then are the total and the next
+// completion re-summed: a lower-class flow the cascade does not reach keeps
+// rate +0, which adds nothing to either.
 //
 // Deferring a round to the next rate read would skip only states that last
 // zero simulated time, yet it would change PeakRate: the peak is the largest
@@ -186,6 +192,7 @@ func (c *Channel) allocate() {
 		return
 	}
 	c.stats.Fills++
+	c.stats.Visits += len(c.flows)
 	for i := range c.groups {
 		c.groups[i].n = 0
 	}
@@ -207,6 +214,11 @@ func (c *Channel) allocate() {
 			g.lower = true
 		}
 	}
+	if g := &c.groups[c.flows[0].group]; len(caps) == 1 && !g.lower {
+		c.topFill.caps = caps
+		c.fillUniform(g)
+		return
+	}
 	for i := range c.groups {
 		if g := &c.groups[i]; g.n > 0 {
 			caps[g.unit] = g.sum
@@ -222,6 +234,7 @@ func (c *Channel) allocate() {
 			g.rem = shares[g.unit]
 		}
 	}
+	c.stats.Visits += len(c.flows)
 	total, next := units.Bandwidth(0), math.Inf(1)
 	for _, f := range c.flows {
 		g := &c.groups[f.group]
@@ -242,12 +255,49 @@ func (c *Channel) allocate() {
 		}
 	}
 	if fed {
+		c.stats.Visits += len(c.flows)
 		total, next = 0, math.Inf(1)
 		for _, f := range c.flows {
 			total += f.rate
 			next = min(next, f.completesIn())
 		}
 	}
+	c.settle(total, next)
+}
+
+// fillUniform fills a flow set whose members all sit in group g's one
+// class: the general route's operations in the same order, with the
+// group's working state in locals. The top-level fill of one group hands it
+// min(capacity/1, cap), and capacity/1 is capacity exactly.
+func (c *Channel) fillUniform(g *group) {
+	c.stats.Visits += len(c.flows)
+	rem := g.sum
+	if g.shared {
+		rem = float64(g.rate)
+	}
+	if capacity := float64(c.capacity); capacity < rem {
+		rem = capacity
+	}
+	rate, left := float64(g.rate), g.n
+	total, next := units.Bandwidth(0), math.Inf(1)
+	for _, f := range c.flows {
+		share := rem / float64(left) //mcdlalint:allow floatguard -- left counts down from the set's member count, one per flow, so left >= 1 here
+		r := rate
+		if share < r {
+			r = share
+		}
+		rem -= r
+		left--
+		f.rate = units.Bandwidth(r)
+		total += f.rate
+		next = min(next, f.completesIn())
+	}
+	c.settle(total, next)
+}
+
+// settle caches a fill's next-completion delta and folds its total into
+// PeakRate.
+func (c *Channel) settle(total units.Bandwidth, next float64) {
 	c.next, c.nextOK = units.Time(next), true
 	if total > c.stats.PeakRate {
 		c.stats.PeakRate = total
@@ -275,6 +325,7 @@ func (g *group) take() units.Bandwidth {
 func (c *Channel) cascade(id int) {
 	g := &c.groups[id]
 	for above := g.pri; g.rem > 0; above = g.pri {
+		c.stats.Visits += len(c.flows)
 		g.left = 0
 		for _, f := range c.flows {
 			if f.group != id || f.pri >= above {
@@ -290,6 +341,7 @@ func (c *Channel) cascade(id int) {
 		if g.left == 0 {
 			return
 		}
+		c.stats.Visits += len(c.flows)
 		for _, f := range c.flows {
 			if f.group == id && f.pri == g.pri {
 				f.rate = g.take()
@@ -394,19 +446,19 @@ func (c *Channel) AdvanceTo(t units.Time) {
 		}
 		step := c.nextCompletionDelta()
 		target := c.now + step
-		if target > t {
+		switch {
+		case target > t:
 			c.progress(t - c.now)
 			c.now = t
 			return
-		}
-		c.progress(step)
-		if target <= c.now {
+		case target > c.now:
+			c.now = target
+			c.advance(step)
+		default:
 			// The delta is below the clock's float64 resolution: the
 			// nearest flow is effectively complete right now.
-			c.forceDrainNearest()
+			c.drainNearest(step)
 		}
-		c.now = target
-		c.reap()
 	}
 }
 
@@ -421,9 +473,16 @@ func (c *Channel) advanceToNextCompletion() {
 		c.AdvanceTo(c.now + step)
 		return
 	}
+	c.drainNearest(step)
+}
+
+// drainNearest is a completion step whose delta the clock cannot resolve:
+// the flows move by step, the nearest one is drained outright, and the
+// drained flows complete at the current instant.
+func (c *Channel) drainNearest(step units.Time) {
 	c.progress(step)
 	c.forceDrainNearest()
-	c.reap()
+	c.advance(0)
 }
 
 // nextCompletionDelta reports the time until the earliest flow completion at
@@ -431,6 +490,7 @@ func (c *Channel) advanceToNextCompletion() {
 // cached; progress and forceDrainNearest, which move bytes, drop it.
 func (c *Channel) nextCompletionDelta() units.Time {
 	if !c.nextOK {
+		c.stats.Visits += len(c.flows)
 		next := math.Inf(1)
 		for _, f := range c.flows {
 			next = min(next, f.completesIn())
@@ -458,6 +518,7 @@ func (f *Flow) completesIn() float64 {
 // forceDrainNearest zeroes the remaining bytes of the flow closest to
 // completion, breaking sub-resolution stalls.
 func (c *Channel) forceDrainNearest() {
+	c.stats.Visits += len(c.flows)
 	var nearest *Flow
 	best := math.Inf(1)
 	for _, f := range c.flows {
@@ -482,14 +543,17 @@ func (c *Channel) progress(dt units.Time) {
 		return
 	}
 	c.nextOK = false
+	c.stats.Visits += len(c.flows)
+	total := c.stats.TotalBytes
 	for _, f := range c.flows {
 		moved := float64(f.rate) * float64(dt)
 		if moved > f.remaining {
 			moved = f.remaining
 		}
 		f.remaining -= moved
-		c.stats.TotalBytes += moved
+		total += moved
 	}
+	c.stats.TotalBytes = total
 	c.stats.BusyTime += dt
 }
 
@@ -499,19 +563,42 @@ func (c *Channel) progress(dt units.Time) {
 // channel clock (a sub-attosecond delta would otherwise stall AdvanceTo).
 const byteEpsilon = 0.5
 
-// reap removes flows that have drained, stamping their completion times.
-func (c *Channel) reap() {
-	kept := c.flows[:0]
-	for _, f := range c.flows {
+// advance is progress and the completion sweep in one pass: every flow
+// moves dt at its current rate, and a flow left with at most byteEpsilon
+// completes, stamped at the channel clock, and leaves the flow list. The
+// flows ahead of the first completion keep their slots untouched. The
+// channel then re-fills. advance(0) moves nothing and only sweeps: at an
+// infinite rate, rate·0 would be NaN.
+func (c *Channel) advance(dt units.Time) {
+	c.stats.Visits += len(c.flows)
+	total, latest := c.stats.TotalBytes, c.latest
+	kept := 0
+	for i, f := range c.flows {
+		if dt > 0 {
+			moved := float64(f.rate) * float64(dt)
+			if moved > f.remaining {
+				moved = f.remaining
+			}
+			f.remaining -= moved
+			total += moved
+		}
 		if f.remaining <= byteEpsilon {
 			f.remaining = 0
 			f.done = true
 			f.doneAt = c.now + f.extra
+			latest = max(latest, f.doneAt)
 			continue
 		}
-		kept = append(kept, f)
+		if kept < i {
+			c.flows[kept] = f
+		}
+		kept++
 	}
-	c.flows = kept
+	c.flows = c.flows[:kept]
+	c.stats.TotalBytes, c.latest = total, latest
+	if dt > 0 {
+		c.stats.BusyTime += dt
+	}
 	c.allocate()
 }
 
@@ -532,18 +619,11 @@ func (c *Channel) Wait(t units.Time, f *Flow) units.Time {
 // the later of t and the final completion time (including extra latencies).
 func (c *Channel) Drain(t units.Time) units.Time {
 	c.AdvanceTo(t)
-	end := t
+	c.latest = t
 	for len(c.flows) > 0 {
-		c.drained = append(c.drained[:0], c.flows...)
 		c.advanceToNextCompletion()
-		for _, f := range c.drained {
-			if f.done && f.doneAt > end {
-				end = f.doneAt
-			}
-		}
 	}
-	c.drained = c.drained[:0]
-	return end
+	return c.latest
 }
 
 // ActiveFlows reports how many flows are currently in flight.
@@ -551,9 +631,8 @@ func (c *Channel) ActiveFlows() int { return len(c.flows) }
 
 // Reset clears flows, clock and statistics, reusing the channel for a fresh
 // simulation run. The flow arena is dropped wholesale — callers may still
-// hold *Flow pointers from the finished run, so slots are never recycled —
-// and scratch buffers release the flow pointers they were caching. Declared
-// groups stay.
+// hold *Flow pointers from the finished run, so slots are never recycled.
+// Declared groups stay.
 func (c *Channel) Reset() {
 	c.flows = nil
 	c.now = 0
@@ -561,6 +640,4 @@ func (c *Channel) Reset() {
 	c.nextOK = false
 	c.arena = nil
 	c.arenaUsed = 0
-	clear(c.drained[:cap(c.drained)])
-	c.drained = c.drained[:0]
 }

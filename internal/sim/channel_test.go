@@ -488,21 +488,24 @@ func TestPriorityDoesNotCrossGroups(t *testing.T) {
 
 // TestSubResolutionCompletionTerminates: a flow whose completion delta is
 // below the float64 resolution of a late channel clock must still complete
-// in Wait and Drain instead of spinning on a no-op AdvanceTo.
+// in Wait and Drain instead of spinning on a no-op AdvanceTo. So must a
+// flow at an infinite rate (a 1e308 GB/s link), whose every delta is zero.
 func TestSubResolutionCompletionTerminates(t *testing.T) {
 	const now = units.Time(1000) // resolution ~1e-13 s; the flows need ~1e-18 s
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ch := NewChannel("fast", units.GBps(1e12))
-		f := lone(ch, now, 1024, units.GBps(1e12), 0)
-		if got := ch.Wait(now, f); got != now {
-			t.Errorf("Wait returned %v, want %v", got, now)
-		}
-		lone(ch, now, 1024, units.GBps(1e12), 0)
-		lone(ch, now, 2048, units.GBps(1e12), 0)
-		if got := ch.Drain(now); got != now || ch.ActiveFlows() != 0 {
-			t.Errorf("Drain returned %v with %d flows active, want %v and none", got, ch.ActiveFlows(), now)
+		for _, gbps := range []float64{1e12, 1e308} {
+			ch := NewChannel("fast", units.GBps(gbps))
+			f := lone(ch, now, 1024, units.GBps(gbps), 0)
+			if got := ch.Wait(now, f); got != now {
+				t.Errorf("%g GB/s: Wait returned %v, want %v", gbps, got, now)
+			}
+			lone(ch, now, 1024, units.GBps(gbps), 0)
+			lone(ch, now, 2048, units.GBps(gbps), 0)
+			if got := ch.Drain(now); got != now || ch.ActiveFlows() != 0 {
+				t.Errorf("%g GB/s: Drain returned %v with %d flows active, want %v and none", gbps, got, ch.ActiveFlows(), now)
+			}
 		}
 	}()
 	select {

@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 
+	"github.com/memcentric/mcdla/internal/sim"
 	"github.com/memcentric/mcdla/internal/units"
 )
 
@@ -47,6 +48,19 @@ type Log struct {
 	// channels (sim.ChannelStats.Fills): an exact work counter for
 	// benchmarks, kept out of the engines' results.
 	Fills int
+	// Visits sums the same channels' flow visits (sim.ChannelStats.Visits),
+	// the work each of those rounds and moves did.
+	Visits int
+}
+
+// Tally adds one channel's work counters to the log's. A nil log ignores
+// them.
+func (l *Log) Tally(st sim.ChannelStats) {
+	if l == nil {
+		return
+	}
+	l.Fills += st.Fills
+	l.Visits += st.Visits
 }
 
 // Add records a span named name+suffix; zero-length spans are dropped. The

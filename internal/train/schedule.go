@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/memcentric/mcdla/internal/accel"
 	"github.com/memcentric/mcdla/internal/collective"
 	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/units"
@@ -93,7 +94,27 @@ type Schedule struct {
 	// is intended — every consumer already holds a *Schedule.
 	prepMu sync.Mutex
 	prep   [2]*vmem.Prepared
+
+	// priceMu guards the forward price tables below, kept beside the vmem
+	// analyses for the same reason: the most recent priceTables device
+	// price keys. Once all are taken, the next table replaces slot
+	// priced % priceTables, the oldest.
+	priceMu sync.Mutex
+	prices  []priceTable
+	priced  int
 }
+
+// priceTable is one device price key's per-layer forward prices.
+type priceTable struct {
+	key accel.Config
+	fwd []units.Time
+}
+
+// priceTables bounds the price tables a schedule keeps, as Prepared's two
+// oracle modes bound its analyses. The studies price a schedule on at most
+// five distinct price keys (Figure 2's generations); a sixth device evicts
+// the oldest table, which is rebuilt if asked for again.
+const priceTables = 6
 
 // Prepared returns the vmem memory-overlaying analysis of the schedule's
 // graph for the given oracle mode, built once per schedule and shared across
@@ -115,6 +136,32 @@ func (s *Schedule) Prepared(oracle bool) (*vmem.Prepared, error) {
 		s.prep[idx] = pr
 	}
 	return s.prep[idx], nil
+}
+
+// ForwardPrices returns the schedule's per-layer forward compute prices on
+// every device whose accel.Config.PriceKey is key, indexed by layer ID. The
+// first call for a key fills the table with price, once per layer; later
+// calls share it, so callers must not modify it. Design points that differ
+// only in links, channels or names share one table.
+func (s *Schedule) ForwardPrices(key accel.Config, price func(l *dnn.Layer, w LayerWork) units.Time) []units.Time {
+	s.priceMu.Lock()
+	defer s.priceMu.Unlock()
+	for _, t := range s.prices {
+		if t.key == key {
+			return t.fwd
+		}
+	}
+	t := priceTable{key: key, fwd: make([]units.Time, len(s.Graph.Layers))}
+	for _, l := range s.Graph.Layers {
+		t.fwd[l.ID] = price(l, s.Work[l.ID])
+	}
+	if len(s.prices) < priceTables {
+		s.prices = append(s.prices, t)
+	} else {
+		s.prices[s.priced%priceTables] = t
+	}
+	s.priced++
+	return t.fwd
 }
 
 // StashBytes scales a plan tensor's bytes — counted at the graph's 2-byte

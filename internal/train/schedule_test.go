@@ -3,8 +3,10 @@ package train
 import (
 	"testing"
 
+	"github.com/memcentric/mcdla/internal/accel"
 	"github.com/memcentric/mcdla/internal/collective"
 	"github.com/memcentric/mcdla/internal/dnn"
+	"github.com/memcentric/mcdla/internal/units"
 )
 
 const (
@@ -246,5 +248,36 @@ func TestValidateRejectsUnsupportedSyncShapes(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted the schedule", c.name)
 		}
+	}
+}
+
+// TestForwardPricesBoundedAndEvictOldest: a schedule keeps at most
+// priceTables price tables. A key past the bound evicts the oldest, which
+// is priced again when asked for, while the others stay shared.
+func TestForwardPricesBoundedAndEvictOldest(t *testing.T) {
+	s := MustBuild("AlexNet", paperBatch, paperWorkers, DataParallel)
+	priced := 0
+	price := func(*dnn.Layer, LayerWork) units.Time { priced++; return 1 }
+	key := func(i int) accel.Config {
+		c := accel.Default().PriceKey()
+		c.MemBW = units.GBps(float64(100 * (i + 1)))
+		return c
+	}
+	layers := len(s.Graph.Layers)
+	for i := 0; i <= priceTables; i++ {
+		s.ForwardPrices(key(i), price)
+	}
+	if want := (priceTables + 1) * layers; priced != want || len(s.prices) != priceTables {
+		t.Fatalf("%d keys: %d prices and %d tables, want %d and %d", priceTables+1, priced, len(s.prices), want, priceTables)
+	}
+	for i := 1; i <= priceTables; i++ {
+		s.ForwardPrices(key(i), price)
+	}
+	if want := (priceTables + 1) * layers; priced != want {
+		t.Fatalf("the %d most recent keys priced %d layers again, want none", priceTables, priced-want)
+	}
+	s.ForwardPrices(key(0), price)
+	if want := (priceTables + 2) * layers; priced != want {
+		t.Fatalf("the evicted key priced %d layers, want %d", priced-(priceTables+1)*layers, layers)
 	}
 }
