@@ -23,14 +23,12 @@ import (
 	"github.com/memcentric/mcdla/internal/collective"
 	"github.com/memcentric/mcdla/internal/core"
 	"github.com/memcentric/mcdla/internal/cost"
-	"github.com/memcentric/mcdla/internal/cudart"
 	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/dse"
 	"github.com/memcentric/mcdla/internal/experiments"
 	"github.com/memcentric/mcdla/internal/fleet"
 	"github.com/memcentric/mcdla/internal/metrics"
 	"github.com/memcentric/mcdla/internal/obs"
-	"github.com/memcentric/mcdla/internal/overlay"
 	"github.com/memcentric/mcdla/internal/power"
 	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/scaleout"
@@ -596,33 +594,6 @@ func BenchmarkPlaneHybrid(b *testing.B) {
 			b.Fatal(err)
 		}
 		iter = r.Iteration.Milliseconds()
-	}
-	b.ReportMetric(iter, "iter-ms")
-}
-
-// BenchmarkOverlayRuntime replays an iteration through the Table I API via
-// the overlay memory manager. Metric: iteration milliseconds.
-func BenchmarkOverlayRuntime(b *testing.B) {
-	g := dnn.MustBuild("AlexNet", 64)
-	var iter float64
-	for i := 0; i < b.N; i++ {
-		dev, err := cudart.NewDevice(cudart.Config{
-			Local: 16 * units.GB, RemoteHalf: 640 * units.GB,
-			Links: 6, LinkBW: units.GBps(25), HostBW: units.GBps(12),
-			Placement: vmem.BWAware,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt, err := overlay.New(dev, accel.Default(), g, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t, err := rt.Iteration()
-		if err != nil {
-			b.Fatal(err)
-		}
-		iter = t.Milliseconds()
 	}
 	b.ReportMetric(iter, "iter-ms")
 }

@@ -6,8 +6,8 @@
 // workloads plus an attention-era transformer family (BERT-Large-class
 // encoder, GPT-2-class decoder, per-head GEMM attention whose score tensors
 // grow with seqlen²), accel the Table II PE-array device, topo/collective
-// the device-side interconnects and ring collectives, memnode/vmem/cudart
-// the memory-node architecture and virtualization runtime, train the
+// the device-side interconnects and ring collectives, memnode/vmem the
+// memory-node architecture and the virtualization plan, train the
 // parallelization strategies and the fp16/mixed/fp32 precision memory
 // model, and core assembles the six evaluated system design points and
 // simulates full training iterations. The scaleout

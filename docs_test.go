@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -145,4 +146,90 @@ func TestReadmeQuickstartMatchesExample(t *testing.T) {
 	if got := strings.TrimSpace(blocks[len(blocks)-2]); got != want {
 		t.Errorf("README.md quickstart output diverged from %s:\nREADME:\n%s\nExample:\n%s", src, got, want)
 	}
+}
+
+// TestEveryPackageHasABinaryCaller keeps the library free of packages no
+// binary reaches. It follows the non-test imports of every cmd/* main
+// package through the module and fails on any internal/... package left
+// over: a package only tests and examples import is either dead code or a
+// second model of something a binary already runs.
+func TestEveryPackageHasABinaryCaller(t *testing.T) {
+	const module = "github.com/memcentric/mcdla/"
+	exempt := map[string]bool{
+		// The analyzers' test harness: their _test.go files are its only
+		// importers, by design.
+		"internal/analysis/analysistest": true,
+	}
+	reached := map[string]bool{}
+	var visit func(dir string)
+	visit = func(dir string) {
+		if reached[dir] {
+			return
+		}
+		reached[dir] = true
+		_, imports := goPackage(t, dir)
+		for _, imp := range imports {
+			if rel, ok := strings.CutPrefix(imp, module); ok {
+				visit(rel)
+			}
+		}
+	}
+	cmds, err := filepath.Glob("cmd/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range cmds {
+		dir = filepath.ToSlash(dir)
+		if name, _ := goPackage(t, dir); name == "main" {
+			visit(dir)
+		}
+	}
+	if len(reached) == 0 {
+		t.Fatal("no main package under cmd/")
+	}
+	err = filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		dir := filepath.ToSlash(path)
+		if name, _ := goPackage(t, dir); name != "" && !reached[dir] && !exempt[dir] {
+			t.Errorf("%s: no cmd/* binary imports this package, directly or through another", dir)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goPackage parses the non-test Go files of dir and returns their package
+// name ("" when there are none) and the paths they import.
+func goPackage(t *testing.T, dir string) (name string, imports []string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name = f.Name.Name
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			imports = append(imports, path)
+		}
+	}
+	return name, imports
 }

@@ -9,7 +9,6 @@ package accel
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/units"
@@ -131,7 +130,8 @@ func (c Config) ElementwiseTime(elems, opsPerElem int64) units.Time {
 // WorkTime estimates the latency of an arbitrary unit of layer work: a set
 // of GEMMs against hbmBytes of memory traffic, followed by an elementwise
 // epilogue of ewElems × ewOps operations. This is the entry point the system
-// simulator uses for sharded (model-parallel) layer slices.
+// simulator prices every layer, or model-parallel layer slice, through
+// (core.LayerFwdTime).
 func (c Config) WorkTime(gemms []dnn.GEMM, hbmBytes, ewElems, ewOps int64) units.Time {
 	var total units.Time
 	if len(gemms) > 0 {
@@ -147,39 +147,10 @@ func (c Config) WorkTime(gemms []dnn.GEMM, hbmBytes, ewElems, ewOps int64) units
 	return c.ElementwiseTime(ewElems, ewOps)
 }
 
-// LayerForward estimates the forward-pass latency of a layer. inputBytes is
-// the footprint of the layer's input tensors (read from HBM once; weights and
-// outputs are charged from the layer itself).
-func (c Config) LayerForward(l *dnn.Layer, inputBytes int64) units.Time {
-	if l.Kind == dnn.Input {
-		return 0
-	}
-	if len(l.GEMMs) > 0 {
-		hbm := inputBytes + l.WeightBytes() + l.OutBytes()
-		ewElems := int64(0)
-		if l.EwOps > 0 {
-			ewElems = l.Out.Elems()
-		}
-		return c.WorkTime(l.GEMMs, hbm, ewElems, l.EwOps)
-	}
-	return c.ElementwiseTime(l.Out.Elems(), l.EwOps)
-}
-
 // BackwardFactor is the canonical cost ratio of backward to forward
 // propagation for GEMM layers: backprop runs two GEMMs (dX = dY·Wᵀ and
 // dW = Xᵀ·dY) for every forward one.
 const BackwardFactor = 2.0
-
-// LayerBackward estimates the backward-pass latency of a layer.
-// The input (data) layer has no backward work; the first compute layer
-// skips the dX GEMM but the simulator keeps the uniform 2× estimate, which
-// is the standard convention and conservative by less than one layer.
-func (c Config) LayerBackward(l *dnn.Layer, inputBytes int64) units.Time {
-	if l.Kind == dnn.Input {
-		return 0
-	}
-	return units.Time(BackwardFactor * float64(c.LayerForward(l, inputBytes)))
-}
 
 func ceilDiv(a, b int64) int64 {
 	if b <= 0 {
@@ -193,15 +164,4 @@ func maxInt64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// Utilization reports the achieved fraction of peak MAC throughput for a
-// GEMM, a diagnostic used by tests and the topology-explorer example.
-func (c Config) Utilization(g dnn.GEMM, hbmBytes int64) float64 {
-	t := c.GEMMTime(g, hbmBytes)
-	if t <= 0 {
-		return 0
-	}
-	ideal := float64(g.MACs()) / c.PeakMACsPerSec()
-	return math.Min(1, ideal/float64(t))
 }

@@ -34,9 +34,6 @@ func (s Shape) Elems() int64 {
 // Bytes reports the storage footprint (ElemBytes per element) of the shape.
 func (s Shape) Bytes() int64 { return s.Elems() * ElemBytes }
 
-// WithBatch returns the shape with the batch dimension replaced.
-func (s Shape) WithBatch(n int) Shape { s.N = n; return s }
-
 // Valid reports whether every dimension is positive.
 func (s Shape) Valid() bool { return s.N > 0 && s.C > 0 && s.H > 0 && s.W > 0 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"github.com/memcentric/mcdla/internal/collective"
-	"github.com/memcentric/mcdla/internal/cudart"
+	"github.com/memcentric/mcdla/internal/sim"
 	"github.com/memcentric/mcdla/internal/topo"
 	"github.com/memcentric/mcdla/internal/units"
 	"github.com/memcentric/mcdla/internal/vmem"
@@ -14,8 +14,10 @@ import (
 // cube-mesh of Figure 5 and the three MC-DLA candidates of Figure 7),
 // validates their link budgets, and compares their ring structure and
 // collective/virtualization characteristics — the §III-B design-space
-// discussion in executable form. It also exercises the Table I runtime API
-// against a simulated MC-DLA device.
+// discussion in executable form. It ends with what the Table I runtime API
+// extensions rest on for an MC-DLA(B) device: the single driver address
+// space that places deviceremote memory above devicelocal, and a
+// LocalToRemote copy striped BW_AWARE over all N links.
 func Example() {
 	p := topo.DefaultParams()
 	builds := []struct {
@@ -58,34 +60,30 @@ func Example() {
 			collective.Latency(collective.AllReduce, 8*units.MB, cfg))
 	}
 
-	// Exercise the Table I runtime API on an MC-DLA(B)-attached device.
+	// The Table I extensions on an MC-DLA(B) device. The driver maps each
+	// 640 GB half of the two neighbouring memory-nodes above 16 GB of
+	// devicelocal memory (§III-B), so cudaMallocRemote's first buffer sits
+	// at RemoteBase; cudaMemcpyAsync(LocalToRemote) is one DMA on the link
+	// complex at the BW_AWARE rate N*B (Figure 10).
 	fmt.Println("Table I runtime API on an MC-DLA(B) device:")
-	dev, err := cudart.NewDevice(cudart.Config{
-		Local:      16 * units.GB,
-		RemoteHalf: 640 * units.GB,
-		Links:      p.LinksN,
-		LinkBW:     p.LinkBW,
-		HostBW:     units.GBps(12),
-		Placement:  vmem.BWAware,
-	})
+	space := vmem.AddressSpace{Local: 16 * units.GB, Left: 640 * units.GB, Right: 640 * units.GB}
+	if err := space.Validate(); err != nil {
+		panic(err)
+	}
+	fmt.Printf("  device memory visible to the driver: %v\n", space.Total())
+	buf := space.RemoteBase()
+	region, _, err := space.Resolve(buf)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("  device memory visible to the driver: %v\n", dev.Capacity())
-	buf, err := dev.MallocRemote(8 * units.GB)
-	if err != nil {
-		panic(err)
-	}
-	region, _ := dev.Resolve(buf)
 	fmt.Printf("  cudaMallocRemote(8 GB) -> %#x (%v)\n", uint64(buf), region)
-	ev, err := dev.MemcpyAsync(8*units.GB, cudart.LocalToRemote)
-	if err != nil {
-		panic(err)
-	}
-	done := dev.Sync(ev)
+	links := sim.NewChannel("links", units.Bandwidth(float64(p.LinkBW)*float64(p.LinksN)))
+	dma := links.Group(vmem.BWAware.RemoteBandwidth(p.LinksN, p.LinkBW), false)
+	done := links.Wait(0, links.Start(0, dma, 8*units.GB, 0, 0))
 	fmt.Printf("  cudaMemcpyAsync(LocalToRemote, 8 GB) completed at t=%v (BW_AWARE, N*B)\n", done)
-	if err := dev.FreeRemote(buf); err != nil {
-		panic(err)
+	// cudaFreeRemote is safe once no copy is in flight on the buffer.
+	if links.ActiveFlows() != 0 {
+		panic("copy still in flight")
 	}
 	fmt.Println("  cudaFreeRemote: ok")
 	// Output:

@@ -32,9 +32,6 @@ func (p Placement) String() string {
 	return fmt.Sprintf("Placement(%d)", int(p))
 }
 
-// PageBytes is the placement granularity (GPU large pages).
-const PageBytes = 64 * units.KB
-
 // RemoteBandwidth reports the deviceremote DMA throughput a device-node
 // achieves under the policy, given N links of B GB/s each.
 func (p Placement) RemoteBandwidth(links int, linkBW units.Bandwidth) units.Bandwidth {
@@ -44,30 +41,6 @@ func (p Placement) RemoteBandwidth(links int, linkBW units.Bandwidth) units.Band
 		return half
 	case BWAware:
 		return 2 * half
-	}
-	panic(fmt.Sprintf("vmem: unknown placement %d", int(p)))
-}
-
-// TransferLatency reports the Figure 10 DMA latency for an allocation of
-// size D under the policy.
-func (p Placement) TransferLatency(d units.Bytes, links int, linkBW units.Bandwidth) units.Time {
-	return units.TransferTime(d, p.RemoteBandwidth(links, linkBW))
-}
-
-// SplitAllocation returns the per-side chunk sizes (page aligned) for an
-// allocation of size d: LOCAL puts everything on one side, BW_AWARE splits
-// in two page-aligned halves.
-func (p Placement) SplitAllocation(d units.Bytes) (left, right units.Bytes) {
-	switch p {
-	case Local:
-		return d, 0
-	case BWAware:
-		pages := (d + PageBytes - 1) / PageBytes
-		left = (pages / 2) * PageBytes
-		if left > d {
-			left = d
-		}
-		return left, d - left
 	}
 	panic(fmt.Sprintf("vmem: unknown placement %d", int(p)))
 }

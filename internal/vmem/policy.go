@@ -204,21 +204,6 @@ func (p *Plan) PrefetchBytes() int64 { return p.OffloadBytes() }
 // TrafficBytes reports total backing-store traffic per iteration.
 func (p *Plan) TrafficBytes() int64 { return p.OffloadBytes() + p.PrefetchBytes() }
 
-// OffloadsAfter returns the stash tensor producer IDs whose offload is
-// enqueued once the given layer's forward pass completes, plus that layer's
-// own extra stash bytes (recurrent state leaves with the layer itself).
-func (p *Plan) OffloadsAfter(layer int) (tensors []int, extraBytes int64) {
-	for id, tp := range p.Tensors {
-		if tp.Action == Stash && tp.OffloadAfter == layer {
-			tensors = append(tensors, id)
-		}
-	}
-	// The offload queue order feeds the event engine; sort so identical
-	// plans replay identically.
-	sort.Ints(tensors)
-	return tensors, p.ExtraStash[layer]
-}
-
 // PrefetchFor returns the stash bytes that must be resident before the
 // backward pass of the given layer runs: its planned input tensors plus its
 // extra stash. Residency, not traffic: a tensor shared by several backward
@@ -295,9 +280,9 @@ func (p *Plan) PrefetchQueue() []PrefetchItem {
 // PrefetchSchedule is the indexed form of the prefetch queue the backward
 // engines consume: the FIFO items plus, per layer, the queue positions whose
 // transfers must have landed before that layer's backward step (its stashed
-// inputs — wherever their first use put them — and its own extra state). All
-// three engines (core, scale-out plane, overlay runtime) drive the same
-// schedule; only the flow/event bookkeeping differs.
+// inputs — wherever their first use put them — and its own extra state).
+// The one device-iteration kernel, core.Iteration, drives it for both the
+// core engine and the scale-out plane.
 type PrefetchSchedule struct {
 	Items []PrefetchItem
 

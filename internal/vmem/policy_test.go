@@ -1,6 +1,7 @@
 package vmem
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +145,21 @@ func TestDisableRecomputeStashesEverything(t *testing.T) {
 	}
 }
 
+// OffloadsAfter returns the stash tensor producer IDs whose offload is
+// enqueued once the given layer's forward pass completes, sorted, plus that
+// layer's own extra stash bytes (recurrent state leaves with the layer
+// itself). It derives one layer's offloads from the plan's map state alone,
+// the oracle Prepare's one-pass Offloads table is checked against.
+func (p *Plan) OffloadsAfter(layer int) (tensors []int, extraBytes int64) {
+	for id, tp := range p.Tensors {
+		if tp.Action == Stash && tp.OffloadAfter == layer {
+			tensors = append(tensors, id)
+		}
+	}
+	sort.Ints(tensors)
+	return tensors, p.ExtraStash[layer]
+}
+
 func TestOffloadsAfterLastUse(t *testing.T) {
 	// ResNet residual tensors are consumed twice; the offload must wait
 	// for the later consumer.
@@ -228,56 +244,6 @@ func TestPlacementBandwidths(t *testing.T) {
 	}
 	if got := BWAware.RemoteBandwidth(6, units.GBps(25)).GBps(); got != 150 {
 		t.Fatalf("BW_AWARE bandwidth = %g, want 150", got)
-	}
-}
-
-func TestPlacementLatencyHalved(t *testing.T) {
-	d := units.Bytes(1) * units.GB
-	l := Local.TransferLatency(d, 6, units.GBps(25))
-	b := BWAware.TransferLatency(d, 6, units.GBps(25))
-	if b*2 != l {
-		t.Fatalf("BW_AWARE latency %v must be half of LOCAL %v", b, l)
-	}
-}
-
-func TestSplitAllocation(t *testing.T) {
-	left, right := Local.SplitAllocation(10 * PageBytes)
-	if left != 10*PageBytes || right != 0 {
-		t.Fatalf("LOCAL split = %d/%d", left, right)
-	}
-	left, right = BWAware.SplitAllocation(10 * PageBytes)
-	if left != 5*PageBytes || right != 5*PageBytes {
-		t.Fatalf("BW_AWARE even split = %d/%d", left, right)
-	}
-	// Odd page counts keep the sides within one page of each other.
-	left, right = BWAware.SplitAllocation(3 * PageBytes)
-	if left != PageBytes || right != 2*PageBytes {
-		t.Fatalf("BW_AWARE odd split = %d/%d", left, right)
-	}
-	// Sub-page allocations never exceed the request.
-	left, right = BWAware.SplitAllocation(100)
-	if left+right != 100 {
-		t.Fatalf("BW_AWARE sub-page split = %d/%d", left, right)
-	}
-}
-
-// Property: BW_AWARE split halves are balanced within one page and conserve
-// the allocation exactly.
-func TestPropertySplitConserves(t *testing.T) {
-	f := func(raw uint32) bool {
-		d := units.Bytes(raw)
-		left, right := BWAware.SplitAllocation(d)
-		if left+right != d {
-			return false
-		}
-		diff := left - right
-		if diff < 0 {
-			diff = -diff
-		}
-		return diff <= PageBytes
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 
