@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/memcentric/mcdla/internal/accel"
+	"github.com/memcentric/mcdla/internal/vmem"
 )
 
 // TestDesignForRejectsUnbuildableLinkComplexes: every design resolves over
@@ -42,6 +43,23 @@ func TestDesignForRejectsUnbuildableLinkComplexes(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestMCDLAVirtBWFollowsPlacement: at any link count, MC-DLA(B) stripes its
+// DMAs over the whole link complex it shares with the rings, and MC-DLA(L)
+// reaches the half facing one memory-node.
+func TestMCDLAVirtBWFollowsPlacement(t *testing.T) {
+	for _, links := range []int{1, 2, 4, 6, 8, 12} {
+		dev := accel.Default()
+		dev.Links = links
+		b, l := NewMCDLAB(dev, 8), NewMCDLAL(dev, 8)
+		if b.VirtBW != b.LinkComplexBW || b.Placement != vmem.BWAware {
+			t.Errorf("links=%d: MC-DLA(B) virt %v over a %v link complex (%v)", links, b.VirtBW, b.LinkComplexBW, b.Placement)
+		}
+		if 2*l.VirtBW != l.LinkComplexBW || l.Placement != vmem.Local {
+			t.Errorf("links=%d: MC-DLA(L) virt %v over a %v link complex (%v)", links, l.VirtBW, l.LinkComplexBW, l.Placement)
 		}
 	}
 }
