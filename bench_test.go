@@ -333,18 +333,28 @@ func BenchmarkSimulateVGGEDPHost(b *testing.B) {
 	benchSimulate(b, "DC-DLA", "VGG-E", train.DataParallel)
 }
 
+// BenchmarkSimulateGRUDPHost runs RNN-GRU data parallel on DC-DLA, the
+// costliest single simulation of a study grid: its host channel carries
+// up to 357 offload and prefetch flows at a time, all in one group and
+// one class.
+func BenchmarkSimulateGRUDPHost(b *testing.B) {
+	benchSimulate(b, "DC-DLA", "RNN-GRU", train.DataParallel)
+}
+
 // BenchmarkChannelFill times the water-fill on a host-like channel: 12 GB/s
-// with one unshared 3 GB/s group (DC-DLA's per-DMA host share) and 56 flows
-// in flight, the host channel's average in a study grid. The flows start
-// staggered, 1 MB apart, so they land one at a time in start order. One op
-// waits for the oldest flow and starts a 56 MB replacement: one completion
-// and one start, two fills. The flow arena allocates one block per 64
-// starts, less than one per op, so the loop holds 0 allocs/op.
+// with one unshared 3 GB/s group and 56 flows in flight, the host channel's
+// average in a study grid. The 3 GB/s member rate is the §V-D socket share
+// of four devices on one socket; default DC-DLA's DMA group runs at the
+// full 12 GB/s. The flows start staggered, 1 MB apart, so they land one at
+// a time in start order. One op waits for the oldest flow and starts a
+// 56 MB replacement: one completion and one start, two fills. The stamp
+// table grows by doubling, less than one allocation per op, so the loop
+// holds 0 allocs/op.
 func BenchmarkChannelFill(b *testing.B) {
 	const inFlight = 56
 	ch := sim.NewChannel("host", units.GBps(12))
 	dma := ch.Group(units.GBps(3), false)
-	var ring [inFlight]*sim.Flow
+	var ring [inFlight]sim.Flow
 	for i := range ring {
 		ring[i] = ch.Start(0, dma, units.Bytes(i+1)*units.MB, 0, 0)
 	}

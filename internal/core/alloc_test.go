@@ -19,17 +19,20 @@ func TestSimulateAllocBudget(t *testing.T) {
 		strategy train.Strategy
 		budget   float64
 	}{
-		// Measured: 32, 27, 40 and 32 allocs/op once each channel declared
-		// its groups once, without a cap map (32, 29, 40 and 34 before;
+		// Measured: 24, 20, 29 and 18 allocs/op once flows became handles
+		// on a pointer-free flow table with a doubling stamp table (24, 21,
+		// 37 and 31 with a 64-flow arena; 32, 27, 40 and 32 once each
+		// channel declared its groups once, without a cap map; 32, 29, 40
+		// and 34 before;
 		// 50, 47, 599 and 593 before both engines ran one iteration kernel
 		// and Schedule.Validate stopped copying each layer's sync ops; 104,
 		// 68, 1169 and 608 before the water-fill stopped keeping per-unit
 		// member lists; 305, 265, 3421 and 2856 before span names went lazy
 		// and the per-flow tag map went).
-		{"DC-DLA", "VGG-E", train.DataParallel, 40},
-		{"MC-DLA(B)", "VGG-E", train.DataParallel, 34},
-		{"DC-DLA", "RNN-GRU", train.ModelParallel, 50},
-		{"MC-DLA(B)", "RNN-GRU", train.ModelParallel, 40},
+		{"DC-DLA", "VGG-E", train.DataParallel, 30},
+		{"MC-DLA(B)", "VGG-E", train.DataParallel, 25},
+		{"DC-DLA", "RNN-GRU", train.ModelParallel, 37},
+		{"MC-DLA(B)", "RNN-GRU", train.ModelParallel, 23},
 	}
 	for _, c := range cases {
 		d, err := DesignByName(c.design)

@@ -50,8 +50,8 @@ func EstimateIteration(d Design, s *train.Schedule) (IterationEstimate, error) {
 		est.Compute += units.Time((1 + accel.BackwardFactor) * float64(fwd[l.ID]))
 	}
 	// Recompute bursts are real device time (the engine charges them in its
-	// compute category); dedupe like the engine's recomputed set and sum in
-	// layer order so float accumulation is run-to-run identical.
+	// compute category), each recomputed layer once; sum in layer order so
+	// float accumulation is run-to-run identical.
 	recompute := make([]bool, len(g.Layers))
 	for _, l := range g.Layers {
 		for _, rid := range prep.Recompute[l.ID] {

@@ -62,7 +62,7 @@ type Iteration struct {
 }
 
 type inflight struct {
-	flow   *sim.Flow
+	flow   sim.Flow
 	issued units.Time
 	traced bool
 }
@@ -103,7 +103,6 @@ func (it *Iteration) Run(c Collectives) {
 	// stalls only when the channel falls behind the compute.
 	sched := prep.Sched
 	it.fetched = make([]inflight, len(sched.Items))
-	recomputed := make([]bool, len(g.Layers))
 	it.refill(t)
 	for id := len(g.Layers) - 1; id >= 0; id-- {
 		if it.Window > 0 {
@@ -130,12 +129,9 @@ func (it *Iteration) Run(c Collectives) {
 			it.StallVirt += t - stallFrom
 			it.refill(t)
 		}
-		// Recompute cheap producers whose outputs were not stashed.
+		// Recompute cheap producers whose outputs were not stashed, each
+		// once, at the first backward step that needs it.
 		for _, rid := range prep.Recompute[id] {
-			if recomputed[rid] {
-				continue
-			}
-			recomputed[rid] = true
 			rl := g.Layer(rid)
 			rt := fwd[rid]
 			tr.Add(rl.Name, "/recompute", trace.Recompute, t, t+rt)

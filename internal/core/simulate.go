@@ -183,10 +183,10 @@ type ringSync struct {
 	tr      *trace.Log
 	sync    units.Time
 	traffic units.Bytes
-	pending []*sim.Flow
+	pending []sim.Flow
 }
 
-func (rs *ringSync) start(at units.Time, op train.SyncOp) *sim.Flow {
+func (rs *ringSync) start(at units.Time, op train.SyncOp) sim.Flow {
 	cost := collective.Estimate(op.Op, op.Bytes, rs.cfg)
 	rs.sync += cost.Latency(rs.cfg.AggregateBW())
 	rs.traffic += op.Bytes

@@ -21,15 +21,17 @@ func TestSimulateAllocBudget(t *testing.T) {
 	run() // warm the schedule memo and its prepared vmem analysis
 	allocs := testing.AllocsPerRun(5, run)
 	t.Logf("scaleout.Simulate(BERT-Large) steady state: %.0f allocs/op", allocs)
-	// Measured 87 allocs/op once each channel declared its groups once,
-	// without a cap map and the member fill's sort scratch (126 before
+	// Measured 47 allocs/op once flows became handles on a pointer-free
+	// flow table with a doubling stamp table (74 with a 64-flow arena; 87
+	// once each channel declared its groups once, without a cap map and
+	// the member fill's sort scratch; 126 before
 	// that; 514 before the plane ran the shared iteration kernel with
 	// staged ops held by value and the prefetch window counted in place; 727 before the water-fill stopped keeping per-unit
 	// member lists; ~4.0k before span names were built only for a trace log,
 	// ~93.5k before the sim.Channel scratch buffers landed); the budget
 	// leaves ~25% headroom for benign drift while still catching any
 	// per-event or per-span regression.
-	const budget = 109
+	const budget = 59
 	if allocs > budget {
 		t.Fatalf("plane iteration allocated %.0f objects/op, budget %d", allocs, budget)
 	}

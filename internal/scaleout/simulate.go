@@ -85,14 +85,14 @@ type stagedOp struct {
 	laps [3]flowStage // at most reduce-scatter, inter-node ring, all-gather
 	// n laps are in use; laps[next-1] is in flight.
 	n, next int
-	cur     *sim.Flow
+	cur     sim.Flow // the lap in flight; the zero Flow once every lap has landed
 	tr      *trace.Log
 	issued  units.Time
 }
 
 func (so *stagedOp) issueNext(t units.Time) {
 	if so.next == so.n {
-		so.cur = nil
+		so.cur = sim.Flow{}
 		return
 	}
 	st := &so.laps[so.next]
@@ -117,7 +117,7 @@ func (so *stagedOp) land() {
 // boundaries so the uplink carries shard rings while the device computes,
 // instead of all later laps queueing behind the iteration-end drain.
 func (so *stagedOp) pump(at units.Time) {
-	for so.cur != nil {
+	for so.cur != (sim.Flow{}) {
 		so.laps[so.next-1].g.Channel().AdvanceTo(at)
 		if !so.cur.Done() {
 			return
@@ -130,7 +130,7 @@ func (so *stagedOp) pump(at units.Time) {
 // resume time (≥ t).
 func (so *stagedOp) drain(t units.Time) units.Time {
 	resume := t
-	for so.cur != nil {
+	for so.cur != (sim.Flow{}) {
 		resume = so.laps[so.next-1].g.Channel().Wait(t, so.cur)
 		so.land()
 	}

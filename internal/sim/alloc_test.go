@@ -9,9 +9,9 @@ import (
 // TestChannelReallocateAllocBudget pins the steady-state heap cost of the
 // rate-reallocation hot path: every Start/completion reruns the two-level
 // water-fill, and after warm-up all of its working storage (fill caps,
-// shares and sort order, the Drain snapshot) must come from Channel
-// scratch. The only permitted heap traffic is the amortized flow-arena
-// block — one allocation per arenaBlock flow starts.
+// shares and sort order, the flow table) must come from Channel scratch.
+// The only permitted heap traffic is the stamp table's growth, which
+// doubles, so its allocations per flow start fall toward zero.
 func TestChannelReallocateAllocBudget(t *testing.T) {
 	ch := NewChannel("switch", units.GBps(150))
 	solo := ch.Group(units.GBps(25), false)
@@ -28,10 +28,10 @@ func TestChannelReallocateAllocBudget(t *testing.T) {
 		now = ch.Wait(now, prefetch)
 		now = ch.Drain(now)
 	}
-	round() // warm the scratch buffers and the first arena block
+	round() // warm the scratch buffers and the first stamp block
 	allocs := testing.AllocsPerRun(200, round)
-	// 4 flows/round against a 64-slot arena: amortized 1/16 allocation per
-	// round. Anything near 1 means a scratch buffer regressed to the heap.
+	// 4 flows/round against a doubling stamp table: 4 allocations in 200
+	// rounds. Anything near 1 means a scratch buffer regressed to the heap.
 	if allocs > 0.5 {
 		t.Fatalf("channel water-fill round allocated %.2f objects/op, budget 0.5", allocs)
 	}

@@ -21,23 +21,29 @@ import (
 	"github.com/memcentric/mcdla/internal/units"
 )
 
-// Flow is an in-flight bulk transfer on a Channel.
+// Flow is a handle on a transfer started on a Channel: a small value that
+// stays valid for the channel's life, after the transfer completes too.
 type Flow struct {
-	ch        *Channel
-	group     int             // index of the flow's group in ch.groups
-	pri       int             // priority class within the group (higher first)
-	remaining float64         // bytes left to move
-	rate      units.Bandwidth // current allocated rate
-	done      bool
-	doneAt    units.Time
-	extra     units.Time // fixed latency appended after the last byte lands
+	ch *Channel
+	id int // index of the flow's stamp in ch.stamps
 }
 
 // Done reports whether the flow has completed.
-func (f *Flow) Done() bool { return f.done }
+func (f Flow) Done() bool { return f.ch.done(f.id) }
 
 // DoneAt reports the completion time. It is only meaningful once Done.
-func (f *Flow) DoneAt() units.Time { return f.doneAt }
+func (f Flow) DoneAt() units.Time { return f.ch.stamps[f.id] }
+
+// flow is an in-flight transfer's entry in its channel's flow table. Its
+// indices are 32-bit: a channel declares fewer than 2³¹ groups and starts
+// fewer than 2³¹ flows, whose stamps alone would take 16 GiB.
+type flow struct {
+	remaining float64         // bytes left to move
+	rate      units.Bandwidth // current allocated rate
+	pri       int             // priority class within the group (higher first)
+	group     int32           // index of the flow's group in ch.groups
+	id        int32           // index of the flow's stamp in ch.stamps
+}
 
 // Group is a handle on one of a channel's flow groups: its members move at
 // most the group's rate each, and a shared group also caps their total at
@@ -53,11 +59,14 @@ func (g Group) Channel() *Channel { return g.ch }
 // Rate reports the group's per-member rate.
 func (g Group) Rate() units.Bandwidth { return g.ch.groups[g.id].rate }
 
-// group is one declared group and its working state in the current
-// allocate round.
+// group is one declared group, its prefix table and its working state in
+// the current allocate round.
 type group struct {
 	rate   units.Bandwidth
 	shared bool
+	// sums[k] is k+1 copies of rate added in order, up to the first sum
+	// above the channel's capacity (see rateSum).
+	sums []float64
 
 	n     int     // active members
 	sum   float64 // n copies of rate, added in flow order
@@ -66,6 +75,25 @@ type group struct {
 	left  int     // members of the class being filled not yet filled
 	rem   float64 // group share not yet handed out
 	lower bool    // some member sits below the top class
+}
+
+// rateSum reports n copies of the group's rate added in order, the demand
+// of n unshared members, or the first such sum above capacity: the fill
+// takes the lesser of capacity and the demand, and a sum of positive rates
+// only grows, so every longer sum gives the same fill. The table grows to
+// the largest n asked for, at most to that first sum.
+func (g *group) rateSum(n int, capacity float64) float64 {
+	for len(g.sums) < n {
+		s := float64(g.rate)
+		if k := len(g.sums); k > 0 {
+			if g.sums[k-1] > capacity {
+				break
+			}
+			s += g.sums[k-1]
+		}
+		g.sums = append(g.sums, s)
+	}
+	return g.sums[min(n, len(g.sums))-1]
 }
 
 // Channel is a shared, half-duplex bandwidth resource. Concurrent flows
@@ -77,8 +105,20 @@ type Channel struct {
 	name     string
 	capacity units.Bandwidth
 	now      units.Time
-	flows    []*Flow
+	flows    []flow // in flight, in start order
 	groups   []group
+	// stamps holds one entry per flow started, indexed by Flow.id. Its
+	// sign bit says whether the flow is in flight: an in-flight flow's
+	// stamp is its extra latency negated (−0 for none), a completed flow's
+	// is its completion time, which the clock and a non-negative extra
+	// latency keep non-negative.
+	stamps []units.Time
+
+	// homeN counts the in-flight flows in group homeGroup's priority class
+	// homePri, the home class: at first the zero group's class 0, then the
+	// class a general fill last found alone in flight. While homeN is every
+	// flow in flight, a fill is one pass with no counting.
+	homeGroup, homePri, homeN int
 
 	stats ChannelStats
 
@@ -87,33 +127,32 @@ type Channel struct {
 	next   units.Time
 	nextOK bool
 
-	// Scratch state below keeps the steady-state hot path (Start → allocate
-	// → water-fill) off the heap: every flow start and completion reruns the
-	// two-level water-fill, so these buffers are hit once per event.
-	arena     []Flow // current flow allocation block (see newFlow)
-	arenaUsed int
-	topFill   fillScratch // top-level fill across groups
+	// topFill keeps the general fill's working storage off the heap: every
+	// flow start and completion reruns the water-fill.
+	topFill fillScratch
 
 	// latest is the latest completion time stamped since Drain set it.
 	latest units.Time
 }
 
-// arenaBlock is the Flow allocation granularity: steady state pays one heap
-// allocation per arenaBlock flow starts instead of one per flow.
-const arenaBlock = 64
+// stampBlock is the stamp table's first size. The table doubles when full,
+// so a channel pays at most one allocation per stampBlock flow starts.
+const stampBlock = 64
 
-// newFlow hands out a Flow from the current arena block, starting a fresh
-// block when it runs out. Slots are never reused while the arena is live, so
-// caller-held *Flow pointers stay valid; Reset drops the block wholesale.
-func (c *Channel) newFlow() *Flow {
-	if c.arenaUsed == len(c.arena) {
-		c.arena = make([]Flow, arenaBlock)
-		c.arenaUsed = 0
+// newStamp adds the stamp of a flow being started in flight and returns
+// its index.
+func (c *Channel) newStamp(extra units.Time) int {
+	if len(c.stamps) == cap(c.stamps) {
+		grown := make([]units.Time, len(c.stamps), max(stampBlock, 2*cap(c.stamps)))
+		copy(grown, c.stamps)
+		c.stamps = grown
 	}
-	f := &c.arena[c.arenaUsed]
-	c.arenaUsed++
-	return f
+	c.stamps = append(c.stamps, -extra)
+	return len(c.stamps) - 1
 }
+
+// done reports whether the flow with stamp index id has completed.
+func (c *Channel) done(id int) bool { return !math.Signbit(float64(c.stamps[id])) }
 
 // Group declares a flow group whose members each move at most rate. A
 // shared group's members also share rate as their total — e.g. a DMA engine
@@ -174,13 +213,14 @@ func (c *Channel) Stats() ChannelStats { return c.stats }
 // of a general fill is the identity on equal caps. It runs on every flow
 // start and completion, so its working storage lives in the channel.
 //
-// After a counting pass, one pass over the flows fills every top class,
-// sums the total in flow order and finds the next completion. A flow set
-// of one group and one class, the common case, takes fillUniform's loop
-// instead. Only a group whose top class left part of its share unspent
-// cascades to its lower classes, and only then are the total and the next
-// completion re-summed: a lower-class flow the cascade does not reach keeps
-// rate +0, which adds nothing to either.
+// While every flow in flight sits in the home class, the common case, the
+// fill is fillUniform's one pass. Any other set takes a counting pass, then
+// one pass over the flows that fills every group's top class, sums the
+// total in flow order and finds the next completion. Only a group whose top
+// class left part of its share unspent cascades to its lower classes, and
+// only then are the total and the next completion re-summed: a lower-class
+// flow the cascade does not reach keeps rate +0, which adds nothing to
+// either. A counting pass that finds one class makes it the home class.
 //
 // Deferring a round to the next rate read would skip only states that last
 // zero simulated time, yet it would change PeakRate: the peak is the largest
@@ -192,15 +232,20 @@ func (c *Channel) allocate() {
 		return
 	}
 	c.stats.Fills++
+	if c.homeN == len(c.flows) {
+		c.fillUniform(&c.groups[c.homeGroup])
+		return
+	}
 	c.stats.Visits += len(c.flows)
 	for i := range c.groups {
 		c.groups[i].n = 0
 	}
 	caps := c.topFill.caps[:0]
-	for _, f := range c.flows {
+	for i := range c.flows {
+		f := &c.flows[i]
 		g := &c.groups[f.group]
 		if g.n == 0 {
-			*g = group{rate: g.rate, shared: g.shared, unit: len(caps), pri: f.pri}
+			*g = group{rate: g.rate, shared: g.shared, sums: g.sums, unit: len(caps), pri: f.pri}
 			caps = append(caps, 0)
 		}
 		g.n++
@@ -214,9 +259,10 @@ func (c *Channel) allocate() {
 			g.lower = true
 		}
 	}
-	if g := &c.groups[c.flows[0].group]; len(caps) == 1 && !g.lower {
-		c.topFill.caps = caps
-		c.fillUniform(g)
+	c.topFill.caps = caps
+	if id := int(c.flows[0].group); len(caps) == 1 && !c.groups[id].lower {
+		c.homeGroup, c.homePri, c.homeN = id, c.groups[id].pri, len(c.flows)
+		c.fillUniform(&c.groups[id])
 		return
 	}
 	for i := range c.groups {
@@ -227,7 +273,6 @@ func (c *Channel) allocate() {
 			}
 		}
 	}
-	c.topFill.caps = caps
 	shares := c.topFill.fill(float64(c.capacity))
 	for i := range c.groups {
 		if g := &c.groups[i]; g.n > 0 {
@@ -236,7 +281,8 @@ func (c *Channel) allocate() {
 	}
 	c.stats.Visits += len(c.flows)
 	total, next := units.Bandwidth(0), math.Inf(1)
-	for _, f := range c.flows {
+	for i := range c.flows {
+		f := &c.flows[i]
 		g := &c.groups[f.group]
 		f.rate = 0
 		if f.pri == g.pri {
@@ -257,7 +303,8 @@ func (c *Channel) allocate() {
 	if fed {
 		c.stats.Visits += len(c.flows)
 		total, next = 0, math.Inf(1)
-		for _, f := range c.flows {
+		for i := range c.flows {
+			f := &c.flows[i]
 			total += f.rate
 			next = min(next, f.completesIn())
 		}
@@ -266,21 +313,25 @@ func (c *Channel) allocate() {
 }
 
 // fillUniform fills a flow set whose members all sit in group g's one
-// class: the general route's operations in the same order, with the
-// group's working state in locals. The top-level fill of one group hands it
-// min(capacity/1, cap), and capacity/1 is capacity exactly.
+// class in one pass: the general route's operations in the same order. The
+// top-level fill of one group hands it min(capacity/1, demand), and
+// capacity/1 is capacity exactly; an unshared group's demand is its
+// prefix-table sum, the general route's n-fold sum in flow order.
 func (c *Channel) fillUniform(g *group) {
-	c.stats.Visits += len(c.flows)
-	rem := g.sum
-	if g.shared {
-		rem = float64(g.rate)
+	n := len(c.flows)
+	c.stats.Visits += n
+	capacity := float64(c.capacity)
+	rem := float64(g.rate)
+	if !g.shared {
+		rem = g.rateSum(n, capacity)
 	}
-	if capacity := float64(c.capacity); capacity < rem {
+	if capacity < rem {
 		rem = capacity
 	}
-	rate, left := float64(g.rate), g.n
+	rate, left := float64(g.rate), n
 	total, next := units.Bandwidth(0), math.Inf(1)
-	for _, f := range c.flows {
+	for i := range c.flows {
+		f := &c.flows[i]
 		share := rem / float64(left) //mcdlalint:allow floatguard -- left counts down from the set's member count, one per flow, so left >= 1 here
 		r := rate
 		if share < r {
@@ -327,8 +378,9 @@ func (c *Channel) cascade(id int) {
 	for above := g.pri; g.rem > 0; above = g.pri {
 		c.stats.Visits += len(c.flows)
 		g.left = 0
-		for _, f := range c.flows {
-			if f.group != id || f.pri >= above {
+		for i := range c.flows {
+			f := &c.flows[i]
+			if int(f.group) != id || f.pri >= above {
 				continue
 			}
 			if g.left == 0 || f.pri > g.pri {
@@ -342,8 +394,8 @@ func (c *Channel) cascade(id int) {
 			return
 		}
 		c.stats.Visits += len(c.flows)
-		for _, f := range c.flows {
-			if f.group == id && f.pri == g.pri {
+		for i := range c.flows {
+			if f := &c.flows[i]; int(f.group) == id && f.pri == g.pri {
 				f.rate = g.take()
 			}
 		}
@@ -412,28 +464,32 @@ func resizeInts(s []int, n int) []int {
 // the collective model for its per-step α terms). Start panics if t
 // precedes the channel clock: the single-actor discipline requires monotone
 // issue times.
-func (c *Channel) Start(t units.Time, g Group, size units.Bytes, extra units.Time, pri int) *Flow {
+func (c *Channel) Start(t units.Time, g Group, size units.Bytes, extra units.Time, pri int) Flow {
 	if g.ch != c {
 		panic(fmt.Sprintf("sim: channel %q: flow started in a group not declared on it", c.name))
 	}
 	if size < 0 {
 		panic(fmt.Sprintf("sim: channel %q: negative transfer size %d", c.name, size))
 	}
+	if !(extra >= 0) {
+		panic(fmt.Sprintf("sim: channel %q: extra latency must be non-negative, got %v", c.name, extra))
+	}
 	c.AdvanceTo(t)
-	f := c.newFlow()
-	*f = Flow{ch: c, group: g.id, pri: pri, remaining: float64(size), extra: extra}
+	h := Flow{ch: c, id: c.newStamp(extra)}
 	if size == 0 {
 		// Stamp from the channel clock, not the caller's t: AdvanceTo may
 		// have left now past t (the clock is shared between issue sites),
 		// and a completion in the clock's past would run Wait/Drain
 		// backwards. Zero bytes move, so the stats stay untouched.
-		f.done = true
-		f.doneAt = c.now + extra
-		return f
+		c.stamps[h.id] = c.now + extra
+		return h
 	}
-	c.flows = append(c.flows, f)
+	if g.id == c.homeGroup && pri == c.homePri {
+		c.homeN++
+	}
+	c.flows = append(c.flows, flow{remaining: float64(size), pri: pri, group: int32(g.id), id: int32(h.id)})
 	c.allocate()
-	return f
+	return h
 }
 
 // AdvanceTo drains flow progress up to time t, completing flows whose bytes
@@ -492,8 +548,8 @@ func (c *Channel) nextCompletionDelta() units.Time {
 	if !c.nextOK {
 		c.stats.Visits += len(c.flows)
 		next := math.Inf(1)
-		for _, f := range c.flows {
-			next = min(next, f.completesIn())
+		for i := range c.flows {
+			next = min(next, c.flows[i].completesIn())
 		}
 		c.next, c.nextOK = units.Time(next), true
 	}
@@ -508,7 +564,7 @@ func (c *Channel) nextCompletionDelta() units.Time {
 // completesIn reports the time until f completes at its current rate, +Inf
 // for a flow without bandwidth. A residue below byteEpsilon counts as
 // byteEpsilon.
-func (f *Flow) completesIn() float64 {
+func (f *flow) completesIn() float64 {
 	if f.rate <= 0 {
 		return math.Inf(1)
 	}
@@ -519,20 +575,21 @@ func (f *Flow) completesIn() float64 {
 // completion, breaking sub-resolution stalls.
 func (c *Channel) forceDrainNearest() {
 	c.stats.Visits += len(c.flows)
-	var nearest *Flow
+	nearest := -1
 	best := math.Inf(1)
-	for _, f := range c.flows {
+	for i := range c.flows {
+		f := &c.flows[i]
 		if f.rate <= 0 {
 			continue
 		}
 		if d := f.remaining / float64(f.rate); d < best {
 			best = d
-			nearest = f
+			nearest = i
 		}
 	}
-	if nearest != nil {
-		c.stats.TotalBytes += nearest.remaining
-		nearest.remaining = 0
+	if nearest >= 0 {
+		c.stats.TotalBytes += c.flows[nearest].remaining
+		c.flows[nearest].remaining = 0
 		c.nextOK = false
 	}
 }
@@ -545,7 +602,8 @@ func (c *Channel) progress(dt units.Time) {
 	c.nextOK = false
 	c.stats.Visits += len(c.flows)
 	total := c.stats.TotalBytes
-	for _, f := range c.flows {
+	for i := range c.flows {
+		f := &c.flows[i]
 		moved := float64(f.rate) * float64(dt)
 		if moved > f.remaining {
 			moved = f.remaining
@@ -565,7 +623,7 @@ const byteEpsilon = 0.5
 
 // advance is progress and the completion sweep in one pass: every flow
 // moves dt at its current rate, and a flow left with at most byteEpsilon
-// completes, stamped at the channel clock, and leaves the flow list. The
+// completes, stamped at the channel clock, and leaves the flow table. The
 // flows ahead of the first completion keep their slots untouched. The
 // channel then re-fills. advance(0) moves nothing and only sweeps: at an
 // infinite rate, rate·0 would be NaN.
@@ -573,7 +631,8 @@ func (c *Channel) advance(dt units.Time) {
 	c.stats.Visits += len(c.flows)
 	total, latest := c.stats.TotalBytes, c.latest
 	kept := 0
-	for i, f := range c.flows {
+	for i := range c.flows {
+		f := &c.flows[i]
 		if dt > 0 {
 			moved := float64(f.rate) * float64(dt)
 			if moved > f.remaining {
@@ -583,14 +642,16 @@ func (c *Channel) advance(dt units.Time) {
 			total += moved
 		}
 		if f.remaining <= byteEpsilon {
-			f.remaining = 0
-			f.done = true
-			f.doneAt = c.now + f.extra
-			latest = max(latest, f.doneAt)
+			at := c.now - c.stamps[f.id] // now + extra
+			c.stamps[f.id] = at
+			latest = max(latest, at)
+			if int(f.group) == c.homeGroup && f.pri == c.homePri {
+				c.homeN--
+			}
 			continue
 		}
 		if kept < i {
-			c.flows[kept] = f
+			c.flows[kept] = *f
 		}
 		kept++
 	}
@@ -604,15 +665,15 @@ func (c *Channel) advance(dt units.Time) {
 
 // Wait advances the channel until flow f completes and returns the time the
 // caller resumes: never earlier than t (the caller's own clock).
-func (c *Channel) Wait(t units.Time, f *Flow) units.Time {
+func (c *Channel) Wait(t units.Time, f Flow) units.Time {
 	if f.ch != c {
 		panic(fmt.Sprintf("sim: flow waited on wrong channel %q", c.name))
 	}
 	c.AdvanceTo(t)
-	for !f.done {
+	for !c.done(f.id) {
 		c.advanceToNextCompletion()
 	}
-	return units.MaxTime(t, f.doneAt)
+	return units.MaxTime(t, c.stamps[f.id])
 }
 
 // Drain advances the channel until every active flow completes and returns
@@ -628,16 +689,3 @@ func (c *Channel) Drain(t units.Time) units.Time {
 
 // ActiveFlows reports how many flows are currently in flight.
 func (c *Channel) ActiveFlows() int { return len(c.flows) }
-
-// Reset clears flows, clock and statistics, reusing the channel for a fresh
-// simulation run. The flow arena is dropped wholesale — callers may still
-// hold *Flow pointers from the finished run, so slots are never recycled.
-// Declared groups stay.
-func (c *Channel) Reset() {
-	c.flows = nil
-	c.now = 0
-	c.stats = ChannelStats{}
-	c.nextOK = false
-	c.arena = nil
-	c.arenaUsed = 0
-}

@@ -15,7 +15,7 @@ func gb(x float64) units.Bytes { return units.Bytes(x * 1e9) }
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // lone starts a flow in a one-member group of its own at rate.
-func lone(ch *Channel, t units.Time, size units.Bytes, rate units.Bandwidth, extra units.Time) *Flow {
+func lone(ch *Channel, t units.Time, size units.Bytes, rate units.Bandwidth, extra units.Time) Flow {
 	return ch.Start(t, ch.Group(rate, false), size, extra, 0)
 }
 
@@ -159,16 +159,6 @@ func TestPeakRateWithConcurrentCappedFlows(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	ch := NewChannel("ch", units.GBps(10))
-	lone(ch, 0, gb(1), units.GBps(10), 0)
-	ch.Drain(0)
-	ch.Reset()
-	if ch.Now() != 0 || ch.ActiveFlows() != 0 || ch.Stats().TotalBytes != 0 {
-		t.Fatal("reset did not clear channel state")
-	}
-}
-
 func TestStartPanicsOnNegativeSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -177,6 +167,22 @@ func TestStartPanicsOnNegativeSize(t *testing.T) {
 	}()
 	ch := NewChannel("ch", units.GBps(10))
 	lone(ch, 0, -1, units.GBps(10), 0)
+}
+
+// TestStartPanicsOnBadExtra: a flow's completion stamp needs a
+// non-negative extra latency, so a negative or NaN one is a caller bug.
+func TestStartPanicsOnBadExtra(t *testing.T) {
+	for _, extra := range []units.Time{-1e-9, units.Time(math.NaN())} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("extra latency %v: expected panic", extra)
+				}
+			}()
+			ch := NewChannel("ch", units.GBps(10))
+			lone(ch, 0, gb(1), units.GBps(10), extra)
+		}()
+	}
 }
 
 func TestNewChannelPanicsOnZeroCapacity(t *testing.T) {
@@ -293,7 +299,7 @@ func TestGroupCapBoundsAggregate(t *testing.T) {
 	// over.
 	ch := NewChannel("links", units.GBps(150))
 	virt := ch.Group(units.GBps(50), true)
-	var flows []*Flow
+	var flows []Flow
 	for i := 0; i < 3; i++ {
 		flows = append(flows, ch.Start(0, virt, gb(50.0/3), 0, 0))
 	}

@@ -13,7 +13,7 @@ import (
 // refFlow is a flow of the reference channel: the channel's flow it
 // shadows, and its own copy of the state the channel keeps.
 type refFlow struct {
-	f          *Flow
+	f          Flow
 	group, pri int
 	remaining  float64
 	rate       float64
@@ -47,10 +47,16 @@ func newRefChannel(ch *Channel, cov *fillCoverage) *refChannel {
 	return &refChannel{capacity: float64(ch.capacity), groups: ch.groups, now: ch.now, cov: cov}
 }
 
-func (r *refChannel) start(t units.Time, f *Flow, s fillStart) {
+func (r *refChannel) start(t units.Time, f Flow, s fillStart) {
 	r.advanceTo(t)
 	rf := &refFlow{f: f, group: s.group.id, pri: s.pri, remaining: float64(s.size), extra: s.extra}
 	r.all = append(r.all, rf)
+	if s.size == 0 {
+		// A zero-size flow completes at once, stamped from the clock, and
+		// never enters the flow list.
+		rf.done, rf.doneAt = true, r.now+s.extra
+		return
+	}
 	r.flows = append(r.flows, rf)
 	r.fill()
 }
@@ -400,78 +406,88 @@ func (c fillCoverage) complete() bool {
 		c.forced > 0 && c.drains > 0
 }
 
+// same reports whether a and b have the same bits.
+func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkLockstep compares a channel with the reference channel after an
+// event, by their bits: the flow table against the reference's flow list
+// (each flow's stamp, group, class, rate and remaining bytes), every
+// started flow's completion, the clock, PeakRate, TotalBytes and BusyTime,
+// and the channel's cached next-completion delta with a fresh scan of the
+// reference. It tallies the classes in flight in the reference's coverage.
+func checkLockstep(tb testing.TB, ch *Channel, ref *refChannel, event string, n int) {
+	tb.Helper()
+	if len(ch.flows) != len(ref.flows) {
+		tb.Fatalf("%s %d: %d flows in flight, reference %d", event, n, len(ch.flows), len(ref.flows))
+	}
+	top := map[int]int{}
+	class := map[[2]int]int{}
+	for i, rf := range ref.flows {
+		f := ch.flows[i]
+		if int(f.id) != rf.f.id || int(f.group) != rf.group || f.pri != rf.pri {
+			tb.Fatalf("%s %d: flow %d is not the reference's", event, n, i)
+		}
+		if !same(float64(f.rate), rf.rate) || !same(f.remaining, rf.remaining) {
+			tb.Fatalf("%s %d, flow %d (group %d, class %d): rate %v with %v bytes left, reference %v with %v",
+				event, n, i, f.group, f.pri, float64(f.rate), f.remaining, rf.rate, rf.remaining)
+		}
+		if p, ok := top[rf.group]; !ok || rf.pri > p {
+			top[rf.group] = rf.pri
+		}
+		class[[2]int{rf.group, rf.pri}]++
+	}
+	for i, rf := range ref.all {
+		if rf.f.Done() != rf.done || rf.done && !same(float64(rf.f.DoneAt()), float64(rf.doneAt)) {
+			tb.Fatalf("%s %d, flow %d: done %v at %v, reference %v at %v", event, n, i, rf.f.Done(), rf.f.DoneAt(), rf.done, rf.doneAt)
+		}
+	}
+	for _, v := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"clock", float64(ch.now), float64(ref.now)},
+		{"peak rate", float64(ch.stats.PeakRate), ref.peak},
+		{"bytes moved", ch.stats.TotalBytes, ref.total},
+		{"busy time", float64(ch.stats.BusyTime), float64(ref.busy)},
+	} {
+		if !same(v.got, v.want) {
+			tb.Fatalf("%s %d: %s %v, reference %v", event, n, v.name, v.got, v.want)
+		}
+	}
+	if ch.nextOK && len(ch.flows) > 0 && !same(float64(ch.next), ref.next()) {
+		tb.Fatalf("%s %d: cached next completion in %v, reference %v", event, n, ch.next, ref.next())
+	}
+	spent, leftover := map[int]bool{}, map[int]bool{}
+	for _, f := range ref.flows {
+		if f.pri < top[f.group] {
+			spent[f.group] = spent[f.group] || f.rate == 0
+			leftover[f.group] = leftover[f.group] || f.rate > 0
+		}
+	}
+	for k, members := range class {
+		if members > 12 {
+			ref.cov.bigClass++
+		}
+		if k[1] < top[k[0]] {
+			ref.cov.multiClass++
+		}
+	}
+	for g := range top {
+		ref.cov.spent += b2i(spent[g])
+		ref.cov.leftover += b2i(leftover[g])
+	}
+}
+
 // checkFill decodes a channel from data and runs it in lockstep with the
 // reference channel: every start, partial advance, completion and Drain on
-// both. After each it compares, by their bits, the flow list and every
-// flow's rate and remaining bytes, every completed flow's doneAt, the
-// clock, PeakRate, TotalBytes and BusyTime, and the channel's cached
-// next-completion delta with a fresh scan of the reference.
+// both, each followed by checkLockstep.
 func checkFill(tb testing.TB, data []byte, cov *fillCoverage) {
 	tb.Helper()
 	ch, run := decodeChannel(data)
 	ref := newRefChannel(ch, cov)
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	check := func(event string, n int) {
 		tb.Helper()
-		if len(ch.flows) != len(ref.flows) {
-			tb.Fatalf("%s %d: %d flows in flight, reference %d", event, n, len(ch.flows), len(ref.flows))
-		}
-		top := map[int]int{}
-		class := map[[2]int]int{}
-		for i, rf := range ref.flows {
-			f := ch.flows[i]
-			if f != rf.f {
-				tb.Fatalf("%s %d: flow %d is not the reference's", event, n, i)
-			}
-			if !same(float64(f.rate), rf.rate) || !same(f.remaining, rf.remaining) {
-				tb.Fatalf("%s %d, flow %d (group %d, class %d): rate %v with %v bytes left, reference %v with %v",
-					event, n, i, f.group, f.pri, float64(f.rate), f.remaining, rf.rate, rf.remaining)
-			}
-			if p, ok := top[f.group]; !ok || f.pri > p {
-				top[f.group] = f.pri
-			}
-			class[[2]int{f.group, f.pri}]++
-		}
-		for i, rf := range ref.all {
-			if rf.f.done != rf.done || rf.done && !same(float64(rf.f.doneAt), float64(rf.doneAt)) {
-				tb.Fatalf("%s %d, flow %d: done %v at %v, reference %v at %v", event, n, i, rf.f.done, rf.f.doneAt, rf.done, rf.doneAt)
-			}
-		}
-		for _, v := range []struct {
-			name      string
-			got, want float64
-		}{
-			{"clock", float64(ch.now), float64(ref.now)},
-			{"peak rate", float64(ch.stats.PeakRate), ref.peak},
-			{"bytes moved", ch.stats.TotalBytes, ref.total},
-			{"busy time", float64(ch.stats.BusyTime), float64(ref.busy)},
-		} {
-			if !same(v.got, v.want) {
-				tb.Fatalf("%s %d: %s %v, reference %v", event, n, v.name, v.got, v.want)
-			}
-		}
-		if ch.nextOK && len(ch.flows) > 0 && !same(float64(ch.next), ref.next()) {
-			tb.Fatalf("%s %d: cached next completion in %v, reference %v", event, n, ch.next, ref.next())
-		}
-		spent, leftover := map[int]bool{}, map[int]bool{}
-		for _, f := range ref.flows {
-			if f.pri < top[f.group] {
-				spent[f.group] = spent[f.group] || f.rate == 0
-				leftover[f.group] = leftover[f.group] || f.rate > 0
-			}
-		}
-		for k, members := range class {
-			if members > 12 {
-				cov.bigClass++
-			}
-			if k[1] < top[k[0]] {
-				cov.multiClass++
-			}
-		}
-		for g := range top {
-			cov.spent += b2i(spent[g])
-			cov.leftover += b2i(leftover[g])
-		}
+		checkLockstep(tb, ch, ref, event, n)
 	}
 	if run.late {
 		ch.AdvanceTo(lateClock)
@@ -523,6 +539,74 @@ func TestFillMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFillClassTransitions drives the home class, whose flows fill in one
+// pass with no counting, through its transitions in lockstep with the
+// reference channel. Two flows of the first group's class 0, home from the
+// start, start the channel, with a zero-size start between them; a flow of
+// another group joins them. The home class drains while the other stays in
+// flight, and the general fill that finds one class makes it home. A
+// same-instant start keeps the one class, a higher class in its group
+// mixes the set again, and the channel drains empty. Then a new class
+// starts it, its first fill making it home, around another zero-size
+// start.
+func TestFillClassTransitions(t *testing.T) {
+	ch := NewChannel("host", units.GBps(100))
+	a := ch.Group(units.GBps(40), false)
+	b := ch.Group(units.GBps(30), true)
+	ref := newRefChannel(ch, &fillCoverage{})
+	step := 0
+	start := func(at units.Time, s fillStart) {
+		t.Helper()
+		ref.start(at, ch.Start(at, s.group, s.size, s.extra, s.pri), s)
+		checkLockstep(t, ch, ref, "start", step)
+		step++
+	}
+	complete := func() {
+		t.Helper()
+		ch.advanceToNextCompletion()
+		ref.advanceToNextCompletion()
+		checkLockstep(t, ch, ref, "completion", step)
+		step++
+	}
+	home := func(g Group, pri int, oneClass bool) {
+		t.Helper()
+		if ch.homeGroup != g.id || ch.homePri != pri || (ch.homeN == len(ch.flows)) != oneClass {
+			t.Fatalf("step %d: home group %d class %d holds %d of %d flows; want group %d class %d, one class %v",
+				step, ch.homeGroup, ch.homePri, ch.homeN, len(ch.flows), g.id, pri, oneClass)
+		}
+	}
+
+	start(0, fillStart{group: a, size: gb(1)})
+	start(0, fillStart{group: b, pri: 1, extra: 1e-3})
+	start(0, fillStart{group: a, size: gb(2)})
+	home(a, 0, true)
+	start(0, fillStart{group: b, size: gb(3)})
+	home(a, 0, false)
+	for ch.homeGroup == a.id && ch.homeN > 0 {
+		complete()
+	}
+	home(b, 0, true)
+	if len(ch.flows) != 1 {
+		t.Fatalf("%d flows in flight once the home class drained, want group b's one", len(ch.flows))
+	}
+	start(ch.now, fillStart{group: b, size: gb(1)})
+	home(b, 0, true)
+	start(ch.now, fillStart{group: b, pri: 2, size: gb(0.5)})
+	home(b, 0, false)
+	for len(ch.flows) > 0 {
+		complete()
+	}
+
+	start(ch.now+1, fillStart{group: a, pri: 3, size: gb(1)})
+	home(a, 3, true)
+	start(ch.now, fillStart{group: a, extra: 2e-3})
+	start(ch.now, fillStart{group: a, pri: 3, size: gb(2)})
+	home(a, 3, true)
+	for len(ch.flows) > 0 {
+		complete()
+	}
+}
+
 // FuzzChannelFill decodes a flow set from its input and checks every state
 // against the reference channel. Its seed corpus must reach every coverage
 // count.
@@ -550,7 +634,7 @@ func TestFillsCountsFlowSetChanges(t *testing.T) {
 	const n = 10
 	ch := NewChannel("burst", units.GBps(100))
 	burst := ch.Group(units.GBps(100), false)
-	var last *Flow
+	var last Flow
 	for i := 0; i < n; i++ {
 		last = ch.Start(0, burst, gb(1), 0, 0)
 	}
@@ -571,22 +655,22 @@ func TestFillsCountsFlowSetChanges(t *testing.T) {
 }
 
 // TestVisitsCountsPasses pins the visit counter exactly on a one-group,
-// one-class flow set: a fill is two passes over the flows (count, then
-// fill) and a completion step one (move and reap), while a cached
-// next-completion delta costs none.
+// one-class flow set: a fill is one pass over the flows (the channel keeps
+// its class count current, so no counting pass runs) and a completion step
+// one (move and reap), while a cached next-completion delta costs none.
 func TestVisitsCountsPasses(t *testing.T) {
 	const n = 10
 	ch := NewChannel("burst", units.GBps(100))
 	burst := ch.Group(units.GBps(100), false)
-	var last *Flow
+	var last Flow
 	for i := 0; i < n; i++ {
 		last = ch.Start(0, burst, gb(1), 0, 0)
 	}
-	if got, want := ch.Stats().Visits, n*(n+1); got != want {
-		t.Fatalf("%d same-instant starts: %d visits, want 2·(1+…+%d) = %d", n, got, n, want)
+	if got, want := ch.Stats().Visits, n*(n+1)/2; got != want {
+		t.Fatalf("%d same-instant starts: %d visits, want 1+…+%d = %d", n, got, n, want)
 	}
 	ch.Wait(0, last) // all n complete in one step, leaving the channel empty
-	if got, want := ch.Stats().Visits, n*(n+1)+n; got != want {
+	if got, want := ch.Stats().Visits, n*(n+1)/2+n; got != want {
 		t.Fatalf("then one completion step: %d visits, want %d", got, want)
 	}
 }

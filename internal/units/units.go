@@ -66,7 +66,6 @@ type Time float64
 func Seconds(s float64) Time       { return Time(s) }
 func Milliseconds(ms float64) Time { return Time(ms * 1e-3) }
 func Microseconds(us float64) Time { return Time(us * 1e-6) }
-func Nanoseconds(ns float64) Time  { return Time(ns * 1e-9) }
 
 // Seconds reports t as a float64 second count.
 func (t Time) Seconds() float64 { return float64(t) }

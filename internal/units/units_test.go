@@ -48,7 +48,7 @@ func TestBandwidthConversions(t *testing.T) {
 }
 
 func TestTimeConstructors(t *testing.T) {
-	if Seconds(1) != 1 || Milliseconds(1000) != 1 || Microseconds(1e6) != 1 || Nanoseconds(1e9) != 1 {
+	if Seconds(1) != 1 || Milliseconds(1000) != 1 || Microseconds(1e6) != 1 {
 		t.Fatal("time constructors disagree")
 	}
 	if Seconds(2).Milliseconds() != 2000 {
@@ -64,7 +64,7 @@ func TestTimeString(t *testing.T) {
 		Seconds(1.5):        "1.500 s",
 		Milliseconds(2.25):  "2.250 ms",
 		Microseconds(3.5):   "3.500 us",
-		Nanoseconds(120):    "120.0 ns",
+		Time(120e-9):        "120.0 ns",
 		0:                   "0 s",
 		Seconds(-1.5):       "-1.500 s",
 		Milliseconds(-2.25): "-2.250 ms",

@@ -42,11 +42,9 @@ func (r Region) String() string {
 	return fmt.Sprintf("Region(%d)", int(r))
 }
 
-// Paper GPU addressing limits (§III-B): 49-bit virtual, 47-bit physical.
-const (
-	VirtualAddressBits  = 49
-	PhysicalAddressBits = 47
-)
+// PhysicalAddressBits is the paper GPU's physical addressing limit
+// (§III-B).
+const PhysicalAddressBits = 47
 
 // Total reports the full address-space size.
 func (a AddressSpace) Total() units.Bytes { return a.Local + a.Left + a.Right }

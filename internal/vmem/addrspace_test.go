@@ -229,8 +229,10 @@ func TestAllocationLifecycle(t *testing.T) {
 	}
 }
 
-// TestPreparedRecomputeMatchesRecomputeFor: Prepare's recompute table
-// holds, layer by layer, the chain RecomputeFor derives from the plan.
+// TestPreparedRecomputeMatchesRecomputeFor: Prepare's recompute table is
+// RecomputeFor's chains with each producer kept at its first occurrence,
+// walking the backward steps in order (highest layer ID first): the
+// sequence the kernel runs.
 func TestPreparedRecomputeMatchesRecomputeFor(t *testing.T) {
 	chains := 0
 	for _, name := range append(dnn.BenchmarkNames(), dnn.TransformerNames()...) {
@@ -239,10 +241,17 @@ func TestPreparedRecomputeMatchesRecomputeFor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id := range g.Layers {
-			want := pr.Plan.RecomputeFor(id)
+		seen := make([]bool, len(g.Layers))
+		for id := len(g.Layers) - 1; id >= 0; id-- {
+			var want []int
+			for _, rid := range pr.Plan.RecomputeFor(id) {
+				if !seen[rid] {
+					seen[rid] = true
+					want = append(want, rid)
+				}
+			}
 			if got := pr.Recompute[id]; !slices.Equal(got, want) {
-				t.Errorf("%s layer %d: Recompute = %v, RecomputeFor = %v", name, id, got, want)
+				t.Errorf("%s layer %d: Recompute = %v, first uses of RecomputeFor = %v", name, id, got, want)
 			}
 			if len(want) > 0 {
 				chains++

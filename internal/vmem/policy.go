@@ -343,31 +343,6 @@ func (s *PrefetchSchedule) ItemName(i int) string {
 	return s.plan.Graph.Layer(s.Items[i].Layer).Name + "/state"
 }
 
-// RecomputeFor returns the producer layer IDs that must be re-executed
-// before the backward pass of the given layer (cheap producers on the
-// recompute chain, nearest first).
-func (p *Plan) RecomputeFor(layer int) []int {
-	var out []int
-	l := p.Graph.Layer(layer)
-	var walk func(in int)
-	walk = func(in int) {
-		tp, ok := p.Tensors[in]
-		if !ok || tp.Action != Recompute {
-			return
-		}
-		// Rebuild this tensor by re-running its producer, which first needs
-		// its own inputs (deeper in the chain).
-		for _, pin := range p.Graph.Layer(in).Inputs {
-			walk(pin)
-		}
-		out = append(out, in)
-	}
-	for _, in := range l.Inputs {
-		walk(in)
-	}
-	return out
-}
-
 // Validate checks plan invariants: every stash entry has positive size and a
 // legal offload point, every recompute chain terminates in stashed or input
 // tensors.

@@ -145,6 +145,33 @@ func TestDisableRecomputeStashesEverything(t *testing.T) {
 	}
 }
 
+// RecomputeFor returns the producer layer IDs on the recompute chains of
+// the given layer's inputs, in post-order: each producer after its own
+// recomputed inputs. It walks one layer's chains from the plan's map state
+// alone, repeats a producer two chains share, and is the oracle Prepare's
+// first-use Recompute table is checked against.
+func (p *Plan) RecomputeFor(layer int) []int {
+	var out []int
+	l := p.Graph.Layer(layer)
+	var walk func(in int)
+	walk = func(in int) {
+		tp, ok := p.Tensors[in]
+		if !ok || tp.Action != Recompute {
+			return
+		}
+		// Rebuild this tensor by re-running its producer, which first needs
+		// its own inputs (deeper in the chain).
+		for _, pin := range p.Graph.Layer(in).Inputs {
+			walk(pin)
+		}
+		out = append(out, in)
+	}
+	for _, in := range l.Inputs {
+		walk(in)
+	}
+	return out
+}
+
 // OffloadsAfter returns the stash tensor producer IDs whose offload is
 // enqueued once the given layer's forward pass completes, sorted, plus that
 // layer's own extra stash bytes (recurrent state leaves with the layer

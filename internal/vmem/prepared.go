@@ -6,11 +6,11 @@ import (
 
 // Prepared bundles a validated plan with the derived per-layer lookups the
 // event engines consult in their inner loops. Analyze and Validate walk the
-// whole graph, and RecomputeFor / PrefetchSchedule re-derive sorted slices
-// from map state on every call; Prepare does all of that once so
-// simulations that share a schedule (design sweeps over bandwidth axes) pay
-// for the analysis a single time. A Prepared value is immutable after
-// construction and safe for concurrent use.
+// whole graph, and the offload, recompute and prefetch lookups are derived
+// from the plan's map state; Prepare does all of that once so simulations
+// that share a schedule (design sweeps over bandwidth axes) pay for the
+// analysis a single time. A Prepared value is immutable after construction
+// and safe for concurrent use.
 type Prepared struct {
 	Plan  *Plan
 	Sched *PrefetchSchedule
@@ -19,7 +19,9 @@ type Prepared struct {
 	// each bucket from the plan alone).
 	Offloads [][]int
 	// Recompute[id] holds the producers re-executed before layer id's
-	// backward pass — RecomputeFor's chain, nearest first.
+	// backward pass, each recomputed tensor once in all the lists: at the
+	// first backward step (highest ID) whose recompute chain reaches it, in
+	// chain order, inputs before the layers that read them.
 	Recompute [][]int
 }
 
@@ -43,7 +45,30 @@ func Prepare(g *dnn.Graph, opt Options) (*Prepared, error) {
 		if tp, ok := plan.Tensors[id]; ok && tp.Action == Stash {
 			pr.Offloads[tp.OffloadAfter] = append(pr.Offloads[tp.OffloadAfter], id)
 		}
-		pr.Recompute[id] = plan.RecomputeFor(id)
+	}
+	// Build the recompute lists in backward order with one seen-set: a chain
+	// walk lists a producer after its own recomputed inputs and stops at a
+	// producer already listed, whose inputs were listed before it. Each
+	// producer is expanded once, so the tables cost O(layers + edges).
+	seen := make([]bool, len(g.Layers))
+	var walk func(id, in int)
+	walk = func(id, in int) {
+		if seen[in] {
+			return
+		}
+		if tp, ok := plan.Tensors[in]; !ok || tp.Action != Recompute {
+			return
+		}
+		for _, pin := range g.Layer(in).Inputs {
+			walk(id, pin)
+		}
+		seen[in] = true
+		pr.Recompute[id] = append(pr.Recompute[id], in)
+	}
+	for id := len(g.Layers) - 1; id >= 0; id-- {
+		for _, in := range g.Layer(id).Inputs {
+			walk(id, in)
+		}
 	}
 	return pr, nil
 }
