@@ -717,6 +717,41 @@ func BenchmarkFleetSimulate(b *testing.B) {
 	b.ReportMetric(jobsPerDay, "jobs/day")
 }
 
+// BenchmarkFleetCold serves the default fleet request cold: each iteration
+// runs experiments.Fleet on the default trace and iso-cost clusters on a
+// fresh one-worker engine, so it times the build path a cold request pays —
+// graphs, memory plans, schedules and footprints — with the 30 simulations
+// behind them. graphs/op and plans/op are exact: one graph per distinct
+// (workload, device batch, seqlen) and one plan per distinct (graph, oracle
+// mode), however many clusters and schedules share them.
+func BenchmarkFleetCold(b *testing.B) {
+	clusters, err := experiments.FleetClusters(experiments.FleetPods, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := fleet.DefaultTrace()
+	b.Cleanup(func() { experiments.SetOptions(runner.Options{}) })
+	var graphs, plans int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		experiments.SetOptions(runner.Options{Parallelism: 1})
+		graphs0, plans0 := train.Builds()
+		b.StartTimer()
+		if _, err := experiments.Fleet(context.Background(), tr, clusters); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		graphs1, plans1 := train.Builds()
+		graphs += graphs1 - graphs0
+		plans += plans1 - plans0
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(graphs)/float64(b.N), "graphs/op")
+	b.ReportMetric(float64(plans)/float64(b.N), "plans/op")
+}
+
 // BenchmarkObsCounterInc pins the telemetry plane's hot-path budget: a
 // counter bump is one atomic add, 0 allocs/op — the cost a grid boundary
 // pays per job. The event loops themselves carry no obs calls at all.

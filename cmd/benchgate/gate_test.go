@@ -114,6 +114,13 @@ func TestFillsGateIsExact(t *testing.T) { checkExactCounter(t, "fills/op", 78, "
 // unchanged fills/op.
 func TestVisitsGateIsExact(t *testing.T) { checkExactCounter(t, "visits/op", 2451, "78.00 fills/op") }
 
+// TestBuildsGateIsExact holds the cold request's graph and plan builds to
+// the same rule.
+func TestBuildsGateIsExact(t *testing.T) {
+	checkExactCounter(t, "graphs/op", 10, "10.00 plans/op")
+	checkExactCounter(t, "plans/op", 10, "10.00 graphs/op")
+}
+
 // checkExactCounter gates a result line reporting unit at value, and the
 // other exact counter as other, against lines that move unit by one either
 // way, drop it, or add it to a baseline that lacks it.

@@ -7,6 +7,7 @@ import (
 	"github.com/memcentric/mcdla/internal/collective"
 	"github.com/memcentric/mcdla/internal/train"
 	"github.com/memcentric/mcdla/internal/units"
+	"github.com/memcentric/mcdla/internal/vmem"
 )
 
 // IterationEstimate is the first-order single-node model of one training
@@ -50,16 +51,11 @@ func EstimateIteration(d Design, s *train.Schedule) (IterationEstimate, error) {
 		est.Compute += units.Time((1 + accel.BackwardFactor) * float64(fwd[l.ID]))
 	}
 	// Recompute bursts are real device time (the engine charges them in its
-	// compute category), each recomputed layer once; sum in layer order so
-	// float accumulation is run-to-run identical.
-	recompute := make([]bool, len(g.Layers))
+	// compute category), each recomputed layer once — Prepare lists every
+	// recomputed tensor exactly once; sum in layer order so float
+	// accumulation is run-to-run identical.
 	for _, l := range g.Layers {
-		for _, rid := range prep.Recompute[l.ID] {
-			recompute[rid] = true
-		}
-	}
-	for _, l := range g.Layers {
-		if recompute[l.ID] {
+		if prep.Plan.Tensors[l.ID].Action == vmem.Recompute {
 			est.Compute += fwd[l.ID]
 		}
 	}

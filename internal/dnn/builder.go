@@ -1,6 +1,9 @@
 package dnn
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Builder constructs a Graph with shape inference. Every method returns the
 // new layer's ID so networks read as straight-line code; invalid wiring
@@ -8,6 +11,8 @@ import "fmt"
 // time, so failing fast is the right behaviour).
 type Builder struct {
 	g *Graph
+	// cellGroups lists the recurrent weight groups a cell already reads.
+	cellGroups []string
 }
 
 // NewBuilder starts a graph for the given benchmark name and batch size.
@@ -18,8 +23,12 @@ func NewBuilder(name string, batch int) *Builder {
 	return &Builder{g: &Graph{Name: name, Batch: batch}}
 }
 
+// add appends l. A layer that reads a weight group leads it: every group
+// but a recurrent cell's is named after its one layer, and cell marks the
+// later cells of a shared group.
 func (b *Builder) add(l *Layer) int {
 	l.ID = len(b.g.Layers)
+	l.groupLead = l.WeightGroup != ""
 	b.g.Layers = append(b.g.Layers, l)
 	return l.ID
 }
@@ -271,7 +280,11 @@ func (b *Builder) cell(name string, kind Kind, in int, hidden, gates int, group 
 	s := b.shape(in)
 	inFeat := int64(s.C) * int64(s.H) * int64(s.W)
 	k := inFeat + int64(hidden)
-	return b.add(&Layer{
+	lead := !slices.Contains(b.cellGroups, group)
+	if lead {
+		b.cellGroups = append(b.cellGroups, group)
+	}
+	id := b.add(&Layer{
 		Name: name, Kind: kind, Inputs: []int{in},
 		Out:             MakeVec(s.N, hidden),
 		GEMMs:           []GEMM{{M: int64(s.N), N: int64(gates) * int64(hidden), K: k}},
@@ -280,6 +293,9 @@ func (b *Builder) cell(name string, kind Kind, in int, hidden, gates int, group 
 		StashExtraBytes: int64(s.N) * int64(stashVectors) * int64(hidden) * ElemBytes,
 		EwOps:           int64(gates) * 4,
 	})
+	// Cells across timesteps share one group, led by the first.
+	b.g.Layers[id].groupLead = lead
+	return id
 }
 
 // RNNCell adds one vanilla-RNN timestep. Backward needs the pre-activation

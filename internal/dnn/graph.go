@@ -72,26 +72,15 @@ func (g *Graph) MajorLayers() int {
 	return n
 }
 
-// WeightGroupBytes returns the unique parameter groups of the model and
-// their byte sizes. Shared recurrent weights count once.
-func (g *Graph) WeightGroupBytes() map[string]int64 {
-	groups := make(map[string]int64)
-	for _, l := range g.Layers {
-		if l.WeightGroup == "" {
-			continue
-		}
-		if _, seen := groups[l.WeightGroup]; !seen {
-			groups[l.WeightGroup] = l.WeightBytes()
-		}
-	}
-	return groups
-}
-
-// TotalWeightBytes reports the model's parameter footprint (unique groups).
+// TotalWeightBytes reports the model's parameter footprint: each weight
+// group counted once, at its lead layer, so shared recurrent weights count
+// once.
 func (g *Graph) TotalWeightBytes() int64 {
 	var total int64
-	for _, b := range g.WeightGroupBytes() {
-		total += b
+	for _, l := range g.Layers {
+		if l.groupLead {
+			total += l.WeightBytes()
+		}
 	}
 	return total
 }
@@ -110,7 +99,7 @@ func (g *Graph) TotalFeatureMapBytes() int64 {
 // the backing store per iteration: the inputs of every expensive layer plus
 // their extra backward state, counting each producer tensor once.
 func (g *Graph) StashBytes() int64 {
-	stashed := make(map[int]bool)
+	stashed := make([]bool, len(g.Layers))
 	var total int64
 	for _, l := range g.Layers {
 		if !l.Kind.Expensive() {

@@ -134,6 +134,9 @@ type Layer struct {
 	// all-reduced once per iteration under data-parallel training and what
 	// counts once toward the model's memory footprint.
 	WeightGroup string
+	// groupLead marks the first layer, in topological order, to read
+	// WeightGroup; the Builder sets it as it appends the layer.
+	groupLead bool
 
 	// StashExtraBytes is additional per-execution state that backpropagation
 	// needs beyond the layer inputs (gate activations and cell states of
@@ -147,6 +150,12 @@ type Layer struct {
 
 // WeightBytes reports the half-precision parameter bytes read per execution.
 func (l *Layer) WeightBytes() int64 { return l.WeightElems * ElemBytes }
+
+// GroupLead reports whether the layer is the first, in topological order,
+// to read its weight group: the layer whose parameters count once toward
+// the model's footprint, and whose backward pass — the group's last in
+// reverse order — completes the group's gradients.
+func (l *Layer) GroupLead() bool { return l.groupLead }
 
 // MACs reports the total forward multiply-accumulates of the layer.
 func (l *Layer) MACs() int64 {

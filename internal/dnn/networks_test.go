@@ -63,11 +63,51 @@ func TestRNNTimesteps(t *testing.T) {
 	}
 }
 
+// weightGroupBytes derives the model's unique parameter groups and their
+// byte sizes by group name, each at its first reader: the oracle the
+// builder's GroupLead marks and TotalWeightBytes are checked against.
+func weightGroupBytes(g *Graph) map[string]int64 {
+	groups := make(map[string]int64)
+	for _, l := range g.Layers {
+		if l.WeightGroup == "" {
+			continue
+		}
+		if _, seen := groups[l.WeightGroup]; !seen {
+			groups[l.WeightGroup] = l.WeightBytes()
+		}
+	}
+	return groups
+}
+
+// TestGroupLeadsAreFirstReaders: on every network, exactly the first layer
+// to read each weight group is its lead, and TotalWeightBytes sums the
+// groups weightGroupBytes derives by name.
+func TestGroupLeadsAreFirstReaders(t *testing.T) {
+	for _, name := range append(append(BenchmarkNames(), TransformerNames()...), "DenseNet-121") {
+		g := MustBuild(name, 2)
+		seen := map[string]bool{}
+		for _, l := range g.Layers {
+			first := l.WeightGroup != "" && !seen[l.WeightGroup]
+			seen[l.WeightGroup] = true
+			if l.GroupLead() != first {
+				t.Errorf("%s: layer %s lead = %v, first reader of %q = %v", name, l.Name, l.GroupLead(), l.WeightGroup, first)
+			}
+		}
+		var want int64
+		for _, b := range weightGroupBytes(g) {
+			want += b
+		}
+		if got := g.TotalWeightBytes(); got != want {
+			t.Errorf("%s: TotalWeightBytes = %d, groups sum to %d", name, got, want)
+		}
+	}
+}
+
 func TestAlexNetParameterCount(t *testing.T) {
 	// AlexNet has ≈61 M parameters (single-tower dims: 60.97 M).
 	g := MustBuild("AlexNet", 1)
 	var params int64
-	for group, bytes := range g.WeightGroupBytes() {
+	for group, bytes := range weightGroupBytes(g) {
 		if bytes <= 0 {
 			t.Errorf("group %s has nonpositive size", group)
 		}
@@ -135,7 +175,7 @@ func TestLSTMWeightSize(t *testing.T) {
 
 func TestRecurrentWeightsSharedAcrossTimesteps(t *testing.T) {
 	g := MustBuild("RNN-GRU", 4)
-	groups := g.WeightGroupBytes()
+	groups := weightGroupBytes(g)
 	if len(groups) != 1 {
 		t.Fatalf("GRU weight groups = %d, want 1 shared group", len(groups))
 	}

@@ -98,6 +98,15 @@ func schedule(j runner.Job) (*train.Schedule, error) {
 	return e.Schedule(j)
 }
 
+// network returns the engine's memoized network of a workload at a
+// per-device batch, sharing the graph build with every schedule on it.
+func network(workload string, deviceBatch, seqlen int) (*train.Network, error) {
+	engineMu.Lock()
+	e := engine
+	engineMu.Unlock()
+	return e.Network(workload, deviceBatch, seqlen)
+}
+
 // parallelism reports the package engine's worker bound, shared by the
 // non-core fan-outs (runner.Fan) so -parallel governs them too.
 func parallelism() int {

@@ -63,12 +63,13 @@ func FleetClusters(pods int, designs []string) ([]fleet.Cluster, error) {
 
 // Fleet runs the trace against every cluster on the shared engine, so
 // overlapping simulation points across clusters (and across requests on the
-// HTTP service) are paid for once.
+// HTTP service) are paid for once, and every cluster's footprints read the
+// engine's memoized schedules.
 func Fleet(ctx context.Context, trace []fleet.Job, clusters []fleet.Cluster) ([]*fleet.Result, error) {
 	m := cost.Default()
 	results := make([]*fleet.Result, len(clusters))
 	for i, c := range clusters {
-		r, err := fleet.Run(ctx, c, trace, m, submit)
+		r, err := fleet.RunWith(ctx, c, trace, m, submit, schedule)
 		if err != nil {
 			return nil, err
 		}

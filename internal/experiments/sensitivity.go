@@ -134,8 +134,11 @@ func sensVariants() []sensVariant {
 				// cDMA: the compressor multiplies the effective PCIe
 				// bandwidth by the workload's compression factor.
 				d := core.NewDCDLA(dev, Workers)
-				g := dnn.MustBuild(net, Batch)
-				d.VirtBW = units.Bandwidth(float64(d.VirtBW) * compress.GraphRatio(g))
+				n, err := network(net, Batch, 0)
+				if err != nil {
+					panic(err) // the registry networks build at the paper batch
+				}
+				d.VirtBW = units.Bandwidth(float64(d.VirtBW) * compress.GraphRatio(n.Graph))
 				return d
 			}, dev},
 	}

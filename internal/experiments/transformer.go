@@ -76,10 +76,11 @@ func TransformerSweep(ctx context.Context, workloads []string, seqlens []int, pr
 	i := 0
 	for _, net := range workloads {
 		for _, seqlen := range seqlens {
-			g, err := dnn.BuildSeq(net, Batch/Workers, seqlen)
+			n, err := network(net, Batch/Workers, seqlen)
 			if err != nil {
 				return nil, err
 			}
+			g := n.Graph
 			scoreShare := 0.0
 			if stash := g.StashBytes(); stash > 0 {
 				scoreShare = float64(g.ScoreBytes()) / float64(stash)
@@ -156,11 +157,23 @@ func AttentionCompress(ctx context.Context) ([]AttnCompressRow, error) {
 		ratio        float64
 	}
 	var pts []point
+	add := func(net, family string, batch int) error {
+		n, err := network(net, batch, 0)
+		if err != nil {
+			return err
+		}
+		pts = append(pts, point{net, family, compress.GraphRatio(n.Graph)})
+		return nil
+	}
 	for _, net := range dnn.CNNNames() {
-		pts = append(pts, point{net, "CNN", compress.GraphRatio(dnn.MustBuild(net, Batch))})
+		if err := add(net, "CNN", Batch); err != nil {
+			return nil, err
+		}
 	}
 	for _, net := range dnn.TransformerNames() {
-		pts = append(pts, point{net, "Transformer", compress.GraphRatio(dnn.MustBuild(net, Batch/Workers))})
+		if err := add(net, "Transformer", Batch/Workers); err != nil {
+			return nil, err
+		}
 	}
 	var jobs []runner.Job
 	for _, p := range pts {

@@ -129,9 +129,40 @@ type running struct {
 	finish units.Time
 }
 
-// simPoint is the simulation identity of one trace job on one pod kind.
-func simPoint(j Job, kind string) string {
-	return fmt.Sprintf("%s|%s|%d|%d|%d|%d|%d", kind, j.Workload, j.Strategy, j.Batch, j.Devices, j.SeqLen, j.Precision)
+// Schedules supplies the training schedule of a runner job's workload point
+// (the job's design is ignored). The experiments package plugs its engine's
+// memo here, so footprints share graph builds with the simulations.
+type Schedules func(runner.Job) (*train.Schedule, error)
+
+// point is a trace job's training point: the identity of its schedule and
+// footprint and, on a pod kind, of its simulation. It keys the set-up's
+// maps and the admission's lookups, so it holds only what tells points
+// apart.
+type point struct {
+	workload  string
+	strategy  train.Strategy
+	batch     int
+	devices   int
+	seqLen    int
+	precision train.Precision
+}
+
+func pointOf(j Job) point {
+	return point{j.Workload, j.Strategy, j.Batch, j.Devices, j.SeqLen, j.Precision}
+}
+
+// job lowers the point onto the runner's grid axes, with no design.
+func (p point) job() runner.Job {
+	return runner.Job{
+		Workload: p.workload, Strategy: p.strategy, Batch: p.batch, Workers: p.devices,
+		SeqLen: p.seqLen, Precision: p.precision, Tag: "fleet",
+	}
+}
+
+// simPoint is the simulation identity of a training point on a pod kind.
+type simPoint struct {
+	kind string
+	point
 }
 
 // Footprint reports the job's resident pool demand: every device stashes its
@@ -147,16 +178,35 @@ func Footprint(j Job, s *train.Schedule) units.Bytes {
 	return units.Bytes(int64(j.Devices) * perDevice)
 }
 
-// Run simulates trace on cluster: an event-driven virtual clock over
+// Run is RunWith on schedules built afresh for each distinct training
+// point.
+func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Simulator) (*Result, error) {
+	return RunWith(ctx, cluster, trace, m, sim, buildSchedule)
+}
+
+// buildSchedule builds a job's schedule with no memo.
+func buildSchedule(j runner.Job) (*train.Schedule, error) {
+	return train.BuildSeq(j.Workload, j.Batch, j.Workers, j.Strategy, j.SeqLen, j.Precision)
+}
+
+// RunWith simulates trace on cluster: an event-driven virtual clock over
 // arrivals and completions, FIFO first-fit admission with backfill under
-// each pod's device and memory-pool constraints, service times from the
-// injected Simulator (one simulation per distinct trace-point × pod-kind,
-// prefetched before the loop so the loop itself is pure bookkeeping).
+// each pod's device and memory-pool constraints, footprints from the
+// schedules sched supplies (one per distinct training point), and service
+// times from the injected Simulator (one simulation per distinct
+// training point × pod kind, prefetched before the loop so the loop itself
+// is pure bookkeeping).
 //
 // A job that cannot fit even an empty pod — more devices than a pod has, or
 // a footprint above every pod's pool — is refused at arrival; everything
 // else is guaranteed to complete. The virtual clock never reads wall time.
-func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Simulator) (*Result, error) {
+func RunWith(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Simulator, sched Schedules) (*Result, error) {
+	return run(ctx, cluster, trace, m, sim, sched, false)
+}
+
+// run is RunWith; rescanAll makes every admission pass scan the whole wait
+// queue, the reference the arrival-only scan is tested against.
+func run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Simulator, sched Schedules, rescanAll bool) (*Result, error) {
 	if err := cluster.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,43 +242,42 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 		}
 	}
 
-	// Footprints (one schedule build per distinct workload point) and the
-	// prefetched simulation grid (one runner job per distinct trace-point ×
-	// pod-kind, in first-appearance order so the grid is deterministic).
+	// Footprints (one schedule per distinct training point) and the
+	// prefetched simulation grid (one runner job per distinct training
+	// point × pod kind, in first-appearance order so the grid is
+	// deterministic).
 	footprints := make([]units.Bytes, len(trace))
-	scheds := map[string]*train.Schedule{}
+	pointFootprint := map[point]units.Bytes{}
 	var grid []runner.Job
-	gridIdx := map[string]int{}
+	gridIdx := map[simPoint]int{}
 	for i, j := range trace {
 		if j.Devices > PodWorkers {
 			continue // refused at arrival; never simulated
 		}
-		sk := simPoint(j, "")
-		s, ok := scheds[sk]
+		pt := pointOf(j)
+		fp, ok := pointFootprint[pt]
 		if !ok {
-			var err error
-			s, err = train.BuildSeq(j.Workload, j.Batch, j.Devices, j.Strategy, j.SeqLen, j.Precision)
+			s, err := sched(pt.job())
 			if err != nil {
 				return nil, fmt.Errorf("fleet: job %q: %v", j.Name, err)
 			}
-			scheds[sk] = s
+			fp = Footprint(j, s)
+			pointFootprint[pt] = fp
 		}
-		footprints[i] = Footprint(j, s)
+		footprints[i] = fp
 		for _, spec := range cluster.Pods {
-			pk := simPoint(j, spec.Kind)
-			if _, ok := gridIdx[pk]; ok {
+			sp := simPoint{spec.Kind, pt}
+			if _, ok := gridIdx[sp]; ok {
 				continue
 			}
 			d, err := core.DesignFor(spec.Kind, accel.Default(), j.Devices)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: cluster %q: job %q: %v", cluster.Name, j.Name, err)
 			}
-			gridIdx[pk] = len(grid)
-			grid = append(grid, runner.Job{
-				Design: d, Workload: j.Workload, Strategy: j.Strategy,
-				Batch: j.Batch, Workers: j.Devices, SeqLen: j.SeqLen,
-				Precision: j.Precision, Tag: "fleet",
-			})
+			gridIdx[sp] = len(grid)
+			rj := pt.job()
+			rj.Design = d
+			grid = append(grid, rj)
 		}
 	}
 	results, err := sim(ctx, grid)
@@ -240,7 +289,7 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 	}
 	iterTime := func(jobIdx, podIdx int) (units.Time, error) {
 		kind := podKind(cluster, podIdx)
-		gi, ok := gridIdx[simPoint(trace[jobIdx], kind)]
+		gi, ok := gridIdx[simPoint{kind, pointOf(trace[jobIdx])}]
 		if !ok {
 			return 0, fmt.Errorf("fleet: cluster %q: no simulation for job %q on %s", cluster.Name, trace[jobIdx].Name, kind)
 		}
@@ -329,6 +378,7 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 		}
 
 		// Arrivals at now. Jobs that fit no empty pod are refused for good.
+		waiting := len(queue)
 		for arrived < len(order) && trace[order[arrived]].Arrival == now {
 			ji := order[arrived]
 			arrived++
@@ -347,9 +397,16 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 		}
 
 		// First-fit admission with backfill: the FIFO queue is scanned in
-		// order, each job against pods in cluster order.
-		rest2 := queue[:0]
-		for _, ji := range queue {
+		// order, each job against pods in cluster order. Every waiting job
+		// failed to fit at the last pass, and without a completion at now
+		// no capacity has been freed since, so only the new arrivals are
+		// scanned.
+		from := 0
+		if len(done) == 0 && !rescanAll {
+			from = waiting
+		}
+		rest2 := queue[:from]
+		for _, ji := range queue[from:] {
 			j := trace[ji]
 			placed := -1
 			for pi := range pods {

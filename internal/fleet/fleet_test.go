@@ -345,3 +345,44 @@ func TestFootprintAccounting(t *testing.T) {
 		t.Fatalf("mp footprint %v, want %v", got, wantMP)
 	}
 }
+
+// TestArrivalScanMatchesFullRescan is the oracle for the arrival-only
+// admission scan: on synthetic and random traces of several sizes, over
+// single-kind and mixed clusters, Run's Result equals, by value, the one a
+// full rescan of the wait queue at every event gives.
+func TestArrivalScanMatchesFullRescan(t *testing.T) {
+	clusters := []Cluster{
+		{Name: "dc", Pods: []PodSpec{{Kind: "DC-DLA", Count: 1}}},
+		{Name: "mix", Pods: []PodSpec{{Kind: "DC-DLA", Count: 2}, {Kind: "MC-DLA(B)", Count: 1}}},
+		{Name: "three", Pods: []PodSpec{{Kind: "HC-DLA", Count: 1}, {Kind: "MC-DLA(B)", Count: 2}, {Kind: "DC-DLA(O)", Count: 1}}},
+	}
+	traces := map[string][]Job{}
+	for _, n := range []int{1, 20, 200, 1000} {
+		traces[fmt.Sprintf("synthetic-%d", n)] = SyntheticTrace(n)
+	}
+	for _, n := range []int{50, 400} {
+		traces[fmt.Sprintf("random-%d", n)] = randomTrace(int64(n), n)
+	}
+	ctx := context.Background()
+	m := cost.Default()
+	waited := false
+	for name, tr := range traces {
+		for _, c := range clusters {
+			got, err := run(ctx, c, tr, m, fakeSim, buildSchedule, false)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, c.Name, err)
+			}
+			want, err := run(ctx, c, tr, m, fakeSim, buildSchedule, true)
+			if err != nil {
+				t.Fatalf("%s on %s (full rescan): %v", name, c.Name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: arrival-only scan differs from the full rescan", name, c.Name)
+			}
+			waited = waited || got.MaxQueueDelay > 0
+		}
+	}
+	if !waited {
+		t.Fatal("no job ever waited: the traces never reach the arrival-only scan")
+	}
+}

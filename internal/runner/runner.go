@@ -63,6 +63,14 @@ type scheduleKey struct {
 	precision train.Precision
 }
 
+// networkKey identifies a per-device network: every schedule at the same
+// workload, device batch and sequence length shares its graph and plans.
+type networkKey struct {
+	workload    string
+	deviceBatch int
+	seqLen      int
+}
+
 // Update is one progress event, emitted after a job finishes (successfully,
 // from cache, or with an error). Callbacks are invoked serially.
 type Update struct {
@@ -137,6 +145,7 @@ type Engine struct {
 
 	results memo[Job, core.Result]
 	scheds  memo[scheduleKey, *train.Schedule]
+	nets    memo[networkKey, *train.Network]
 }
 
 // New builds an Engine.
@@ -150,6 +159,7 @@ func New(opts Options) *Engine {
 		store:       opts.Store,
 		results:     newMemo[Job, core.Result](opts.CacheEntries),
 		scheds:      newMemo[scheduleKey, *train.Schedule](opts.CacheEntries),
+		nets:        newMemo[networkKey, *train.Network](opts.CacheEntries),
 	}
 }
 
@@ -234,15 +244,35 @@ func (e *Engine) simulate(j Job) (core.Result, bool, error) {
 }
 
 // Schedule returns the memoized training schedule for j's workload point
-// (design-independent), building it on first use. Callers that need
-// schedule-level data alongside a simulation — the run report's resident
-// weight footprint — share the graph build instead of repeating it.
+// (design-independent), building it on first use on the memoized network
+// of its device batch. Callers that need schedule-level data alongside a
+// simulation — the run report's resident weight footprint, the fleet's job
+// footprints — share the graph build instead of repeating it.
 func (e *Engine) Schedule(j Job) (*train.Schedule, error) {
 	k := scheduleKey{j.Workload, j.Strategy, j.Batch, j.Workers, j.SeqLen, j.Precision}
 	s, _, err := e.scheds.do(k, func() (*train.Schedule, error) {
-		return train.BuildSeq(j.Workload, j.Batch, j.Workers, j.Strategy, j.SeqLen, j.Precision)
+		batch, err := train.DeviceBatch(j.Batch, j.Workers, j.Strategy)
+		if err != nil {
+			return nil, err
+		}
+		net, err := e.Network(j.Workload, batch, j.SeqLen)
+		if err != nil {
+			return nil, err
+		}
+		return train.BuildOn(net, j.Batch, j.Workers, j.Strategy, j.Precision)
 	})
 	return s, err
+}
+
+// Network returns the memoized network of a workload at a per-device batch
+// (seqlen 0 keeps the workload default), building it on first use. Every
+// schedule the engine builds at that point shares it, and with it the
+// network's memory plans.
+func (e *Engine) Network(workload string, deviceBatch, seqlen int) (*train.Network, error) {
+	n, _, err := e.nets.do(networkKey{workload, deviceBatch, seqlen}, func() (*train.Network, error) {
+		return train.NewNetwork(workload, deviceBatch, seqlen)
+	})
+	return n, err
 }
 
 // Grid declares a full cross product of simulation inputs. It is the

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/memcentric/mcdla/internal/core"
+	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/train"
 )
 
@@ -572,5 +573,65 @@ func TestCanonicalClearsOnlyTag(t *testing.T) {
 	}
 	if st := e.Stats(); st.Simulated != 1 || st.Hits != 1 {
 		t.Fatalf("Tag forked the memo key: stats %+v, want one simulation and one hit", st)
+	}
+}
+
+// TestConcurrentSimulationsShareOneNetwork runs, four at a time, every
+// design against the schedules one network serves: the three precisions,
+// data parallel at the global batch 512 and model parallel at the device
+// batch 64. The engine builds that network's graph once and one plan per
+// oracle mode, every schedule holds the same graph, and each result
+// equals a simulation on a schedule built alone. Under -race it also
+// checks that the shared plans are read without a data race.
+func TestConcurrentSimulationsShareOneNetwork(t *testing.T) {
+	var jobs []Job
+	for _, strategy := range []train.Strategy{train.DataParallel, train.ModelParallel} {
+		batch := 512
+		if strategy == train.ModelParallel {
+			batch = 64
+		}
+		jobs = append(jobs, Grid{
+			Workloads:  []string{"AlexNet"},
+			Designs:    core.StandardDesigns(),
+			Strategies: []train.Strategy{strategy},
+			Batches:    []int{batch},
+			Precisions: train.Precisions(),
+			Workers:    8,
+		}.Jobs()...)
+	}
+	e := New(Options{Parallelism: 4})
+	graphs0, plans0 := train.Builds()
+	got, err := e.Run(context.Background(), jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs1, plans1 := train.Builds()
+	if graphs, plans := graphs1-graphs0, plans1-plans0; graphs != 1 || plans != 2 {
+		t.Fatalf("built %d graphs and %d plans, want 1 and 2 (normal and oracle)", graphs, plans)
+	}
+	var g *dnn.Graph
+	for i, j := range jobs {
+		s, err := e.Schedule(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g == nil {
+			g = s.Graph
+		}
+		if s.Graph != g {
+			t.Fatalf("job %d (%v, %v) has its own graph", i, j.Strategy, j.Precision)
+		}
+		alone, err := train.BuildSeq(j.Workload, j.Batch, j.Workers, j.Strategy, j.SeqLen, j.Precision)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Simulate(j.Design, alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("job %d (%s, %v, %v): shared-network result differs from a schedule built alone",
+				i, j.Design.Name, j.Strategy, j.Precision)
+		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"github.com/memcentric/mcdla/internal/memnode"
 	"github.com/memcentric/mcdla/internal/train"
 	"github.com/memcentric/mcdla/internal/units"
+	"github.com/memcentric/mcdla/internal/vmem"
 )
 
 // Plane describes a scale-out device-side interconnect plane.
@@ -245,17 +246,11 @@ func (p Plane) Estimate(workload string, globalBatch int, memCentric bool) (Iter
 	// re-executed layers are real device time and belong in the compute
 	// term (omitting them made the estimate diverge hardest on the
 	// recompute-heavy CNNs once the event engine charged them honestly).
-	recompute := map[int]bool{}
-	for _, l := range g.Layers {
-		for _, rid := range prep.Recompute[l.ID] {
-			recompute[rid] = true
-		}
-	}
-	// Summed in layer order: float64 accumulation over map iteration order
-	// would make the estimate differ in the low ULPs run to run.
+	// Each recomputed layer counts once, summed in layer order so float64
+	// accumulation is run-to-run identical.
 	fwd := core.ForwardPrices(p.Device, s)
 	for _, l := range g.Layers {
-		if recompute[l.ID] {
+		if plan.Tensors[l.ID].Action == vmem.Recompute {
 			compute += fwd[l.ID]
 		}
 	}

@@ -227,12 +227,10 @@ func (p Plane) simulate(workload string, globalBatch int, memCentric bool, strat
 	// recurrent weights). The per-device shard is already 1/DevicesPerNode.
 	if strategy == Hybrid && p.SystemNodes > 1 {
 		e.hybridDW = map[int]units.Bytes{}
-		seen := map[string]bool{}
 		for _, l := range s.Graph.Layers {
-			if l.WeightGroup == "" || seen[l.WeightGroup] {
+			if !l.GroupLead() {
 				continue
 			}
-			seen[l.WeightGroup] = true
 			if b := s.Work[l.ID].WeightBytes; b > 0 {
 				e.hybridDW[l.ID] = units.Bytes(b)
 			}

@@ -87,17 +87,13 @@ type Schedule struct {
 	// Work is indexed by layer ID.
 	Work []LayerWork
 
-	// prepMu guards the lazily-built vmem analyses below. Schedules are
-	// shared by pointer across concurrent simulations (the runner memoizes
-	// them per workload), so the cache must be concurrency-safe. The mutex
-	// also makes Schedule non-copyable under go vet's copylocks check, which
-	// is intended — every consumer already holds a *Schedule.
-	prepMu sync.Mutex
-	prep   [2]*vmem.Prepared
+	// net is the graph's shared network, which holds the vmem analyses.
+	net *Network
 
-	// priceMu guards the forward price tables below, kept beside the vmem
-	// analyses for the same reason: the most recent priceTables device
-	// price keys. Once all are taken, the next table replaces slot
+	// priceMu guards the forward price tables below: schedules are shared
+	// by pointer across concurrent simulations (the runner memoizes them
+	// per workload point). The tables hold the most recent priceTables
+	// device price keys. Once all are taken, the next table replaces slot
 	// priced % priceTables, the oldest.
 	priceMu sync.Mutex
 	prices  []priceTable
@@ -117,26 +113,9 @@ type priceTable struct {
 const priceTables = 6
 
 // Prepared returns the vmem memory-overlaying analysis of the schedule's
-// graph for the given oracle mode, built once per schedule and shared across
-// simulations: design points that differ only on bandwidth axes (links,
-// memory nodes, DIMMs) reuse the same plan and prefetch schedule instead of
-// re-running the DAG analysis per evaluation.
-func (s *Schedule) Prepared(oracle bool) (*vmem.Prepared, error) {
-	idx := 0
-	if oracle {
-		idx = 1
-	}
-	s.prepMu.Lock()
-	defer s.prepMu.Unlock()
-	if s.prep[idx] == nil {
-		pr, err := vmem.Prepare(s.Graph, vmem.Options{Oracle: oracle})
-		if err != nil {
-			return nil, err
-		}
-		s.prep[idx] = pr
-	}
-	return s.prep[idx], nil
-}
+// graph for the given oracle mode: its network's, built once and shared by
+// every schedule and simulation on that network.
+func (s *Schedule) Prepared(oracle bool) (*vmem.Prepared, error) { return s.net.Prepared(oracle) }
 
 // ForwardPrices returns the schedule's per-layer forward compute prices on
 // every device whose accel.Config.PriceKey is key, indexed by layer ID. The
@@ -190,26 +169,18 @@ func Build(name string, globalBatch, workers int, strategy Strategy) (*Schedule,
 }
 
 // BuildSeq is Build with the full scenario axis: a sequence-length override
-// (0 keeps the workload default) and a training precision.
+// (0 keeps the workload default) and a training precision. It builds the
+// network at the strategy's device batch, then the schedule on it.
 func BuildSeq(name string, globalBatch, workers int, strategy Strategy, seqlen int, prec Precision) (*Schedule, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("train: workers must be positive, got %d", workers)
-	}
-	if globalBatch <= 0 {
-		return nil, fmt.Errorf("train: batch must be positive, got %d", globalBatch)
-	}
-	deviceBatch := globalBatch
-	if strategy == DataParallel {
-		if globalBatch%workers != 0 {
-			return nil, fmt.Errorf("train: batch %d not divisible by %d workers", globalBatch, workers)
-		}
-		deviceBatch = globalBatch / workers
-	}
-	g, err := dnn.BuildSeq(name, deviceBatch, seqlen)
+	batch, err := DeviceBatch(globalBatch, workers, strategy)
 	if err != nil {
 		return nil, err
 	}
-	return BuildGraph(g, globalBatch, workers, strategy, prec)
+	net, err := NewNetwork(name, batch, seqlen)
+	if err != nil {
+		return nil, err
+	}
+	return BuildOn(net, globalBatch, workers, strategy, prec)
 }
 
 // BuildGraph constructs the per-device schedule for an already-built graph:
@@ -218,23 +189,32 @@ func BuildSeq(name string, globalBatch, workers int, strategy Strategy, seqlen i
 // for custom (non-registry) workloads — randomized property-test graphs,
 // hand-built capacity studies.
 func BuildGraph(g *dnn.Graph, globalBatch, workers int, strategy Strategy, prec Precision) (*Schedule, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("train: workers must be positive, got %d", workers)
-	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	return BuildOn(&Network{Graph: g}, globalBatch, workers, strategy, prec)
+}
+
+// BuildOn constructs the per-device schedule on a network, which it shares
+// with every other schedule built on it: under data parallel the network's
+// batch is the device batch (globalBatch / workers), under model parallel
+// the full batch.
+func BuildOn(net *Network, globalBatch, workers int, strategy Strategy, prec Precision) (*Schedule, error) {
+	if workers <= 0 {
+		return nil, fmt.Errorf("train: workers must be positive, got %d", workers)
+	}
+	g := net.Graph
 	switch strategy {
 	case DataParallel:
 		if g.Batch*workers != globalBatch {
 			return nil, fmt.Errorf("train: device batch %d × %d workers != global batch %d", g.Batch, workers, globalBatch)
 		}
-		return buildDataParallel(g, globalBatch, workers, prec), nil
+		return buildDataParallel(net, globalBatch, workers, prec), nil
 	case ModelParallel:
 		if g.Batch != globalBatch {
 			return nil, fmt.Errorf("train: model-parallel graph batch %d != global batch %d", g.Batch, globalBatch)
 		}
-		return buildModelParallel(g, globalBatch, workers, prec)
+		return buildModelParallel(net, globalBatch, workers, prec)
 	default:
 		return nil, fmt.Errorf("train: unknown strategy %v", strategy)
 	}
@@ -259,11 +239,13 @@ func inputBytes(g *dnn.Graph, l *dnn.Layer) int64 {
 
 // buildDataParallel: full model per device; the only synchronization is the
 // all-reduce of each weight group's gradients, issued when backprop finishes
-// the group's earliest layer (gradients for shared recurrent weights
-// accumulate across timesteps and reduce once). Precision scales the byte
+// the group's lead (earliest) layer — gradients for shared recurrent weights
+// accumulate across timesteps and reduce once. Precision scales the byte
 // accounting: activation/weight reads by ActScale, the dW payload by DWScale
-// (fp32 master-weight gradients under mixed precision).
-func buildDataParallel(g *dnn.Graph, globalBatch, workers int, prec Precision) *Schedule {
+// (fp32 master-weight gradients under mixed precision). Each layer's
+// forward GEMM list is the graph's own, read-only and shared.
+func buildDataParallel(net *Network, globalBatch, workers int, prec Precision) *Schedule {
+	g := net.Graph
 	s := &Schedule{
 		Name:        g.Name,
 		Strategy:    DataParallel,
@@ -272,38 +254,27 @@ func buildDataParallel(g *dnn.Graph, globalBatch, workers int, prec Precision) *
 		Precision:   prec,
 		Graph:       g,
 		Work:        make([]LayerWork, len(g.Layers)),
+		net:         net,
 	}
 	act, dw := prec.ActScale(), prec.DWScale()
-	// Earliest layer of each weight group = last processed during backprop.
-	groupIssue := make(map[string]int)
-	groupBytes := make(map[string]int64)
-	for _, l := range g.Layers {
-		if l.WeightGroup == "" {
-			continue
-		}
-		if _, seen := groupIssue[l.WeightGroup]; !seen {
-			groupIssue[l.WeightGroup] = l.ID
-			groupBytes[l.WeightGroup] = l.WeightBytes()
-		}
-	}
 	for _, l := range g.Layers {
 		w := LayerWork{
 			LayerID:     l.ID,
-			GEMMs:       append([]dnn.GEMM(nil), l.GEMMs...),
+			GEMMs:       l.GEMMs,
 			WeightBytes: act * l.WeightBytes(),
 			InputBytes:  act * inputBytes(g, l),
 			OutputBytes: act * l.OutBytes(),
 		}
-		if workers > 1 && l.WeightGroup != "" && groupIssue[l.WeightGroup] == l.ID {
-			w.BwdSync = append(w.BwdSync, SyncOp{
+		if workers > 1 && l.GroupLead() {
+			w.BwdSync = []SyncOp{{
 				Op:    collective.AllReduce,
-				Bytes: units.Bytes(dw * groupBytes[l.WeightGroup]),
+				Bytes: units.Bytes(dw * l.WeightBytes()),
 				Tag:   "dW",
 				// Data-parallel dW reductions overlap with the rest of
 				// backprop (Figure 3(a): synchronization only at gradient
 				// accumulation).
 				Blocking: false,
-			})
+			}}
 		}
 		s.Work[l.ID] = w
 	}
@@ -316,7 +287,8 @@ func buildDataParallel(g *dnn.Graph, globalBatch, workers int, prec Precision) *
 // run replicated on the gathered tensors. Precision scales every term by
 // ActScale — the X/dX collectives carry activations and activation
 // gradients, which stay fp16 under the mixed policy.
-func buildModelParallel(g *dnn.Graph, globalBatch, workers int, prec Precision) (*Schedule, error) {
+func buildModelParallel(net *Network, globalBatch, workers int, prec Precision) (*Schedule, error) {
+	g := net.Graph
 	s := &Schedule{
 		Name:        g.Name,
 		Strategy:    ModelParallel,
@@ -325,6 +297,7 @@ func buildModelParallel(g *dnn.Graph, globalBatch, workers int, prec Precision) 
 		Precision:   prec,
 		Graph:       g,
 		Work:        make([]LayerWork, len(g.Layers)),
+		net:         net,
 	}
 	act := prec.ActScale()
 	consumers := g.Consumers()

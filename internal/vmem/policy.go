@@ -16,7 +16,6 @@ package vmem
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/memcentric/mcdla/internal/dnn"
 )
@@ -25,9 +24,12 @@ import (
 type Action int
 
 const (
+	// None is the zero value: backprop does not read the tensor, and the
+	// plan's entry for it is empty.
+	None Action = iota
 	// Stash moves the tensor to the backing store after last forward use
 	// and prefetches it before backward use.
-	Stash Action = iota
+	Stash
 	// Recompute re-runs the (cheap) producing layer during backprop.
 	Recompute
 	// Keep leaves the tensor resident (oracle mode, or tensors that are
@@ -37,6 +39,8 @@ const (
 
 func (a Action) String() string {
 	switch a {
+	case None:
+		return "none"
 	case Stash:
 		return "stash"
 	case Recompute:
@@ -49,8 +53,6 @@ func (a Action) String() string {
 
 // TensorPlan is the runtime's decision for one layer's output tensor.
 type TensorPlan struct {
-	// Producer is the layer whose output this is.
-	Producer int
 	// Action selects the backprop strategy.
 	Action Action
 	// Bytes is the tensor footprint (per device; the caller has already
@@ -59,21 +61,18 @@ type TensorPlan struct {
 	// OffloadAfter is the topological index of the last forward consumer —
 	// the DMA offload is enqueued when that layer's forward completes.
 	OffloadAfter int
-	// NeededAt lists the backward steps (layer IDs, processed in reverse
-	// topological order) that read this tensor; the prefetch must land
-	// before the earliest-processed (i.e. highest) ID.
-	NeededAt []int
 }
 
 // Plan is the per-iteration memory-overlaying schedule for one device.
 type Plan struct {
 	Graph *dnn.Graph
-	// Tensors maps producer layer ID to its plan entry (only tensors that
-	// backprop needs appear).
-	Tensors map[int]TensorPlan
-	// ExtraStash maps layer ID to additional per-layer backward state bytes
-	// (recurrent gate activations) that is stashed alongside the inputs.
-	ExtraStash map[int]int64
+	// Tensors is indexed by producer layer ID. Only the tensors backprop
+	// needs are planned; the others keep the zero entry, whose Action is
+	// None.
+	Tensors []TensorPlan
+	// ExtraStash is indexed by layer ID: the additional backward state
+	// bytes (recurrent gate activations) stashed alongside the inputs.
+	ExtraStash []int64
 }
 
 // Options tunes the planner.
@@ -95,90 +94,64 @@ type Options struct {
 func Analyze(g *dnn.Graph, opt Options) *Plan {
 	p := &Plan{
 		Graph:      g,
-		Tensors:    make(map[int]TensorPlan),
-		ExtraStash: make(map[int]int64),
+		Tensors:    make([]TensorPlan, len(g.Layers)),
+		ExtraStash: make([]int64, len(g.Layers)),
 	}
 	if opt.Oracle {
 		return p
 	}
 	lastUse := g.LastForwardUse()
+	recompute := !opt.DisableRecompute
 	for _, l := range g.Layers {
-		if l.Kind == dnn.Input {
-			continue
-		}
-		needsInputs := l.Kind.Expensive() || opt.DisableRecompute
-		if !needsInputs {
+		if l.Kind == dnn.Input || !(l.Kind.Expensive() || opt.DisableRecompute) {
 			continue
 		}
 		for _, in := range l.Inputs {
-			producer := g.Layer(in)
-			entry, exists := p.Tensors[in]
-			if !exists {
-				action := Stash
-				if producer.Kind != dnn.Input && !producer.Kind.Expensive() && !opt.DisableRecompute {
-					// The producing layer is cheap: backprop recomputes it
-					// from ITS stashed inputs instead of migrating this
-					// tensor. Walking the recompute chain terminates at an
-					// expensive or input layer whose output is stashed.
-					action = Recompute
-				}
-				entry = TensorPlan{
-					Producer:     in,
-					Action:       action,
-					Bytes:        producer.OutBytes(),
-					OffloadAfter: lastUse[in],
-				}
-			}
-			entry.NeededAt = append(entry.NeededAt, l.ID)
-			p.Tensors[in] = entry
+			p.plan(in, lastUse, recompute)
 		}
-		if l.StashExtraBytes > 0 {
-			p.ExtraStash[l.ID] = l.StashExtraBytes
+		p.ExtraStash[l.ID] = l.StashExtraBytes
+	}
+	// Recompute chains: a cheap producer's own inputs must be planned too
+	// (stashed, or recomputed further back) so the backward pass can
+	// rebuild the tensor. A layer's inputs precede it, so one sweep in
+	// descending ID order reaches every link of a chain after the link
+	// that planned it.
+	for id := len(g.Layers) - 1; id >= 0; id-- {
+		if p.Tensors[id].Action != Recompute {
+			continue
+		}
+		for _, in := range g.Layer(id).Inputs {
+			p.plan(in, lastUse, recompute)
 		}
 	}
-	// Recompute chains: a cheap producer's own stashed inputs must exist.
-	// Ensure transitively that every Recompute tensor's producer inputs are
-	// themselves planned (stash or further recompute).
-	p.closeRecomputeChains(lastUse)
 	return p
 }
 
-// closeRecomputeChains walks Recompute entries and plans their producers'
-// inputs so the backward pass can actually rebuild the tensors.
-func (p *Plan) closeRecomputeChains(lastUse []int) {
-	g := p.Graph
-	work := make([]int, 0, len(p.Tensors))
-	for id, tp := range p.Tensors {
-		if tp.Action == Recompute {
-			work = append(work, id)
+// plan enters tensor id unless it is planned already: stashed, or
+// recomputed when recompute is on and its producer is a cheap layer. The
+// walk of a recompute chain terminates at an expensive or input layer,
+// whose output is stashed.
+func (p *Plan) plan(id int, lastUse []int, recompute bool) {
+	if p.Tensors[id].Action != None {
+		return
+	}
+	src := p.Graph.Layer(id)
+	action := Stash
+	if recompute && src.Kind != dnn.Input && !src.Kind.Expensive() {
+		action = Recompute
+	}
+	p.Tensors[id] = TensorPlan{Action: action, Bytes: src.OutBytes(), OffloadAfter: lastUse[id]}
+}
+
+// count reports how many tensors the plan gives action a.
+func (p *Plan) count(a Action) int {
+	n := 0
+	for _, tp := range p.Tensors {
+		if tp.Action == a {
+			n++
 		}
 	}
-	// The chain walk mutates p.Tensors as it goes; a sorted worklist keeps
-	// the resulting plan independent of map iteration order.
-	sort.Ints(work)
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		producer := g.Layer(id)
-		for _, in := range producer.Inputs {
-			if _, exists := p.Tensors[in]; exists {
-				continue
-			}
-			src := g.Layer(in)
-			action := Stash
-			if src.Kind != dnn.Input && !src.Kind.Expensive() {
-				action = Recompute
-				work = append(work, in)
-			}
-			p.Tensors[in] = TensorPlan{
-				Producer:     in,
-				Action:       action,
-				Bytes:        src.OutBytes(),
-				OffloadAfter: lastUse[in],
-				NeededAt:     []int{id},
-			}
-		}
-	}
+	return n
 }
 
 // OffloadBytes reports the per-iteration bytes DMAed to the backing store.
@@ -195,50 +168,11 @@ func (p *Plan) OffloadBytes() int64 {
 	return total
 }
 
-// PrefetchBytes reports the per-iteration bytes DMAed back during backprop.
-// Genuinely symmetric with OffloadBytes: every stash tensor is prefetched
-// exactly once (before its first backward use) and stays resident for any
-// later backward consumers, so the plan never re-fetches a shared tensor.
-func (p *Plan) PrefetchBytes() int64 { return p.OffloadBytes() }
-
-// TrafficBytes reports total backing-store traffic per iteration.
-func (p *Plan) TrafficBytes() int64 { return p.OffloadBytes() + p.PrefetchBytes() }
-
-// PrefetchFor returns the stash bytes that must be resident before the
-// backward pass of the given layer runs: its planned input tensors plus its
-// extra stash. Residency, not traffic: a tensor shared by several backward
-// consumers appears in every consumer's PrefetchFor but moves only once (see
-// PrefetchQueue).
-func (p *Plan) PrefetchFor(layer int) int64 {
-	var total int64
-	l := p.Graph.Layer(layer)
-	for _, in := range l.Inputs {
-		if tp, ok := p.Tensors[in]; ok && tp.Action == Stash {
-			total += tp.Bytes
-		}
-	}
-	total += p.ExtraStash[layer]
-	return total
-}
-
-// FirstBackwardUse reports the layer whose backward pass reads the stash
-// tensor first — the highest consumer ID, since backprop walks the graph in
-// reverse topological order. The prefetch must land before that layer's
-// backward step; the tensor then stays resident for later (lower-ID)
-// consumers. Returns -1 for tensors no backward step reads.
-func (p *Plan) FirstBackwardUse(tensor int) int {
-	tp, ok := p.Tensors[tensor]
-	if !ok {
-		return -1
-	}
-	first := -1
-	for _, id := range tp.NeededAt {
-		if id > first {
-			first = id
-		}
-	}
-	return first
-}
+// TrafficBytes reports total backing-store traffic per iteration: the
+// offloads plus the same bytes prefetched back, since the backward pass
+// fetches every stash tensor exactly once (before its first backward use)
+// and keeps it resident for later consumers.
+func (p *Plan) TrafficBytes() int64 { return 2 * p.OffloadBytes() }
 
 // PrefetchItem is one DMA the backward pass issues from the backing store.
 type PrefetchItem struct {
@@ -255,27 +189,9 @@ type PrefetchItem struct {
 // reverse topological order, each stash tensor appearing exactly once at the
 // layer of its first backward use (its extra state alongside). The DMA
 // engine streams the queue FIFO underneath the backward computation; summing
-// the queue reproduces PrefetchBytes exactly, which is the invariant tying
-// the planner's accounting to the engine's charged traffic.
-func (p *Plan) PrefetchQueue() []PrefetchItem {
-	g := p.Graph
-	var queue []PrefetchItem
-	seen := make(map[int]bool)
-	for id := len(g.Layers) - 1; id >= 0; id-- {
-		for _, in := range g.Layer(id).Inputs {
-			tp, ok := p.Tensors[in]
-			if !ok || tp.Action != Stash || seen[in] {
-				continue
-			}
-			seen[in] = true
-			queue = append(queue, PrefetchItem{Layer: id, Tensor: in, Bytes: tp.Bytes})
-		}
-		if extra := p.ExtraStash[id]; extra > 0 {
-			queue = append(queue, PrefetchItem{Layer: id, Tensor: -1, Bytes: extra})
-		}
-	}
-	return queue
-}
+// the queue reproduces the offload bytes exactly, which is the invariant
+// tying the planner's accounting to the engine's charged traffic.
+func (p *Plan) PrefetchQueue() []PrefetchItem { return p.PrefetchSchedule().Items }
 
 // PrefetchSchedule is the indexed form of the prefetch queue the backward
 // engines consume: the FIFO items plus, per layer, the queue positions whose
@@ -286,47 +202,74 @@ func (p *Plan) PrefetchQueue() []PrefetchItem {
 type PrefetchSchedule struct {
 	Items []PrefetchItem
 
-	plan   *Plan
-	needed [][]int
+	plan *Plan
+	// needed holds every layer's queue positions back to back, highest
+	// layer first: layer id's are needed[bound[id+1]:bound[id]].
+	needed []int
+	bound  []int
 }
 
-// PrefetchSchedule builds the indexed schedule.
+// PrefetchSchedule builds the queue and its per-layer index in one pass
+// over the layers in backward order: a stash tensor joins the queue at the
+// first layer that reads it, and every later reader points at that item.
+// The queue holds one item per stash tensor and per extra state, and the
+// index one entry per stash input read and per extra state, so both are
+// sized before the pass.
 func (p *Plan) PrefetchSchedule() *PrefetchSchedule {
-	s := &PrefetchSchedule{Items: p.PrefetchQueue(), plan: p}
 	g := p.Graph
-	tensorItem := make(map[int]int, len(s.Items))
-	extraItem := make(map[int]int)
-	for i, it := range s.Items {
-		if it.Tensor >= 0 {
-			tensorItem[it.Tensor] = i
-		} else {
-			extraItem[it.Layer] = i
-		}
-	}
-	s.needed = make([][]int, len(g.Layers))
-	for id, l := range g.Layers {
+	n := len(g.Layers)
+	items, reads := p.count(Stash), 0
+	for _, l := range g.Layers {
 		for _, in := range l.Inputs {
-			if tp, ok := p.Tensors[in]; ok && tp.Action == Stash {
-				s.needed[id] = append(s.needed[id], tensorItem[in])
+			if p.Tensors[in].Action == Stash {
+				reads++
 			}
 		}
-		if i, ok := extraItem[id]; ok {
-			s.needed[id] = append(s.needed[id], i)
+		if p.ExtraStash[l.ID] > 0 {
+			items++
+			reads++
 		}
+	}
+	s := &PrefetchSchedule{
+		Items:  make([]PrefetchItem, 0, items),
+		plan:   p,
+		needed: make([]int, 0, reads),
+		bound:  make([]int, n+1),
+	}
+	item := make([]int, n) // 1 + queue position of each queued tensor
+	for id := n - 1; id >= 0; id-- {
+		for _, in := range g.Layer(id).Inputs {
+			tp := p.Tensors[in]
+			if tp.Action != Stash {
+				continue
+			}
+			if item[in] == 0 {
+				s.Items = append(s.Items, PrefetchItem{Layer: id, Tensor: in, Bytes: tp.Bytes})
+				item[in] = len(s.Items)
+			}
+			s.needed = append(s.needed, item[in]-1)
+		}
+		if extra := p.ExtraStash[id]; extra > 0 {
+			s.Items = append(s.Items, PrefetchItem{Layer: id, Tensor: -1, Bytes: extra})
+			s.needed = append(s.needed, len(s.Items)-1)
+		}
+		s.bound[id] = len(s.needed)
 	}
 	return s
 }
 
 // NeededAt returns the queue indices that must be resident before the given
 // layer's backward step, in deterministic (input, then extra-state) order.
-func (s *PrefetchSchedule) NeededAt(layer int) []int { return s.needed[layer] }
+func (s *PrefetchSchedule) NeededAt(layer int) []int {
+	return s.needed[s.bound[layer+1]:s.bound[layer]]
+}
 
 // MaxNeededAt returns the highest queue index NeededAt(layer) contains — the
 // position a FIFO issuer must have reached — or -1 when the layer needs
 // nothing.
 func (s *PrefetchSchedule) MaxNeededAt(layer int) int {
 	max := -1
-	for _, i := range s.needed[layer] {
+	for _, i := range s.NeededAt(layer) {
 		if i > max {
 			max = i
 		}
@@ -343,13 +286,17 @@ func (s *PrefetchSchedule) ItemName(i int) string {
 	return s.plan.Graph.Layer(s.Items[i].Layer).Name + "/state"
 }
 
-// Validate checks plan invariants: every stash entry has positive size and a
-// legal offload point, every recompute chain terminates in stashed or input
-// tensors.
+// Validate checks plan invariants: the tables cover every layer, every
+// planned tensor has positive size and a legal offload point, and every
+// recompute chain terminates in stashed or input tensors.
 func (p *Plan) Validate() error {
+	if n := len(p.Graph.Layers); len(p.Tensors) != n || len(p.ExtraStash) != n {
+		return fmt.Errorf("vmem: plan tables hold %d tensors and %d extra-state entries for %d layers",
+			len(p.Tensors), len(p.ExtraStash), n)
+	}
 	for id, tp := range p.Tensors {
-		if tp.Producer != id {
-			return fmt.Errorf("vmem: tensor %d has mismatched producer %d", id, tp.Producer)
+		if tp.Action == None {
+			continue
 		}
 		if tp.Bytes <= 0 {
 			return fmt.Errorf("vmem: tensor %d has nonpositive size", id)
@@ -359,11 +306,7 @@ func (p *Plan) Validate() error {
 		}
 		if tp.Action == Recompute {
 			for _, in := range p.Graph.Layer(id).Inputs {
-				src := p.Graph.Layer(in)
-				if src.Kind == dnn.Input {
-					continue
-				}
-				if _, ok := p.Tensors[in]; !ok {
+				if p.Graph.Layer(in).Kind != dnn.Input && p.Tensors[in].Action == None {
 					return fmt.Errorf("vmem: recompute tensor %d has unplanned input %d", id, in)
 				}
 			}

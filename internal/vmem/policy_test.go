@@ -1,6 +1,7 @@
 package vmem
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -28,19 +29,28 @@ func TestOracleHasNoTraffic(t *testing.T) {
 	if p.TrafficBytes() != 0 {
 		t.Fatalf("oracle plan has traffic %d", p.TrafficBytes())
 	}
-	if len(p.Tensors) != 0 {
-		t.Fatalf("oracle plan has %d tensors", len(p.Tensors))
+	if n := p.Planned(); n != 0 {
+		t.Fatalf("oracle plan has %d tensors", n)
 	}
 }
 
+// TestTrafficSymmetric: on every network, the prefetch queue fetches back
+// exactly the bytes the plan offloads, which is what prefetchBytes derives
+// from the graph alone, and the traffic is both directions.
 func TestTrafficSymmetric(t *testing.T) {
-	g := dnn.MustBuild("AlexNet", 64)
-	p := Analyze(g, Options{})
-	if p.OffloadBytes() != p.PrefetchBytes() {
-		t.Fatal("offload and prefetch traffic must match under the stash policy")
-	}
-	if p.TrafficBytes() != 2*p.OffloadBytes() {
-		t.Fatal("total traffic must be offload+prefetch")
+	for _, name := range append(dnn.BenchmarkNames(), dnn.TransformerNames()...) {
+		g := dnn.MustBuild(name, 64)
+		p := Analyze(g, Options{})
+		var queued int64
+		for _, it := range p.PrefetchQueue() {
+			queued += it.Bytes
+		}
+		if want := prefetchBytes(g); queued != want || p.OffloadBytes() != want {
+			t.Errorf("%s: queue fetches %d bytes, plan offloads %d, graph says %d", name, queued, p.OffloadBytes(), want)
+		}
+		if p.TrafficBytes() != 2*p.OffloadBytes() {
+			t.Errorf("%s: total traffic must be offload+prefetch", name)
+		}
 	}
 }
 
@@ -74,21 +84,11 @@ func TestCheapLayersRecomputed(t *testing.T) {
 			conv2 = l.ID
 		}
 	}
-	tp, ok := p.Tensors[pool1]
-	if !ok {
-		t.Fatal("pool1 output not planned")
+	if a := p.Tensors[pool1].Action; a != Recompute {
+		t.Fatalf("pool1 action = %v, want recompute", a)
 	}
-	if tp.Action != Recompute {
-		t.Fatalf("pool1 action = %v, want recompute", tp.Action)
-	}
-	found := false
-	for _, at := range tp.NeededAt {
-		if at == conv2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("pool1 tensor not marked needed at conv2 backward")
+	if !slices.Contains(p.RecomputeFor(conv2), pool1) {
+		t.Fatal("pool1 tensor not rebuilt for conv2 backward")
 	}
 }
 
@@ -148,15 +148,14 @@ func TestDisableRecomputeStashesEverything(t *testing.T) {
 // RecomputeFor returns the producer layer IDs on the recompute chains of
 // the given layer's inputs, in post-order: each producer after its own
 // recomputed inputs. It walks one layer's chains from the plan's map state
-// alone, repeats a producer two chains share, and is the oracle Prepare's
-// first-use Recompute table is checked against.
+// tables alone, repeats a producer two chains share, and is the oracle
+// Prepare's first-use Recompute table is checked against.
 func (p *Plan) RecomputeFor(layer int) []int {
 	var out []int
 	l := p.Graph.Layer(layer)
 	var walk func(in int)
 	walk = func(in int) {
-		tp, ok := p.Tensors[in]
-		if !ok || tp.Action != Recompute {
+		if p.Tensors[in].Action != Recompute {
 			return
 		}
 		// Rebuild this tensor by re-running its producer, which first needs
@@ -175,7 +174,7 @@ func (p *Plan) RecomputeFor(layer int) []int {
 // OffloadsAfter returns the stash tensor producer IDs whose offload is
 // enqueued once the given layer's forward pass completes, sorted, plus that
 // layer's own extra stash bytes (recurrent state leaves with the layer
-// itself). It derives one layer's offloads from the plan's map state alone,
+// itself). It derives one layer's offloads from the plan's tables alone,
 // the oracle Prepare's one-pass Offloads table is checked against.
 func (p *Plan) OffloadsAfter(layer int) (tensors []int, extraBytes int64) {
 	for id, tp := range p.Tensors {
@@ -187,6 +186,77 @@ func (p *Plan) OffloadsAfter(layer int) (tensors []int, extraBytes int64) {
 	return tensors, p.ExtraStash[layer]
 }
 
+// Planned counts the plan's planned tensors.
+func (p *Plan) Planned() int {
+	n := 0
+	for _, tp := range p.Tensors {
+		if tp.Action != None {
+			n++
+		}
+	}
+	return n
+}
+
+// FirstBackwardUse re-derives from the graph alone, not from the plan's
+// tables, the backward step that reads a tensor first: its highest-ID
+// consumer, since backprop walks the graph in reverse topological order.
+// The prefetch must land before that step; the tensor then stays resident
+// for the later (lower-ID) consumers. Returns -1 for a tensor no layer
+// reads.
+func (p *Plan) FirstBackwardUse(tensor int) int {
+	first := -1
+	for _, l := range p.Graph.Layers {
+		if slices.Contains(l.Inputs, tensor) {
+			first = l.ID
+		}
+	}
+	return first
+}
+
+// prefetchFor re-derives from the graph alone the stash bytes that must be
+// resident before an expensive layer's backward pass under the default
+// policy: each input that an input or expensive layer produced (a cheap
+// producer's output is recomputed instead) plus the layer's extra state.
+// Residency, not traffic: a tensor several consumers read counts for each.
+func prefetchFor(g *dnn.Graph, layer int) int64 {
+	l := g.Layer(layer)
+	total := l.StashExtraBytes
+	for _, in := range l.Inputs {
+		if src := g.Layer(in); src.Kind == dnn.Input || src.Kind.Expensive() {
+			total += src.OutBytes()
+		}
+	}
+	return total
+}
+
+// prefetchBytes re-derives from the graph alone the bytes the backward pass
+// fetches under the default policy. Backprop reads the inputs of every
+// expensive layer and of every cheap layer it rebuilds, a cheap layer being
+// rebuilt when a reader needs its output; each such tensor an input or
+// expensive layer produced moves once, and every expensive layer's extra
+// state moves with it.
+func prefetchBytes(g *dnn.Graph) int64 {
+	read := make([]bool, len(g.Layers))
+	var total int64
+	for id := len(g.Layers) - 1; id >= 0; id-- {
+		l := g.Layer(id)
+		stashes := l.Kind == dnn.Input || l.Kind.Expensive()
+		if read[id] && stashes {
+			total += l.OutBytes()
+		}
+		if l.Kind == dnn.Input || !(l.Kind.Expensive() || read[id]) {
+			continue
+		}
+		for _, in := range l.Inputs {
+			read[in] = true
+		}
+		if l.Kind.Expensive() {
+			total += l.StashExtraBytes
+		}
+	}
+	return total
+}
+
 func TestOffloadsAfterLastUse(t *testing.T) {
 	// ResNet residual tensors are consumed twice; the offload must wait
 	// for the later consumer.
@@ -194,7 +264,7 @@ func TestOffloadsAfterLastUse(t *testing.T) {
 	p := Analyze(g, Options{})
 	last := g.LastForwardUse()
 	for id, tp := range p.Tensors {
-		if tp.OffloadAfter != last[id] {
+		if tp.Action != None && tp.OffloadAfter != last[id] {
 			t.Fatalf("tensor %d offloads after %d, want last use %d", id, tp.OffloadAfter, last[id])
 		}
 	}
@@ -224,7 +294,7 @@ func TestExpensiveLayersCoveredByPrefetchOrRecompute(t *testing.T) {
 	p := Analyze(g, Options{})
 	for _, l := range g.Layers {
 		if l.Kind == dnn.Conv || l.Kind == dnn.FC {
-			if p.PrefetchFor(l.ID) <= 0 && len(p.RecomputeFor(l.ID)) == 0 {
+			if prefetchFor(g, l.ID) <= 0 && len(p.RecomputeFor(l.ID)) == 0 {
 				t.Fatalf("layer %s has neither prefetch nor recompute coverage", l.Name)
 			}
 		}
@@ -321,7 +391,7 @@ func TestAddressSpacePhysicalLimit(t *testing.T) {
 }
 
 func TestActionAndRegionStrings(t *testing.T) {
-	if Stash.String() != "stash" || Recompute.String() != "recompute" || Keep.String() != "keep" {
+	if None.String() != "none" || Stash.String() != "stash" || Recompute.String() != "recompute" || Keep.String() != "keep" {
 		t.Fatal("action strings wrong")
 	}
 	if Local.String() != "LOCAL" || BWAware.String() != "BW_AWARE" {

@@ -7,9 +7,9 @@ import (
 // Prepared bundles a validated plan with the derived per-layer lookups the
 // event engines consult in their inner loops. Analyze and Validate walk the
 // whole graph, and the offload, recompute and prefetch lookups are derived
-// from the plan's map state; Prepare does all of that once so simulations
-// that share a schedule (design sweeps over bandwidth axes) pay for the
-// analysis a single time. A Prepared value is immutable after construction
+// from the plan's tables; Prepare does all of that once so simulations that
+// share a network (design sweeps over bandwidth axes, and every schedule
+// built on the graph) pay for the analysis a single time. A Prepared value is immutable after construction
 // and safe for concurrent use.
 type Prepared struct {
 	Plan  *Plan
@@ -41,33 +41,37 @@ func Prepare(g *dnn.Graph, opt Options) (*Prepared, error) {
 	// One pass in ascending producer order, so each Offloads bucket comes
 	// out sorted: the table the test oracle OffloadsAfter builds layer by
 	// layer.
-	for id := range g.Layers {
-		if tp, ok := plan.Tensors[id]; ok && tp.Action == Stash {
+	for id, tp := range plan.Tensors {
+		if tp.Action == Stash {
 			pr.Offloads[tp.OffloadAfter] = append(pr.Offloads[tp.OffloadAfter], id)
 		}
 	}
 	// Build the recompute lists in backward order with one seen-set: a chain
 	// walk lists a producer after its own recomputed inputs and stops at a
 	// producer already listed, whose inputs were listed before it. Each
-	// producer is expanded once, so the tables cost O(layers + edges).
+	// producer is expanded once, so the tables cost O(layers + edges), and
+	// every recomputed tensor is listed once, so the lists share one
+	// backing array of that size.
 	seen := make([]bool, len(g.Layers))
-	var walk func(id, in int)
-	walk = func(id, in int) {
-		if seen[in] {
-			return
-		}
-		if tp, ok := plan.Tensors[in]; !ok || tp.Action != Recompute {
+	listed := make([]int, 0, plan.count(Recompute))
+	var walk func(in int)
+	walk = func(in int) {
+		if seen[in] || plan.Tensors[in].Action != Recompute {
 			return
 		}
 		for _, pin := range g.Layer(in).Inputs {
-			walk(id, pin)
+			walk(pin)
 		}
 		seen[in] = true
-		pr.Recompute[id] = append(pr.Recompute[id], in)
+		listed = append(listed, in)
 	}
 	for id := len(g.Layers) - 1; id >= 0; id-- {
+		from := len(listed)
 		for _, in := range g.Layer(id).Inputs {
-			walk(id, in)
+			walk(in)
+		}
+		if n := len(listed); n > from {
+			pr.Recompute[id] = listed[from:n:n]
 		}
 	}
 	return pr, nil

@@ -191,9 +191,9 @@ func TestPlanTrafficMatchesEngine(t *testing.T) {
 func TestOracleHasNoPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := vmem.Analyze(randomGraph(rng), vmem.Options{Oracle: true})
-	if len(p.Tensors) != 0 || len(p.PrefetchQueue()) != 0 || p.TrafficBytes() != 0 {
+	if p.Planned() != 0 || len(p.PrefetchQueue()) != 0 || p.TrafficBytes() != 0 {
 		t.Fatalf("oracle plan moves data: %d tensors, %d queued, %d bytes",
-			len(p.Tensors), len(p.PrefetchQueue()), p.TrafficBytes())
+			p.Planned(), len(p.PrefetchQueue()), p.TrafficBytes())
 	}
 }
 

@@ -42,8 +42,8 @@ func TestRecomputeListedOnceChargedOnce(t *testing.T) {
 				}
 			}
 			for id := range listed {
-				if tp, ok := prep.Plan.Tensors[id]; !ok || tp.Action != vmem.Recompute {
-					t.Errorf("%s %v: layer %d is listed for recompute, planned %v", name, strategy, id, tp.Action)
+				if a := prep.Plan.Tensors[id].Action; a != vmem.Recompute {
+					t.Errorf("%s %v: layer %d is listed for recompute, planned %v", name, strategy, id, a)
 				}
 			}
 
