@@ -368,10 +368,12 @@ func BenchmarkChannelFill(b *testing.B) {
 		ring[k] = ch.Start(t, dma, inFlight*units.MB, 0, 0)
 	}
 	b.StopTimer()
-	if n := ch.ActiveFlows(); n != inFlight {
-		b.Fatalf("%d flows in flight, want %d", n, inFlight)
-	}
 	end := ch.Stats()
+	for _, f := range ring {
+		if ch.Wait(t, f) <= t {
+			b.Fatalf("a flow finished by %v, want all %d in flight", t, inFlight)
+		}
+	}
 	b.ReportMetric(float64(end.Fills-start.Fills)/float64(b.N), "fills/op")
 	b.ReportMetric(float64(end.Visits-start.Visits)/float64(b.N), "visits/op")
 }
@@ -554,11 +556,16 @@ func BenchmarkTracedSimulation(b *testing.B) {
 func BenchmarkScaleOutPlane(b *testing.B) {
 	var sp float64
 	for i := 0; i < b.N; i++ {
-		pts, err := scaleout.Scaling("VGG-E", 8*16*64, []int{1, 16})
-		if err != nil {
-			b.Fatal(err)
+		pts := make([]scaleout.ScalingPoint, 2)
+		for j, n := range []int{1, 16} {
+			pt, err := scaleout.Default(n).EvalPoint("VGG-E", 8*16*64, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pts[j] = pt
 		}
-		sp = pts[len(pts)-1].SpeedupMC
+		scaleout.FillSpeedups(pts)
+		sp = pts[1].SpeedupMC
 	}
 	b.ReportMetric(sp, "128dev-scaling-x")
 }
@@ -603,7 +610,7 @@ func BenchmarkPlaneHybrid(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		iter = r.Iteration.Milliseconds()
+		iter = r.Iteration.Seconds() * 1e3
 	}
 	b.ReportMetric(iter, "iter-ms")
 }
@@ -752,32 +759,44 @@ func BenchmarkFleetCold(b *testing.B) {
 	b.ReportMetric(float64(plans)/float64(b.N), "plans/op")
 }
 
+// obsBatch is how many calls one op of the obs hot-path benchmarks makes.
+// The trajectory files run at -benchtime 1x, where a single call of a few
+// nanoseconds would time first-touch noise; a batch per op gives each
+// sample enough work to mean something.
+const obsBatch = 4096
+
 // BenchmarkObsCounterInc pins the telemetry plane's hot-path budget: a
 // counter bump is one atomic add, 0 allocs/op — the cost a grid boundary
-// pays per job. The event loops themselves carry no obs calls at all.
+// pays per job. The event loops themselves carry no obs calls at all. One
+// op is obsBatch bumps.
 func BenchmarkObsCounterInc(b *testing.B) {
 	c := obs.NewRegistry().Counter("bench_counter_total", "benchmark counter")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
+		for j := 0; j < obsBatch; j++ {
+			c.Inc()
+		}
 	}
-	if c.Value() != int64(b.N) {
-		b.Fatalf("counter = %v, want %d", c.Value(), b.N)
+	if c.Value() != int64(b.N)*obsBatch {
+		b.Fatalf("counter = %v, want %d", c.Value(), b.N*obsBatch)
 	}
 }
 
 // BenchmarkObsHistogramObserve: an observation is a binary search over the
-// fixed bucket bounds plus two atomic ops — 0 allocs/op.
+// fixed bucket bounds plus two atomic ops — 0 allocs/op. One op is obsBatch
+// observations.
 func BenchmarkObsHistogramObserve(b *testing.B) {
-	h := obs.NewRegistry().Histogram("bench_seconds", "benchmark histogram", obs.DefaultLatencyBuckets)
+	h := obs.NewRegistry().HistogramVec("bench_seconds", "benchmark histogram", obs.DefaultLatencyBuckets).With()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i%100) / 1000)
+		for j := 0; j < obsBatch; j++ {
+			h.Observe(float64(j%100) / 1000)
+		}
 	}
-	if h.Count() != int64(b.N) {
-		b.Fatalf("histogram count = %d, want %d", h.Count(), b.N)
+	if h.Count() != int64(b.N)*obsBatch {
+		b.Fatalf("histogram count = %d, want %d", h.Count(), b.N*obsBatch)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"github.com/memcentric/mcdla/internal/dse"
 	"github.com/memcentric/mcdla/internal/experiments"
+	"github.com/memcentric/mcdla/internal/runner"
 )
 
 // Golden-output regression tests: every subcommand's stdout is pinned to a
@@ -91,7 +92,7 @@ func goldenPath(name string) string {
 
 func TestGoldenOutputs(t *testing.T) {
 	for _, parallel := range []int{1, 8} {
-		experiments.SetParallelism(parallel)
+		experiments.SetOptions(runner.Options{Parallelism: parallel})
 		for _, c := range goldenCases {
 			t.Run(fmt.Sprintf("%s/parallel%d", c.name, parallel), func(t *testing.T) {
 				got := captureRun(t, c.args)
@@ -116,7 +117,7 @@ func TestGoldenOutputs(t *testing.T) {
 			})
 		}
 	}
-	experiments.SetParallelism(0)
+	experiments.SetOptions(runner.Options{})
 }
 
 // TestUnknownSubcommandErrors keeps the dispatcher's failure path honest.
@@ -134,8 +135,8 @@ func TestUnknownSubcommandErrors(t *testing.T) {
 // feeding that exact command line back through the run dispatcher must
 // reproduce the iteration time the frontier tabulated.
 func TestOptimizeRecipesReproduce(t *testing.T) {
-	experiments.SetParallelism(4)
-	defer experiments.SetParallelism(0)
+	experiments.SetOptions(runner.Options{Parallelism: 4})
+	defer experiments.SetOptions(runner.Options{})
 	res, err := experiments.Optimize(context.Background(), experiments.DefaultOptimizeSpace(), dse.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/memcentric/mcdla/internal/experiments"
+	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/server"
 )
 
@@ -20,7 +21,7 @@ import (
 func TestHTTPParity(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.Options{Parallelism: 4}).Handler())
 	defer ts.Close()
-	defer experiments.SetParallelism(0)
+	defer experiments.SetOptions(runner.Options{})
 	for _, gc := range goldenCases {
 		t.Run(gc.name, func(t *testing.T) {
 			c := experiments.Lookup(gc.args[0])

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/memcentric/mcdla/internal/experiments"
+	"github.com/memcentric/mcdla/internal/runner"
 )
 
 // TestGoldenTimelines pins the -timeline artifacts: the Chrome trace-event
@@ -23,7 +24,7 @@ func TestGoldenTimelines(t *testing.T) {
 		{"timeline_fleet_default", []string{"fleet", "-timeline"}},
 	}
 	for _, parallel := range []int{1, 8} {
-		experiments.SetParallelism(parallel)
+		experiments.SetOptions(runner.Options{Parallelism: parallel})
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("%s/parallel%d", c.name, parallel), func(t *testing.T) {
 				out := filepath.Join(t.TempDir(), "timeline.json")
@@ -63,5 +64,5 @@ func TestGoldenTimelines(t *testing.T) {
 			})
 		}
 	}
-	experiments.SetParallelism(0)
+	experiments.SetOptions(runner.Options{})
 }

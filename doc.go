@@ -5,8 +5,8 @@
 // The library lives under internal/: the dnn package models the Table III
 // workloads plus an attention-era transformer family (BERT-Large-class
 // encoder, GPT-2-class decoder, per-head GEMM attention whose score tensors
-// grow with seqlen²), accel the Table II PE-array device, topo/collective
-// the device-side interconnects and ring collectives, memnode/vmem the
+// grow with seqlen²), accel the Table II PE-array device, collective the
+// ring collectives over the device-side interconnects, memnode/vmem the
 // memory-node architecture and the virtualization plan, train the
 // parallelization strategies and the fp16/mixed/fp32 precision memory
 // model, and core assembles the six evaluated system design points and

@@ -38,10 +38,6 @@ func Generations() []Generation {
 	}
 }
 
-// Volta returns the baseline Table II device, for call sites that want the
-// generation by name.
-func Volta() Config { return Default() }
-
 // TPUv2Class returns the faster device-node used by the §V-B sensitivity
 // study ("a faster device-node configuration such as TPUv2").
 func TPUv2Class() Config { return scaledConfig("TPUv2-class", 180.0, units.GBps(2400)) }

@@ -1,6 +1,6 @@
 // Package analysis is a minimal, dependency-free re-implementation of the
-// golang.org/x/tools/go/analysis driver surface: Analyzer, Pass, Diagnostic
-// and SuggestedFix carry the same shapes and semantics as their x/tools
+// golang.org/x/tools/go/analysis driver surface: Analyzer, Pass and
+// Diagnostic carry the same shapes and semantics as their x/tools
 // namesakes, so the mcdla analyzers (nondeterminism, maporder, ctxflow,
 // exhaustive, floatguard) are written exactly as go/analysis passes and
 // could be rehosted on the real framework by swapping one import.
@@ -73,29 +73,9 @@ func (p *Pass) ReportRangef(rng Range, format string, args ...any) {
 	p.Report(Diagnostic{Pos: rng.Pos(), End: rng.End(), Message: fmt.Sprintf(format, args...)})
 }
 
-// A Diagnostic is one finding: a position, a message, and optionally
-// mechanical fixes.
+// A Diagnostic is one finding: a position and a message.
 type Diagnostic struct {
 	Pos     token.Pos
 	End     token.Pos // optional: past-the-end position of the offending syntax
 	Message string
-
-	// SuggestedFixes are mechanical rewrites that resolve the finding
-	// (sorted map-key extraction, ctx threading). Fixes are exercised by
-	// the analysistest golden fixtures; the driver only prints them.
-	SuggestedFixes []SuggestedFix
-}
-
-// A SuggestedFix is one self-contained rewrite: all edits must be applied
-// together or not at all.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// A TextEdit replaces the source in [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }

@@ -10,20 +10,13 @@
 // Each backquoted (or double-quoted) string is a regexp that must match
 // the message of a diagnostic reported on that line; every diagnostic
 // must be claimed by exactly one expectation and vice versa.
-//
-// RunWithSuggestedFixes additionally applies every suggested fix,
-// gofmts the result, and compares it byte-for-byte with the fixture's
-// .golden sibling.
 package analysistest
 
 import (
-	"fmt"
-	"go/format"
-	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,20 +29,8 @@ import (
 // comments as test errors.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	run(t, testdata, a, false, pkgs...)
-}
-
-// RunWithSuggestedFixes is Run plus golden-file checking of applied
-// suggested fixes.
-func RunWithSuggestedFixes(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
-	t.Helper()
-	run(t, testdata, a, true, pkgs...)
-}
-
-func run(t *testing.T, testdata string, a *analysis.Analyzer, fixes bool, pkgs ...string) {
-	t.Helper()
 	loader := analysis.NewLoader()
-	if err := loader.AddLocalTree("", filepath.Join(testdata, "src")); err != nil {
+	if err := addFixtureTree(loader, filepath.Join(testdata, "src")); err != nil {
 		t.Fatalf("scanning %s: %v", testdata, err)
 	}
 	for _, path := range pkgs {
@@ -62,10 +43,33 @@ func run(t *testing.T, testdata string, a *analysis.Analyzer, fixes bool, pkgs .
 			t.Fatalf("running %s on %s: %v", a.Name, path, err)
 		}
 		checkDiagnostics(t, pkg, diags)
-		if fixes {
-			checkSuggestedFixes(t, pkg, diags)
-		}
 	}
+}
+
+// addFixtureTree registers every directory under root that contains .go
+// files as a local package whose import path is its path below root — the
+// GOPATH-style layout of a testdata/src tree.
+func addFixtureTree(l *analysis.Loader, root string) error {
+	return filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		ents, err := os.ReadDir(p)
+		if err != nil {
+			return err
+		}
+		for _, e := range ents {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+				rel, err := filepath.Rel(root, p)
+				if err != nil {
+					return err
+				}
+				l.AddLocal(filepath.ToSlash(rel), p)
+				break
+			}
+		}
+		return nil
+	})
 }
 
 type expectation struct {
@@ -128,86 +132,4 @@ func checkDiagnostics(t *testing.T, pkg *analysis.Package, diags []analysis.Diag
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 		}
 	}
-}
-
-// checkSuggestedFixes applies the first suggested fix of every
-// diagnostic, file by file, formats the result, and compares it with
-// <file>.golden. Files whose diagnostics carry no fixes are skipped.
-func checkSuggestedFixes(t *testing.T, pkg *analysis.Package, diags []analysis.Diagnostic) {
-	t.Helper()
-	edits := map[string][]analysis.TextEdit{} // filename → edits
-	for _, d := range diags {
-		if len(d.SuggestedFixes) == 0 {
-			continue
-		}
-		for _, e := range d.SuggestedFixes[0].TextEdits {
-			name := pkg.Fset.Position(e.Pos).Filename
-			edits[name] = append(edits[name], e)
-		}
-	}
-	var names []string
-	for name := range edits {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			t.Errorf("reading %s: %v", name, err)
-			continue
-		}
-		fixed, err := applyEdits(pkg.Fset, src, edits[name])
-		if err != nil {
-			t.Errorf("applying fixes to %s: %v", name, err)
-			continue
-		}
-		formatted, err := format.Source(fixed)
-		if err != nil {
-			t.Errorf("formatting fixed %s: %v\n%s", name, err, fixed)
-			continue
-		}
-		golden, err := os.ReadFile(name + ".golden")
-		if err != nil {
-			t.Errorf("reading golden for %s: %v", name, err)
-			continue
-		}
-		if string(formatted) != string(golden) {
-			t.Errorf("suggested fixes for %s do not match golden file\n-- got --\n%s\n-- want --\n%s", name, formatted, golden)
-		}
-	}
-}
-
-// applyEdits rewrites src by the edits, which must not overlap.
-func applyEdits(fset *token.FileSet, src []byte, edits []analysis.TextEdit) ([]byte, error) {
-	type span struct {
-		start, end int
-		text       []byte
-	}
-	var spans []span
-	for _, e := range edits {
-		start := fset.Position(e.Pos).Offset
-		end := start
-		if e.End.IsValid() {
-			end = fset.Position(e.End).Offset
-		}
-		if start < 0 || end < start || end > len(src) {
-			return nil, fmt.Errorf("edit [%d,%d) out of range", start, end)
-		}
-		spans = append(spans, span{start, end, e.NewText})
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
-	for i := 1; i < len(spans); i++ {
-		if spans[i].start < spans[i-1].end {
-			return nil, fmt.Errorf("overlapping edits at offset %d", spans[i].start)
-		}
-	}
-	var out []byte
-	last := 0
-	for _, s := range spans {
-		out = append(out, src[last:s.start]...)
-		out = append(out, s.text...)
-		last = s.end
-	}
-	out = append(out, src[last:]...)
-	return out, nil
 }

@@ -17,10 +17,6 @@
 //     a named, never-read ctx parameter means some callee below is being
 //     handed the wrong context (or none). Intentionally unused contexts
 //     (interface compliance) are named _, which documents the intent.
-//
-// When rule 1 fires inside a function that already has a context
-// parameter in scope, the analyzer attaches the mechanical fix: replace
-// the fresh context with the parameter.
 package ctxflow
 
 import (
@@ -43,10 +39,10 @@ func run(pass *analysis.Pass) (any, error) {
 	if pass.Pkg.Name() == "main" {
 		return nil, nil
 	}
-	analysis.WithStack(analysis.NonTestFiles(pass), func(n ast.Node, stack []ast.Node) bool {
+	analysis.WithStack(analysis.NonTestFiles(pass), func(n ast.Node, _ []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			checkFreshContext(pass, n, stack)
+			checkFreshContext(pass, n)
 		case *ast.FuncDecl:
 			checkUnusedCtxParam(pass, n)
 		}
@@ -55,10 +51,8 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// checkFreshContext reports context.Background()/TODO() calls, attaching
-// the replace-with-parameter fix when the enclosing function already
-// receives a context.
-func checkFreshContext(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {
+// checkFreshContext reports context.Background()/TODO() calls.
+func checkFreshContext(pass *analysis.Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -70,52 +64,8 @@ func checkFreshContext(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node
 	if obj.Name() != "Background" && obj.Name() != "TODO" {
 		return
 	}
-	d := analysis.Diagnostic{
-		Pos: call.Pos(),
-		End: call.End(),
-		Message: "context." + obj.Name() + "() in library code detaches this call tree from cancellation: " +
-			"accept and forward the caller's ctx (deliberate roots need " + analysis.AllowPrefix + " ctxflow -- <reason>)",
-	}
-	if name := ctxParamInScope(pass, stack); name != "" {
-		d.SuggestedFixes = []analysis.SuggestedFix{{
-			Message: "forward the enclosing function's " + name,
-			TextEdits: []analysis.TextEdit{{
-				Pos: call.Pos(), End: call.End(), NewText: []byte(name),
-			}},
-		}}
-	}
-	pass.Report(d)
-}
-
-// ctxParamInScope returns the name of the innermost enclosing function's
-// context.Context parameter, or "".
-func ctxParamInScope(pass *analysis.Pass, stack []ast.Node) string {
-	for i := len(stack) - 1; i >= 0; i-- {
-		var ft *ast.FuncType
-		decl := false
-		switch f := stack[i].(type) {
-		case *ast.FuncDecl:
-			ft, decl = f.Type, true
-		case *ast.FuncLit:
-			ft = f.Type
-		default:
-			continue
-		}
-		for _, field := range ft.Params.List {
-			if !isContextType(pass, field.Type) {
-				continue
-			}
-			for _, name := range field.Names {
-				if name.Name != "_" {
-					return name.Name
-				}
-			}
-		}
-		if decl {
-			return "" // a closure may capture an outer ctx; a FuncDecl cannot
-		}
-	}
-	return ""
+	pass.ReportRangef(call, "context.%s() in library code detaches this call tree from cancellation: "+
+		"accept and forward the caller's ctx (deliberate roots need %s ctxflow -- <reason>)", obj.Name(), analysis.AllowPrefix)
 }
 
 // checkUnusedCtxParam flags a named context.Context parameter that the

@@ -8,7 +8,7 @@ import (
 )
 
 func TestCtxflow(t *testing.T) {
-	analysistest.RunWithSuggestedFixes(t, "testdata", ctxflow.Analyzer, "a")
+	analysistest.Run(t, "testdata", ctxflow.Analyzer, "a")
 }
 
 func TestCtxflowSkipsPackageMain(t *testing.T) {

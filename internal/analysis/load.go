@@ -57,37 +57,6 @@ func NewLoader() *Loader {
 // AddLocal registers dir as the source directory for import path.
 func (l *Loader) AddLocal(path, dir string) { l.local[path] = dir }
 
-// AddLocalTree registers every directory under root that contains .go
-// files, mapping root to base and subdirectories to base/<rel> — the
-// GOPATH-style layout of an analysistest testdata/src tree, where base is
-// "" and each child directory is its own import path.
-func (l *Loader) AddLocalTree(base, root string) error {
-	return filepath.Walk(root, func(p string, info os.FileInfo, err error) error {
-		if err != nil || !info.IsDir() {
-			return err
-		}
-		ents, err := os.ReadDir(p)
-		if err != nil {
-			return err
-		}
-		for _, e := range ents {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				rel, err := filepath.Rel(root, p)
-				if err != nil {
-					return err
-				}
-				path := filepath.ToSlash(rel)
-				if base != "" {
-					path = base + "/" + path
-				}
-				l.AddLocal(path, p)
-				break
-			}
-		}
-		return nil
-	})
-}
-
 // Load parses and type-checks the package at import path. Local packages
 // load from their registered directory (skipping _test.go files); all
 // other paths fall back to the standard-library source importer. Results

@@ -14,9 +14,7 @@
 //
 // unless the loop is the sorted-key extraction idiom itself: the only
 // sink is appending the range key to a slice that is later passed to a
-// sort.*/slices.Sort* call in the same function. Where the rewrite is
-// mechanical — an identifier map ranged with ident key/value — the
-// diagnostic carries the sorted-keys suggested fix.
+// sort.*/slices.Sort* call in the same function.
 package maporder
 
 import (
@@ -95,16 +93,12 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, stack []ast.Node) {
 	case len(s.hashWrites) > 0:
 		kind = "writes into a hash"
 	}
-	d := analysis.Diagnostic{
+	pass.Report(analysis.Diagnostic{
 		Pos: rng.Pos(),
 		End: rng.Body.Lbrace + 1,
 		Message: fmt.Sprintf("range over map %s %s: iteration order is randomized and leaks into ordered output — extract and sort the keys first",
 			types.ExprString(rng.X), kind),
-	}
-	if fix, ok := sortedKeysFix(pass, rng); ok {
-		d.SuggestedFixes = []analysis.SuggestedFix{fix}
-	}
-	pass.Report(d)
+	})
 }
 
 func collectSinks(pass *analysis.Pass, rng *ast.RangeStmt) sinks {

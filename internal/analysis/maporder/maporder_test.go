@@ -8,9 +8,5 @@ import (
 )
 
 func TestMaporder(t *testing.T) {
-	analysistest.Run(t, "testdata", maporder.Analyzer, "a")
-}
-
-func TestMaporderSortedKeysFix(t *testing.T) {
-	analysistest.RunWithSuggestedFixes(t, "testdata", maporder.Analyzer, "fix")
+	analysistest.Run(t, "testdata", maporder.Analyzer, "a", "keyvalue")
 }

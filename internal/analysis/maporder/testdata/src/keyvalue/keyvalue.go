@@ -1,7 +1,7 @@
-// Package fix holds the mechanical-rewrite case: ident map, := ident
-// key of type string, and no identifier spelled "keys" in the file, so
-// the diagnostic carries the sorted-keys fix plus the "sort" import.
-package fix
+// Package keyvalue holds the key-and-value loop: each row is built from
+// both the key and the value, and the loop is flagged like package a's
+// key-only loops.
+package keyvalue
 
 import (
 	"fmt"

@@ -12,10 +12,6 @@ import (
 	"github.com/memcentric/mcdla/internal/dnn"
 )
 
-// CDMARatio is the paper-reported average activation-compression factor for
-// the CNN workloads.
-const CDMARatio = 2.6
-
 // LayerRatio estimates the compression factor cDMA achieves on one layer's
 // output activations. ReLU outputs and the pooling/normalization layers fed
 // by them carry the exploitable sparsity; GEMM-layer pre-activations and

@@ -14,7 +14,6 @@ import (
 	"github.com/memcentric/mcdla/internal/accel"
 	"github.com/memcentric/mcdla/internal/collective"
 	"github.com/memcentric/mcdla/internal/memnode"
-	"github.com/memcentric/mcdla/internal/topo"
 	"github.com/memcentric/mcdla/internal/units"
 	"github.com/memcentric/mcdla/internal/vmem"
 )
@@ -150,7 +149,7 @@ const PCIeEfficiency = 0.75
 
 // pciePerDevice reports the sustained per-device host DMA bandwidth over one
 // PCIe generation's ×16 link.
-func pciePerDevice(linkGBps float64, workers int) units.Bandwidth {
+func pciePerDevice(linkGBps float64) units.Bandwidth {
 	return units.GBps(linkGBps * PCIeEfficiency)
 }
 
@@ -161,7 +160,7 @@ func NewDCDLA(dev accel.Config, workers int) Design {
 		Kind:             DCDLA,
 		Name:             "DC-DLA",
 		Device:           dev,
-		VirtBW:           pciePerDevice(PCIeGen3BW, workers),
+		VirtBW:           pciePerDevice(PCIeGen3BW),
 		Sync:             syncConfig(workers, float64(dev.Links)/2, dev.LinkBW),
 		HostInterface:    true,
 		DevicesPerSocket: 4,
@@ -174,15 +173,17 @@ func NewDCDLA(dev accel.Config, workers int) Design {
 func NewDCDLAGen4(dev accel.Config, workers int) Design {
 	d := NewDCDLA(dev, workers)
 	d.Name = "DC-DLA(gen4)"
-	d.VirtBW = pciePerDevice(PCIeGen4BW, workers)
+	d.VirtBW = pciePerDevice(PCIeGen4BW)
 	return d
 }
 
-// NewHCDLA builds the host-centric design: N/2 links to the CPU (75 GB/s of
-// virtualization throughput), N/2 links left for the device rings (1.5
-// rings), and a hypothetical 300 GB/s CPU socket that absorbs the traffic.
+// NewHCDLA builds the host-centric design (§II-C): ⌊N/2⌋ links to the CPU
+// (75 GB/s of virtualization throughput at N=6), the other ⌈N/2⌉ left for
+// the device rings (1.5 rings), and a hypothetical 300 GB/s CPU socket that
+// absorbs the traffic.
 func NewHCDLA(dev accel.Config, workers int) Design {
-	toHost, toDev := topo.HCDLAHostLinks(topo.Params{Devices: workers, LinksN: dev.Links, LinkBW: dev.LinkBW})
+	toHost := dev.Links / 2
+	toDev := dev.Links - toHost
 	return Design{
 		Kind:             HCDLA,
 		Name:             "HC-DLA",
@@ -213,13 +214,23 @@ func mcdla(kind DesignKind, name string, dev accel.Config, workers, ringNodes in
 	}
 }
 
+// The folded rings of MC-DLA(S), Figure 7(b), are drawn for the DGX
+// example alone: eight devices of six links each, with the memory-nodes
+// folded inward. The paper gives its three rings as 8, 12 and 20 hops; a
+// ring collective runs at the pace of the longest.
+const (
+	foldedDevices  = 8
+	foldedLinks    = 6
+	foldedRingHops = 20
+)
+
 // NewMCDLAS builds the star/folded design point of Figure 7(a,b): each
 // device reaches its designated memory-node over two links (2×B), and the
 // collective rings are unbalanced — latency follows the longest (20-hop)
-// ring.
+// ring. The ring length holds for the DGX example only; DesignFor refuses
+// any other link complex.
 func NewMCDLAS(dev accel.Config, workers int) Design {
-	folded := topo.MCDLAFolded(topo.Params{Devices: workers, LinksN: dev.Links, LinkBW: dev.LinkBW})
-	return mcdla(MCDLAS, "MC-DLA(S)", dev, workers, folded.MaxRingHops(),
+	return mcdla(MCDLAS, "MC-DLA(S)", dev, workers, foldedRingHops,
 		units.Bandwidth(2*float64(dev.LinkBW)), vmem.Local)
 }
 
@@ -273,6 +284,9 @@ func DesignByName(name string) (Design, error) {
 // parameterized form behind the dse package's link-technology axes (a custom
 // dev reshapes the link complex, the rings, and the derived virtualization
 // bandwidth exactly as the constructors do for the Table II device).
+// MC-DLA(S) is the exception: its 20-hop ring is the Figure 7(b) count for
+// the eight-device, six-link DGX example, so any other device or link count
+// is a ParamError.
 func DesignFor(name string, dev accel.Config, workers int) (Design, error) {
 	switch name {
 	case "DC-DLA":
@@ -282,13 +296,11 @@ func DesignFor(name string, dev accel.Config, workers int) (Design, error) {
 	case "HC-DLA":
 		return NewHCDLA(dev, workers), nil
 	case "MC-DLA(S)":
-		// The Figure 7(b) folded rings exist for the DGX example alone:
-		// refuse any other link complex before the builder panics on it.
-		switch def := topo.DefaultParams(); {
-		case dev.Links != def.LinksN:
-			return Design{}, &ParamError{"links", strconv.Itoa(dev.Links), fmt.Sprintf("MC-DLA(S) folds its rings over exactly %d links per device", def.LinksN)}
-		case workers != def.Devices:
-			return Design{}, &ParamError{"workers", strconv.Itoa(workers), fmt.Sprintf("MC-DLA(S) folds its rings over exactly %d devices", def.Devices)}
+		switch {
+		case dev.Links != foldedLinks:
+			return Design{}, &ParamError{"links", strconv.Itoa(dev.Links), fmt.Sprintf("MC-DLA(S) folds its rings over exactly %d links per device", foldedLinks)}
+		case workers != foldedDevices:
+			return Design{}, &ParamError{"workers", strconv.Itoa(workers), fmt.Sprintf("MC-DLA(S) folds its rings over exactly %d devices", foldedDevices)}
 		}
 		return NewMCDLAS(dev, workers), nil
 	case "MC-DLA(L)":

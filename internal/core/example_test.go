@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"github.com/memcentric/mcdla/internal/accel"
+	"github.com/memcentric/mcdla/internal/collective"
 	"github.com/memcentric/mcdla/internal/core"
 	"github.com/memcentric/mcdla/internal/train"
+	"github.com/memcentric/mcdla/internal/units"
 )
 
 // ExampleSimulate runs the paper's headline design point — MC-DLA(B)
@@ -38,7 +40,7 @@ func Example() {
 		panic(err)
 	}
 	fmt.Printf("workload: %s, %v, batch %d across %d devices (%d per device)\n\n",
-		schedule.Name, schedule.Strategy, schedule.GlobalBatch, schedule.Workers, schedule.DeviceBatch())
+		schedule.Name, schedule.Strategy, schedule.GlobalBatch, schedule.Workers, schedule.Graph.Batch)
 
 	// 2. Simulate every design point of §V.
 	results := make(map[core.DesignKind]core.Result)
@@ -74,4 +76,21 @@ func Example() {
 	// MC-DLA(B) speedup over DC-DLA: 6.29x
 	// backing-store traffic per device per iteration: 3.58 GB
 	// DC-DLA loses 270.759 ms per iteration waiting on PCIe prefetches; MC-DLA(B) loses 0 s.
+}
+
+// Example_interconnects compares the §III-B interconnects as the simulator
+// models them: each design's collective rings and virtualization bandwidth,
+// and the cost of the paper's 8 MB all-reduce over its longest ring.
+func Example_interconnects() {
+	for _, d := range core.StandardDesigns()[:5] {
+		fmt.Printf("%-9s %-3g rings of %2d nodes, virt %v, 8 MB all-reduce %v\n",
+			d.Name, d.Sync.Rings, d.Sync.Nodes, d.VirtBW,
+			collective.Latency(collective.AllReduce, 8*units.MB, d.Sync))
+	}
+	// Output:
+	// DC-DLA    3   rings of  8 nodes, virt 12.0 GB/s, 8 MB all-reduce 201.528 us
+	// HC-DLA    1.5 rings of  8 nodes, virt 75.0 GB/s, 8 MB all-reduce 397.262 us
+	// MC-DLA(S) 3   rings of 20 nodes, virt 50.0 GB/s, 8 MB all-reduce 228.237 us
+	// MC-DLA(L) 3   rings of 16 nodes, virt 75.0 GB/s, 8 MB all-reduce 222.130 us
+	// MC-DLA(B) 3   rings of 16 nodes, virt 150.0 GB/s, 8 MB all-reduce 222.130 us
 }

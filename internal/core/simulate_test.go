@@ -91,6 +91,9 @@ func TestDesignBandwidths(t *testing.T) {
 	if got := byName["MC-DLA(S)"].Sync.Nodes; got != 20 {
 		t.Errorf("MC-DLA(S) ring nodes = %d, want 20 (Figure 7(b) longest ring)", got)
 	}
+	if got := byName["MC-DLA(S)"].Sync.Rings; got != 3 {
+		t.Errorf("MC-DLA(S) rings = %g, want N/2 = 3", got)
+	}
 	if gen4, err := DesignByName("DC-DLA(gen4)"); err != nil || gen4.VirtBW.GBps() != 24 {
 		t.Errorf("gen4 design: %v %v", gen4.VirtBW, err)
 	}

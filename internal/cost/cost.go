@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"github.com/memcentric/mcdla/internal/core"
-	"github.com/memcentric/mcdla/internal/power"
 	"github.com/memcentric/mcdla/internal/units"
 )
 
@@ -223,7 +222,3 @@ func PerfPerWatt(throughput, watts float64) float64 {
 	}
 	return throughput / watts
 }
-
-// DesignPower re-exports the power package's design-generic wall model so
-// cost consumers price and power a configuration through one import.
-func DesignPower(d core.Design) float64 { return power.DesignPower(d) }

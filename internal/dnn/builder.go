@@ -132,12 +132,6 @@ func (b *Builder) elementwise(name string, kind Kind, in int, ops int64) int {
 // ReLU adds a rectified-linear activation.
 func (b *Builder) ReLU(name string, in int) int { return b.elementwise(name, ReLU, in, 1) }
 
-// Tanh adds a tanh activation.
-func (b *Builder) Tanh(name string, in int) int { return b.elementwise(name, Tanh, in, 4) }
-
-// Sigmoid adds a sigmoid activation.
-func (b *Builder) Sigmoid(name string, in int) int { return b.elementwise(name, Sigmoid, in, 4) }
-
 // LRN adds local response normalization.
 func (b *Builder) LRN(name string, in int) int { return b.elementwise(name, LRN, in, 8) }
 

@@ -71,7 +71,7 @@ func ExampleNewBuilder() {
 	)
 	deviceHBM := 16 * units.GB
 	node := memnode.Default()
-	pool := units.Bytes(2) * node.GroupCapacity() // each device owns two halves
+	pool := 2 * (node.Capacity() / 2) // a half of each neighbouring node
 
 	fmt.Printf("Per-device memory budget: HBM %v; MC-DLA deviceremote pool %v\n\n", deviceHBM, pool)
 	fmt.Printf("%-8s %-14s %-14s %-12s %s\n", "frames", "weights", "training set", "fits HBM?", "fits MC-DLA?")

@@ -47,11 +47,6 @@ func BenchmarkNames() []string { return append([]string(nil), benchmarkOrder...)
 // cDMA sensitivity study, and the §V-D scalability experiment).
 func CNNNames() []string { return []string{"AlexNet", "GoogLeNet", "VGG-E", "ResNet"} }
 
-// RNNNames returns the four recurrent workloads.
-func RNNNames() []string {
-	return []string{"RNN-GEMV", "RNN-LSTM-1", "RNN-LSTM-2", "RNN-GRU"}
-}
-
 // TransformerNames returns the attention-era workloads (the post-Table III
 // scenario axis: dense activations, quadratic score tensors).
 func TransformerNames() []string { return []string{"BERT-Large", "GPT-2"} }

@@ -80,34 +80,6 @@ func (p Point) workers() int {
 	return DefaultWorkers
 }
 
-// family resolves the point's base design with default axes, for
-// normalization decisions (shared-link vs host-interface vs oracle).
-func (p Point) family() (core.Design, error) {
-	return core.DesignFor(p.Design, accel.Default(), p.workers())
-}
-
-// Normalize canonicalizes the axes that do not apply to the point's design
-// family — memory-node population and DIMM choice are meaningless for the
-// host-interface designs, cDMA compression for the shared-link designs and
-// the oracle — so a cross product over the full axes does not mint
-// duplicate simulations. Unknown design names pass through unchanged and
-// surface later as Job errors.
-func (p Point) Normalize() Point {
-	d, err := p.family()
-	if err != nil {
-		return p
-	}
-	if d.SharedLinks {
-		p.Compress = false
-	} else {
-		p.MemNodes, p.DIMM = 0, ""
-	}
-	if d.Oracle {
-		p.Compress = false
-	}
-	return p
-}
-
 // DesignPoint derives the candidate's fully parameterized core design: the
 // base constructor rebuilt over the overridden link complex, the memory-node
 // boards re-populated with the chosen DIMM and count, and the cDMA
@@ -178,17 +150,14 @@ func (p Point) compressRatio() (float64, error) {
 	return compress.GraphRatio(g), nil
 }
 
-// Job lowers the candidate onto the runner's grid axes.
-func (p Point) Job() (runner.Job, error) {
-	d, err := p.DesignPoint()
-	if err != nil {
-		return runner.Job{}, err
-	}
+// Job lowers the candidate, built as its DesignPoint d, onto the runner's
+// grid axes.
+func (p Point) Job(d core.Design) runner.Job {
 	return runner.Job{
 		Design: d, Workload: p.Workload, Strategy: p.Strategy,
 		Batch: p.Batch, Workers: p.workers(), SeqLen: p.SeqLen,
 		Precision: p.Precision, Tag: "dse",
-	}, nil
+	}
 }
 
 // Recipe prints the complete `mcdla run` invocation reproducing the point;
@@ -304,8 +273,11 @@ type lattice struct {
 	fams []famInfo
 }
 
-// famInfo is the per-design-name normalization information Point.Normalize
-// extracts from the design family.
+// famInfo is the per-design-name family trait point normalizes by: the
+// memory-node population and DIMM choice are meaningless for the
+// host-interface designs, and cDMA compression for the shared-link designs
+// and the oracle, so a cross product over the full axes does not mint
+// duplicate simulations.
 type famInfo struct {
 	known       bool
 	sharedLinks bool
@@ -347,8 +319,7 @@ func (l lattice) size() int {
 }
 
 // point materializes an index vector as a normalized candidate, using the
-// precomputed family traits instead of Point.Normalize's per-call design
-// derivation.
+// precomputed family traits.
 func (l lattice) point(idx []int) Point {
 	p := Point{
 		Workload:  l.s.Workloads[idx[0]],
@@ -366,7 +337,7 @@ func (l lattice) point(idx []int) Point {
 	}
 	f := l.fams[idx[1]]
 	if !f.known {
-		return p // unknown design: surfaces later as a Job error
+		return p // unknown design: surfaces later as a DesignPoint error
 	}
 	if f.sharedLinks {
 		p.Compress = false

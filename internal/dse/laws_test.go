@@ -92,11 +92,11 @@ func TestMetamorphicLaws(t *testing.T) {
 					for _, s := range strategies {
 						walk := law.steps(Point{Design: d, Workload: w, Strategy: s, Batch: 512})
 						for _, p := range walk {
-							j, err := p.Job()
+							d, err := p.DesignPoint()
 							if err != nil {
 								t.Fatalf("%+v: %v", p, err)
 							}
-							jobs = append(jobs, j)
+							jobs = append(jobs, p.Job(d))
 						}
 						walks = append(walks, walk)
 					}

@@ -272,11 +272,7 @@ func (a *archive) batch(ctx context.Context, pts []Point) error {
 			a.pruned++
 			continue
 		}
-		jobs = append(jobs, runner.Job{
-			Design: d, Workload: p.Workload, Strategy: p.Strategy,
-			Batch: p.Batch, Workers: p.workers(), SeqLen: p.SeqLen,
-			Precision: p.Precision, Tag: "dse",
-		})
+		jobs = append(jobs, p.Job(d))
 		run = append(run, candidate{p: p, costUSD: costUSD, powerW: powerW, capTB: capTB})
 	}
 	if len(jobs) == 0 {

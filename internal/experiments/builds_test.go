@@ -19,7 +19,7 @@ import (
 // reports, plus the graphs a study reads without simulating them.
 func TestColdRequestBuildsEachNetworkOnce(t *testing.T) {
 	ctx := context.Background()
-	t.Cleanup(func() { SetProgress(nil); SetParallelism(0) })
+	t.Cleanup(func() { SetProgress(nil); SetOptions(runner.Options{}) })
 	cases := []struct {
 		name string
 		run  func() error
@@ -64,7 +64,7 @@ func TestColdRequestBuildsEachNetworkOnce(t *testing.T) {
 		oracle bool
 	}
 	for _, c := range cases {
-		SetParallelism(2)
+		SetOptions(runner.Options{Parallelism: 2})
 		nets, plans := map[netKey]bool{}, map[planKey]bool{}
 		SetProgress(func(u runner.Update) {
 			j := u.Job

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/memcentric/mcdla/internal/report"
+	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/train"
 )
 
@@ -58,14 +59,14 @@ func TestGeneratorsDeterministicUnderParallelism(t *testing.T) {
 		}
 	}
 
-	t.Cleanup(func() { SetParallelism(0) })
+	t.Cleanup(func() { SetOptions(runner.Options{}) })
 	for name, gen := range generators {
-		SetParallelism(1)
+		SetOptions(runner.Options{Parallelism: 1})
 		want, err := gen()
 		if err != nil {
 			t.Fatalf("%s (sequential): %v", name, err)
 		}
-		SetParallelism(8)
+		SetOptions(runner.Options{Parallelism: 8})
 		got, err := gen()
 		if err != nil {
 			t.Fatalf("%s (parallel): %v", name, err)
@@ -83,8 +84,8 @@ func TestGeneratorsDeterministicUnderParallelism(t *testing.T) {
 // row, an unsorted key extraction, or a racy accumulator shows up here as a
 // flaky byte diff long before a golden fixture catches it.
 func TestReportByteIdenticalAcrossRepeats(t *testing.T) {
-	SetParallelism(8)
-	t.Cleanup(func() { SetParallelism(0) })
+	SetOptions(runner.Options{Parallelism: 8})
+	t.Cleanup(func() { SetOptions(runner.Options{}) })
 	build := func() string {
 		rows, err := Explore(context.Background(), []int{4, 6}, []float64{25, 50})
 		if err != nil {
@@ -105,8 +106,8 @@ func TestReportByteIdenticalAcrossRepeats(t *testing.T) {
 // Figure 11 already simulated, so a second generator on the same engine must
 // record cache hits.
 func TestEngineCacheSharedAcrossGenerators(t *testing.T) {
-	SetParallelism(4)
-	t.Cleanup(func() { SetParallelism(0) })
+	SetOptions(runner.Options{Parallelism: 4})
+	t.Cleanup(func() { SetOptions(runner.Options{}) })
 	if _, err := Fig11(context.Background(), train.DataParallel); err != nil {
 		t.Fatal(err)
 	}

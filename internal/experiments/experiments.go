@@ -53,12 +53,6 @@ func SetOptions(o runner.Options) {
 	engine = runner.New(o)
 }
 
-// SetParallelism replaces the package engine with one bounded to n workers
-// (n ≤ 0 means GOMAXPROCS). The memo cache is reset with it.
-func SetParallelism(n int) {
-	SetOptions(runner.Options{Parallelism: n})
-}
-
 // Parallelism reports the package engine's worker bound.
 func Parallelism() int { return parallelism() }
 

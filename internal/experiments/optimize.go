@@ -8,9 +8,7 @@ import (
 	"github.com/memcentric/mcdla/internal/core"
 	"github.com/memcentric/mcdla/internal/dse"
 	"github.com/memcentric/mcdla/internal/report"
-	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/train"
-	"github.com/memcentric/mcdla/internal/units"
 )
 
 // DefaultOptimizeSpace is the optimizer's default study: the PCIe baseline
@@ -170,20 +168,4 @@ func cdmaCell(p dse.Point) string {
 		return "yes"
 	}
 	return "-"
-}
-
-// OptimizeRecipeIter re-simulates one frontier recipe through the shared
-// engine and reports its iteration time — the reproducibility check behind
-// the optimizer tests (a frontier row's recipe must land on the same
-// simulation the search saw).
-func OptimizeRecipeIter(ctx context.Context, p dse.Point) (units.Time, error) {
-	j, err := p.Job()
-	if err != nil {
-		return 0, err
-	}
-	rs, err := submit(ctx, []runner.Job{j})
-	if err != nil {
-		return 0, err
-	}
-	return rs[0].IterationTime, nil
 }

@@ -8,6 +8,8 @@ import (
 
 	"github.com/memcentric/mcdla/internal/dse"
 	"github.com/memcentric/mcdla/internal/report"
+	"github.com/memcentric/mcdla/internal/runner"
+	"github.com/memcentric/mcdla/internal/units"
 )
 
 // TestOptimizeDefaultStudy pins the acceptance shape of the optimizer: the
@@ -15,8 +17,8 @@ import (
 // search reaches the grid frontier while simulating strictly fewer points,
 // and every frontier row's recipe reproduces the simulation it tabulates.
 func TestOptimizeDefaultStudy(t *testing.T) {
-	SetParallelism(4)
-	defer SetParallelism(0)
+	SetOptions(runner.Options{Parallelism: 4})
+	defer SetOptions(runner.Options{})
 	grid, err := Optimize(context.Background(), DefaultOptimizeSpace(), dse.Options{
 		Search:    dse.Grid,
 		Objective: dse.PerfPerDollar,
@@ -68,7 +70,7 @@ func TestOptimizeDefaultStudy(t *testing.T) {
 	// Reproducibility: re-simulating each frontier point through its
 	// recipe axes returns the exact iteration the frontier tabulates.
 	for _, e := range grid.Frontier {
-		iter, err := OptimizeRecipeIter(context.Background(), e.Point)
+		iter, err := recipeIter(context.Background(), e.Point)
 		if err != nil {
 			t.Fatalf("recipe %q failed: %v", e.Point.Recipe(), err)
 		}
@@ -76,6 +78,21 @@ func TestOptimizeDefaultStudy(t *testing.T) {
 			t.Fatalf("recipe %q reproduced %v, frontier row says %v", e.Point.Recipe(), iter, e.Iter)
 		}
 	}
+}
+
+// recipeIter re-simulates one frontier recipe through the shared engine and
+// reports its iteration time: a frontier row's recipe must land on the same
+// simulation the search saw.
+func recipeIter(ctx context.Context, p dse.Point) (units.Time, error) {
+	d, err := p.DesignPoint()
+	if err != nil {
+		return 0, err
+	}
+	rs, err := submit(ctx, []runner.Job{p.Job(d)})
+	if err != nil {
+		return 0, err
+	}
+	return rs[0].IterationTime, nil
 }
 
 func points(r dse.Result) []dse.Point {
@@ -90,8 +107,8 @@ func points(r dse.Result) []dse.Point {
 // the accounting notes every consumer (CLI text, /v1/optimize JSON) relies
 // on.
 func TestOptimizeReportShape(t *testing.T) {
-	SetParallelism(4)
-	defer SetParallelism(0)
+	SetOptions(runner.Options{Parallelism: 4})
+	defer SetOptions(runner.Options{})
 	space := dse.Space{
 		Workloads:  DefaultOptimizeSpace().Workloads,
 		Designs:    []string{"MC-DLA(B)"},

@@ -133,12 +133,6 @@ func (c Config) GroupBW() units.Bandwidth {
 	return memShare
 }
 
-// GroupCapacity reports the per-group capacity slice (each device-node is
-// allocated an exclusive half of the board under the Figure 8 partitioning).
-func (c Config) GroupCapacity() units.Bytes {
-	return units.Bytes(int64(c.Capacity()) / int64(c.Groups))
-}
-
 // TDPWatts reports the board's memory power (Table IV: DIMM TDP × count).
 func (c Config) TDPWatts() float64 { return c.DIMM.TDPWatts * float64(c.DIMMCount) }
 

@@ -124,9 +124,6 @@ func TestGroupPartitioning(t *testing.T) {
 	if got := c.GroupBW().GBps(); got != 75 {
 		t.Fatalf("group bw = %g, want link-limited 75 GB/s", got)
 	}
-	if got := c.GroupCapacity(); got != c.Capacity()/2 {
-		t.Fatalf("group capacity = %v, want half of %v", got, c.Capacity())
-	}
 }
 
 func TestGroupBWMemoryLimited(t *testing.T) {

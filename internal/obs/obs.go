@@ -125,7 +125,6 @@ const (
 	kindGauge
 	kindGaugeFunc
 	kindCounterFunc
-	kindHistogram
 	kindCounterVec
 	kindHistogramVec
 )
@@ -136,7 +135,7 @@ func (k kind) String() string {
 		return "counter"
 	case kindGauge, kindGaugeFunc:
 		return "gauge"
-	case kindHistogram, kindHistogramVec:
+	case kindHistogramVec:
 		return "histogram"
 	}
 	return "untyped"
@@ -150,11 +149,10 @@ type family struct {
 	kind   kind
 	labels []string // vec label names, in declared order
 
-	counter   *Counter
-	gauge     *Gauge
-	gaugeFn   func() float64
-	histogram *Histogram
-	bounds    []float64 // vec histogram layout
+	counter *Counter
+	gauge   *Gauge
+	gaugeFn func() float64
+	bounds  []float64 // vec histogram layout
 
 	mu       sync.Mutex
 	children map[string]any // joined label values → *Counter / *Histogram
@@ -239,17 +237,9 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f.mu.Unlock()
 }
 
-// Histogram returns the registered histogram named name with the given
-// bucket layout, creating it on first use. The layout is fixed at first
-// registration; later calls ignore buckets.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, kindHistogram, func(f *family) { f.histogram = newHistogram(buckets) })
-	return f.histogram
-}
-
-func newHistogram(buckets []float64) *Histogram {
-	bounds := append([]float64(nil), buckets...)
-	sort.Float64s(bounds)
+// newHistogram builds one child over the family's sorted bounds, which the
+// children share read-only.
+func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
@@ -351,8 +341,6 @@ func (f *family) write(b *strings.Builder) {
 			v = fn()
 		}
 		fmt.Fprintf(b, "%s %s\n", f.name, formatFloat(v))
-	case kindHistogram:
-		writeHistogram(b, f.name, "", f.histogram)
 	case kindCounterVec:
 		for _, key := range f.childKeys() {
 			f.mu.Lock()
@@ -488,8 +476,6 @@ func (r *Registry) Snapshot() map[string]any {
 			if fn != nil {
 				out[f.name] = fn()
 			}
-		case kindHistogram:
-			out[f.name] = map[string]any{"count": f.histogram.Count(), "sum": f.histogram.Sum()}
 		case kindCounterVec:
 			m := map[string]int64{}
 			for _, key := range f.childKeys() {

@@ -68,7 +68,7 @@ func TestInvalidMetricNamePanics(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1, 10})
+	h := r.HistogramVec("lat_seconds", "latency", []float64{0.1, 1, 10}).With()
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -159,7 +159,7 @@ func TestExpositionParses(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "with \"quotes\" and\nnewline").Inc()
 	r.Gauge("b_gauge", "g").Set(-3)
-	r.Histogram("c_seconds", "h", DefaultLatencyBuckets).Observe(0.02)
+	r.HistogramVec("c_seconds", "h", DefaultLatencyBuckets).With().Observe(0.02)
 	r.CounterVec("d_total", "v", "k").With(`weird"value\with`).Inc()
 	r.GaugeFunc("e_fn", "f", func() float64 { return 1.5 })
 
@@ -227,7 +227,7 @@ func TestExpositionParses(t *testing.T) {
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("race_total", "c")
-	h := r.Histogram("race_seconds", "h", DefaultLatencyBuckets)
+	h := r.HistogramVec("race_seconds", "h", DefaultLatencyBuckets).With()
 	v := r.CounterVec("race_vec_total", "v", "worker")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -262,7 +262,7 @@ func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("s_total", "c").Add(2)
 	r.Gauge("s_gauge", "g").Set(9)
-	r.Histogram("s_seconds", "h", []float64{1}).Observe(0.5)
+	r.HistogramVec("s_seconds", "h", []float64{1}).With().Observe(0.5)
 	snap := r.Snapshot()
 	if snap["s_total"] != int64(2) {
 		t.Fatalf("snapshot counter = %v", snap["s_total"])
@@ -270,22 +270,16 @@ func TestSnapshot(t *testing.T) {
 	if snap["s_gauge"] != int64(9) {
 		t.Fatalf("snapshot gauge = %v", snap["s_gauge"])
 	}
-	hm, ok := snap["s_seconds"].(map[string]any)
+	hv, _ := snap["s_seconds"].(map[string]any)
+	hm, ok := hv[""].(map[string]any)
 	if !ok || hm["count"] != int64(1) {
 		t.Fatalf("snapshot histogram = %v", snap["s_seconds"])
 	}
 }
 
 func TestWallClockTimer(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("t_seconds", "h", DefaultLatencyBuckets)
-	tm := StartTimer()
-	if s := tm.Seconds(); s < 0 {
+	if s := StartTimer().Seconds(); s < 0 {
 		t.Fatalf("negative elapsed %g", s)
-	}
-	tm.ObserveInto(h)
-	if h.Count() != 1 {
-		t.Fatal("timer did not observe into histogram")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Wall-clock helpers, deliberately quarantined in one file: these are the
 // only obs names that read real time, and the nondeterminism analyzer bans
-// exactly them (StartTimer, SinceSeconds, Timer.Seconds, Timer.ObserveInto)
-// inside the deterministic packages. Counters/gauges/histograms — plain
+// the two that start a measurement (StartTimer, SinceSeconds) inside the
+// deterministic packages. Counters/gauges/histograms — plain
 // atomic arithmetic — remain usable everywhere.
 package obs
 
@@ -18,9 +18,6 @@ func StartTimer() Timer { return Timer{start: time.Now()} }
 
 // Seconds reports the wall-clock time elapsed since StartTimer.
 func (t Timer) Seconds() float64 { return time.Since(t.start).Seconds() }
-
-// ObserveInto records the elapsed seconds into h.
-func (t Timer) ObserveInto(h *Histogram) { h.Observe(t.Seconds()) }
 
 // SinceSeconds reports wall-clock seconds elapsed since a time captured by
 // the caller (e.g. process start for an uptime gauge).

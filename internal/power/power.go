@@ -19,9 +19,6 @@ const (
 	GPUTDPWatts = 300.0
 	// GPUCount is the number of accelerators per node.
 	GPUCount = 8
-	// HGX1MaxTDPWatts is Microsoft's HGX-1 4U chassis ceiling the paper
-	// cites as context for the added power being reasonable.
-	HGX1MaxTDPWatts = 9600.0
 )
 
 // SystemReport quantifies one memory-node population choice.

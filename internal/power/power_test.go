@@ -7,13 +7,14 @@ import (
 	"github.com/memcentric/mcdla/internal/memnode"
 )
 
+// hgx1MaxTDPWatts is Microsoft's HGX-1 4U chassis ceiling, which the paper
+// cites as context for the added power being reasonable.
+const hgx1MaxTDPWatts = 9600.0
+
 func TestDGXEnvelope(t *testing.T) {
 	// §V-C: eight 300 W V100s consume 75% of the 3200 W DGX budget.
 	if got := GPUTDPWatts * GPUCount / DGXSystemTDPWatts; math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("GPU share = %g, want 0.75", got)
-	}
-	if HGX1MaxTDPWatts != 9600 {
-		t.Fatalf("HGX-1 ceiling = %g", HGX1MaxTDPWatts)
 	}
 }
 
@@ -89,7 +90,7 @@ func TestAnalyzeAllCoversCatalog(t *testing.T) {
 	// Every configuration stays far inside the HGX-1 4U envelope the paper
 	// cites as context.
 	for _, r := range rs {
-		if r.SystemPower >= HGX1MaxTDPWatts {
+		if r.SystemPower >= hgx1MaxTDPWatts {
 			t.Errorf("%s system power %g exceeds HGX-1 ceiling", r.DIMM.Name, r.SystemPower)
 		}
 		if r.SystemPower != DGXSystemTDPWatts+r.AddedPower {

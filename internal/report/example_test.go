@@ -11,8 +11,8 @@ import (
 // same pipeline every mcdla subcommand and /v1 endpoint runs.
 func Example() {
 	tab := report.NewTable("design", "iteration", "speedup")
-	tab.AddRow(report.Str("DC-DLA"), report.Time(units.Milliseconds(111.5)), report.Num("1.0000x", 1))
-	tab.AddRow(report.Str("MC-DLA(B)"), report.Time(units.Milliseconds(51.1)), report.Num("2.1800x", 2.18))
+	tab.AddRow(report.Str("DC-DLA"), report.Time(units.Seconds(0.1115)), report.Num("1.0000x", 1))
+	tab.AddRow(report.Str("MC-DLA(B)"), report.Time(units.Seconds(0.0511)), report.Num("2.1800x", 2.18))
 	r := &report.Report{
 		Name:     "demo",
 		Title:    "Demo: two design points",

@@ -18,11 +18,6 @@ const (
 	FormatMarkdown Format = "md"
 )
 
-// Formats lists the supported formats in flag-help order.
-func Formats() []Format {
-	return []Format{FormatText, FormatJSON, FormatCSV, FormatMarkdown}
-}
-
 // ParseFormat resolves a user-supplied format name.
 func ParseFormat(s string) (Format, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {

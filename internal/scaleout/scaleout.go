@@ -290,21 +290,6 @@ type ScalingPoint struct {
 	PoolTB float64
 }
 
-// Scaling runs the §VI study: strong scaling of a workload across growing
-// plane sizes for the DC- and MC-planes, on the event-driven plane engine.
-func Scaling(workload string, globalBatch int, nodeCounts []int) ([]ScalingPoint, error) {
-	out := make([]ScalingPoint, len(nodeCounts))
-	for i, n := range nodeCounts {
-		pt, err := Default(n).EvalPoint(workload, globalBatch, false)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = pt
-	}
-	FillSpeedups(out)
-	return out, nil
-}
-
 // EvalPoint evaluates one plane of the §VI study on the chosen engine and
 // returns the point with its absolute iteration times (speedups are filled
 // in by the study against its first point). Every evaluation must yield a

@@ -90,13 +90,16 @@ func TestEstimateMCBeatsDC(t *testing.T) {
 }
 
 func TestScalingShapes(t *testing.T) {
-	pts, err := Scaling("VGG-E", 4096, []int{1, 2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
+	nodes := []int{1, 2, 4, 8}
+	pts := make([]ScalingPoint, len(nodes))
+	for i, n := range nodes {
+		pt, err := Default(n).EvalPoint("VGG-E", 4096, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[i] = pt
 	}
-	if len(pts) != 4 {
-		t.Fatalf("point count = %d", len(pts))
-	}
+	FillSpeedups(pts)
 	if pts[0].SpeedupDC != 1 || pts[0].SpeedupMC != 1 {
 		t.Fatal("first point must be the baseline")
 	}

@@ -74,7 +74,7 @@ type Server struct {
 // The engine is process-global state owned by the experiments package —
 // there is exactly one simulation pool and one cache per process, shared
 // with any CLI-style callers. Constructing a second Server (or calling
-// experiments.SetParallelism/SetOptions afterwards) reconfigures that
+// experiments.SetOptions afterwards) reconfigures that
 // shared engine for everyone and resets its cache accounting; run one
 // Server per process.
 func New(opts Options) *Server {

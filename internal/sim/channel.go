@@ -198,9 +198,6 @@ func (c *Channel) Name() string { return c.name }
 // Capacity reports the channel's aggregate capacity.
 func (c *Channel) Capacity() units.Bandwidth { return c.capacity }
 
-// Now reports the channel-local clock (the latest time it has advanced to).
-func (c *Channel) Now() units.Time { return c.now }
-
 // Stats returns a copy of the accumulated statistics.
 func (c *Channel) Stats() ChannelStats { return c.stats }
 
@@ -686,6 +683,3 @@ func (c *Channel) Drain(t units.Time) units.Time {
 	}
 	return c.latest
 }
-
-// ActiveFlows reports how many flows are currently in flight.
-func (c *Channel) ActiveFlows() int { return len(c.flows) }

@@ -86,7 +86,7 @@ func TestRateReallocationAfterCompletion(t *testing.T) {
 
 func TestExtraLatencyAppended(t *testing.T) {
 	ch := NewChannel("ring", units.GBps(75))
-	f := lone(ch, 0, gb(75), units.GBps(75), units.Milliseconds(3))
+	f := lone(ch, 0, gb(75), units.GBps(75), units.Seconds(3e-3))
 	end := ch.Wait(0, f)
 	if !almostEqual(end.Seconds(), 1.003, 1e-9) {
 		t.Fatalf("flow with extra latency finished at %v, want 1.003 s", end)
@@ -95,7 +95,7 @@ func TestExtraLatencyAppended(t *testing.T) {
 
 func TestZeroSizeFlowCompletesImmediately(t *testing.T) {
 	ch := NewChannel("ch", units.GBps(10))
-	f := lone(ch, 5, 0, units.GBps(10), units.Microseconds(2))
+	f := lone(ch, 5, 0, units.GBps(10), units.Seconds(2e-6))
 	if !f.Done() {
 		t.Fatal("zero-size flow not immediately done")
 	}
@@ -122,8 +122,8 @@ func TestDrainReturnsLastCompletion(t *testing.T) {
 	if !almostEqual(end.Seconds(), 2.0, 1e-9) {
 		t.Fatalf("drain finished at %v, want 2 s", end)
 	}
-	if ch.ActiveFlows() != 0 {
-		t.Fatalf("drain left %d flows active", ch.ActiveFlows())
+	if len(ch.flows) != 0 {
+		t.Fatalf("drain left %d flows active", len(ch.flows))
 	}
 }
 
@@ -288,8 +288,8 @@ func TestMonotoneAdvance(t *testing.T) {
 	ch := NewChannel("ch", units.GBps(10))
 	ch.AdvanceTo(5)
 	ch.AdvanceTo(3) // no-op, must not rewind
-	if ch.Now() != 5 {
-		t.Fatalf("channel clock rewound to %v", ch.Now())
+	if ch.now != 5 {
+		t.Fatalf("channel clock rewound to %v", ch.now)
 	}
 }
 
@@ -509,8 +509,8 @@ func TestSubResolutionCompletionTerminates(t *testing.T) {
 			}
 			lone(ch, now, 1024, units.GBps(gbps), 0)
 			lone(ch, now, 2048, units.GBps(gbps), 0)
-			if got := ch.Drain(now); got != now || ch.ActiveFlows() != 0 {
-				t.Errorf("%g GB/s: Drain returned %v with %d flows active, want %v and none", gbps, got, ch.ActiveFlows(), now)
+			if got := ch.Drain(now); got != now || len(ch.flows) != 0 {
+				t.Errorf("%g GB/s: Drain returned %v with %d flows active, want %v and none", gbps, got, len(ch.flows), now)
 			}
 		}
 	}()

@@ -116,17 +116,6 @@ func JobHash(j runner.Job) (string, error) {
 	return hashBytes(append([]byte(Version+"\n"), b...)), nil
 }
 
-// HashJSON hashes an arbitrary JSON document under the store's canonical
-// form: two documents with the same content but different key order or
-// whitespace hash identically.
-func HashJSON(raw []byte) (string, error) {
-	b, err := canonicalizeJSON(raw)
-	if err != nil {
-		return "", err
-	}
-	return hashBytes(append([]byte(Version+"\n"), b...)), nil
-}
-
 // --------------------------------------------------------- result entries
 
 // resultEntry is the on-disk format of one simulation result. Job is stored

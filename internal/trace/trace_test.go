@@ -9,13 +9,15 @@ import (
 	"github.com/memcentric/mcdla/internal/units"
 )
 
+func ms(v float64) units.Time { return units.Time(v * 1e-3) }
+
 func sampleLog() *Log {
 	l := &Log{Label: "test"}
-	l.Add("conv1", "/fwd", Compute, 0, units.Milliseconds(2))
-	l.Add("conv1", "/offload", Offload, units.Milliseconds(2), units.Milliseconds(5))
-	l.Add("conv2", "/fwd", Compute, units.Milliseconds(2), units.Milliseconds(4))
-	l.Add("conv2", "/stall", Stall, units.Milliseconds(4), units.Milliseconds(6))
-	l.Add("tail/dW", "", SyncWait, units.Milliseconds(6), units.Milliseconds(7))
+	l.Add("conv1", "/fwd", Compute, 0, ms(2))
+	l.Add("conv1", "/offload", Offload, ms(2), ms(5))
+	l.Add("conv2", "/fwd", Compute, ms(2), ms(4))
+	l.Add("conv2", "/stall", Stall, ms(4), ms(6))
+	l.Add("tail/dW", "", SyncWait, ms(6), ms(7))
 	return l
 }
 
@@ -46,13 +48,13 @@ func TestNilLogIsSafe(t *testing.T) {
 
 func TestSummary(t *testing.T) {
 	s := sampleLog().Summary()
-	if got := s[Compute].Milliseconds(); got != 4 {
+	if got := s[Compute].Seconds() * 1e3; got != 4 {
 		t.Fatalf("compute total = %g ms, want 4", got)
 	}
-	if got := s[Stall].Milliseconds(); got != 2 {
+	if got := s[Stall].Seconds() * 1e3; got != 2 {
 		t.Fatalf("stall total = %g ms, want 2", got)
 	}
-	if got := s[SyncWait].Milliseconds(); got != 1 {
+	if got := s[SyncWait].Seconds() * 1e3; got != 1 {
 		t.Fatalf("sync total = %g ms, want 1", got)
 	}
 }

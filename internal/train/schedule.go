@@ -345,9 +345,6 @@ func buildModelParallel(net *Network, globalBatch, workers int, prec Precision) 
 	return s, nil
 }
 
-// DeviceBatch reports the per-device batch size.
-func (s *Schedule) DeviceBatch() int { return s.Graph.Batch }
-
 // SyncBytes totals the collective payload bytes of the iteration, by tag.
 func (s *Schedule) SyncBytes() map[string]int64 {
 	out := make(map[string]int64)
@@ -357,17 +354,6 @@ func (s *Schedule) SyncBytes() map[string]int64 {
 		}
 	}
 	return out
-}
-
-// ComputeMACs totals the device's forward MAC count for the iteration.
-func (s *Schedule) ComputeMACs() int64 {
-	var total int64
-	for _, w := range s.Work {
-		for _, g := range w.GEMMs {
-			total += g.MACs()
-		}
-	}
-	return total
 }
 
 // Validate checks schedule invariants, among them the collective shape the

@@ -30,15 +30,15 @@ func TestBuildAllBenchmarksBothStrategies(t *testing.T) {
 
 func TestDataParallelBatchSplit(t *testing.T) {
 	s := MustBuild("AlexNet", paperBatch, paperWorkers, DataParallel)
-	if s.DeviceBatch() != 64 {
-		t.Fatalf("device batch = %d, want 64", s.DeviceBatch())
+	if s.Graph.Batch != 64 {
+		t.Fatalf("device batch = %d, want 64", s.Graph.Batch)
 	}
 }
 
 func TestModelParallelKeepsFullBatch(t *testing.T) {
 	s := MustBuild("AlexNet", paperBatch, paperWorkers, ModelParallel)
-	if s.DeviceBatch() != paperBatch {
-		t.Fatalf("device batch = %d, want %d", s.DeviceBatch(), paperBatch)
+	if s.Graph.Batch != paperBatch {
+		t.Fatalf("device batch = %d, want %d", s.Graph.Batch, paperBatch)
 	}
 }
 
@@ -48,10 +48,21 @@ func TestPerDeviceComputeEqualAcrossStrategies(t *testing.T) {
 	for _, name := range dnn.BenchmarkNames() {
 		dp := MustBuild(name, paperBatch, paperWorkers, DataParallel)
 		mp := MustBuild(name, paperBatch, paperWorkers, ModelParallel)
-		if dp.ComputeMACs() != mp.ComputeMACs() {
-			t.Errorf("%s: DP MACs %d != MP MACs %d", name, dp.ComputeMACs(), mp.ComputeMACs())
+		if computeMACs(dp) != computeMACs(mp) {
+			t.Errorf("%s: DP MACs %d != MP MACs %d", name, computeMACs(dp), computeMACs(mp))
 		}
 	}
+}
+
+// computeMACs totals the device's forward MAC count for the iteration.
+func computeMACs(s *Schedule) int64 {
+	var total int64
+	for _, w := range s.Work {
+		for _, g := range w.GEMMs {
+			total += g.MACs()
+		}
+	}
+	return total
 }
 
 func TestDataParallelSyncIsWeights(t *testing.T) {

@@ -23,15 +23,6 @@ const (
 	TB Bytes = 1 << 40
 )
 
-// KiB and friends are aliases that make call sites such as 4*units.KiB read
-// like the paper's own prose.
-const (
-	KiB = KB
-	MiB = MB
-	GiB = GB
-	TiB = TB
-)
-
 func (b Bytes) String() string {
 	switch {
 	case b >= TB:
@@ -62,16 +53,11 @@ func (bw Bandwidth) String() string { return fmt.Sprintf("%.1f GB/s", bw.GBps())
 // Time is a point or span of simulated time in seconds.
 type Time float64
 
-// Time construction helpers.
-func Seconds(s float64) Time       { return Time(s) }
-func Milliseconds(ms float64) Time { return Time(ms * 1e-3) }
-func Microseconds(us float64) Time { return Time(us * 1e-6) }
+// Seconds builds a Time from a second count.
+func Seconds(s float64) Time { return Time(s) }
 
 // Seconds reports t as a float64 second count.
 func (t Time) Seconds() float64 { return float64(t) }
-
-// Milliseconds reports t in milliseconds.
-func (t Time) Milliseconds() float64 { return float64(t) * 1e3 }
 
 // Microseconds reports t in microseconds.
 func (t Time) Microseconds() float64 { return float64(t) * 1e6 }

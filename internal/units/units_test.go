@@ -11,9 +11,6 @@ func TestByteMultiples(t *testing.T) {
 	if KB != 1024 || MB != 1024*KB || GB != 1024*MB || TB != 1024*GB {
 		t.Fatal("binary multiples wrong")
 	}
-	if KiB != KB || MiB != MB || GiB != GB || TiB != TB {
-		t.Fatal("aliases wrong")
-	}
 }
 
 func TestBytesString(t *testing.T) {
@@ -48,11 +45,8 @@ func TestBandwidthConversions(t *testing.T) {
 }
 
 func TestTimeConstructors(t *testing.T) {
-	if Seconds(1) != 1 || Milliseconds(1000) != 1 || Microseconds(1e6) != 1 {
-		t.Fatal("time constructors disagree")
-	}
-	if Seconds(2).Milliseconds() != 2000 {
-		t.Fatal("milliseconds accessor wrong")
+	if Seconds(1) != 1 {
+		t.Fatal("time constructor disagrees")
 	}
 	if Seconds(2).Microseconds() != 2e6 {
 		t.Fatal("microseconds accessor wrong")
@@ -61,13 +55,13 @@ func TestTimeConstructors(t *testing.T) {
 
 func TestTimeString(t *testing.T) {
 	cases := map[Time]string{
-		Seconds(1.5):        "1.500 s",
-		Milliseconds(2.25):  "2.250 ms",
-		Microseconds(3.5):   "3.500 us",
-		Time(120e-9):        "120.0 ns",
-		0:                   "0 s",
-		Seconds(-1.5):       "-1.500 s",
-		Milliseconds(-2.25): "-2.250 ms",
+		Seconds(1.5):   "1.500 s",
+		Time(2.25e-3):  "2.250 ms",
+		Time(3.5e-6):   "3.500 us",
+		Time(120e-9):   "120.0 ns",
+		0:              "0 s",
+		Seconds(-1.5):  "-1.500 s",
+		Time(-2.25e-3): "-2.250 ms",
 	}
 	for tt, want := range cases {
 		if got := tt.String(); got != want {

@@ -185,14 +185,6 @@ type PrefetchItem struct {
 	Bytes int64
 }
 
-// PrefetchQueue returns the backward DMA schedule in issue order: layers in
-// reverse topological order, each stash tensor appearing exactly once at the
-// layer of its first backward use (its extra state alongside). The DMA
-// engine streams the queue FIFO underneath the backward computation; summing
-// the queue reproduces the offload bytes exactly, which is the invariant
-// tying the planner's accounting to the engine's charged traffic.
-func (p *Plan) PrefetchQueue() []PrefetchItem { return p.PrefetchSchedule().Items }
-
 // PrefetchSchedule is the indexed form of the prefetch queue the backward
 // engines consume: the FIFO items plus, per layer, the queue positions whose
 // transfers must have landed before that layer's backward step (its stashed
@@ -200,6 +192,12 @@ func (p *Plan) PrefetchQueue() []PrefetchItem { return p.PrefetchSchedule().Item
 // The one device-iteration kernel, core.Iteration, drives it for both the
 // core engine and the scale-out plane.
 type PrefetchSchedule struct {
+	// Items is the backward DMA queue in issue order: layers in reverse
+	// topological order, each stash tensor appearing exactly once at the
+	// layer of its first backward use (its extra state alongside). The DMA
+	// engine streams it FIFO underneath the backward computation; summing
+	// it reproduces the offload bytes exactly, which is the invariant tying
+	// the planner's accounting to the engine's charged traffic.
 	Items []PrefetchItem
 
 	plan *Plan

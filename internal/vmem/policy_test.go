@@ -42,7 +42,7 @@ func TestTrafficSymmetric(t *testing.T) {
 		g := dnn.MustBuild(name, 64)
 		p := Analyze(g, Options{})
 		var queued int64
-		for _, it := range p.PrefetchQueue() {
+		for _, it := range p.PrefetchSchedule().Items {
 			queued += it.Bytes
 		}
 		if want := prefetchBytes(g); queued != want || p.OffloadBytes() != want {
@@ -344,60 +344,11 @@ func TestPlacementBandwidths(t *testing.T) {
 	}
 }
 
-func TestAddressSpaceResolve(t *testing.T) {
-	a := AddressSpace{Local: 16 * units.GB, Left: 650 * units.GB, Right: 650 * units.GB}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		addr   units.Bytes
-		region Region
-		off    units.Bytes
-	}{
-		{0, RegionLocal, 0},
-		{16*units.GB - 1, RegionLocal, 16*units.GB - 1},
-		{16 * units.GB, RegionLeft, 0},
-		{16*units.GB + 650*units.GB, RegionRight, 0},
-		{a.Total() - 1, RegionRight, 650*units.GB - 1},
-	}
-	for _, c := range cases {
-		r, off, err := a.Resolve(c.addr)
-		if err != nil {
-			t.Fatalf("resolve %d: %v", c.addr, err)
-		}
-		if r != c.region || off != c.off {
-			t.Errorf("resolve %d = %v+%d, want %v+%d", c.addr, r, off, c.region, c.off)
-		}
-	}
-	if _, _, err := a.Resolve(a.Total()); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-	if _, _, err := a.Resolve(-1); err == nil {
-		t.Fatal("expected negative-address error")
-	}
-}
-
-func TestAddressSpacePhysicalLimit(t *testing.T) {
-	// 10.4 TB of remote memory fits well under 47-bit (128 TB) physical
-	// addressing — the §III-B feasibility claim.
-	a := AddressSpace{Local: 16 * units.GB, Left: 5200 * units.GB, Right: 5200 * units.GB}
-	if err := a.Validate(); err != nil {
-		t.Fatalf("10.4 TB pool should validate: %v", err)
-	}
-	huge := AddressSpace{Local: 16 * units.GB, Left: 1 << 47, Right: 0}
-	if err := huge.Validate(); err == nil {
-		t.Fatal("expected physical-addressing overflow error")
-	}
-}
-
-func TestActionAndRegionStrings(t *testing.T) {
+func TestActionAndPlacementStrings(t *testing.T) {
 	if None.String() != "none" || Stash.String() != "stash" || Recompute.String() != "recompute" || Keep.String() != "keep" {
 		t.Fatal("action strings wrong")
 	}
 	if Local.String() != "LOCAL" || BWAware.String() != "BW_AWARE" {
 		t.Fatal("placement strings wrong")
-	}
-	if RegionLocal.String() != "devicelocal" {
-		t.Fatal("region string wrong")
 	}
 }

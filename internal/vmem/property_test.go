@@ -112,7 +112,7 @@ func TestPlanProperties(t *testing.T) {
 			t.Fatalf("seed %d (%s): plan invalid: %v", seed, g.Name, err)
 		}
 
-		queue := p.PrefetchQueue()
+		queue := p.PrefetchSchedule().Items
 		seen := make(map[int]int)
 		var queueBytes int64
 		prevLayer := len(g.Layers)
@@ -191,9 +191,9 @@ func TestPlanTrafficMatchesEngine(t *testing.T) {
 func TestOracleHasNoPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := vmem.Analyze(randomGraph(rng), vmem.Options{Oracle: true})
-	if p.Planned() != 0 || len(p.PrefetchQueue()) != 0 || p.TrafficBytes() != 0 {
+	if p.Planned() != 0 || len(p.PrefetchSchedule().Items) != 0 || p.TrafficBytes() != 0 {
 		t.Fatalf("oracle plan moves data: %d tensors, %d queued, %d bytes",
-			p.Planned(), len(p.PrefetchQueue()), p.TrafficBytes())
+			p.Planned(), len(p.PrefetchSchedule().Items), p.TrafficBytes())
 	}
 }
 
