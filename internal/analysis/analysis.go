@@ -61,21 +61,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Range is any syntax node or other value with a position extent
-// (ast.Node satisfies it).
-type Range interface {
-	Pos() token.Pos
-	End() token.Pos
-}
-
-// ReportRangef reports a diagnostic over rng with a formatted message.
-func (p *Pass) ReportRangef(rng Range, format string, args ...any) {
-	p.Report(Diagnostic{Pos: rng.Pos(), End: rng.End(), Message: fmt.Sprintf(format, args...)})
-}
-
 // A Diagnostic is one finding: a position and a message.
 type Diagnostic struct {
 	Pos     token.Pos
-	End     token.Pos // optional: past-the-end position of the offending syntax
 	Message string
 }

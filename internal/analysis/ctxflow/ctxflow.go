@@ -64,7 +64,7 @@ func checkFreshContext(pass *analysis.Pass, call *ast.CallExpr) {
 	if obj.Name() != "Background" && obj.Name() != "TODO" {
 		return
 	}
-	pass.ReportRangef(call, "context.%s() in library code detaches this call tree from cancellation: "+
+	pass.Reportf(call.Pos(), "context.%s() in library code detaches this call tree from cancellation: "+
 		"accept and forward the caller's ctx (deliberate roots need %s ctxflow -- <reason>)", obj.Name(), analysis.AllowPrefix)
 }
 

@@ -63,7 +63,7 @@ func run(pass *analysis.Pass) (any, error) {
 		if guardedInFunc(pass, stack, bin.Y) {
 			return true
 		}
-		pass.ReportRangef(bin, "float division by %s which is not provably nonzero: clamp with max(..., ε), guard with a zero check, or annotate %s floatguard -- <reason>",
+		pass.Reportf(bin.Pos(), "float division by %s which is not provably nonzero: clamp with max(..., ε), guard with a zero check, or annotate %s floatguard -- <reason>",
 			types.ExprString(bin.Y), analysis.AllowPrefix)
 		return true
 	})

@@ -95,7 +95,6 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, stack []ast.Node) {
 	}
 	pass.Report(analysis.Diagnostic{
 		Pos: rng.Pos(),
-		End: rng.Body.Lbrace + 1,
 		Message: fmt.Sprintf("range over map %s %s: iteration order is randomized and leaks into ordered output — extract and sort the keys first",
 			types.ExprString(rng.X), kind),
 	})

@@ -35,7 +35,7 @@ func ExampleSimulate() {
 func Example() {
 	// 1. Build the per-device training schedule: VGG-E, global batch 512,
 	//    data-parallel across the 8 device-nodes (Table III / §IV).
-	schedule, err := train.Build("VGG-E", 512, 8, train.DataParallel)
+	schedule, err := train.BuildSeq("VGG-E", 512, 8, train.DataParallel, 0, train.FP16)
 	if err != nil {
 		panic(err)
 	}

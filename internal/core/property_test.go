@@ -23,7 +23,7 @@ func TestPropertyDesignOrdering(t *testing.T) {
 			strategy = train.ModelParallel
 		}
 		for _, net := range workloads {
-			s, err := train.Build(net, batch, paperWorkers, strategy)
+			s, err := train.BuildSeq(net, batch, paperWorkers, strategy, 0, train.FP16)
 			if err != nil {
 				return false
 			}

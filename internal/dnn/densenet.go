@@ -64,6 +64,6 @@ func DenseNet121(batch int) *Graph {
 
 func init() {
 	// Registered as an extended (non-Table III) workload: usable with
-	// train.Build and the CLI, excluded from the paper-figure sweeps.
+	// train.BuildSeq and the CLI, excluded from the paper-figure sweeps.
 	benchmarks["DenseNet-121"] = DenseNet121
 }

@@ -104,9 +104,16 @@ func (a *archive) halving(ctx context.Context, space Space, pts []Point) error {
 	// The analytic estimator only needs one schedule per scenario — design
 	// points sharing a workload reuse it (and its vmem analysis) here, just
 	// as the engine's memo does for the real simulations.
-	scheds := make(map[string]*train.Schedule)
+	type scenario struct {
+		workload       string
+		batch, workers int
+		strategy       train.Strategy
+		seqLen         int
+		precision      train.Precision
+	}
+	scheds := make(map[scenario]*train.Schedule)
 	schedule := func(p Point) (*train.Schedule, error) {
-		key := fmt.Sprintf("%s|%d|%d|%d|%d|%d", p.Workload, p.Batch, p.workers(), int(p.Strategy), p.SeqLen, int(p.Precision))
+		key := scenario{p.Workload, p.Batch, p.workers(), p.Strategy, p.SeqLen, p.Precision}
 		if s, ok := scheds[key]; ok {
 			return s, nil
 		}

@@ -6,8 +6,30 @@ import (
 
 	"github.com/memcentric/mcdla/internal/fleet"
 	"github.com/memcentric/mcdla/internal/runner"
+	"github.com/memcentric/mcdla/internal/scaleout"
 	"github.com/memcentric/mcdla/internal/train"
 )
+
+type netKey struct {
+	workload      string
+	batch, seqLen int
+}
+
+// planeNets lists the networks a plane sweep over nodes reads: each plane
+// size's data-parallel device batch and, with hybrid, the chassis batch
+// the hybrid strategy's model-parallel schedule runs at. Plane schedules
+// are built without the oracle, so each network has one memory plan.
+func planeNets(workload string, nodes []int, hybrid bool) []netKey {
+	batch := ScaleOutBatch(nodes)
+	var keys []netKey
+	for _, n := range nodes {
+		keys = append(keys, netKey{workload, batch / scaleout.Default(n).TotalDevices(), 0})
+		if hybrid && n > 1 && batch%n == 0 {
+			keys = append(keys, netKey{workload, batch / n, 0})
+		}
+	}
+	return keys
+}
 
 // TestColdRequestBuildsEachNetworkOnce pins the build counts of study
 // requests on a fresh engine: one graph per distinct (workload, device
@@ -15,14 +37,30 @@ import (
 // Schedules that differ only in precision, or in strategy at the same
 // device batch, share both, and so do the fleet's clusters: the default
 // fleet request used to build 40 schedules, each with its own graph. The
-// counts are derived again from the simulated jobs the progress stream
-// reports, plus the graphs a study reads without simulating them.
+// plane study and its timeline read their schedules from the same engine,
+// so they too build each network once per request, and a second request
+// on a fresh engine builds them again. The counts are derived again from
+// the simulated jobs the progress stream reports, plus the networks the
+// plane reads and the graphs a study reads without simulating them.
 func TestColdRequestBuildsEachNetworkOnce(t *testing.T) {
 	ctx := context.Background()
 	t.Cleanup(func() { SetProgress(nil); SetOptions(runner.Options{}) })
+	planeStudy := func(workload string, nodes []int, compare bool) func() error {
+		return func() error {
+			pts, err := ScaleOutRows(ctx, workload, nodes, false)
+			if err == nil && compare {
+				_, err = ScaleOutCompare(ctx, workload, nodes, pts)
+			}
+			return err
+		}
+	}
+	figure15 := []int{1, 2, 4, 8, 16}
 	cases := []struct {
 		name string
 		run  func() error
+		// planes lists the networks the plane engine reads, which no
+		// progress update reports.
+		planes []netKey
 		// unsimulated counts the graphs read without a simulation: the
 		// CNN graphs at the full batch whose cDMA ratios AttentionCompress
 		// reads.
@@ -36,7 +74,7 @@ func TestColdRequestBuildsEachNetworkOnce(t *testing.T) {
 			}
 			_, err = Fleet(ctx, fleet.DefaultTrace(), clusters)
 			return err
-		}, 0, 10, 10},
+		}, nil, 0, 10, 10},
 		{"fleet?jobs=20&pods=1&designs=DC-DLA,MC-DLA(B)", func() error {
 			clusters, err := FleetClusters(1, []string{"DC-DLA", "MC-DLA(B)"})
 			if err != nil {
@@ -44,20 +82,24 @@ func TestColdRequestBuildsEachNetworkOnce(t *testing.T) {
 			}
 			_, err = Fleet(ctx, fleet.SyntheticTrace(20), clusters)
 			return err
-		}, 0, 8, 8},
+		}, nil, 0, 8, 8},
 		{"transformer?seqlens=128,256", func() error {
 			if _, err := TransformerSweep(ctx, nil, []int{128, 256}, nil); err != nil {
 				return err
 			}
 			_, err := AttentionCompress(ctx)
 			return err
-		}, 4, 14, 14},
-		{"fig14", func() error { _, err := Fig14(ctx); return err }, 0, 48, 48},
-		{"sens", func() error { _, err := Sensitivity(ctx); return err }, 0, 16, 16},
-	}
-	type netKey struct {
-		workload      string
-		batch, seqLen int
+		}, nil, 4, 14, 14},
+		{"fig14", func() error { _, err := Fig14(ctx); return err }, nil, 0, 48, 48},
+		{"sens", func() error { _, err := Sensitivity(ctx); return err }, nil, 0, 16, 16},
+		{"plane?nodes=1,2&compare=true", planeStudy("VGG-E", []int{1, 2}, true),
+			planeNets("VGG-E", []int{1, 2}, true), 0, 3, 3},
+		{"plane?workload=BERT-Large&nodes=1,2", planeStudy("BERT-Large", []int{1, 2}, false),
+			planeNets("BERT-Large", []int{1, 2}, false), 0, 2, 2},
+		{"plane?workload=GPT-2&nodes=1,2", planeStudy("GPT-2", []int{1, 2}, false),
+			planeNets("GPT-2", []int{1, 2}, false), 0, 2, 2},
+		{"plane timeline", func() error { _, err := planeTimeline(ctx, "VGG-E", figure15); return err },
+			planeNets("VGG-E", figure15, false), 0, 5, 5},
 	}
 	type planKey struct {
 		net    netKey
@@ -76,6 +118,10 @@ func TestColdRequestBuildsEachNetworkOnce(t *testing.T) {
 			nets[k] = true
 			plans[planKey{k, j.Design.Oracle}] = true
 		})
+		for _, k := range c.planes {
+			nets[k] = true
+			plans[planKey{k, false}] = true
+		}
 		graphs0, plans0 := train.Builds()
 		if err := c.run(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)

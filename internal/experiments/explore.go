@@ -99,13 +99,22 @@ func ScaleOutBatch(nodeCounts []int) int {
 	return 8 * maxNodes * 64
 }
 
+// plane returns the Figure 15 plane of n system nodes reading its schedules
+// from the package engine's memo, so every plane size of a request shares
+// the engine's networks and memory plans.
+func plane(n int) scaleout.Plane {
+	p := scaleout.Default(n)
+	p.Schedules = schedule
+	return p
+}
+
 // ScaleOutRows runs the §VI plane study for the CLI on the event-driven
 // plane engine (analytic selects the retired first-order estimator instead).
 // The plane sizes fan out across the runner's worker bound.
 func ScaleOutRows(ctx context.Context, workload string, nodeCounts []int, analytic bool) ([]scaleout.ScalingPoint, error) {
 	batch := ScaleOutBatch(nodeCounts)
 	pts, err := runner.Fan(ctx, parallelism(), len(nodeCounts), func(i int) (scaleout.ScalingPoint, error) {
-		return scaleout.Default(nodeCounts[i]).EvalPoint(workload, batch, analytic)
+		return plane(nodeCounts[i]).EvalPoint(workload, batch, analytic)
 	})
 	if err != nil {
 		return nil, err
@@ -155,7 +164,7 @@ type ScaleOutCompareRow struct {
 func ScaleOutCompare(ctx context.Context, workload string, nodeCounts []int, event []scaleout.ScalingPoint) ([]ScaleOutCompareRow, error) {
 	batch := ScaleOutBatch(nodeCounts)
 	return runner.Fan(ctx, parallelism(), len(nodeCounts), func(i int) (ScaleOutCompareRow, error) {
-		p := scaleout.Default(nodeCounts[i])
+		p := plane(nodeCounts[i])
 		est, err := p.Estimate(workload, batch, true)
 		if err != nil {
 			return ScaleOutCompareRow{}, err

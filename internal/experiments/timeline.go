@@ -3,7 +3,8 @@
 // the same table entry and serialize through trace.Timeline.WriteChrome, so
 // the same request produces the same bytes on either surface. Traced
 // simulations bypass the memo cache — a timeline is a re-execution, not a
-// lookup — but they are pure virtual-clock computations, so the output is
+// lookup — but read their schedules from the engine's memo like every
+// other study. They are pure virtual-clock computations, so the output is
 // byte-identical at any parallelism.
 package experiments
 
@@ -15,7 +16,6 @@ import (
 	"github.com/memcentric/mcdla/internal/dse"
 	"github.com/memcentric/mcdla/internal/scaleout"
 	"github.com/memcentric/mcdla/internal/trace"
-	"github.com/memcentric/mcdla/internal/train"
 )
 
 // runTimeline simulates run's design point once with span tracing and
@@ -26,11 +26,7 @@ func runTimeline(p dse.Point) (*trace.Timeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = Workers
-	}
-	s, err := train.BuildSeq(p.Workload, p.Batch, workers, p.Strategy, p.SeqLen, p.Precision)
+	s, err := schedule(p.Job(d))
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +52,7 @@ func planeTimeline(ctx context.Context, workload string, nodeCounts []int) (*tra
 			return nil, err
 		}
 		tr := &trace.Log{}
-		if _, err := scaleout.Default(n).SimulateTraced(workload, batch, true, scaleout.DataParallel, tr); err != nil {
+		if _, err := plane(n).SimulateTraced(workload, batch, true, scaleout.DataParallel, tr); err != nil {
 			return nil, err
 		}
 		t.AddProcess(fmt.Sprintf("MC-plane %d nodes", n), tr)

@@ -58,7 +58,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	// And against the raw core path, job by job.
 	for i, j := range jobs {
-		s, err := train.Build(j.Workload, j.Batch, j.Workers, j.Strategy)
+		s, err := train.BuildSeq(j.Workload, j.Batch, j.Workers, j.Strategy, 0, train.FP16)
 		if err != nil {
 			t.Fatal(err)
 		}

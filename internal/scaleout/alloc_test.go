@@ -2,24 +2,26 @@ package scaleout
 
 import (
 	"testing"
+
+	"github.com/memcentric/mcdla/internal/runner"
 )
 
 // TestSimulateAllocBudget pins the steady-state heap cost of one event-driven
-// plane iteration on the BERT plane. The first call pays for the schedule
-// memo and the shared vmem analysis; warm iterations re-run the full event
-// loop (every layer boundary reruns the channels' water-fill), so this budget
-// is what keeps the sim.Channel scratch reuse and the train.Schedule/vmem
-// plan sharing from silently regressing.
+// plane iteration on the BERT plane. The first call builds the schedule on
+// the plane's engine, with its shared vmem analysis; later iterations re-run
+// the full event loop (every layer boundary reruns the channels'
+// water-fill), so this budget is what keeps the sim.Channel scratch reuse
+// and the train.Schedule/vmem plan sharing from silently regressing.
 func TestSimulateAllocBudget(t *testing.T) {
 	p := Default(2)
+	p.Schedules = runner.New(runner.Options{}).Schedule
 	const batch = 2 * 8 * 32
 	run := func() {
 		if _, err := p.Simulate("BERT-Large", batch, true, DataParallel); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the schedule memo and its prepared vmem analysis
-	allocs := testing.AllocsPerRun(5, run)
+	allocs := testing.AllocsPerRun(5, run) // its warm-up run builds the schedule
 	t.Logf("scaleout.Simulate(BERT-Large) steady state: %.0f allocs/op", allocs)
 	// Measured 47 allocs/op once flows became handles on a pointer-free
 	// flow table with a doubling stamp table (74 with a 64-flow arena; 87

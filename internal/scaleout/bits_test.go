@@ -77,7 +77,7 @@ func resultBits() string {
 			for _, st := range []train.Strategy{train.DataParallel, train.ModelParallel} {
 				for _, batch := range []int{64, 512} {
 					fmt.Fprintf(&b, "core %s %s %v %d: ", d.Name, name, st, batch)
-					s, err := train.Build(name, batch, 8, st)
+					s, err := train.BuildSeq(name, batch, 8, st, 0, train.FP16)
 					if err != nil {
 						fmt.Fprintf(&b, "build error: %v\n", err)
 						continue
@@ -123,7 +123,7 @@ func resultBits() string {
 		for _, name := range dnn.BenchmarkNames() {
 			for _, st := range []train.Strategy{train.DataParallel, train.ModelParallel} {
 				fmt.Fprintf(&b, "core 1-worker %s %s %v 64: ", d.Name, name, st)
-				s, err := train.Build(name, 64, 1, st)
+				s, err := train.BuildSeq(name, 64, 1, st, 0, train.FP16)
 				if err != nil {
 					fmt.Fprintf(&b, "build error: %v\n", err)
 					continue

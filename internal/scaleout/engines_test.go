@@ -50,7 +50,7 @@ func TestPlaneMatchesCoreOnOneChassis(t *testing.T) {
 		p.DevicesPerNode = devices
 		batch := 64 * devices
 		for _, net := range dnn.BenchmarkNames() {
-			s, err := train.Build(net, batch, devices, train.DataParallel)
+			s, err := train.BuildSeq(net, batch, devices, train.DataParallel, 0, train.FP16)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,10 @@
 // device-iteration kernel, core.Iteration: the plane supplies only its
 // channel layout, its prefetch window, its staged hierarchical collectives
 // (stagedSync) with the hybrid strategy's uplink dW reductions, and its
-// own result fields.
+// own result fields. Both engines read their per-device schedules from the
+// plane's Schedules source, and the package keeps no cache of its own: a
+// caller that sweeps plane sizes passes a memo (the experiments package
+// passes its runner engine's).
 package scaleout
 
 import (
@@ -26,6 +29,7 @@ import (
 	"github.com/memcentric/mcdla/internal/collective"
 	"github.com/memcentric/mcdla/internal/core"
 	"github.com/memcentric/mcdla/internal/memnode"
+	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/train"
 	"github.com/memcentric/mcdla/internal/units"
 	"github.com/memcentric/mcdla/internal/vmem"
@@ -54,6 +58,10 @@ type Plane struct {
 	// HostBW is the per-device legacy PCIe bandwidth (the DC-plane
 	// baseline's virtualization path).
 	HostBW units.Bandwidth
+	// Schedules supplies the per-device schedule of a plane point (the
+	// job's design is ignored), typically a memo such as
+	// runner.Engine.Schedule; nil builds each one afresh.
+	Schedules func(runner.Job) (*train.Schedule, error)
 }
 
 // Default returns the Figure 15 running configuration: system nodes housing
@@ -91,6 +99,15 @@ func (p Plane) Validate() error {
 		return fmt.Errorf("scaleout: host bandwidth must be positive")
 	}
 	return p.Device.Validate()
+}
+
+// schedule returns the per-device schedule of workload trained at
+// globalBatch across workers under strategy, from the plane's source.
+func (p Plane) schedule(workload string, globalBatch, workers int, strategy train.Strategy) (*train.Schedule, error) {
+	if p.Schedules == nil {
+		return train.BuildSeq(workload, globalBatch, workers, strategy, 0, train.FP16)
+	}
+	return p.Schedules(runner.Job{Workload: workload, Batch: globalBatch, Workers: workers, Strategy: strategy})
 }
 
 // TotalDevices reports the plane's device count.
@@ -212,7 +229,7 @@ func (p Plane) Estimate(workload string, globalBatch int, memCentric bool) (Iter
 	if globalBatch%devices != 0 {
 		return IterationEstimate{}, fmt.Errorf("scaleout: batch %d not divisible by %d devices", globalBatch, devices)
 	}
-	s, err := buildSchedule(workload, globalBatch, devices, train.DataParallel)
+	s, err := p.schedule(workload, globalBatch, devices, train.DataParallel)
 	if err != nil {
 		return IterationEstimate{}, err
 	}

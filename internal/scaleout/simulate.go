@@ -179,12 +179,12 @@ func (p Plane) simulate(workload string, globalBatch int, memCentric bool, strat
 	var err error
 	switch strategy {
 	case DataParallel:
-		s, err = buildSchedule(workload, globalBatch, devices, train.DataParallel)
+		s, err = p.schedule(workload, globalBatch, devices, train.DataParallel)
 	case Hybrid:
 		if globalBatch%p.SystemNodes != 0 {
 			return SimResult{}, fmt.Errorf("scaleout: batch %d not divisible by %d chassis", globalBatch, p.SystemNodes)
 		}
-		s, err = buildSchedule(workload, globalBatch/p.SystemNodes, p.DevicesPerNode, train.ModelParallel)
+		s, err = p.schedule(workload, globalBatch/p.SystemNodes, p.DevicesPerNode, train.ModelParallel)
 	default:
 		return SimResult{}, fmt.Errorf("scaleout: unknown plane strategy %v", strategy)
 	}

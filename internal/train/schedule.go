@@ -160,17 +160,12 @@ func (s *Schedule) StashBytes(b int64) units.Bytes {
 	return units.Bytes(float64(b)*scale + 0.5)
 }
 
-// Build constructs the per-device schedule for a benchmark at its default
-// sequence length in the seed's fp16 accounting. Workers must divide the
-// global batch under data parallel and every layer's output features under
-// model parallel (true for all Table III networks at 8).
-func Build(name string, globalBatch, workers int, strategy Strategy) (*Schedule, error) {
-	return BuildSeq(name, globalBatch, workers, strategy, 0, FP16)
-}
-
-// BuildSeq is Build with the full scenario axis: a sequence-length override
-// (0 keeps the workload default) and a training precision. It builds the
-// network at the strategy's device batch, then the schedule on it.
+// BuildSeq constructs the per-device schedule for a benchmark with the full
+// scenario axis: a sequence-length override (0 keeps the workload default)
+// and a training precision. It builds the network at the strategy's device
+// batch, then the schedule on it. Workers must divide the global batch
+// under data parallel and every layer's output features under model
+// parallel (true for all Table III networks at 8).
 func BuildSeq(name string, globalBatch, workers int, strategy Strategy, seqlen int, prec Precision) (*Schedule, error) {
 	batch, err := DeviceBatch(globalBatch, workers, strategy)
 	if err != nil {
@@ -220,9 +215,10 @@ func BuildOn(net *Network, globalBatch, workers int, strategy Strategy, prec Pre
 	}
 }
 
-// MustBuild is Build for configuration-time call sites.
+// MustBuild is BuildSeq at the workload's default sequence length in the
+// fp16 accounting, for configuration-time call sites.
 func MustBuild(name string, globalBatch, workers int, strategy Strategy) *Schedule {
-	s, err := Build(name, globalBatch, workers, strategy)
+	s, err := BuildSeq(name, globalBatch, workers, strategy, 0, FP16)
 	if err != nil {
 		panic(err)
 	}

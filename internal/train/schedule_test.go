@@ -17,7 +17,7 @@ const (
 func TestBuildAllBenchmarksBothStrategies(t *testing.T) {
 	for _, name := range dnn.BenchmarkNames() {
 		for _, strat := range []Strategy{DataParallel, ModelParallel} {
-			s, err := Build(name, paperBatch, paperWorkers, strat)
+			s, err := BuildSeq(name, paperBatch, paperWorkers, strat, 0, FP16)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, strat, err)
 			}
@@ -199,23 +199,23 @@ func TestTerminalLayerSkipsGather(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build("AlexNet", 0, 8, DataParallel); err == nil {
+	if _, err := BuildSeq("AlexNet", 0, 8, DataParallel, 0, FP16); err == nil {
 		t.Error("expected error for zero batch")
 	}
-	if _, err := Build("AlexNet", 512, 0, DataParallel); err == nil {
+	if _, err := BuildSeq("AlexNet", 512, 0, DataParallel, 0, FP16); err == nil {
 		t.Error("expected error for zero workers")
 	}
-	if _, err := Build("AlexNet", 10, 8, DataParallel); err == nil {
+	if _, err := BuildSeq("AlexNet", 10, 8, DataParallel, 0, FP16); err == nil {
 		t.Error("expected error for indivisible batch")
 	}
-	if _, err := Build("NoSuchNet", 512, 8, DataParallel); err == nil {
+	if _, err := BuildSeq("NoSuchNet", 512, 8, DataParallel, 0, FP16); err == nil {
 		t.Error("expected error for unknown benchmark")
 	}
-	if _, err := Build("AlexNet", 512, 8, Strategy(9)); err == nil {
+	if _, err := BuildSeq("AlexNet", 512, 8, Strategy(9), 0, FP16); err == nil {
 		t.Error("expected error for unknown strategy")
 	}
 	// AlexNet fc8 has 1000 outputs: not divisible by 7 workers.
-	if _, err := Build("AlexNet", 512, 7, ModelParallel); err == nil {
+	if _, err := BuildSeq("AlexNet", 512, 7, ModelParallel, 0, FP16); err == nil {
 		t.Error("expected error for indivisible model split")
 	}
 }

@@ -206,7 +206,7 @@ func TestPreparedOffloadsMatchOffloadsAfter(t *testing.T) {
 	names := append(dnn.BenchmarkNames(), dnn.TransformerNames()...)
 	for _, name := range names {
 		for _, strategy := range []train.Strategy{train.DataParallel, train.ModelParallel} {
-			s, err := train.Build(name, 64, 8, strategy)
+			s, err := train.BuildSeq(name, 64, 8, strategy, 0, train.FP16)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, strategy, err)
 			}
