@@ -341,15 +341,17 @@ func BenchmarkSimulateGRUDPHost(b *testing.B) {
 	benchSimulate(b, "DC-DLA", "RNN-GRU", train.DataParallel)
 }
 
-// BenchmarkChannelFill times the water-fill on a host-like channel: 12 GB/s
-// with one unshared 3 GB/s group and 56 flows in flight, the host channel's
+// BenchmarkChannelFill times the fill on a host-like channel: 12 GB/s with
+// one unshared 3 GB/s group and 56 flows in flight, the host channel's
 // average in a study grid. The 3 GB/s member rate is the §V-D socket share
 // of four devices on one socket; default DC-DLA's DMA group runs at the
 // full 12 GB/s. The flows start staggered, 1 MB apart, so they land one at
 // a time in start order. One op waits for the oldest flow and starts a
-// 56 MB replacement: one completion and one start, two fills. The stamp
-// table grows by doubling, less than one allocation per op, so the loop
-// holds 0 allocs/op.
+// 56 MB replacement: one completion and one start, two fills. All 56 sit
+// in one group and one class, so they ride the channel's virtual clock:
+// the op is one heap pop and one push, two visits, whatever the number in
+// flight. The stamp table grows by doubling, less than one allocation per
+// op, so the loop holds 0 allocs/op.
 func BenchmarkChannelFill(b *testing.B) {
 	const inFlight = 56
 	ch := sim.NewChannel("host", units.GBps(12))

@@ -14,8 +14,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/memcentric/mcdla/internal/units"
@@ -38,8 +40,11 @@ func (f Flow) DoneAt() units.Time { return f.ch.stamps[f.id] }
 // indices are 32-bit: a channel declares fewer than 2³¹ groups and starts
 // fewer than 2³¹ flows, whose stamps alone would take 16 GiB.
 type flow struct {
-	remaining float64         // bytes left to move
-	rate      units.Bandwidth // current allocated rate
+	// remaining is the bytes left to move, or on the virtual clock the
+	// flow's finish tag: the clock's served bytes at its start plus its
+	// size.
+	remaining float64
+	rate      units.Bandwidth // current allocated rate, off the virtual clock
 	pri       int             // priority class within the group (higher first)
 	group     int32           // index of the flow's group in ch.groups
 	id        int32           // index of the flow's stamp in ch.stamps
@@ -59,14 +64,11 @@ func (g Group) Channel() *Channel { return g.ch }
 // Rate reports the group's per-member rate.
 func (g Group) Rate() units.Bandwidth { return g.ch.groups[g.id].rate }
 
-// group is one declared group, its prefix table and its working state in
-// the current allocate round.
+// group is one declared group and its working state in the current
+// allocate round.
 type group struct {
 	rate   units.Bandwidth
 	shared bool
-	// sums[k] is k+1 copies of rate added in order, up to the first sum
-	// above the channel's capacity (see rateSum).
-	sums []float64
 
 	n     int     // active members
 	sum   float64 // n copies of rate, added in flow order
@@ -77,23 +79,10 @@ type group struct {
 	lower bool    // some member sits below the top class
 }
 
-// rateSum reports n copies of the group's rate added in order, the demand
-// of n unshared members, or the first such sum above capacity: the fill
-// takes the lesser of capacity and the demand, and a sum of positive rates
-// only grows, so every longer sum gives the same fill. The table grows to
-// the largest n asked for, at most to that first sum.
-func (g *group) rateSum(n int, capacity float64) float64 {
-	for len(g.sums) < n {
-		s := float64(g.rate)
-		if k := len(g.sums); k > 0 {
-			if g.sums[k-1] > capacity {
-				break
-			}
-			s += g.sums[k-1]
-		}
-		g.sums = append(g.sums, s)
-	}
-	return g.sums[min(n, len(g.sums))-1]
+// before orders the virtual clock's heap: earlier finish tags first, ties
+// by start order.
+func (f *flow) before(g *flow) bool {
+	return f.remaining < g.remaining || f.remaining == g.remaining && f.id < g.id
 }
 
 // Channel is a shared, half-duplex bandwidth resource. Concurrent flows
@@ -105,8 +94,10 @@ type Channel struct {
 	name     string
 	capacity units.Bandwidth
 	now      units.Time
-	flows    []flow // in flight, in start order
-	groups   []group
+	// flows holds the flows in flight: in start order on the general
+	// route, a min-heap of finish tags on the virtual clock.
+	flows  []flow
+	groups []group
 	// stamps holds one entry per flow started, indexed by Flow.id. Its
 	// sign bit says whether the flow is in flight: an in-flight flow's
 	// stamp is its extra latency negated (−0 for none), a completed flow's
@@ -115,10 +106,20 @@ type Channel struct {
 	stamps []units.Time
 
 	// homeN counts the in-flight flows in group homeGroup's priority class
-	// homePri, the home class: at first the zero group's class 0, then the
-	// class a general fill last found alone in flight. While homeN is every
-	// flow in flight, a fill is one pass with no counting.
+	// homePri, the home class: the class of the flow that started the
+	// channel from empty, or the class a general fill last found alone in
+	// flight. While homeN is every flow in flight, the virtual clock
+	// carries them.
 	homeGroup, homePri, homeN int
+
+	// The virtual clock: while every flow in flight sits in the home
+	// class, all of them move at one rate, so served, the bytes each has
+	// moved since the clock was set, stands for every flow's progress.
+	// While clock is set the flow table is a min-heap of finish tags, so a
+	// flow has tag − served bytes left, and rate is the flows' one rate.
+	clock  bool
+	served float64
+	rate   units.Bandwidth
 
 	stats ChannelStats
 
@@ -178,9 +179,11 @@ type ChannelStats struct {
 	// Fills counts water-fill rounds over a nonempty flow set: an exact,
 	// machine-independent measure of the event loop's work.
 	Fills int
-	// Visits counts flow visits: every pass over the in-flight flows adds
-	// their number once. It measures what each event costs, as Fills
-	// measures how many events there are.
+	// Visits counts the flow entries the event loop touches: one per
+	// push onto or pop off the virtual clock's heap, and one per flow in
+	// flight for every pass the general route makes over them, moving the
+	// flows onto or off the clock among them. It measures what each event
+	// costs, as Fills measures how many events there are.
 	Visits int
 }
 
@@ -211,13 +214,15 @@ func (c *Channel) Stats() ChannelStats { return c.stats }
 // start and completion, so its working storage lives in the channel.
 //
 // While every flow in flight sits in the home class, the common case, the
-// fill is fillUniform's one pass. Any other set takes a counting pass, then
-// one pass over the flows that fills every group's top class, sums the
-// total in flow order and finds the next completion. Only a group whose top
-// class left part of its share unspent cascades to its lower classes, and
-// only then are the total and the next completion re-summed: a lower-class
-// flow the cascade does not reach keeps rate +0, which adds nothing to
-// either. A counting pass that finds one class makes it the home class.
+// virtual clock carries them and the fill is fillClock's O(1) rate. Any
+// other set takes the general route: a counting pass, then one pass over
+// the flows that fills every group's top class, sums the total in flow
+// order and finds the next completion. Only a group whose top class left
+// part of its share unspent cascades to its lower classes, and only then
+// are the total and the next completion re-summed: a lower-class flow the
+// cascade does not reach keeps rate +0, which adds nothing to either. A
+// counting pass that finds one class makes it the home class and moves
+// the flows onto the clock.
 //
 // Deferring a round to the next rate read would skip only states that last
 // zero simulated time, yet it would change PeakRate: the peak is the largest
@@ -230,7 +235,8 @@ func (c *Channel) allocate() {
 	}
 	c.stats.Fills++
 	if c.homeN == len(c.flows) {
-		c.fillUniform(&c.groups[c.homeGroup])
+		c.enterClock()
+		c.fillClock()
 		return
 	}
 	c.stats.Visits += len(c.flows)
@@ -242,7 +248,7 @@ func (c *Channel) allocate() {
 		f := &c.flows[i]
 		g := &c.groups[f.group]
 		if g.n == 0 {
-			*g = group{rate: g.rate, shared: g.shared, sums: g.sums, unit: len(caps), pri: f.pri}
+			*g = group{rate: g.rate, shared: g.shared, unit: len(caps), pri: f.pri}
 			caps = append(caps, 0)
 		}
 		g.n++
@@ -259,7 +265,8 @@ func (c *Channel) allocate() {
 	c.topFill.caps = caps
 	if id := int(c.flows[0].group); len(caps) == 1 && !c.groups[id].lower {
 		c.homeGroup, c.homePri, c.homeN = id, c.groups[id].pri, len(c.flows)
-		c.fillUniform(&c.groups[id])
+		c.enterClock()
+		c.fillClock()
 		return
 	}
 	for i := range c.groups {
@@ -309,38 +316,130 @@ func (c *Channel) allocate() {
 	c.settle(total, next)
 }
 
-// fillUniform fills a flow set whose members all sit in group g's one
-// class in one pass: the general route's operations in the same order. The
-// top-level fill of one group hands it min(capacity/1, demand), and
-// capacity/1 is capacity exactly; an unshared group's demand is its
-// prefix-table sum, the general route's n-fold sum in flow order.
-func (c *Channel) fillUniform(g *group) {
-	n := len(c.flows)
-	c.stats.Visits += n
-	capacity := float64(c.capacity)
-	rem := float64(g.rate)
-	if !g.shared {
-		rem = g.rateSum(n, capacity)
+// fillClock sets the one rate of the home class's members, all of them on
+// the virtual clock: n members of an unshared group each move at the
+// group's rate while their n-fold demand fits the capacity and share it
+// equally otherwise, and a shared group's members split the lesser of its
+// rate and the capacity equally. The next completion is the heap minimum's.
+func (c *Channel) fillClock() {
+	g := &c.groups[c.homeGroup]
+	n, capacity, rate := float64(len(c.flows)), float64(c.capacity), float64(g.rate)
+	split := capacity
+	if g.shared {
+		split = min(rate, capacity)
 	}
-	if capacity < rem {
-		rem = capacity
+	r := split / n //mcdlalint:allow floatguard -- fillClock runs only with flows on the clock, so n >= 1
+	if !g.shared && n*rate <= capacity {
+		r = rate
 	}
-	rate, left := float64(g.rate), n
-	total, next := units.Bandwidth(0), math.Inf(1)
+	c.rate = units.Bandwidth(r)
+	c.settle(units.Bandwidth(n*r), c.clockNext())
+}
+
+// clockNext reports the time until the heap minimum completes at the
+// clock's rate, with completesIn's residue rule.
+func (c *Channel) clockNext() float64 {
+	return max(c.flows[0].remaining-c.served, byteEpsilon) / float64(c.rate) //mcdlalint:allow floatguard -- fillClock sets a positive rate: a positive capacity or group rate over n >= 1
+}
+
+// enterClock puts the flow table, every flow in the home class, on the
+// virtual clock. served restarts at 0, so each flow's tag is its remaining
+// bytes, and the table is heapified in place.
+func (c *Channel) enterClock() {
+	if c.clock {
+		return
+	}
+	c.stats.Visits += len(c.flows)
+	c.clock, c.served = true, 0
+	for i := len(c.flows)/2 - 1; i >= 0; i-- {
+		c.down(i)
+	}
+}
+
+// leaveClock takes the flows off the virtual clock, for a flow outside the
+// home class to join them on the general route: the heap is sorted back
+// into start order in place, each tag becoming what it has left to move.
+func (c *Channel) leaveClock() {
+	if !c.clock {
+		return
+	}
+	c.clock = false
+	c.stats.Visits += len(c.flows)
+	slices.SortFunc(c.flows, func(a, b flow) int { return cmp.Compare(a.id, b.id) })
 	for i := range c.flows {
-		f := &c.flows[i]
-		share := rem / float64(left) //mcdlalint:allow floatguard -- left counts down from the set's member count, one per flow, so left >= 1 here
-		r := rate
-		if share < r {
-			r = share
-		}
-		rem -= r
-		left--
-		f.rate = units.Bandwidth(r)
-		total += f.rate
-		next = min(next, f.completesIn())
+		c.flows[i].remaining = max(c.flows[i].remaining-c.served, 0)
 	}
-	c.settle(total, next)
+}
+
+// push adds a flow to the heap.
+func (c *Channel) push(f flow) {
+	c.stats.Visits++
+	c.flows = append(c.flows, f)
+	for i := len(c.flows) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !c.flows[i].before(&c.flows[up]) {
+			break
+		}
+		c.flows[i], c.flows[up] = c.flows[up], c.flows[i]
+		i = up
+	}
+}
+
+// pop removes the heap minimum and returns its stamp index.
+func (c *Channel) pop() int32 {
+	c.stats.Visits++
+	id, last := c.flows[0].id, len(c.flows)-1
+	c.flows[0] = c.flows[last]
+	c.flows = c.flows[:last]
+	c.down(0)
+	return id
+}
+
+// down sifts heap entry i down to its place.
+func (c *Channel) down(i int) {
+	for {
+		least := i
+		for _, k := range [2]int{2*i + 1, 2*i + 2} {
+			if k < len(c.flows) && c.flows[k].before(&c.flows[least]) {
+				least = k
+			}
+		}
+		if least == i {
+			return
+		}
+		c.flows[i], c.flows[least] = c.flows[least], c.flows[i]
+		i = least
+	}
+}
+
+// serve moves the virtual clock's flows dt forward at their one rate:
+// served grows by the bytes one flow moves, and TotalBytes by what all of
+// them move, a flow with fewer bytes left than that moving only those.
+func (c *Channel) serve(dt units.Time) {
+	moved := float64(c.rate) * float64(dt)
+	n, left := c.short(0, moved)
+	if kept := len(c.flows) - n; kept > 0 {
+		left += float64(kept) * moved
+	}
+	c.stats.TotalBytes += left
+	c.served += moved
+}
+
+// short counts the heap entries at or below i with fewer than moved bytes
+// left and sums the bytes they have left. No entry has more left than the
+// entries below it, so the walk stops at the first with moved or more:
+// usually the root, or the flows about to complete.
+func (c *Channel) short(i int, moved float64) (n int, left float64) {
+	if i >= len(c.flows) {
+		return 0, 0
+	}
+	own := c.flows[i].remaining - c.served
+	if own >= moved {
+		return 0, 0
+	}
+	n1, left1 := c.short(2*i+1, moved)
+	n2, left2 := c.short(2*i+2, moved)
+	return 1 + n1 + n2, max(own, 0) + left1 + left2
 }
 
 // settle caches a fill's next-completion delta and folds its total into
@@ -481,10 +580,22 @@ func (c *Channel) Start(t units.Time, g Group, size units.Bytes, extra units.Tim
 		c.stamps[h.id] = c.now + extra
 		return h
 	}
-	if g.id == c.homeGroup && pri == c.homePri {
-		c.homeN++
+	if len(c.flows) == 0 {
+		c.homeGroup, c.homePri, c.clock, c.served = g.id, pri, true, 0
 	}
-	c.flows = append(c.flows, flow{remaining: float64(size), pri: pri, group: int32(g.id), id: int32(h.id)})
+	f := flow{remaining: float64(size), pri: pri, group: int32(g.id), id: int32(h.id)}
+	switch {
+	case g.id != c.homeGroup || pri != c.homePri:
+		c.leaveClock()
+		c.flows = append(c.flows, f)
+	case c.clock:
+		c.homeN++
+		f.remaining += c.served
+		c.push(f)
+	default:
+		c.homeN++
+		c.flows = append(c.flows, f)
+	}
 	c.allocate()
 	return h
 }
@@ -542,7 +653,11 @@ func (c *Channel) drainNearest(step units.Time) {
 // current rates. At least one flow must be active. allocate leaves the delta
 // cached; progress and forceDrainNearest, which move bytes, drop it.
 func (c *Channel) nextCompletionDelta() units.Time {
-	if !c.nextOK {
+	switch {
+	case c.nextOK:
+	case c.clock:
+		c.next, c.nextOK = units.Time(c.clockNext()), true
+	default:
 		c.stats.Visits += len(c.flows)
 		next := math.Inf(1)
 		for i := range c.flows {
@@ -569,8 +684,17 @@ func (f *flow) completesIn() float64 {
 }
 
 // forceDrainNearest zeroes the remaining bytes of the flow closest to
-// completion, breaking sub-resolution stalls.
+// completion, breaking sub-resolution stalls. On the virtual clock that is
+// the heap minimum, whose tag drops to served if above it: the heap order
+// holds, since every other tag is at least its old one.
 func (c *Channel) forceDrainNearest() {
+	if c.clock {
+		f := &c.flows[0]
+		c.stats.TotalBytes += max(f.remaining-c.served, 0)
+		f.remaining = min(f.remaining, c.served)
+		c.nextOK = false
+		return
+	}
 	c.stats.Visits += len(c.flows)
 	nearest := -1
 	best := math.Inf(1)
@@ -597,6 +721,11 @@ func (c *Channel) progress(dt units.Time) {
 		return
 	}
 	c.nextOK = false
+	c.stats.BusyTime += dt
+	if c.clock {
+		c.serve(dt)
+		return
+	}
 	c.stats.Visits += len(c.flows)
 	total := c.stats.TotalBytes
 	for i := range c.flows {
@@ -609,7 +738,6 @@ func (c *Channel) progress(dt units.Time) {
 		total += moved
 	}
 	c.stats.TotalBytes = total
-	c.stats.BusyTime += dt
 }
 
 // byteEpsilon is the residue below which a flow counts as drained. Flow
@@ -623,10 +751,25 @@ const byteEpsilon = 0.5
 // completes, stamped at the channel clock, and leaves the flow table. The
 // flows ahead of the first completion keep their slots untouched. The
 // channel then re-fills. advance(0) moves nothing and only sweeps: at an
-// infinite rate, rate·0 would be NaN.
+// infinite rate, rate·0 would be NaN. On the virtual clock the sweep pops
+// the heap while its minimum has at most byteEpsilon left.
 func (c *Channel) advance(dt units.Time) {
+	if dt > 0 {
+		c.stats.BusyTime += dt
+	}
+	if c.clock {
+		if dt > 0 {
+			c.serve(dt)
+		}
+		for len(c.flows) > 0 && c.flows[0].remaining-c.served <= byteEpsilon {
+			c.complete(c.pop())
+			c.homeN--
+		}
+		c.allocate()
+		return
+	}
 	c.stats.Visits += len(c.flows)
-	total, latest := c.stats.TotalBytes, c.latest
+	total := c.stats.TotalBytes
 	kept := 0
 	for i := range c.flows {
 		f := &c.flows[i]
@@ -639,9 +782,7 @@ func (c *Channel) advance(dt units.Time) {
 			total += moved
 		}
 		if f.remaining <= byteEpsilon {
-			at := c.now - c.stamps[f.id] // now + extra
-			c.stamps[f.id] = at
-			latest = max(latest, at)
+			c.complete(f.id)
 			if int(f.group) == c.homeGroup && f.pri == c.homePri {
 				c.homeN--
 			}
@@ -653,11 +794,16 @@ func (c *Channel) advance(dt units.Time) {
 		kept++
 	}
 	c.flows = c.flows[:kept]
-	c.stats.TotalBytes, c.latest = total, latest
-	if dt > 0 {
-		c.stats.BusyTime += dt
-	}
+	c.stats.TotalBytes = total
 	c.allocate()
+}
+
+// complete stamps the flow with stamp index id, drained at the channel
+// clock, as completed, and tracks the latest stamp for Drain.
+func (c *Channel) complete(id int32) {
+	at := c.now - c.stamps[id] // now + extra
+	c.stamps[id] = at
+	c.latest = max(c.latest, at)
 }
 
 // Wait advances the channel until flow f completes and returns the time the

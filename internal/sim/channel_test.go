@@ -271,7 +271,7 @@ func TestPropertyAllocationRespectsCaps(t *testing.T) {
 			lone(ch, 0, units.GB, r, 0)
 		}
 		var sum units.Bandwidth
-		for _, fl := range ch.flows {
+		for _, fl := range flowsInFlight(ch) {
 			if fl.rate > ch.groups[fl.group].rate+1 {
 				return false
 			}
@@ -473,7 +473,7 @@ func TestLowerClassTakesLeftover(t *testing.T) {
 		ch.Start(0, dma, gb(10), 0, pri)
 	}
 	for i, want := range []float64{5, 10, 10} {
-		if got := ch.flows[i].rate.GBps(); !almostEqual(got, want, 1e-9) {
+		if got := flowsInFlight(ch)[i].rate.GBps(); !almostEqual(got, want, 1e-9) {
 			t.Errorf("class %d flow moves at %g GB/s, want %g", i, got, want)
 		}
 	}

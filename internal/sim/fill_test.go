@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/memcentric/mcdla/internal/units"
@@ -27,7 +29,9 @@ type refFlow struct {
 // one-pass member fill replaced: the top-level fill across groups, then in
 // each group a stable sort by descending priority and an ascending-cap fill
 // per class, each class taking what the classes above it left, with
-// referenceFill at both levels. Its event step is the one the fused
+// referenceFill at both levels. It keeps a remaining byte count per flow
+// and fills a one-class set like any other, by serial division, where the
+// channel runs its virtual clock. Its event step is the one the fused
 // move-and-reap pass replaced: every flow moves, then a separate sweep
 // stamps and drops the drained ones. It tallies what it walks through in
 // cov.
@@ -184,7 +188,7 @@ func (r *refChannel) reap() {
 	var head, middle, tail bool
 	var kept []*refFlow
 	for i, f := range r.flows {
-		if f.remaining > byteEpsilon {
+		if !r.drained(f) {
 			kept = append(kept, f)
 			continue
 		}
@@ -206,6 +210,21 @@ func (r *refChannel) reap() {
 	}
 	r.flows = kept
 	r.fill()
+}
+
+// drained reports whether the reap takes f: whether at most byteEpsilon
+// bytes are left, except within rounding of byteEpsilon. There the
+// channel's served count and the reference's own count can fall on either
+// side (flows whose exact remainders differ by byteEpsilon, as repeated
+// staggered starts leave, complete one step apart or together), so the
+// reference takes f exactly when the channel completed it at this instant.
+// The band is lockstepTol of the bytes moved so far, the scale of the
+// served count's rounding.
+func (r *refChannel) drained(f *refFlow) bool {
+	if math.Abs(f.remaining-byteEpsilon) > lockstepTol*r.total {
+		return f.remaining <= byteEpsilon
+	}
+	return f.f.Done() && near(float64(f.f.DoneAt()), float64(r.now+f.extra))
 }
 
 func (r *refChannel) advanceTo(t units.Time) {
@@ -406,30 +425,57 @@ func (c fillCoverage) complete() bool {
 		c.forced > 0 && c.drains > 0
 }
 
+// lockstepTol is the relative tolerance checkLockstep holds the channel
+// to. The virtual clock gives a one-class set one rate where the reference
+// divides serially, and keeps one served count where the reference keeps
+// a byte count per flow, so the two agree to rounding, not to the bit.
+const lockstepTol = 1e-12
+
+// near reports whether a and b agree to lockstepTol, relative to the
+// larger of the two.
+func near(a, b float64) bool {
+	return a == b || math.Abs(a-b) <= lockstepTol*max(math.Abs(a), math.Abs(b))
+}
+
 // same reports whether a and b have the same bits.
 func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// flowsInFlight lists ch's flows in flight in start order. On the virtual
+// clock each has tag − served bytes left at the clock's one rate.
+func flowsInFlight(ch *Channel) []flow {
+	fs := slices.Clone(ch.flows)
+	if ch.clock {
+		for i := range fs {
+			fs[i].remaining, fs[i].rate = max(fs[i].remaining-ch.served, 0), ch.rate
+		}
+		slices.SortFunc(fs, func(a, b flow) int { return cmp.Compare(a.id, b.id) })
+	}
+	return fs
+}
+
 // checkLockstep compares a channel with the reference channel after an
-// event, by their bits: the flow table against the reference's flow list
-// (each flow's stamp, group, class, rate and remaining bytes), every
-// started flow's completion, the clock, PeakRate, TotalBytes and BusyTime,
-// and the channel's cached next-completion delta with a fresh scan of the
+// event: the flows in flight against the reference's flow list (each
+// flow's stamp, group and class exactly, its rate to lockstepTol), every
+// started flow's completion (whether done exactly, when to lockstepTol),
+// and to lockstepTol the clock, PeakRate, TotalBytes, BusyTime and the
+// time of the channel's cached next completion against a fresh scan of the
 // reference. It tallies the classes in flight in the reference's coverage.
 func checkLockstep(tb testing.TB, ch *Channel, ref *refChannel, event string, n int) {
 	tb.Helper()
-	if len(ch.flows) != len(ref.flows) {
-		tb.Fatalf("%s %d: %d flows in flight, reference %d", event, n, len(ch.flows), len(ref.flows))
+	flows := flowsInFlight(ch)
+	if len(flows) != len(ref.flows) {
+		tb.Fatalf("%s %d: %d flows in flight, reference %d", event, n, len(flows), len(ref.flows))
 	}
 	top := map[int]int{}
 	class := map[[2]int]int{}
 	for i, rf := range ref.flows {
-		f := ch.flows[i]
+		f := flows[i]
 		if int(f.id) != rf.f.id || int(f.group) != rf.group || f.pri != rf.pri {
 			tb.Fatalf("%s %d: flow %d is not the reference's", event, n, i)
 		}
-		if !same(float64(f.rate), rf.rate) || !same(f.remaining, rf.remaining) {
-			tb.Fatalf("%s %d, flow %d (group %d, class %d): rate %v with %v bytes left, reference %v with %v",
-				event, n, i, f.group, f.pri, float64(f.rate), f.remaining, rf.rate, rf.remaining)
+		if !near(float64(f.rate), rf.rate) {
+			tb.Fatalf("%s %d, flow %d (group %d, class %d): rate %v, reference %v",
+				event, n, i, f.group, f.pri, float64(f.rate), rf.rate)
 		}
 		if p, ok := top[rf.group]; !ok || rf.pri > p {
 			top[rf.group] = rf.pri
@@ -437,7 +483,7 @@ func checkLockstep(tb testing.TB, ch *Channel, ref *refChannel, event string, n 
 		class[[2]int{rf.group, rf.pri}]++
 	}
 	for i, rf := range ref.all {
-		if rf.f.Done() != rf.done || rf.done && !same(float64(rf.f.DoneAt()), float64(rf.doneAt)) {
+		if rf.f.Done() != rf.done || rf.done && !near(float64(rf.f.DoneAt()), float64(rf.doneAt)) {
 			tb.Fatalf("%s %d, flow %d: done %v at %v, reference %v at %v", event, n, i, rf.f.Done(), rf.f.DoneAt(), rf.done, rf.doneAt)
 		}
 	}
@@ -450,12 +496,12 @@ func checkLockstep(tb testing.TB, ch *Channel, ref *refChannel, event string, n 
 		{"bytes moved", ch.stats.TotalBytes, ref.total},
 		{"busy time", float64(ch.stats.BusyTime), float64(ref.busy)},
 	} {
-		if !same(v.got, v.want) {
+		if !near(v.got, v.want) {
 			tb.Fatalf("%s %d: %s %v, reference %v", event, n, v.name, v.got, v.want)
 		}
 	}
-	if ch.nextOK && len(ch.flows) > 0 && !same(float64(ch.next), ref.next()) {
-		tb.Fatalf("%s %d: cached next completion in %v, reference %v", event, n, ch.next, ref.next())
+	if ch.nextOK && len(flows) > 0 && !near(float64(ch.now+ch.next), float64(ref.now)+ref.next()) {
+		tb.Fatalf("%s %d: cached next completion at %v, reference %v", event, n, ch.now+ch.next, float64(ref.now)+ref.next())
 	}
 	spent, leftover := map[int]bool{}, map[int]bool{}
 	for _, f := range ref.flows {
@@ -495,7 +541,7 @@ func checkFill(tb testing.TB, data []byte, cov *fillCoverage) {
 	}
 	for i, s := range run.starts {
 		at := ch.now
-		if s.staggered && len(ch.flows) > 0 {
+		if s.staggered && len(flowsInFlight(ch)) > 0 {
 			at += units.Time(ref.next() / 2)
 			ch.AdvanceTo(at)
 			ref.advanceTo(at)
@@ -505,18 +551,18 @@ func checkFill(tb testing.TB, data []byte, cov *fillCoverage) {
 		ref.start(at, f, s)
 		check("start", i)
 	}
-	if run.drain && len(ch.flows) > 0 {
+	if run.drain && len(flowsInFlight(ch)) > 0 {
 		// Drain from past the next completion: a flow that lands on the
 		// way to at, whose extra latency may run past at, is not one
 		// Drain waits for.
 		at := ch.now + units.Time(ref.next()*3/2)
-		if got, want := ch.Drain(at), ref.drain(at); !same(float64(got), float64(want)) {
+		if got, want := ch.Drain(at), ref.drain(at); !near(float64(got), float64(want)) {
 			tb.Fatalf("Drain returned %v, reference %v", got, want)
 		}
 		check("drain", 0)
 		return
 	}
-	for step := 0; len(ch.flows) > 0; step++ {
+	for step := 0; len(flowsInFlight(ch)) > 0; step++ {
 		ch.advanceToNextCompletion()
 		ref.advanceToNextCompletion()
 		check("completion", step)
@@ -539,27 +585,31 @@ func TestFillMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFillClassTransitions drives the home class, whose flows fill in one
-// pass with no counting, through its transitions in lockstep with the
-// reference channel. Two flows of the first group's class 0, home from the
-// start, start the channel, with a zero-size start between them; a flow of
-// another group joins them. The home class drains while the other stays in
-// flight, and the general fill that finds one class makes it home. A
-// same-instant start keeps the one class, a higher class in its group
-// mixes the set again, and the channel drains empty. Then a new class
-// starts it, its first fill making it home, around another zero-size
-// start.
+// TestFillClassTransitions drives the virtual clock, which carries the
+// flows while all of them sit in the home class, through its transitions
+// in lockstep with the reference channel. Two flows of the first group's
+// class 0 start the channel on the clock, with a zero-size start of
+// another class between them; the clock runs part way, and a flow of
+// another group takes the flows off it, each with what its tag had left.
+// The home class drains while the other stays in flight, and the general
+// fill that finds one class puts it on the clock as the home class. A
+// same-instant start keeps the one class, and a higher class in its group
+// takes the flows off the clock until it completes, when the completion
+// step puts them back. The channel drains empty; a new class then starts
+// it on the clock around another zero-size start.
 func TestFillClassTransitions(t *testing.T) {
 	ch := NewChannel("host", units.GBps(100))
 	a := ch.Group(units.GBps(40), false)
 	b := ch.Group(units.GBps(30), true)
 	ref := newRefChannel(ch, &fillCoverage{})
 	step := 0
-	start := func(at units.Time, s fillStart) {
+	start := func(at units.Time, s fillStart) Flow {
 		t.Helper()
-		ref.start(at, ch.Start(at, s.group, s.size, s.extra, s.pri), s)
+		f := ch.Start(at, s.group, s.size, s.extra, s.pri)
+		ref.start(at, f, s)
 		checkLockstep(t, ch, ref, "start", step)
 		step++
+		return f
 	}
 	complete := func() {
 		t.Helper()
@@ -568,41 +618,44 @@ func TestFillClassTransitions(t *testing.T) {
 		checkLockstep(t, ch, ref, "completion", step)
 		step++
 	}
-	home := func(g Group, pri int, oneClass bool) {
+	mode := func(g Group, pri, inFlight int, onClock bool) {
 		t.Helper()
-		if ch.homeGroup != g.id || ch.homePri != pri || (ch.homeN == len(ch.flows)) != oneClass {
-			t.Fatalf("step %d: home group %d class %d holds %d of %d flows; want group %d class %d, one class %v",
-				step, ch.homeGroup, ch.homePri, ch.homeN, len(ch.flows), g.id, pri, oneClass)
+		if n := len(flowsInFlight(ch)); ch.homeGroup != g.id || ch.homePri != pri || n != inFlight || ch.clock != onClock {
+			t.Fatalf("step %d: home group %d class %d, %d flows in flight, on the clock %v; want group %d class %d, %d in flight, on the clock %v",
+				step, ch.homeGroup, ch.homePri, n, ch.clock, g.id, pri, inFlight, onClock)
 		}
 	}
 
 	start(0, fillStart{group: a, size: gb(1)})
 	start(0, fillStart{group: b, pri: 1, extra: 1e-3})
-	start(0, fillStart{group: a, size: gb(2)})
-	home(a, 0, true)
-	start(0, fillStart{group: b, size: gb(3)})
-	home(a, 0, false)
-	for ch.homeGroup == a.id && ch.homeN > 0 {
+	last := start(0, fillStart{group: a, size: gb(2)})
+	mode(a, 0, 2, true)
+	at := ch.now + units.Time(ref.next()/2)
+	ch.AdvanceTo(at)
+	ref.advanceTo(at)
+	checkLockstep(t, ch, ref, "advance", step)
+	start(at, fillStart{group: b, size: gb(3)})
+	mode(a, 0, 3, false)
+	for !last.Done() {
 		complete()
 	}
-	home(b, 0, true)
-	if len(ch.flows) != 1 {
-		t.Fatalf("%d flows in flight once the home class drained, want group b's one", len(ch.flows))
-	}
+	mode(b, 0, 1, true)
 	start(ch.now, fillStart{group: b, size: gb(1)})
-	home(b, 0, true)
+	mode(b, 0, 2, true)
 	start(ch.now, fillStart{group: b, pri: 2, size: gb(0.5)})
-	home(b, 0, false)
-	for len(ch.flows) > 0 {
+	mode(b, 0, 3, false)
+	complete()
+	mode(b, 0, 2, true)
+	for len(flowsInFlight(ch)) > 0 {
 		complete()
 	}
 
 	start(ch.now+1, fillStart{group: a, pri: 3, size: gb(1)})
-	home(a, 3, true)
+	mode(a, 3, 1, true)
 	start(ch.now, fillStart{group: a, extra: 2e-3})
 	start(ch.now, fillStart{group: a, pri: 3, size: gb(2)})
-	home(a, 3, true)
-	for len(ch.flows) > 0 {
+	mode(a, 3, 2, true)
+	for len(flowsInFlight(ch)) > 0 {
 		complete()
 	}
 }
@@ -628,8 +681,9 @@ func FuzzChannelFill(f *testing.F) {
 }
 
 // TestFillsCountsFlowSetChanges pins the work counter exactly: every start
-// and every completion re-fills the channel once, and a round over an empty
-// channel is free.
+// and every completion re-fills the channel once, moving the flows off the
+// virtual clock or onto it included, and a round over an empty channel is
+// free.
 func TestFillsCountsFlowSetChanges(t *testing.T) {
 	const n = 10
 	ch := NewChannel("burst", units.GBps(100))
@@ -642,11 +696,20 @@ func TestFillsCountsFlowSetChanges(t *testing.T) {
 	if got := ch.Stats().Fills; got != n {
 		t.Fatalf("%d same-instant starts then a Wait: %d fills, want %d", n, got, n)
 	}
+	lone(ch, 0, gb(0.001), units.GBps(100), 0) // takes the burst off the clock
+	before := ch.Stats().Fills
+	for i := 0; i < n; i++ {
+		ch.Start(0, burst, gb(1), 0, 0)
+	}
+	ch.Drain(0) // the lone flow completes first, then the burst together
+	if got := ch.Stats().Fills - before; got != n+1 {
+		t.Fatalf("%d starts beside another group's flow, then a Drain: %d fills, want %d", n, got, n+1)
+	}
 
 	ch = NewChannel("handoff", units.GBps(100))
 	a := lone(ch, 0, gb(1), units.GBps(100), 0)
 	lone(ch, 0, gb(10), units.GBps(100), 0)
-	before := ch.Stats().Fills
+	before = ch.Stats().Fills
 	end := ch.Wait(0, a)
 	lone(ch, end, gb(1), units.GBps(100), 0)
 	if got := ch.Stats().Fills - before; got != 2 {
@@ -654,10 +717,13 @@ func TestFillsCountsFlowSetChanges(t *testing.T) {
 	}
 }
 
-// TestVisitsCountsPasses pins the visit counter exactly on a one-group,
-// one-class flow set: a fill is one pass over the flows (the channel keeps
-// its class count current, so no counting pass runs) and a completion step
-// one (move and reap), while a cached next-completion delta costs none.
+// TestVisitsCountsPasses pins the visit counter exactly. On the virtual
+// clock a start is one push and a completion one pop, whatever the number
+// in flight, and a cached next completion costs none. A flow of another
+// group takes the n flows off the clock in one pass over them, and the
+// general fill then makes a counting pass and a fill pass over all n+1. Its
+// completion is one move-and-reap pass, and the n flows it leaves go back
+// on the clock in one more. Their completion together is n pops.
 func TestVisitsCountsPasses(t *testing.T) {
 	const n = 10
 	ch := NewChannel("burst", units.GBps(100))
@@ -666,28 +732,110 @@ func TestVisitsCountsPasses(t *testing.T) {
 	for i := 0; i < n; i++ {
 		last = ch.Start(0, burst, gb(1), 0, 0)
 	}
-	if got, want := ch.Stats().Visits, n*(n+1)/2; got != want {
-		t.Fatalf("%d same-instant starts: %d visits, want 1+…+%d = %d", n, got, n, want)
+	if got := ch.Stats().Visits; got != n {
+		t.Fatalf("%d same-instant starts: %d visits, want %d", n, got, n)
+	}
+	other := lone(ch, 0, gb(0.001), units.GBps(100), 0)
+	if got, want := ch.Stats().Visits, n+n+2*(n+1); got != want {
+		t.Fatalf("then a start in another group: %d visits, want %d", got, want)
+	}
+	ch.Wait(0, other)
+	if got, want := ch.Stats().Visits, 4*n+2+(n+1)+n; got != want {
+		t.Fatalf("then its completion: %d visits, want %d", got, want)
 	}
 	ch.Wait(0, last) // all n complete in one step, leaving the channel empty
-	if got, want := ch.Stats().Visits, n*(n+1)/2+n; got != want {
+	if got, want := ch.Stats().Visits, 6*n+3+n; got != want {
 		t.Fatalf("then one completion step: %d visits, want %d", got, want)
 	}
 }
 
 // TestPeakRateCountsZeroDurationStates: PeakRate is the largest rounded
 // total over every flow set the channel held, including sets that last zero
-// simulated time. On a 16 GB/s channel, three equal flows' shares sum to one
-// ulp above capacity while one, two or four sum to it exactly, so starting
-// four flows at one instant peaks only in the passing three-flow state. A
-// fill deferred to the next rate read would skip that state.
+// simulated time. On a 15 GB/s channel, eleven equal shares of one group
+// sum to an ulp above capacity, while one to ten or twelve sum to at most
+// capacity, so starting twelve flows at one instant peaks only in the
+// passing eleven-flow state. A fill deferred to the next rate read would
+// skip that state.
 func TestPeakRateCountsZeroDurationStates(t *testing.T) {
-	ch := NewChannel("host", units.GBps(16))
-	for i := 0; i < 4; i++ {
-		lone(ch, 0, gb(1), units.GBps(16), 0)
+	ch := NewChannel("host", units.GBps(15))
+	dma := ch.Group(units.GBps(15), false)
+	for i := 0; i < 12; i++ {
+		ch.Start(0, dma, gb(1), 0, 0)
 	}
 	ch.Drain(0)
 	if peak := ch.Stats().PeakRate; peak <= ch.Capacity() {
-		t.Fatalf("peak rate %v, want the three-flow state's total just above capacity %v", float64(peak), float64(ch.Capacity()))
+		t.Fatalf("peak rate %v, want the eleven-flow state's total just above capacity %v", float64(peak), float64(ch.Capacity()))
+	}
+}
+
+// TestOneClassVirtualClock checks the virtual clock against closed-form
+// finish times. n flows of one group start together, the k-th of k GB, so
+// the k-th finishes 1 GB after the (k−1)-th at the rate the n−k+1 flows
+// then in flight each get: the lesser of the rate and an equal split of
+// the capacity for an unshared group, an equal split of the lesser of the
+// two for a shared one. TotalBytes must equal the bytes started, and eight
+// concurrent runs must match a serial run bit for bit.
+func TestOneClassVirtualClock(t *testing.T) {
+	const n = 8
+	capacity := units.GBps(100)
+	for _, tc := range []struct {
+		rate   units.Bandwidth
+		shared bool
+	}{{units.GBps(30), false}, {units.GBps(60), true}, {units.GBps(150), true}} {
+		run := func() ([]units.Time, ChannelStats) {
+			ch := NewChannel("host", capacity)
+			g := ch.Group(tc.rate, tc.shared)
+			var flows []Flow
+			for k := 1; k <= n; k++ {
+				flows = append(flows, ch.Start(0, g, gb(float64(k)), 0, 0))
+			}
+			ch.Drain(0)
+			var done []units.Time
+			for _, f := range flows {
+				done = append(done, f.DoneAt())
+			}
+			return done, ch.Stats()
+		}
+		done, stats := run()
+		var at float64
+		for k := 1; k <= n; k++ {
+			m := float64(n - k + 1)
+			r := min(float64(tc.rate), float64(capacity)/m)
+			if tc.shared {
+				r = min(float64(tc.rate), float64(capacity)) / m
+			}
+			at += 1e9 / r
+			if !near(float64(done[k-1]), at) {
+				t.Errorf("rate %v shared %v: flow %d finished at %v, want %v", tc.rate.GBps(), tc.shared, k, done[k-1], at)
+			}
+		}
+		if want := float64(gb(n * (n + 1) / 2)); !near(stats.TotalBytes, want) {
+			t.Errorf("rate %v shared %v: moved %v bytes, want %v", tc.rate.GBps(), tc.shared, stats.TotalBytes, want)
+		}
+		if !near(float64(stats.BusyTime), at) {
+			t.Errorf("rate %v shared %v: busy %v, want %v", tc.rate.GBps(), tc.shared, stats.BusyTime, at)
+		}
+
+		var wg sync.WaitGroup
+		runs := make([][]units.Time, 8)
+		runStats := make([]ChannelStats, 8)
+		for i := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runs[i], runStats[i] = run()
+			}()
+		}
+		wg.Wait()
+		for i := range runs {
+			for k := range done {
+				if !same(float64(runs[i][k]), float64(done[k])) {
+					t.Fatalf("concurrent run %d: flow %d finished at %v, serial run at %v", i, k+1, runs[i][k], done[k])
+				}
+			}
+			if runStats[i] != stats {
+				t.Fatalf("concurrent run %d: stats %+v, serial run %+v", i, runStats[i], stats)
+			}
+		}
 	}
 }
