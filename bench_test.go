@@ -33,6 +33,7 @@ import (
 	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/scaleout"
 	"github.com/memcentric/mcdla/internal/sim"
+	"github.com/memcentric/mcdla/internal/store"
 	"github.com/memcentric/mcdla/internal/trace"
 	"github.com/memcentric/mcdla/internal/train"
 	"github.com/memcentric/mcdla/internal/units"
@@ -781,6 +782,62 @@ func BenchmarkFleetCold(b *testing.B) {
 	}
 	b.ReportMetric(float64(graphs)/float64(b.N), "graphs/op")
 	b.ReportMetric(float64(plans)/float64(b.N), "plans/op")
+}
+
+// BenchmarkRunStoreHit serves `/v1/run` requests from the durable store:
+// set-up simulates twelve points into a store behind an engine whose memo
+// holds four, and each op cycles once through the points with
+// experiments.RunReportFor, so every request misses the memo and is
+// answered by store.Load. graphs/op is exact: a store hit builds no graph
+// for the resident-weights line.
+func BenchmarkRunStoreHit(b *testing.B) {
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { experiments.SetOptions(runner.Options{}) })
+	experiments.SetOptions(runner.Options{Parallelism: 1, CacheEntries: 4, Store: st})
+	d, err := core.DesignByName("MC-DLA(B)")
+	if err != nil {
+		b.Fatal(err)
+	}
+	type point struct {
+		workload string
+		strategy train.Strategy
+		batch    int
+		prec     train.Precision
+	}
+	var points []point
+	for _, w := range []string{"AlexNet", "VGG-E", "RNN-GRU"} {
+		for _, strategy := range []train.Strategy{train.DataParallel, train.ModelParallel} {
+			for _, prec := range []train.Precision{train.FP16, train.Mixed} {
+				points = append(points, point{w, strategy, 256, prec})
+			}
+		}
+	}
+	serve := func() {
+		for _, p := range points {
+			if _, err := experiments.RunReportFor(context.Background(), d, p.workload, p.strategy, p.batch, 0, p.prec, experiments.Workers); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	serve()
+	hits0 := experiments.EngineStats().StoreHits
+	var graphs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graphs0, _ := train.Builds()
+		serve()
+		graphs1, _ := train.Builds()
+		graphs += graphs1 - graphs0
+	}
+	b.StopTimer()
+	if hits := experiments.EngineStats().StoreHits - hits0; hits != int64(b.N*len(points)) {
+		b.Fatalf("%d store hits for %d requests", hits, b.N*len(points))
+	}
+	b.ReportMetric(float64(graphs)/float64(b.N), "graphs/op")
 }
 
 // obsBatch is how many calls one op of the obs hot-path benchmarks makes.

@@ -7,6 +7,7 @@ import (
 	"github.com/memcentric/mcdla/internal/fleet"
 	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/scaleout"
+	"github.com/memcentric/mcdla/internal/store"
 	"github.com/memcentric/mcdla/internal/train"
 )
 
@@ -136,6 +137,65 @@ func TestColdRequestBuildsEachNetworkOnce(t *testing.T) {
 		}
 		if want := int64(len(plans)); planned != want {
 			t.Errorf("%s: built %d plans for %d distinct (network, oracle) pairs", c.name, planned, want)
+		}
+	}
+}
+
+// TestStoreHitBuildsNoGraph pins the /v1/run store-hit path: on an engine
+// whose memo bound is smaller than the cycled set of points, every request
+// after the first pass misses the memo and is answered by the store, and
+// once each (workload, seqlen) has been seen, RunReportFor builds no graph
+// for the resident-weights line.
+func TestStoreHitBuildsNoGraph(t *testing.T) {
+	ctx := context.Background()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { SetOptions(runner.Options{}) })
+	// Both (workload, seqlen) keys fit the bound of three; the eight points
+	// do not.
+	SetOptions(runner.Options{Parallelism: 1, CacheEntries: 3, Store: st})
+	type point struct {
+		workload string
+		strategy train.Strategy
+		batch    int
+		seqlen   int
+	}
+	var points []point
+	for _, p := range []struct {
+		workload string
+		seqlen   int
+	}{{"AlexNet", 0}, {"BERT-Large", 128}} {
+		for _, strategy := range []train.Strategy{train.DataParallel, train.ModelParallel} {
+			for _, batch := range []int{64, 128} {
+				points = append(points, point{p.workload, strategy, batch, p.seqlen})
+			}
+		}
+	}
+	d := mustDesign("MC-DLA(B)")
+	serve := func() {
+		for _, p := range points {
+			if _, err := RunReportFor(ctx, d, p.workload, p.strategy, p.batch, p.seqlen, train.FP16, Workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serve() // cold: every point simulated and written to the store
+	if s := EngineStats(); s.Simulated != int64(len(points)) {
+		t.Fatalf("cold pass simulated %d of %d points", s.Simulated, len(points))
+	}
+	for pass := 0; pass < 2; pass++ {
+		before := EngineStats()
+		graphs0, _ := train.Builds()
+		serve()
+		graphs1, _ := train.Builds()
+		after := EngineStats()
+		if hits := after.StoreHits - before.StoreHits; hits != int64(len(points)) {
+			t.Fatalf("pass %d: %d store hits for %d requests", pass, hits, len(points))
+		}
+		if graphs := graphs1 - graphs0; graphs != 0 {
+			t.Fatalf("pass %d: %d store hits built %d graphs", pass, len(points), graphs)
 		}
 	}
 }

@@ -92,6 +92,15 @@ func schedule(j runner.Job) (*train.Schedule, error) {
 	return e.Schedule(j)
 }
 
+// weightBytes returns the engine's memoized weight footprint of a job's
+// model, which a store hit reads without building a graph.
+func weightBytes(j runner.Job) (int64, error) {
+	engineMu.Lock()
+	e := engine
+	engineMu.Unlock()
+	return e.WeightBytes(j)
+}
+
 // network returns the engine's memoized network of a workload at a
 // per-device batch, sharing the graph build with every schedule on it.
 func network(workload string, deviceBatch, seqlen int) (*train.Network, error) {

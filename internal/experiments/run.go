@@ -32,17 +32,17 @@ func RunReportFor(ctx context.Context, d core.Design, workload string, strategy 
 		return nil, err
 	}
 	r := rs[0]
-	// The schedule comes from the engine's memo, so a cache-hit request
-	// does not rebuild the workload graph just for the resident-weights
-	// line.
-	s, err := schedule(job)
+	// The weight footprint comes from the engine's memo, so neither a
+	// memo hit nor a store hit builds the workload graph just for the
+	// resident-weights line.
+	weights, err := weightBytes(job)
 	if err != nil {
 		return nil, err
 	}
 	// Resident parameter footprint: the fp16 compute copy at base size, or
 	// the fp32 master weights (Mixed/FP32) at twice it; model-parallel
 	// devices hold a 1/workers slice.
-	resident := units.Bytes(s.Graph.TotalWeightBytes() * prec.MasterScale())
+	resident := units.Bytes(weights * prec.MasterScale())
 	if strategy == train.ModelParallel {
 		resident = units.Bytes(int64(resident) / int64(workers))
 	}

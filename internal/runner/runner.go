@@ -71,6 +71,13 @@ type networkKey struct {
 	seqLen      int
 }
 
+// weightsKey identifies a model's parameter footprint, which depends on
+// the workload and its sequence length only, never on the batch.
+type weightsKey struct {
+	workload string
+	seqLen   int
+}
+
 // Update is one progress event, emitted after a job finishes (successfully,
 // from cache, or with an error). Callbacks are invoked serially.
 type Update struct {
@@ -146,6 +153,7 @@ type Engine struct {
 	results memo[Job, core.Result]
 	scheds  memo[scheduleKey, *train.Schedule]
 	nets    memo[networkKey, *train.Network]
+	weights memo[weightsKey, int64]
 }
 
 // New builds an Engine.
@@ -160,6 +168,7 @@ func New(opts Options) *Engine {
 		results:     newMemo[Job, core.Result](opts.CacheEntries),
 		scheds:      newMemo[scheduleKey, *train.Schedule](opts.CacheEntries),
 		nets:        newMemo[networkKey, *train.Network](opts.CacheEntries),
+		weights:     newMemo[weightsKey, int64](opts.CacheEntries),
 	}
 }
 
@@ -262,6 +271,26 @@ func (e *Engine) Schedule(j Job) (*train.Schedule, error) {
 		return train.BuildOn(net, j.Batch, j.Workers, j.Strategy, j.Precision)
 	})
 	return s, err
+}
+
+// WeightBytes returns the total weight bytes of j's model at j's sequence
+// length, memoized per (workload, seqlen): a request answered by the store
+// reads its resident-weights line without building a graph. A miss reads
+// the graph of j's memoized schedule, so a request that simulates j builds
+// no extra graph either. A job whose schedule fails to build is an error,
+// and the failure is not memoized: the key leaves out the batch, which can
+// make one job at a workload invalid and the next valid.
+func (e *Engine) WeightBytes(j Job) (int64, error) {
+	k := weightsKey{j.Workload, j.SeqLen}
+	if w, ok := e.weights.get(k); ok {
+		return w, nil
+	}
+	s, err := e.Schedule(j)
+	if err != nil {
+		return 0, err
+	}
+	w, _, err := e.weights.do(k, func() (int64, error) { return s.Graph.TotalWeightBytes(), nil })
+	return w, err
 }
 
 // Network returns the memoized network of a workload at a per-device batch
@@ -431,6 +460,20 @@ func (c *memo[K, V]) do(key K, f func() (V, error)) (V, bool, error) {
 	c.mu.Unlock()
 	close(en.done)
 	return en.val, false, en.err
+}
+
+// get returns key's value if a computation of it has completed without
+// error, refreshing its recency; it neither waits for nor starts one.
+func (c *memo[K, V]) get(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	en, ok := c.entries[key]
+	if !ok || !en.complete || en.err != nil {
+		var zero V
+		return zero, false
+	}
+	c.order.MoveToFront(en.elem)
+	return en.val, true
 }
 
 // evictLocked drops least-recently-used completed entries until the table

@@ -635,3 +635,92 @@ func TestConcurrentSimulationsShareOneNetwork(t *testing.T) {
 		}
 	}
 }
+
+// TestWeightBytesIndependentOfBatch justifies the weights memo's key: a
+// model's total weight bytes depend on its workload and sequence length
+// only, so the batch can stay out of the key. It checks every registry
+// workload at every batch from 1 to 1024 and at each sequence length the
+// workload accepts.
+func TestWeightBytesIndependentOfBatch(t *testing.T) {
+	for _, w := range append(dnn.BenchmarkNames(), dnn.TransformerNames()...) {
+		for _, seqlen := range []int{0, 128, 512} {
+			g, err := dnn.BuildSeq(w, 1, seqlen)
+			if err != nil {
+				continue // no sequence axis
+			}
+			want := g.TotalWeightBytes()
+			for batch := 2; batch <= 1024; batch++ {
+				g, err := dnn.BuildSeq(w, batch, seqlen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := g.TotalWeightBytes(); got != want {
+					t.Fatalf("%s seqlen %d: %d weight bytes at batch %d, %d at batch 1", w, seqlen, got, batch, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWeightBytesMemo: WeightBytes agrees with the model's graph from
+// many goroutines at once, builds no graph once its (workload, seqlen) is
+// memoized, whatever the batch and strategy, and does not memoize the
+// failure of a job whose batch cannot be split, so a valid job at the same
+// key still gets its value.
+func TestWeightBytesMemo(t *testing.T) {
+	e := New(Options{Parallelism: 4})
+	bad := Job{Workload: "AlexNet", Strategy: train.DataParallel, Batch: 100, Workers: 8}
+	if _, err := e.WeightBytes(bad); err == nil {
+		t.Fatal("WeightBytes of an indivisible batch succeeded")
+	}
+	var jobs []Job
+	for _, w := range []string{"AlexNet", "RNN-GRU", "BERT-Large"} {
+		for _, batch := range []int{64, 512} {
+			for _, strategy := range []train.Strategy{train.DataParallel, train.ModelParallel} {
+				jobs = append(jobs, Job{Workload: w, Strategy: strategy, Batch: batch, Workers: 8})
+			}
+		}
+	}
+	want := map[string]int64{}
+	for _, j := range jobs {
+		g, err := dnn.Build(j.Workload, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[j.Workload] = g.TotalWeightBytes()
+	}
+	graphs0, _ := train.Builds()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, j := range jobs {
+				got, err := e.WeightBytes(j)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[j.Workload] {
+					t.Errorf("%s batch %d %v: WeightBytes = %d, want %d", j.Workload, j.Batch, j.Strategy, got, want[j.Workload])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Goroutines that miss the same key together may each build their
+	// schedule, so the count is bounded rather than exact here.
+	graphs1, _ := train.Builds()
+	if graphs := graphs1 - graphs0; graphs > int64(len(jobs)) {
+		t.Fatalf("built %d graphs for %d jobs", graphs, len(jobs))
+	}
+	graphs0 = graphs1
+	for _, j := range jobs {
+		if _, err := e.WeightBytes(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if graphs1, _ := train.Builds(); graphs1 != graphs0 {
+		t.Fatalf("memoized WeightBytes built %d graphs", graphs1-graphs0)
+	}
+}

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -78,6 +80,89 @@ func FuzzStoreRoundTrip(f *testing.F) {
 			t.Fatalf("round trip changed the result:\ngot  %+v\nwant %+v", got, r)
 		}
 	})
+}
+
+// checkCanonical asserts that canonicalize reproduces the reference
+// decode and re-marshal of raw, a json.Marshal encoding, byte for byte.
+// The jobs passed in keep their Tag, so the tag string exercises the
+// string path too.
+func checkCanonical(t *testing.T, raw []byte) {
+	t.Helper()
+	want, err := canonicalizeJSON(raw)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	got, err := canonicalize(nil, raw)
+	if err != nil {
+		t.Fatalf("canonicalize: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("canonicalize disagrees with the reference:\ngot  %q\nwant %q", got, want)
+	}
+}
+
+// FuzzCanonicalJSON: the one-pass canonical encoding equals the generic
+// decode and re-marshal for arbitrary strings (escapes, control
+// characters, HTML characters, line separators, invalid UTF-8) and
+// floats at the edges of json.Marshal's number formats.
+func FuzzCanonicalJSON(f *testing.F) {
+	f.Add("VGG-E", "grid", "MC-DLA(B)", 512, 8, 0, 25.0, 2.5e-7)
+	f.Add("VGG\xff-E\xc3", "\xed\xa0\x80", "\\ufffd", 1<<62, -1, -99, math.Copysign(0, -1), 5e-324)
+	f.Add("<>&\u2028\u2029", "\"\\\x00\x1f\x7f", "\ufffd\b\f\n\r\t", -1<<63, 0, 4096, 1e21, 1e-7)
+	f.Add("", "", "", 0, 0, 0, 1e20, 123456789012345678.0)
+	f.Fuzz(func(t *testing.T, workload, tag, name string, batch, workers, seqlen int, virtGBps, alpha float64) {
+		j := fuzzJob(workload, tag, batch, workers, seqlen, uint8(batch), uint8(workers), virtGBps)
+		j.Design.Name = name
+		j.Design.Sync.StepAlpha = units.Time(alpha)
+		raw, err := json.Marshal(j)
+		if err != nil {
+			t.Skip("JSON cannot carry non-finite numbers")
+		}
+		checkCanonical(t, raw)
+	})
+}
+
+// TestCanonicalMatchesReference runs the canonical-encoding property over a
+// deterministic randomized corpus in every `go test` run: random strings
+// drawn from bytes that need escaping or are invalid UTF-8, and floats
+// from across the exponent range.
+func TestCanonicalMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []string{"a", "Z", "<", ">", "&", "\"", "\\", "/", "\x00", "\x1f", "\x7f",
+		"\xff", "\xc3", "\xed\xa0\x80", "\u2028", "\u2029", "\ufffd", `\ufffd`, "é", "\U0001F600"}
+	str := func() string {
+		var b []byte
+		for n := rng.Intn(8); n > 0; n-- {
+			b = append(b, alphabet[rng.Intn(len(alphabet))]...)
+		}
+		return string(b)
+	}
+	for i := 0; i < 2000; i++ {
+		j := fuzzJob(str(), str(), rng.Int()-rng.Int(), rng.Intn(64), rng.Intn(8192),
+			uint8(rng.Intn(8)), uint8(rng.Intn(8)), math.Ldexp(rng.Float64(), rng.Intn(2060)-1074))
+		j.Design.Name = str()
+		j.Design.Sync.StepAlpha = units.Time(-rng.ExpFloat64() * 1e-7)
+		raw, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCanonical(t, raw)
+	}
+}
+
+// TestCanonicalizeGenericDocument covers the shapes a job does not have:
+// arrays, empty containers, and map keys that need escaping or decode
+// alike (json.Marshal writes both invalid bytes below as one escape, and
+// the generic decode keeps the last).
+func TestCanonicalizeGenericDocument(t *testing.T) {
+	raw, err := json.Marshal(map[string]any{
+		"\xfe": 1, "\xff": 2, "<b>": []any{map[string]int{"z": 1, "\u2028": 2}, []int{}, nil},
+		"a": map[string]any{}, "é": "\"quoted\"", "\x01": []string{"\xc3", ""},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCanonical(t, raw)
 }
 
 // FuzzEntryDecode: arbitrary bytes — including corrupted and truncated

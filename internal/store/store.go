@@ -17,13 +17,15 @@
 // Every entry is written atomically (temp file + rename) and verified on
 // read: a version or hash mismatch, a checksum failure, or a truncated or
 // otherwise unparsable file is treated as a miss — never a panic, never a
-// wrong result. The canonical job encoding is JSON with sorted object keys
-// and a version tag folded into the hash, so a schema change invalidates
-// old entries cleanly and field order can never perturb the key.
+// wrong result. The canonical job encoding is the compact json.Marshal
+// encoding with every object's members sorted by key (byte order of the
+// decoded key, as encoding/json sorts map keys), built in one pass over the
+// marshalled bytes (canon.go). A version tag is folded into the hash, so a
+// schema change invalidates old entries cleanly and field order can never
+// perturb the key.
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -73,47 +75,37 @@ func (s *Store) Dir() string { return s.dir }
 
 // ------------------------------------------------------- canonical hashing
 
-// canonicalJSON returns v's canonical JSON: marshal, re-decode into generic
-// values with literal number preservation, and re-marshal — object keys come
-// out sorted and formatting is normalized, so two encodings of the same
-// value are byte-identical regardless of field order in the source.
-func canonicalJSON(v any) ([]byte, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return canonicalizeJSON(raw)
-}
-
-// canonicalizeJSON canonicalizes an existing JSON document (sorted keys,
-// normalized formatting, literal numbers preserved via json.Number).
-func canonicalizeJSON(raw []byte) ([]byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var generic any
-	if err := dec.Decode(&generic); err != nil {
-		return nil, err
-	}
-	return json.Marshal(generic)
-}
-
 // hashBytes is the store's content hash: hex SHA-256.
 func hashBytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// JobHash returns the job's content address: SHA-256 over the store version
-// tag and the canonical JSON of runner's Canonical form (the Tag label
-// cleared) — the Tag is progress-stream metadata, not a simulation input, so
-// jobs that differ only by label share one entry (exactly like the runner's
-// memo key).
-func JobHash(j runner.Job) (string, error) {
-	b, err := canonicalJSON(j.Canonical())
+// versionLine prefixes the canonical job JSON in every job hash.
+const versionLine = Version + "\n"
+
+// jobKey returns the job's content address and the canonical JSON of
+// runner's Canonical form (the Tag label cleared) that it hashes, the job as
+// a result entry records it. The Tag is progress-stream metadata, not a
+// simulation input, so jobs that differ only by label share one entry
+// (exactly like the runner's memo key).
+func jobKey(j runner.Job) (hash string, canon []byte, err error) {
+	raw, err := json.Marshal(j.Canonical())
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	return hashBytes(append([]byte(Version+"\n"), b...)), nil
+	b, err := canonicalize(append(make([]byte, 0, len(versionLine)+len(raw)), versionLine...), raw)
+	if err != nil {
+		return "", nil, err
+	}
+	return hashBytes(b), b[len(versionLine):], nil
+}
+
+// JobHash returns the job's content address: SHA-256 over the store version
+// tag and the canonical JSON of the job with its Tag cleared.
+func JobHash(j runner.Job) (string, error) {
+	hash, _, err := jobKey(j)
+	return hash, err
 }
 
 // --------------------------------------------------------- result entries
@@ -132,11 +124,7 @@ type resultEntry struct {
 
 // encodeEntry builds the serialized entry for one (job, result) pair.
 func encodeEntry(j runner.Job, r core.Result) (hash string, data []byte, err error) {
-	hash, err = JobHash(j)
-	if err != nil {
-		return "", nil, err
-	}
-	jobJSON, err := canonicalJSON(j.Canonical())
+	hash, jobJSON, err := jobKey(j)
 	if err != nil {
 		return "", nil, err
 	}

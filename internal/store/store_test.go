@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -41,6 +42,20 @@ func testResult() core.Result {
 		SyncTraffic: 987654,
 		HostBytes:   0,
 	}
+}
+
+// canonicalizeJSON is the reference canonicalization canonicalize must
+// reproduce byte for byte: decode into generic values with literal numbers
+// (json.Number), then marshal again, which sorts every object's keys. It is
+// the encoding the store's hashes and entries were first defined by.
+func canonicalizeJSON(raw []byte) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var generic any
+	if err := dec.Decode(&generic); err != nil {
+		return nil, err
+	}
+	return json.Marshal(generic)
 }
 
 func open(t *testing.T) *Store {
@@ -205,12 +220,91 @@ func TestHashStableAcrossFieldReordering(t *testing.T) {
 	if string(reordered) == string(raw) {
 		t.Fatal("reorderJSON did not change the encoding (test is vacuous)")
 	}
-	canon, err := canonicalizeJSON(reordered)
+	ref, err := canonicalizeJSON(reordered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hashBytes(append([]byte(Version+"\n"), canon...)); got != want {
+	canon, err := canonicalize([]byte(versionLine), reordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hashBytes(append([]byte(versionLine), ref...)); got != want {
+		t.Fatalf("reordered document hashes to %s by the reference, canonical to %s", got, want)
+	}
+	if got := hashBytes(canon); got != want {
 		t.Fatalf("reordered document hashes to %s, canonical to %s", got, want)
+	}
+}
+
+// pinnedJobs are the jobs whose hashes TestJobHashPinned holds: every
+// standard design, a model-parallel mixed-precision job, a transformer job
+// with a sequence length, a tagged job and a workload string with invalid
+// UTF-8.
+func pinnedJobs() map[string]runner.Job {
+	jobs := map[string]runner.Job{}
+	for _, d := range core.StandardDesigns() {
+		j := testJob()
+		j.Design = d
+		jobs[d.Name] = j
+	}
+	jobs["mp-mixed"] = runner.Job{
+		Design: core.StandardDesigns()[4], Workload: "RNN-GRU",
+		Strategy: train.ModelParallel, Batch: 512, Workers: 8, Precision: train.Mixed,
+	}
+	jobs["transformer-seqlen"] = runner.Job{
+		Design: core.StandardDesigns()[4], Workload: "BERT-Large",
+		Strategy: train.DataParallel, Batch: 64, Workers: 8, SeqLen: 256,
+	}
+	tagged := testJob()
+	tagged.Tag = "sens-variant"
+	jobs["tagged"] = tagged
+	invalid := testJob()
+	invalid.Workload = "VGG\xff-E\xc3"
+	jobs["invalid-utf8"] = invalid
+	return jobs
+}
+
+// TestJobHashPinned holds the store's on-disk compatibility: these hashes
+// and the entry bytes in testdata were written by the generic decode and
+// re-marshal encoding that canonicalize replaced, so every entry a store
+// already holds stays a hit.
+func TestJobHashPinned(t *testing.T) {
+	want := map[string]string{
+		"DC-DLA":             "a7ac684a9df395b8ac5257af1474dae4332ab042cc9622b9d4b75a7f2a85e519",
+		"HC-DLA":             "915bd9944f76b1ede905e4b65ca7d01e41ec86e95e22c6ea2dcae69c62996f5a",
+		"MC-DLA(S)":          "d625c31027418855073a433ddb2ff69e58f1b48fd71d08f34a856ab9a681d318",
+		"MC-DLA(L)":          "b01dcdbe50f9bf9b560c52ee612637b6bae102543ab63ec5f8bda7cc2eb1360c",
+		"MC-DLA(B)":          "2488463e1e15493a61a1abad5c05c78116872f1371c87a7f63611fbc699e5391",
+		"DC-DLA(O)":          "47c8bdec736531d2f4b3d2241a3d42d4a3a69466c1e6c1b46be6659152c257f3",
+		"mp-mixed":           "6de99b6ea0a39727ebf4dfeb4d797547d6bcec9f585e0c73dfea9e232f3cbad3",
+		"transformer-seqlen": "5e013c45f144195a3fc8e743d3cb4f0e7154ea6d4734d0e1d84acc80fce4b445",
+		"tagged":             "2488463e1e15493a61a1abad5c05c78116872f1371c87a7f63611fbc699e5391",
+		"invalid-utf8":       "40142f7ed24cef6735ffb361e0824be9864d206284fd198ab2ae58176bf34ed8",
+	}
+	jobs := pinnedJobs()
+	if len(jobs) != len(want) {
+		t.Fatalf("%d pinned jobs, %d pinned hashes", len(jobs), len(want))
+	}
+	for name, j := range jobs {
+		got, err := JobHash(j)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != want[name] {
+			t.Errorf("%s: JobHash = %s, pinned %s", name, got, want[name])
+		}
+	}
+
+	pinned, err := os.ReadFile("testdata/entry_testjob.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, data, err := encodeEntry(testJob(), testResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, pinned) {
+		t.Fatalf("encodeEntry(testJob()) changed:\ngot  %s\nwant %s", data, pinned)
 	}
 }
 
