@@ -840,6 +840,54 @@ func BenchmarkRunStoreHit(b *testing.B) {
 	b.ReportMetric(float64(graphs)/float64(b.N), "graphs/op")
 }
 
+// BenchmarkRunMemoHit serves `/v1/run` requests from the memo through the
+// run command, as the CLI and the route do (Parse, then Build): set-up
+// simulates eighteen points, six of them per host-interface design with a
+// cDMA engine, and each op cycles once through them, so every request is a
+// memo hit. graphs/op is exact: a memo hit builds no graph, a cDMA point's
+// compression ratio included.
+func BenchmarkRunMemoHit(b *testing.B) {
+	b.Cleanup(func() { experiments.SetOptions(runner.Options{}) })
+	experiments.SetOptions(runner.Options{Parallelism: 1})
+	run := experiments.Lookup("run")
+	var args []experiments.Args
+	for _, w := range []string{"AlexNet", "VGG-E", "RNN-GRU"} {
+		for _, d := range []struct{ design, compress string }{{"MC-DLA(B)", ""}, {"DC-DLA", "true"}, {"HC-DLA", "true"}} {
+			for _, strategy := range []string{"dp", "mp"} {
+				q := map[string]string{"workload": w, "design": d.design, "compress": d.compress, "strategy": strategy, "batch": "256"}
+				a, err := run.Parse(func(name string) string { return q[name] }, "")
+				if err != nil {
+					b.Fatal(err)
+				}
+				args = append(args, a)
+			}
+		}
+	}
+	serve := func() {
+		for _, a := range args {
+			if _, err := run.Build(context.Background(), a); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	serve()
+	hits0 := experiments.EngineStats().Hits
+	var graphs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graphs0, _ := train.Builds()
+		serve()
+		graphs1, _ := train.Builds()
+		graphs += graphs1 - graphs0
+	}
+	b.StopTimer()
+	if hits := experiments.EngineStats().Hits - hits0; hits != int64(b.N*len(args)) {
+		b.Fatalf("%d memo hits for %d requests", hits, b.N*len(args))
+	}
+	b.ReportMetric(float64(graphs)/float64(b.N), "graphs/op")
+}
+
 // obsBatch is how many calls one op of the obs hot-path benchmarks makes.
 // The trajectory files run at -benchtime 1x, where a single call of a few
 // nanoseconds would time first-touch noise; a batch per op gives each

@@ -249,6 +249,7 @@ var testOnlyExports = map[string]string{
 	"internal/train.MustBuild":             "cross-package test helper",
 	"internal/train.BuildGraph":            "cross-package test helper",
 	"internal/train.Schedule.SyncBytes":    "cross-package test helper: the collective payload train's and core's tests check",
+	"internal/dnn.Builds":                  "counter benchgate gates: the graph builds train.Builds reports",
 	"internal/train.Builds":                "counter benchgate gates: graph and plan builds per cold request",
 }
 

@@ -3,6 +3,7 @@ package dnn
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // BuilderFunc constructs one of the benchmark networks at a batch size.
@@ -59,6 +60,15 @@ func Build(name string, batch int) (*Graph, error) {
 	return BuildSeq(name, batch, 0)
 }
 
+// builds counts the graphs BuildSeq has built. Build, MustBuild and every
+// caller outside the package build registry graphs through BuildSeq, so the
+// count sees them all.
+var builds atomic.Int64
+
+// Builds reports how many graphs BuildSeq has built in this process, so a
+// test or benchmark can hold a request to one build per distinct input.
+func Builds() int64 { return builds.Load() }
+
 // BuildSeq is Build with a sequence-length override: seqlen 0 keeps the
 // workload's default, a positive seqlen re-parameterizes sequence workloads
 // (token count for transformers, timestep count for RNNs) and is an error
@@ -80,12 +90,14 @@ func BuildSeq(name string, batch, seqlen int) (*Graph, error) {
 		return nil, fmt.Errorf("dnn: unknown benchmark %q (have %v)", name, known)
 	}
 	if seqlen == 0 {
+		builds.Add(1)
 		return f(batch), nil
 	}
 	sf, ok := seqBenchmarks[name]
 	if !ok {
 		return nil, fmt.Errorf("dnn: benchmark %q has no sequence axis (seqlen %d)", name, seqlen)
 	}
+	builds.Add(1)
 	return sf(batch, seqlen), nil
 }
 

@@ -22,9 +22,7 @@ import (
 	"strings"
 
 	"github.com/memcentric/mcdla/internal/accel"
-	"github.com/memcentric/mcdla/internal/compress"
 	"github.com/memcentric/mcdla/internal/core"
-	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/memnode"
 	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/train"
@@ -83,8 +81,14 @@ func (p Point) workers() int {
 // DesignPoint derives the candidate's fully parameterized core design: the
 // base constructor rebuilt over the overridden link complex, the memory-node
 // boards re-populated with the chosen DIMM and count, and the cDMA
-// compressor widening the virtualization path.
-func (p Point) DesignPoint() (core.Design, error) {
+// compressor widening the virtualization path. It is DesignOn with no
+// network source.
+func (p Point) DesignPoint() (core.Design, error) { return p.DesignOn(nil) }
+
+// DesignOn is DesignPoint reading the cDMA compression ratio of a
+// compressed candidate from the per-device network networks supplies,
+// typically a memo such as runner.Engine.Network; nil builds it afresh.
+func (p Point) DesignOn(networks func(workload string, deviceBatch, seqlen int) (*train.Network, error)) (core.Design, error) {
 	dev := accel.Default()
 	if p.Links > 0 {
 		dev.Links = p.Links
@@ -126,7 +130,7 @@ func (p Point) DesignPoint() (core.Design, error) {
 			return core.Design{}, &core.ParamError{Param: "compress", Value: "true",
 				Reason: "cDMA compression models the host virtualization path, not " + d.Name}
 		}
-		ratio, err := p.compressRatio()
+		ratio, err := p.compressRatio(networks)
 		if err != nil {
 			return core.Design{}, err
 		}
@@ -136,18 +140,21 @@ func (p Point) DesignPoint() (core.Design, error) {
 	return d, nil
 }
 
-// compressRatio computes the workload's cDMA compression factor over its
-// per-device graph (dense attention tensors keep it at 1.0×).
-func (p Point) compressRatio() (float64, error) {
+// compressRatio reads the workload's cDMA compression factor off its
+// per-device network (dense attention tensors keep it at 1.0×).
+func (p Point) compressRatio(networks func(string, int, int) (*train.Network, error)) (float64, error) {
 	batch := p.Batch / p.workers()
 	if batch < 1 {
 		batch = 1
 	}
-	g, err := dnn.BuildSeq(p.Workload, batch, p.SeqLen)
+	if networks == nil {
+		networks = train.NewNetwork
+	}
+	n, err := networks(p.Workload, batch, p.SeqLen)
 	if err != nil {
 		return 0, err
 	}
-	return compress.GraphRatio(g), nil
+	return n.CompressRatio(), nil
 }
 
 // Job lowers the candidate, built as its DesignPoint d, onto the runner's

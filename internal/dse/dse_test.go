@@ -2,12 +2,15 @@ package dse
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/memcentric/mcdla/internal/compress"
 	"github.com/memcentric/mcdla/internal/cost"
+	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/runner"
 	"github.com/memcentric/mcdla/internal/train"
 	"github.com/memcentric/mcdla/internal/units"
@@ -297,5 +300,50 @@ func TestMetricsVector(t *testing.T) {
 	}
 	if m.PerfPerDollar() != cost.PerfPerDollar(10, 5) {
 		t.Fatal("PerfPerDollar must delegate to the cost package")
+	}
+}
+
+// TestDesignOnMatchesDesignPoint: a design derived on an engine's
+// networks is bit-identical to one derived with no source, and its cDMA
+// factor is the compression ratio of a graph built alone at the batch
+// split across the devices (clamped to 1). A second derivation on the
+// same engine builds no graph, and a bad point fails with the same error
+// either way.
+func TestDesignOnMatchesDesignPoint(t *testing.T) {
+	eng := runner.New(runner.Options{Parallelism: 1})
+	for _, w := range append(dnn.BenchmarkNames(), dnn.TransformerNames()...) {
+		for _, seqlen := range []int{0, 128} {
+			for _, batch := range []int{4, 64, 512} {
+				for _, design := range []string{"DC-DLA", "HC-DLA"} {
+					p := Point{Design: design, Workload: w, Batch: batch, SeqLen: seqlen, Compress: true}
+					want, wantErr := p.DesignPoint()
+					got, err := p.DesignOn(eng.Network)
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%+v: DesignOn = (%+v, %v), DesignPoint = (%+v, %v)", p, got, err, want, wantErr)
+					}
+					if err != nil {
+						continue
+					}
+					g, err := dnn.BuildSeq(w, max(batch/DefaultWorkers, 1), seqlen)
+					if err != nil {
+						t.Fatal(err)
+					}
+					plain, err := Point{Design: design, Workload: w, Batch: batch, SeqLen: seqlen}.DesignPoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ratio := compress.GraphRatio(g); got.VirtBW != units.Bandwidth(float64(plain.VirtBW)*ratio) {
+						t.Fatalf("%+v: VirtBW %v, want %v × %v", p, got.VirtBW, plain.VirtBW, ratio)
+					}
+					graphs0, _ := train.Builds()
+					if _, err := p.DesignOn(eng.Network); err != nil {
+						t.Fatal(err)
+					}
+					if graphs1, _ := train.Builds(); graphs1 != graphs0 {
+						t.Fatalf("%+v: a second derivation on the engine built %d graphs", p, graphs1-graphs0)
+					}
+				}
+			}
+		}
 	}
 }

@@ -248,9 +248,11 @@ func (a *archive) designFor(p Point) (core.Design, error) {
 
 // batch evaluates the not-yet-seen candidates of pts: analytic constraint
 // bounds prune without simulating, the rest go to the engine as one grid.
-// The design (and for compressed candidates the workload graph behind the
-// cDMA ratio) is derived once per candidate and reused for the job and the
-// static metrics.
+// The design is derived once per design key and reused for the job and the
+// static metrics; a compressed candidate's derivation builds the network
+// its cDMA ratio is read from (DesignPoint's nil source: the archive's
+// design cache already bounds those builds to one per key, and a Runner
+// offers no network memo).
 func (a *archive) batch(ctx context.Context, pts []Point) error {
 	type candidate struct {
 		p                      Point

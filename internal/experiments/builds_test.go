@@ -141,61 +141,101 @@ func TestColdRequestBuildsEachNetworkOnce(t *testing.T) {
 	}
 }
 
+// runRequests are /v1/run queries over a CNN and a transformer at a
+// sequence length, both strategies and two batches, on MC-DLA(B) and on
+// the two host-interface designs with a cDMA engine, whose bandwidth reads
+// the workload's compression ratio. The data-parallel device batches are
+// the ratio's, so the requests read eight distinct networks: two workloads
+// at device batches 8, 16, 64 and 128.
+func runRequests() []map[string]string {
+	var qs []map[string]string
+	for _, w := range []struct{ workload, seqlen string }{{"AlexNet", ""}, {"BERT-Large", "128"}} {
+		for _, d := range []struct{ design, compress string }{{"MC-DLA(B)", ""}, {"DC-DLA", "true"}, {"HC-DLA", "true"}} {
+			for _, strategy := range []string{"dp", "mp"} {
+				for _, batch := range []string{"64", "128"} {
+					qs = append(qs, map[string]string{
+						"workload": w.workload, "seqlen": w.seqlen, "design": d.design,
+						"compress": d.compress, "strategy": strategy, "batch": batch,
+					})
+				}
+			}
+		}
+	}
+	return qs
+}
+
+// serveRuns answers each query through the run command, as the CLI and
+// the /v1/run route do: Parse, then Build. It returns the graphs built.
+func serveRuns(t *testing.T, qs []map[string]string) int64 {
+	t.Helper()
+	run := Lookup("run")
+	graphs0, _ := train.Builds()
+	for _, q := range qs {
+		a, err := run.Parse(func(name string) string { return q[name] }, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run.Build(context.Background(), a); err != nil {
+			t.Fatalf("%v: %v", q, err)
+		}
+	}
+	graphs1, _ := train.Builds()
+	return graphs1 - graphs0
+}
+
+// TestMemoHitBuildsNoGraph pins the /v1/run memo-hit path: once every
+// request has been simulated, a request answered by the memo builds no
+// graph, a cDMA request's compression ratio included, because the ratio
+// is read off the engine's memoized network. The cold pass builds each
+// distinct network once: a data-parallel cDMA request reads its ratio off
+// the network its schedule runs on.
+func TestMemoHitBuildsNoGraph(t *testing.T) {
+	t.Cleanup(func() { SetOptions(runner.Options{}) })
+	SetOptions(runner.Options{Parallelism: 1})
+	qs := runRequests()
+	if graphs := serveRuns(t, qs); graphs != 8 {
+		t.Fatalf("cold pass built %d graphs for 8 distinct networks", graphs)
+	}
+	if s := EngineStats(); s.Simulated != int64(len(qs)) {
+		t.Fatalf("cold pass simulated %d of %d points", s.Simulated, len(qs))
+	}
+	for pass := 0; pass < 2; pass++ {
+		before := EngineStats()
+		graphs := serveRuns(t, qs)
+		if hits := EngineStats().Hits - before.Hits; hits != int64(len(qs)) {
+			t.Fatalf("pass %d: %d memo hits for %d requests", pass, hits, len(qs))
+		}
+		if graphs != 0 {
+			t.Fatalf("pass %d: %d memo hits built %d graphs", pass, len(qs), graphs)
+		}
+	}
+}
+
 // TestStoreHitBuildsNoGraph pins the /v1/run store-hit path: on an engine
-// whose memo bound is smaller than the cycled set of points, every request
-// after the first pass misses the memo and is answered by the store, and
-// once each (workload, seqlen) has been seen, RunReportFor builds no graph
-// for the resident-weights line.
+// whose memo bound holds the eight networks but not the 24 results, every
+// request after the first pass misses the result memo and is answered by
+// the store, and neither the resident-weights line nor a cDMA request's
+// compression ratio builds a graph: both read the engine's memos.
 func TestStoreHitBuildsNoGraph(t *testing.T) {
-	ctx := context.Background()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { SetOptions(runner.Options{}) })
-	// Both (workload, seqlen) keys fit the bound of three; the eight points
-	// do not.
-	SetOptions(runner.Options{Parallelism: 1, CacheEntries: 3, Store: st})
-	type point struct {
-		workload string
-		strategy train.Strategy
-		batch    int
-		seqlen   int
-	}
-	var points []point
-	for _, p := range []struct {
-		workload string
-		seqlen   int
-	}{{"AlexNet", 0}, {"BERT-Large", 128}} {
-		for _, strategy := range []train.Strategy{train.DataParallel, train.ModelParallel} {
-			for _, batch := range []int{64, 128} {
-				points = append(points, point{p.workload, strategy, batch, p.seqlen})
-			}
-		}
-	}
-	d := mustDesign("MC-DLA(B)")
-	serve := func() {
-		for _, p := range points {
-			if _, err := RunReportFor(ctx, d, p.workload, p.strategy, p.batch, p.seqlen, train.FP16, Workers); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	serve() // cold: every point simulated and written to the store
-	if s := EngineStats(); s.Simulated != int64(len(points)) {
-		t.Fatalf("cold pass simulated %d of %d points", s.Simulated, len(points))
+	SetOptions(runner.Options{Parallelism: 1, CacheEntries: 8, Store: st})
+	qs := runRequests()
+	serveRuns(t, qs) // cold: every point simulated and written to the store
+	if s := EngineStats(); s.Simulated != int64(len(qs)) {
+		t.Fatalf("cold pass simulated %d of %d points", s.Simulated, len(qs))
 	}
 	for pass := 0; pass < 2; pass++ {
 		before := EngineStats()
-		graphs0, _ := train.Builds()
-		serve()
-		graphs1, _ := train.Builds()
-		after := EngineStats()
-		if hits := after.StoreHits - before.StoreHits; hits != int64(len(points)) {
-			t.Fatalf("pass %d: %d store hits for %d requests", pass, hits, len(points))
+		graphs := serveRuns(t, qs)
+		if hits := EngineStats().StoreHits - before.StoreHits; hits != int64(len(qs)) {
+			t.Fatalf("pass %d: %d store hits for %d requests", pass, hits, len(qs))
 		}
-		if graphs := graphs1 - graphs0; graphs != 0 {
-			t.Fatalf("pass %d: %d store hits built %d graphs", pass, len(points), graphs)
+		if graphs != 0 {
+			t.Fatalf("pass %d: %d store hits built %d graphs", pass, len(qs), graphs)
 		}
 	}
 }

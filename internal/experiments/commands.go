@@ -361,7 +361,7 @@ var commands = []*Command{
 		},
 		Build: func(ctx context.Context, a Args) (*report.Report, error) {
 			p := runPoint(a)
-			d, err := p.DesignPoint()
+			d, err := p.DesignOn(network)
 			if err != nil {
 				return nil, a.spell(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/memcentric/mcdla/internal/accel"
-	"github.com/memcentric/mcdla/internal/compress"
 	"github.com/memcentric/mcdla/internal/core"
 	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/memnode"
@@ -138,7 +137,7 @@ func sensVariants() []sensVariant {
 				if err != nil {
 					panic(err) // the registry networks build at the paper batch
 				}
-				d.VirtBW = units.Bandwidth(float64(d.VirtBW) * compress.GraphRatio(n.Graph))
+				d.VirtBW = units.Bandwidth(float64(d.VirtBW) * n.CompressRatio())
 				return d
 			}, dev},
 	}

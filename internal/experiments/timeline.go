@@ -22,7 +22,7 @@ import (
 // returns it as a single-process timeline (lanes: compute, stall/sync,
 // offload, prefetch).
 func runTimeline(p dse.Point) (*trace.Timeline, error) {
-	d, err := p.DesignPoint()
+	d, err := p.DesignOn(network)
 	if err != nil {
 		return nil, err
 	}

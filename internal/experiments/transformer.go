@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/memcentric/mcdla/internal/compress"
 	"github.com/memcentric/mcdla/internal/core"
 	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/metrics"
@@ -162,7 +161,7 @@ func AttentionCompress(ctx context.Context) ([]AttnCompressRow, error) {
 		if err != nil {
 			return err
 		}
-		pts = append(pts, point{net, family, compress.GraphRatio(n.Graph)})
+		pts = append(pts, point{net, family, n.CompressRatio()})
 		return nil
 	}
 	for _, net := range dnn.CNNNames() {

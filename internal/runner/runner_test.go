@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/memcentric/mcdla/internal/core"
 	"github.com/memcentric/mcdla/internal/dnn"
@@ -379,6 +381,97 @@ func TestFanCancelled(t *testing.T) {
 	}
 	if n := calls.Load(); n >= 100 {
 		t.Fatalf("all %d indices ran despite cancellation", n)
+	}
+}
+
+// TestFanOneJobRunsInline: a one-job fan runs its job on the caller's
+// goroutine at any parallelism, so a panicking job unwinds into the caller
+// (on a worker goroutine it would kill the process), and a dead context
+// runs nothing.
+func TestFanOneJobRunsInline(t *testing.T) {
+	for _, parallelism := range []int{0, 1, 4} {
+		func() {
+			defer func() {
+				if r := recover(); r != "job 0" {
+					t.Fatalf("parallelism %d: recovered %v, want job 0's panic", parallelism, r)
+				}
+			}()
+			Fan(context.Background(), parallelism, 1, func(i int) (int, error) {
+				panic(fmt.Sprintf("job %d", i))
+			})
+			t.Fatalf("parallelism %d: Fan returned", parallelism)
+		}()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Fan(ctx, 4, 1, func(int) (int, error) {
+		t.Error("a dead context ran the job")
+		return 0, nil
+	}); err != context.Canceled {
+		t.Fatalf("one-job Fan on a dead context returned %v", err)
+	}
+	got, err := Fan(context.Background(), 1, 1, func(i int) (int, error) { return 0, fmt.Errorf("job %d failed", i) })
+	if len(got) != 1 || err == nil || err.Error() != "job 0 failed" {
+		t.Fatalf("failing one-job Fan returned (%v, %v)", got, err)
+	}
+}
+
+// TestMemoPanicReleasesWaiters: a computation that panics leaves no slot
+// behind. The caller that waited on it gets an error instead of blocking
+// forever, the panic reaches the computing caller, and the next call of
+// the key computes it afresh.
+func TestMemoPanicReleasesWaiters(t *testing.T) {
+	m := newMemo[string, int](0)
+	started, release := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any)
+	go func() {
+		defer func() { recovered <- recover() }()
+		m.do("k", func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	// A second, completed key goes in front of the in-flight "k", so the
+	// waiter's arrival shows as "k" moving back to the front.
+	m.do("other", func() (int, error) { return 2, nil })
+	type outcome struct {
+		v   int
+		err error
+	}
+	waited := make(chan outcome)
+	go func() {
+		v, _, err := m.do("k", func() (int, error) {
+			t.Error("the waiter computed the in-flight key itself")
+			return 0, nil
+		})
+		waited <- outcome{v, err}
+	}()
+	for front := ""; front != "k"; {
+		runtime.Gosched()
+		m.mu.Lock()
+		front = m.order.Front().Value.(*entry[string, int]).key
+		m.mu.Unlock()
+	}
+	close(release)
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("computing caller recovered %v, want the panic", r)
+	}
+	select {
+	case o := <-waited:
+		if o.err != errAbandoned || o.v != 0 {
+			t.Fatalf("waiter got (%d, %v), want errAbandoned", o.v, o.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiter is still blocked on the panicked computation")
+	}
+	v, cached, err := m.do("k", func() (int, error) { return 7, nil })
+	if v != 7 || cached || err != nil {
+		t.Fatalf("after the panic: (%d, %v, %v), want a fresh computation of 7", v, cached, err)
+	}
+	if len(m.entries) != 2 || m.order.Len() != 2 {
+		t.Fatalf("memo holds %d entries / %d list elements, want 2/2", len(m.entries), m.order.Len())
 	}
 }
 

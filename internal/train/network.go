@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/memcentric/mcdla/internal/compress"
 	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/vmem"
 )
@@ -24,16 +25,20 @@ type Network struct {
 	// which is intended — every consumer holds a *Network.
 	prepMu sync.Mutex
 	prep   [2]*vmem.Prepared
+
+	// ratioMu guards ratio, the lazily computed cDMA compression factor;
+	// zero means not yet computed, as a computed factor is at least 1.
+	ratioMu sync.Mutex
+	ratio   float64
 }
 
-// graphBuilds and planBuilds count the graphs NewNetwork builds and the
-// vmem.Prepare calls Network.Prepared makes, so a test or benchmark can
-// hold a request to one of each per distinct input.
-var graphBuilds, planBuilds atomic.Int64
+// planBuilds counts the vmem.Prepare calls Network.Prepared makes, so a
+// test or benchmark can hold a request to one plan per distinct input.
+var planBuilds atomic.Int64
 
-// Builds reports how many graphs NewNetwork has built and how many memory
+// Builds reports how many graphs dnn.BuildSeq has built and how many memory
 // plans Network.Prepared has built in this process.
-func Builds() (graphs, plans int64) { return graphBuilds.Load(), planBuilds.Load() }
+func Builds() (graphs, plans int64) { return dnn.Builds(), planBuilds.Load() }
 
 // DeviceBatch reports the per-device batch of a training point: the global
 // batch split across the workers under data parallel, the full batch under
@@ -61,8 +66,19 @@ func NewNetwork(name string, deviceBatch, seqlen int) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	graphBuilds.Add(1)
 	return &Network{Graph: g}, nil
+}
+
+// CompressRatio returns the cDMA compression factor of the network's graph
+// (compress.GraphRatio), computed once per network: every design point that
+// adds a compressing DMA engine at this workload point reads the same value.
+func (n *Network) CompressRatio() float64 {
+	n.ratioMu.Lock()
+	defer n.ratioMu.Unlock()
+	if n.ratio == 0 {
+		n.ratio = compress.GraphRatio(n.Graph)
+	}
+	return n.ratio
 }
 
 // Prepared returns the vmem memory-overlaying analysis of the network's
