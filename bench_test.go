@@ -845,7 +845,8 @@ func BenchmarkRunStoreHit(b *testing.B) {
 // simulates eighteen points, six of them per host-interface design with a
 // cDMA engine, and each op cycles once through them, so every request is a
 // memo hit. graphs/op is exact: a memo hit builds no graph, a cDMA point's
-// compression ratio included.
+// compression ratio included, while the ratio's network is resident; the
+// memo here is unbounded, so it always is.
 func BenchmarkRunMemoHit(b *testing.B) {
 	b.Cleanup(func() { experiments.SetOptions(runner.Options{}) })
 	experiments.SetOptions(runner.Options{Parallelism: 1})

@@ -141,16 +141,24 @@ func TestColdRequestBuildsEachNetworkOnce(t *testing.T) {
 	}
 }
 
+// runDesign is a design of runRequests; compress "true" gives it a cDMA
+// engine, whose bandwidth reads the workload's compression ratio.
+type runDesign struct{ design, compress string }
+
+var (
+	plainDesign = runDesign{"MC-DLA(B)", ""}
+	// cdmaDesigns are the two host-interface designs with a cDMA engine.
+	cdmaDesigns = []runDesign{{"DC-DLA", "true"}, {"HC-DLA", "true"}}
+)
+
 // runRequests are /v1/run queries over a CNN and a transformer at a
-// sequence length, both strategies and two batches, on MC-DLA(B) and on
-// the two host-interface designs with a cDMA engine, whose bandwidth reads
-// the workload's compression ratio. The data-parallel device batches are
-// the ratio's, so the requests read eight distinct networks: two workloads
-// at device batches 8, 16, 64 and 128.
-func runRequests() []map[string]string {
+// sequence length, both strategies and two batches, on each design. They
+// read eight distinct networks: two workloads at device batches 8, 16, 64
+// and 128. A cDMA design's data-parallel device batches are its ratio's.
+func runRequests(designs ...runDesign) []map[string]string {
 	var qs []map[string]string
 	for _, w := range []struct{ workload, seqlen string }{{"AlexNet", ""}, {"BERT-Large", "128"}} {
-		for _, d := range []struct{ design, compress string }{{"MC-DLA(B)", ""}, {"DC-DLA", "true"}, {"HC-DLA", "true"}} {
+		for _, d := range designs {
 			for _, strategy := range []string{"dp", "mp"} {
 				for _, batch := range []string{"64", "128"} {
 					qs = append(qs, map[string]string{
@@ -192,7 +200,7 @@ func serveRuns(t *testing.T, qs []map[string]string) int64 {
 func TestMemoHitBuildsNoGraph(t *testing.T) {
 	t.Cleanup(func() { SetOptions(runner.Options{}) })
 	SetOptions(runner.Options{Parallelism: 1})
-	qs := runRequests()
+	qs := runRequests(append([]runDesign{plainDesign}, cdmaDesigns...)...)
 	if graphs := serveRuns(t, qs); graphs != 8 {
 		t.Fatalf("cold pass built %d graphs for 8 distinct networks", graphs)
 	}
@@ -211,19 +219,17 @@ func TestMemoHitBuildsNoGraph(t *testing.T) {
 	}
 }
 
-// TestStoreHitBuildsNoGraph pins the /v1/run store-hit path: on an engine
-// whose memo bound holds the eight networks but not the 24 results, every
-// request after the first pass misses the result memo and is answered by
-// the store, and neither the resident-weights line nor a cDMA request's
-// compression ratio builds a graph: both read the engine's memos.
-func TestStoreHitBuildsNoGraph(t *testing.T) {
+// assertStoreHitsBuildNoGraph serves qs cold on an engine with the given
+// memo bound over a fresh store, then twice more: every request of those
+// passes must miss the memo, be answered by the store and build no graph.
+func assertStoreHitsBuildNoGraph(t *testing.T, bound int, qs []map[string]string) {
+	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { SetOptions(runner.Options{}) })
-	SetOptions(runner.Options{Parallelism: 1, CacheEntries: 8, Store: st})
-	qs := runRequests()
+	SetOptions(runner.Options{Parallelism: 1, CacheEntries: bound, Store: st})
 	serveRuns(t, qs) // cold: every point simulated and written to the store
 	if s := EngineStats(); s.Simulated != int64(len(qs)) {
 		t.Fatalf("cold pass simulated %d of %d points", s.Simulated, len(qs))
@@ -238,4 +244,30 @@ func TestStoreHitBuildsNoGraph(t *testing.T) {
 			t.Fatalf("pass %d: %d store hits built %d graphs", pass, len(qs), graphs)
 		}
 	}
+}
+
+// TestStoreHitBuildsNoGraph pins the /v1/run store-hit path: on an engine
+// whose memo bound of three holds both (workload, seqlen) weight keys but
+// not the eight points, nor their eight schedules and networks, every
+// request after the first pass misses the memo and is answered by the
+// store, and its resident-weights line, read from the weights memo,
+// builds no graph. A store hit that built its schedule again would build
+// a graph here.
+func TestStoreHitBuildsNoGraph(t *testing.T) {
+	assertStoreHitsBuildNoGraph(t, 3, runRequests(plainDesign))
+}
+
+// TestCompressedStoreHitBuildsNoGraph pins the store-hit path of cDMA
+// requests. Their design reads the compression ratio off Engine.Network,
+// whose memo shares the CacheEntries bound, so a cDMA store hit builds no
+// graph only while its ratio's network is resident. The sixteen points
+// read their ratios off four networks, the two workloads at device
+// batches 8 and 16, and the cold pass's model-parallel schedules add the
+// networks at 64 and 128. The bound of eight holds all eight networks but
+// not the sixteen points, so the ratio networks are resident when the
+// store passes begin. Under a smaller bound a store hit whose ratio
+// network was evicted builds it again: at a bound of three, the first
+// store pass over these requests builds four graphs.
+func TestCompressedStoreHitBuildsNoGraph(t *testing.T) {
+	assertStoreHitsBuildNoGraph(t, 8, runRequests(cdmaDesigns...))
 }

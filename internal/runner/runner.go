@@ -363,9 +363,10 @@ func (g Grid) Jobs() []Job {
 // scheduling of queued indices (in-flight calls finish) and Fan returns
 // ctx.Err(). A one-job fan, such as every run request, runs its job on the
 // caller's goroutine if ctx is live. Longer fans keep the pool even at one
-// worker: at GOMAXPROCS 1, a grid run inline gives the garbage collector's
-// mark worker no scheduling point between jobs, and the heap overshoots
-// (perfbench studies-cold peak RSS rose about 10% on a 2-core machine).
+// worker: with many-job grids run inline at one worker, perfbench
+// studies-cold peak RSS rose about 10% on a 2-core machine, and a GC trace
+// showed mark phases stretching while the heap overshot its goal (the
+// cause is not confirmed).
 func Fan[T any](ctx context.Context, parallelism, n int, fn func(int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
