@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"github.com/memcentric/mcdla/internal/accel"
@@ -68,10 +69,15 @@ type inflight struct {
 }
 
 // Run simulates the iteration; Sched must pass train.Schedule.Validate.
+// It starts the tallies from zero and keeps the prefetch table's storage,
+// so one Iteration can run schedule after schedule without growing it
+// anew.
 func (it *Iteration) Run(c Collectives) {
 	s, g, prep, tr := it.Sched, it.Sched.Graph, it.Prep, it.Trace
 	fwd := ForwardPrices(it.Device, s)
 	var t units.Time
+	it.Compute, it.StallVirt, it.VirtBytes, it.VirtTime, it.End = 0, 0, 0, 0, 0
+	it.next, it.lo = 0, 0
 
 	// ---- Forward propagation ----
 	for _, l := range g.Layers {
@@ -102,7 +108,8 @@ func (it *Iteration) Run(c Collectives) {
 	// several backward consumers moves once and stays resident. The device
 	// stalls only when the channel falls behind the compute.
 	sched := prep.Sched
-	it.fetched = make([]inflight, len(sched.Items))
+	it.fetched = slices.Grow(it.fetched[:0], len(sched.Items))[:len(sched.Items)]
+	clear(it.fetched)
 	it.refill(t)
 	for id := len(g.Layers) - 1; id >= 0; id-- {
 		if it.Window > 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/memcentric/mcdla/internal/collective"
 	"github.com/memcentric/mcdla/internal/sim"
@@ -118,13 +119,16 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 	if tr != nil {
 		tr.Label = d.Name + " x " + s.Name
 	}
-	rings := &ringSync{cfg: d.Sync, tr: tr}
+	sc := scratchPool.Get().(*scratch)
+	rings := &sc.rings
+	*rings = ringSync{cfg: d.Sync, tr: tr, pending: rings.pending[:0]}
 	if s.Workers > 1 {
 		// A collective with a single participant is a no-op: a one-worker
 		// node prices no ring (and without shared links has no fabric).
 		rings.g = sync
 	}
-	it := Iteration{Device: d.Device, Sched: s, Prep: prep, Virt: virt, Trace: tr}
+	it := &sc.it
+	*it = Iteration{Device: d.Device, Sched: s, Prep: prep, Virt: virt, Trace: tr, fetched: it.fetched}
 	it.Run(rings)
 	end := it.End
 
@@ -162,7 +166,36 @@ func SimulateTraced(d Design, s *train.Schedule, tr *trace.Log) (Result, error) 
 	if syncCh := sync.Channel(); syncCh != nil && syncCh != virtCh {
 		tr.Tally(syncCh.Stats())
 	}
+	sc.release()
 	return res, nil
+}
+
+// scratch is a node simulation's working storage: the kernel with its
+// prefetch table and the ring sync with its pending flows, and through
+// them the channels. SimulateTraced takes one from scratchPool and puts it
+// back, so the tables keep the capacity earlier simulations grew; a
+// pointer in the pool, unlike a slice, costs no allocation per Put.
+type scratch struct {
+	it    Iteration
+	rings ringSync
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release hands back the channels, empties the scratch set, keeping its
+// tables' capacity and pinning no schedule, trace or channel, and puts it
+// back in the pool.
+func (sc *scratch) release() {
+	virt := sc.it.Virt.Channel()
+	if rings := sc.rings.g.Channel(); rings != nil && rings != virt {
+		rings.Release()
+	}
+	virt.Release()
+	clear(sc.it.fetched)
+	clear(sc.rings.pending)
+	sc.it = Iteration{fetched: sc.it.fetched[:0]}
+	sc.rings = ringSync{pending: sc.rings.pending[:0]}
+	scratchPool.Put(sc)
 }
 
 // MustSimulate is Simulate for experiment harnesses with static configs.

@@ -2,6 +2,7 @@ package scaleout
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/memcentric/mcdla/internal/collective"
 	"github.com/memcentric/mcdla/internal/core"
@@ -201,7 +202,9 @@ func (p Plane) simulate(workload string, globalBatch int, memCentric bool, strat
 	// MC-plane) virtualization DMAs contend there in shared groups, exactly
 	// like the single-node MC-DLA designs. The DC-plane's PCIe path is a
 	// disjoint fabric, as in core's non-shared-link layout.
-	e := &stagedSync{p: p, tr: tr, intra: p.intraConfig()}
+	sc := scratchPool.Get().(*scratch)
+	e := &sc.e
+	*e = stagedSync{p: p, tr: tr, intra: p.intraConfig(), pending: e.pending[:0]}
 	e.links = sim.NewChannel("switch", p.DeviceLinkBW())
 	if p.DevicesPerNode > 1 {
 		e.ring = e.links.Group(min(e.intra.AggregateBW(), p.DeviceLinkBW()), true)
@@ -224,20 +227,13 @@ func (p Plane) simulate(workload string, globalBatch int, memCentric bool, strat
 	// Hybrid: one dW all-reduce per weight group across the chassis
 	// replicas, issued when backward passes the group's earliest layer
 	// (mirroring the data-parallel schedule builder's dedup of shared
-	// recurrent weights). The per-device shard is already 1/DevicesPerNode.
+	// recurrent weights).
 	if strategy == Hybrid && p.SystemNodes > 1 {
-		e.hybridDW = map[int]units.Bytes{}
-		for _, l := range s.Graph.Layers {
-			if !l.GroupLead() {
-				continue
-			}
-			if b := s.Work[l.ID].WeightBytes; b > 0 {
-				e.hybridDW[l.ID] = units.Bytes(b)
-			}
-		}
+		e.hybridDW = s
 	}
 
-	it := core.Iteration{Device: p.Device, Sched: s, Prep: prep, Virt: virt, Window: window, Trace: tr}
+	it := &sc.it
+	it.Device, it.Sched, it.Prep, it.Virt, it.Window, it.Trace = p.Device, s, prep, virt, window, tr
 	it.Run(e)
 
 	res := SimResult{
@@ -256,7 +252,38 @@ func (p Plane) simulate(workload string, globalBatch int, memCentric bool, strat
 	if uplink != nil {
 		tr.Tally(uplink.Stats())
 	}
+	sc.release()
 	return res, nil
+}
+
+// scratch is a plane simulation's working storage: the kernel with its
+// prefetch table and the staged sync with its pending ops, and through
+// them the channels. simulate takes one from scratchPool and puts it back,
+// so the tables keep the capacity earlier simulations grew; a pointer in
+// the pool, unlike a slice, costs no allocation per Put.
+type scratch struct {
+	it core.Iteration
+	e  stagedSync
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release hands back the channels, empties the scratch set, keeping its
+// tables' capacity and pinning no schedule or trace, and puts it back in
+// the pool.
+func (sc *scratch) release() {
+	e := &sc.e
+	if virt := sc.it.Virt.Channel(); virt != e.links {
+		virt.Release()
+	}
+	e.links.Release()
+	if uplink := e.uplink.Channel(); uplink != nil {
+		uplink.Release()
+	}
+	clear(e.pending)
+	*e = stagedSync{pending: e.pending[:0]}
+	sc.it.Sched, sc.it.Prep, sc.it.Virt, sc.it.Trace = nil, nil, sim.Group{}, nil
+	scratchPool.Put(sc)
 }
 
 // stagedSync prices the plane's collectives as staged hierarchical ops:
@@ -268,10 +295,12 @@ type stagedSync struct {
 	ring, uplink sim.Group // chassis-ring laps; inter-node shard rings
 	intra        collective.Config
 	tr           *trace.Log
-	hybridDW     map[int]units.Bytes
-	pending      []stagedOp
-	sync         units.Time
-	uplinkBytes  units.Bytes
+	// hybridDW is the schedule under Hybrid across chassis, nil otherwise:
+	// each weight group's lead layer all-reduces its dW over the uplink.
+	hybridDW    *train.Schedule
+	pending     []stagedOp
+	sync        units.Time
+	uplinkBytes units.Bytes
 }
 
 // local builds the chassis-ring lap for op.
@@ -350,8 +379,11 @@ func (e *stagedSync) Overlapped(id int, t units.Time, ops []train.SyncOp) {
 			e.stage(t, e.local(collective.ReduceScatter, op.Bytes, "dW-rs"), e.inter(shard, "dW"), e.local(collective.AllGather, op.Bytes, "dW-ag"))
 		}
 	}
-	if shard, ok := e.hybridDW[id]; ok {
-		e.stage(t, e.inter(shard, "dW"))
+	if s := e.hybridDW; s != nil && s.Graph.Layer(id).GroupLead() {
+		// The per-device shard is already 1/DevicesPerNode.
+		if b := s.Work[id].WeightBytes; b > 0 {
+			e.stage(t, e.inter(units.Bytes(b), "dW"))
+		}
 	}
 }
 

@@ -11,6 +11,10 @@
 // Completions are resolved lazily as simulated time advances, so a single
 // sequential actor — one symmetric device of the 8-device node — can drive
 // the whole timeline deterministically.
+//
+// A simulation that is done with a channel hands it back with Release, and
+// the next NewChannel reuses its tables: their capacity carries over, their
+// contents do not, so a reused channel computes every bit a fresh one does.
 package sim
 
 import (
@@ -19,12 +23,14 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/memcentric/mcdla/internal/units"
 )
 
 // Flow is a handle on a transfer started on a Channel: a small value that
-// stays valid for the channel's life, after the transfer completes too.
+// stays valid until the channel is released, after the transfer completes
+// too.
 type Flow struct {
 	ch *Channel
 	id int // index of the flow's stamp in ch.stamps
@@ -187,12 +193,38 @@ type ChannelStats struct {
 	Visits int
 }
 
-// NewChannel creates a channel with the given aggregate capacity.
+// channelPool holds released channels for NewChannel to reuse.
+var channelPool = sync.Pool{New: func() any { return new(Channel) }}
+
+// NewChannel creates a channel with the given aggregate capacity. It may
+// reuse a released channel: then every counter, clock, cache and statistic
+// is zero as on a fresh channel, and every table is empty but keeps the
+// capacity an earlier simulation grew.
 func NewChannel(name string, capacity units.Bandwidth) *Channel {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: channel %q capacity must be positive, got %v", name, capacity))
 	}
-	return &Channel{name: name, capacity: capacity}
+	c := channelPool.Get().(*Channel)
+	c.name, c.capacity = name, capacity
+	return c
+}
+
+// Release hands the channel's stamp, flow, group and fill tables back for
+// a later NewChannel to reuse. Neither the channel nor any Flow or Group
+// on it may be used afterwards. A channel that is never released is
+// garbage collected as usual.
+func (c *Channel) Release() {
+	*c = Channel{
+		flows:  c.flows[:0],
+		groups: c.groups[:0],
+		stamps: c.stamps[:0],
+		topFill: fillScratch{
+			caps:  c.topFill.caps[:0],
+			out:   c.topFill.out[:0],
+			order: c.topFill.order[:0],
+		},
+	}
+	channelPool.Put(c)
 }
 
 // Name reports the channel's name.

@@ -323,13 +323,13 @@ type fillRun struct {
 // than the gaps between many of a decoded run's completions.
 const lateClock = units.Time(1 << 44)
 
-// decodeChannel builds a channel and its flows from data: a capacity byte,
-// a layout byte (1–4 groups, which of them are shared, and whether the run
-// is late, drained or neither), one rate byte per group, then two bytes per
-// flow, at most 64 flows: its group, priority class (0–3), whether it is
-// staggered (one value in four) and its extra latency (0–3 ms), and its
-// size. Missing bytes read as zero.
-func decodeChannel(data []byte) (*Channel, fillRun) {
+// decodeChannel builds a channel with newChannel and its flows from data:
+// a capacity byte, a layout byte (1–4 groups, which of them are shared, and
+// whether the run is late, drained or neither), one rate byte per group,
+// then two bytes per flow, at most 64 flows: its group, priority class
+// (0–3), whether it is staggered (one value in four) and its extra latency
+// (0–3 ms), and its size. Missing bytes read as zero.
+func decodeChannel(data []byte, newChannel func(string, units.Bandwidth) *Channel) (*Channel, fillRun) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -338,7 +338,7 @@ func decodeChannel(data []byte) (*Channel, fillRun) {
 		data = data[1:]
 		return int(b)
 	}
-	ch := NewChannel("fill", units.GBps(float64(10+next())))
+	ch := newChannel("fill", units.GBps(float64(10+next())))
 	layout := next()
 	groups := make([]Group, 1+layout%4)
 	for i := range groups {
@@ -529,7 +529,7 @@ func checkLockstep(tb testing.TB, ch *Channel, ref *refChannel, event string, n 
 // both, each followed by checkLockstep.
 func checkFill(tb testing.TB, data []byte, cov *fillCoverage) {
 	tb.Helper()
-	ch, run := decodeChannel(data)
+	ch, run := decodeChannel(data, NewChannel)
 	ref := newRefChannel(ch, cov)
 	check := func(event string, n int) {
 		tb.Helper()
@@ -660,14 +660,22 @@ func TestFillClassTransitions(t *testing.T) {
 	}
 }
 
+// fillSeeds returns the seeds FuzzChannelFill adds to its corpus.
+func fillSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(20))
+	seeds := make([][]byte, 12)
+	for i := range seeds {
+		seeds[i] = randomFillInput(rng)
+	}
+	return seeds
+}
+
 // FuzzChannelFill decodes a flow set from its input and checks every state
 // against the reference channel. Its seed corpus must reach every coverage
 // count.
 func FuzzChannelFill(f *testing.F) {
-	rng := rand.New(rand.NewSource(20))
 	var cov fillCoverage
-	for i := 0; i < 12; i++ {
-		seed := randomFillInput(rng)
+	for _, seed := range fillSeeds() {
 		checkFill(f, seed, &cov)
 		f.Add(seed)
 	}
