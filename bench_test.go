@@ -284,13 +284,13 @@ func BenchmarkRunnerCached(b *testing.B) {
 // ---- Microbenchmarks: simulator throughput per workload --------------------
 
 // benchSimulate times untraced iterations on design, then reports the
-// water-fill rounds and flow visits of one traced run outside the timer:
-// exact work counters that benchgate holds equal to the baseline. Two
-// untimed iterations first build the schedule's plan and fill the channel
-// pool. A pooled channel may take another's role, the host channel's or
-// the rings', so each runs both before the timer starts, and -benchtime 1x
-// counts a steady-state iteration whatever the benchmarks before it left
-// in the pool.
+// water-fill rounds and event-loop visits of one traced run outside the
+// timer: exact work counters that benchgate holds equal to the baseline.
+// Two untimed iterations first build the schedule's plan and fill the
+// channel pool. A pooled channel may take another's role, the host
+// channel's or the rings', so each runs both before the timer starts, and
+// even one timed iteration counts a steady state whatever the benchmarks
+// before it left in the pool.
 func benchSimulate(b *testing.B, design, workload string, strategy train.Strategy) {
 	s := train.MustBuild(workload, 512, 8, strategy)
 	d, err := core.DesignByName(design)
@@ -338,8 +338,7 @@ func BenchmarkSimulateGRUMP(b *testing.B) {
 }
 
 // BenchmarkSimulateVGGEDPHost runs VGG-E on DC-DLA, whose offloads and
-// prefetches share the host channel as unshared per-DMA flows: the channel
-// that does most of a study grid's flow visits.
+// prefetches share the host channel as unshared per-DMA flows.
 func BenchmarkSimulateVGGEDPHost(b *testing.B) {
 	benchSimulate(b, "DC-DLA", "VGG-E", train.DataParallel)
 }
@@ -359,10 +358,11 @@ func BenchmarkSimulateGRUDPHost(b *testing.B) {
 // full 12 GB/s. The flows start staggered, 1 MB apart, so they land one at
 // a time in start order. One op waits for the oldest flow and starts a
 // 56 MB replacement: one completion and one start, two fills. All 56 sit
-// in one group and one class, so they ride the channel's virtual clock:
-// the op is one heap pop and one push, two visits, whatever the number in
-// flight. The stamp table grows by doubling, less than one allocation per
-// op, so the loop holds 0 allocs/op.
+// in one group and one class, so they ride that class's virtual clock: the
+// completion moves the class, pops a tag and fills over the one class, and
+// the start looks the class up, pushes a tag and fills again, six visits
+// whatever the number in flight. The stamp table grows by doubling, less
+// than one allocation per op, so the loop holds 0 allocs/op.
 func BenchmarkChannelFill(b *testing.B) {
 	const inFlight = 56
 	ch := sim.NewChannel("host", units.GBps(12))
@@ -633,6 +633,39 @@ func BenchmarkPlaneSimulate(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(div, "divergence-%")
+	b.ReportMetric(float64(tr.Fills), "fills/op")
+	b.ReportMetric(float64(tr.Visits), "visits/op")
+}
+
+// BenchmarkPlaneGPT2 times the GPT-2 plane study at 1 and 2 system nodes,
+// the DC- and MC-plane iterations that `mcdla plane -workload GPT-2 -nodes
+// 1,2` simulates. Under the plane's prefetch window each prefetch has its
+// own priority class, 1 + layer, above the forward pass's pri-0 offloads,
+// which sit parked on the same channel: its fills see the most classes of
+// any gated benchmark. Its fills and visits are one traced study's, counted
+// outside the timer as BenchmarkPlaneSimulate counts them.
+func BenchmarkPlaneGPT2(b *testing.B) {
+	batch := experiments.ScaleOutBatch([]int{1, 2})
+	planes := []scaleout.Plane{benchPlane(1), benchPlane(2)}
+	study := func(tr *trace.Log) {
+		for _, p := range planes {
+			for _, memCentric := range []bool{false, true} {
+				if _, err := p.SimulateTraced("GPT-2", batch, memCentric, scaleout.DataParallel, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	for range 2 { // warm the plans and the pooled channels, as benchSimulate does
+		study(nil)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		study(nil)
+	}
+	b.StopTimer()
+	tr := &trace.Log{}
+	study(tr)
 	b.ReportMetric(float64(tr.Fills), "fills/op")
 	b.ReportMetric(float64(tr.Visits), "visits/op")
 }
@@ -909,7 +942,7 @@ func BenchmarkRunMemoHit(b *testing.B) {
 }
 
 // obsBatch is how many calls one op of the obs hot-path benchmarks makes.
-// The trajectory files run at -benchtime 1x, where a single call of a few
+// The trajectory files run 20 iterations, where a single call of a few
 // nanoseconds would time first-touch noise; a batch per op gives each
 // sample enough work to mean something.
 const obsBatch = 4096

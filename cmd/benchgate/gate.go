@@ -24,7 +24,7 @@ type Result struct {
 }
 
 // exactCounters are the custom metrics that count the simulator's work
-// exactly: water-fill rounds and flow visits, reported by the event-loop
+// exactly: water-fill rounds and event-loop visits, reported by the event-loop
 // benchmarks, and graph and memory-plan builds, reported by the cold
 // request benchmark. They do not depend on the machine, so the gate holds
 // each to its baseline value.

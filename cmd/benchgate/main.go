@@ -11,12 +11,14 @@
 //
 // -threshold bounds the allocs/op growth in percent. -time-threshold bounds
 // ns/op growth separately (default: 400): the committed baselines and the CI
-// runners are different machines and the trajectory files run at
-// -benchtime 1x, so wall-clock is gated loosely — it catches order-of-
+// runners are different machines and the trajectory files run a few
+// iterations, so wall-clock is gated loosely — it catches order-of-
 // magnitude blowups — while allocs/op, which is deterministic and
-// machine-independent, carries the tight bound. A benchmark that reports
-// the simulator's fills/op (water-fill rounds) must match its baseline
-// exactly: the count is a pure function of the simulated work.
+// machine-independent, carries the tight bound. The exact work counters
+// must match their baselines exactly, fewer as well as more: fills/op (the
+// simulator's water-fill rounds), visits/op (the entries its event loop
+// touches), graphs/op and plans/op (graph and memory-plan builds). Each is a
+// pure function of the work done.
 //
 // New benchmarks (in current, not in baseline) are reported but pass: they
 // gate once the baseline is regenerated. Benchmarks present in the baseline
@@ -38,7 +40,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	threshold := fs.Float64("threshold", 10, "max allocs/op growth in percent")
-	timeThreshold := fs.Float64("time-threshold", 400, "max ns/op growth in percent (loose: trajectory files run -benchtime 1x on heterogeneous machines)")
+	timeThreshold := fs.Float64("time-threshold", 400, "max ns/op growth in percent (loose: trajectory files run a few iterations on heterogeneous machines)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

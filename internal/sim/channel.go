@@ -8,6 +8,9 @@
 // declared once on its channel with one rate: each member moves at most that
 // rate (e.g. a DMA engine that can only stripe across two of a memory-node's
 // six links), and a shared group's members also split it as their total.
+// Within a group, flows sit in priority classes, and the members of one
+// class always move at one rate, so each class keeps a virtual clock: the
+// bytes each member has moved, and a heap of the members' finish tags.
 // Completions are resolved lazily as simulated time advances, so a single
 // sequential actor — one symmetric device of the 8-device node — can drive
 // the whole timeline deterministically.
@@ -18,11 +21,8 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 	"sync"
 
 	"github.com/memcentric/mcdla/internal/units"
@@ -42,18 +42,31 @@ func (f Flow) Done() bool { return f.ch.done(f.id) }
 // DoneAt reports the completion time. It is only meaningful once Done.
 func (f Flow) DoneAt() units.Time { return f.ch.stamps[f.id] }
 
-// flow is an in-flight transfer's entry in its channel's flow table. Its
-// indices are 32-bit: a channel declares fewer than 2³¹ groups and starts
-// fewer than 2³¹ flows, whose stamps alone would take 16 GiB.
+// flow is an in-flight transfer's entry in its class's heap. Its stamp
+// index is 32-bit: a channel starts fewer than 2³¹ flows, whose stamps
+// alone would take 16 GiB.
 type flow struct {
-	// remaining is the bytes left to move, or on the virtual clock the
-	// flow's finish tag: the clock's served bytes at its start plus its
-	// size.
-	remaining float64
-	rate      units.Bandwidth // current allocated rate, off the virtual clock
-	pri       int             // priority class within the group (higher first)
-	group     int32           // index of the flow's group in ch.groups
-	id        int32           // index of the flow's stamp in ch.stamps
+	tag float64 // the class's served bytes at the flow's start plus its size
+	id  int32   // index of the flow's stamp in ch.stamps
+}
+
+// before orders a class's heap: earlier finish tags first, ties by start
+// order.
+func (f *flow) before(g *flow) bool {
+	return f.tag < g.tag || f.tag == g.tag && f.id < g.id
+}
+
+// class is one priority class of a group with members in flight. Its
+// members all move at one rate, so served, the bytes each of them has moved
+// since the class became active, stands for every member's progress: a
+// member has its finish tag less served bytes left. The class is dropped
+// when its last member completes, so served restarts at 0 with the next.
+type class struct {
+	pri    int
+	served float64
+	rate   units.Bandwidth // each member's rate, set by the last fill
+	flows  []flow          // min-heap of finish tags
+	due    bool            // a partial move left the heap minimum drained
 }
 
 // Group is a handle on one of a channel's flow groups: its members move at
@@ -70,62 +83,40 @@ func (g Group) Channel() *Channel { return g.ch }
 // Rate reports the group's per-member rate.
 func (g Group) Rate() units.Bandwidth { return g.ch.groups[g.id].rate }
 
-// group is one declared group and its working state in the current
-// allocate round.
+// group is one declared group and its active classes.
 type group struct {
 	rate   units.Bandwidth
 	shared bool
-
-	n     int     // active members
-	sum   float64 // n copies of rate, added in flow order
-	unit  int     // index among the round's active groups
-	pri   int     // highest active priority class
-	left  int     // members of the class being filled not yet filled
-	rem   float64 // group share not yet handed out
-	lower bool    // some member sits below the top class
-}
-
-// before orders the virtual clock's heap: earlier finish tags first, ties
-// by start order.
-func (f *flow) before(g *flow) bool {
-	return f.remaining < g.remaining || f.remaining == g.remaining && f.id < g.id
+	n      int // members in flight, over every class
+	// classes holds the active classes in descending priority. The entries
+	// between its length and its capacity are spare classes whose heaps
+	// keep the capacity they grew.
+	classes []class
+	// moving counts the classes at the top of classes that the last fill
+	// gave a positive rate; the classes below it are parked at rate 0.
+	moving int
+	due    int // classes marked due
 }
 
 // Channel is a shared, half-duplex bandwidth resource. Concurrent flows
 // receive max-min fair shares of Capacity through their groups: groups
-// share the channel, and each group's share goes to its members, each
-// moving at most the group's rate. The zero Channel is not usable;
-// construct with NewChannel.
+// share the channel, and each group's share goes to its members by
+// descending priority class, each moving at most the group's rate. The
+// zero Channel is not usable; construct with NewChannel.
 type Channel struct {
 	name     string
 	capacity units.Bandwidth
 	now      units.Time
-	// flows holds the flows in flight: in start order on the general
-	// route, a min-heap of finish tags on the virtual clock.
-	flows  []flow
-	groups []group
+	// groups holds the declared groups. The entries between its length and
+	// its capacity are spare groups whose class tables keep their capacity.
+	groups   []group
+	inFlight int // flows in flight
 	// stamps holds one entry per flow started, indexed by Flow.id. Its
 	// sign bit says whether the flow is in flight: an in-flight flow's
 	// stamp is its extra latency negated (−0 for none), a completed flow's
 	// is its completion time, which the clock and a non-negative extra
 	// latency keep non-negative.
 	stamps []units.Time
-
-	// homeN counts the in-flight flows in group homeGroup's priority class
-	// homePri, the home class: the class of the flow that started the
-	// channel from empty, or the class a general fill last found alone in
-	// flight. While homeN is every flow in flight, the virtual clock
-	// carries them.
-	homeGroup, homePri, homeN int
-
-	// The virtual clock: while every flow in flight sits in the home
-	// class, all of them move at one rate, so served, the bytes each has
-	// moved since the clock was set, stands for every flow's progress.
-	// While clock is set the flow table is a min-heap of finish tags, so a
-	// flow has tag − served bytes left, and rate is the flows' one rate.
-	clock  bool
-	served float64
-	rate   units.Bandwidth
 
 	stats ChannelStats
 
@@ -134,8 +125,8 @@ type Channel struct {
 	next   units.Time
 	nextOK bool
 
-	// topFill keeps the general fill's working storage off the heap: every
-	// flow start and completion reruns the water-fill.
+	// topFill keeps the group-level fill's working storage off the heap:
+	// every flow start and completion reruns the water-fill.
 	topFill fillScratch
 
 	// latest is the latest completion time stamped since Drain set it.
@@ -169,8 +160,14 @@ func (c *Channel) Group(rate units.Bandwidth, shared bool) Group {
 	if rate <= 0 {
 		panic(fmt.Sprintf("sim: channel %q: group rate must be positive, got %v", c.name, rate))
 	}
-	c.groups = append(c.groups, group{rate: rate, shared: shared})
-	return Group{ch: c, id: len(c.groups) - 1}
+	n := len(c.groups)
+	if n < cap(c.groups) {
+		c.groups = c.groups[:n+1]
+	} else {
+		c.groups = append(c.groups, group{})
+	}
+	c.groups[n] = group{rate: rate, shared: shared, classes: c.groups[n].classes[:0]}
+	return Group{ch: c, id: n}
 }
 
 // ChannelStats accumulates a channel's traffic accounting: the bytes moved,
@@ -185,11 +182,12 @@ type ChannelStats struct {
 	// Fills counts water-fill rounds over a nonempty flow set: an exact,
 	// machine-independent measure of the event loop's work.
 	Fills int
-	// Visits counts the flow entries the event loop touches: one per
-	// push onto or pop off the virtual clock's heap, and one per flow in
-	// flight for every pass the general route makes over them, moving the
-	// flows onto or off the clock among them. It measures what each event
-	// costs, as Fills measures how many events there are.
+	// Visits counts the entries the event loop touches: one per push onto
+	// or pop off a class's heap, and one per class entry that a start's
+	// class lookup, a fill, a move or a completion search walks. A fill
+	// stops where a group's share runs out, so the classes parked below it
+	// cost nothing. It measures what each event costs, as Fills measures
+	// how many events there are.
 	Visits int
 }
 
@@ -209,13 +207,12 @@ func NewChannel(name string, capacity units.Bandwidth) *Channel {
 	return c
 }
 
-// Release hands the channel's stamp, flow, group and fill tables back for
+// Release hands the channel's stamp, group, class and fill tables back for
 // a later NewChannel to reuse. Neither the channel nor any Flow or Group
 // on it may be used afterwards. A channel that is never released is
 // garbage collected as usual.
 func (c *Channel) Release() {
 	*c = Channel{
-		flows:  c.flows[:0],
 		groups: c.groups[:0],
 		stamps: c.stamps[:0],
 		topFill: fillScratch{
@@ -237,24 +234,18 @@ func (c *Channel) Capacity() units.Bandwidth { return c.capacity }
 func (c *Channel) Stats() ChannelStats { return c.stats }
 
 // allocate recomputes max-min fair rates for the active flows using
-// two-level water-filling. The active groups, in order of their first
-// member, share the channel capacity max-min fairly, each demanding its
-// rate if shared and n·rate if not. Each group's share then goes to its
-// members by descending priority class. Members share one rate, so a
-// class's max-min fill is one pass in flow order: the ascending-cap order
-// of a general fill is the identity on equal caps. It runs on every flow
-// start and completion, so its working storage lives in the channel.
-//
-// While every flow in flight sits in the home class, the common case, the
-// virtual clock carries them and the fill is fillClock's O(1) rate. Any
-// other set takes the general route: a counting pass, then one pass over
-// the flows that fills every group's top class, sums the total in flow
-// order and finds the next completion. Only a group whose top class left
-// part of its share unspent cascades to its lower classes, and only then
-// are the total and the next completion re-summed: a lower-class flow the
-// cascade does not reach keeps rate +0, which adds nothing to either. A
-// counting pass that finds one class makes it the home class and moves
-// the flows onto the clock.
+// two-level water-filling. The active groups, in declaration order, share
+// the channel capacity max-min fairly, each demanding its rate if shared
+// and n·rate if not. Each group's share then goes to its classes from the
+// top: an unshared class of n members whose n·rate fits what is left moves
+// at the rate and passes the rest down; any other class, and every class
+// of a shared group, splits what is left n ways and spends it. The classes
+// below a spent share keep rate 0 and are not visited. On a one-class set
+// this is the virtual clock's closed form: n members of an unshared group
+// move at the rate while n·rate fits the capacity and at capacity/n
+// otherwise, and a shared group's members split the lesser of its rate and
+// the capacity. It runs on every flow start and completion, so its working
+// storage lives in the channel.
 //
 // Deferring a round to the next rate read would skip only states that last
 // zero simulated time, yet it would change PeakRate: the peak is the largest
@@ -262,299 +253,197 @@ func (c *Channel) Stats() ChannelStats { return c.stats }
 // states around it by an ulp (TestPeakRateCountsZeroDurationStates).
 func (c *Channel) allocate() {
 	c.nextOK = false
-	if len(c.flows) == 0 {
+	if c.inFlight == 0 {
 		return
 	}
 	c.stats.Fills++
-	if c.homeN == len(c.flows) {
-		c.enterClock()
-		c.fillClock()
-		return
-	}
-	c.stats.Visits += len(c.flows)
-	for i := range c.groups {
-		c.groups[i].n = 0
-	}
 	caps := c.topFill.caps[:0]
-	for i := range c.flows {
-		f := &c.flows[i]
-		g := &c.groups[f.group]
-		if g.n == 0 {
-			*g = group{rate: g.rate, shared: g.shared, unit: len(caps), pri: f.pri}
-			caps = append(caps, 0)
-		}
-		g.n++
-		g.sum += float64(g.rate)
-		switch {
-		case f.pri == g.pri:
-			g.left++
-		case f.pri > g.pri:
-			g.pri, g.left, g.lower = f.pri, 1, true
-		default:
-			g.lower = true
+	for i := range c.groups {
+		if g := &c.groups[i]; g.n > 0 {
+			demand := float64(g.n) * float64(g.rate)
+			if g.shared {
+				demand = float64(g.rate)
+			}
+			caps = append(caps, demand)
 		}
 	}
 	c.topFill.caps = caps
-	if id := int(c.flows[0].group); len(caps) == 1 && !c.groups[id].lower {
-		c.homeGroup, c.homePri, c.homeN = id, c.groups[id].pri, len(c.flows)
-		c.enterClock()
-		c.fillClock()
-		return
-	}
-	for i := range c.groups {
-		if g := &c.groups[i]; g.n > 0 {
-			caps[g.unit] = g.sum
-			if g.shared {
-				caps[g.unit] = float64(g.rate)
-			}
-		}
-	}
 	shares := c.topFill.fill(float64(c.capacity))
-	for i := range c.groups {
-		if g := &c.groups[i]; g.n > 0 {
-			g.rem = shares[g.unit]
-		}
-	}
-	c.stats.Visits += len(c.flows)
 	total, next := units.Bandwidth(0), math.Inf(1)
-	for i := range c.flows {
-		f := &c.flows[i]
-		g := &c.groups[f.group]
-		f.rate = 0
-		if f.pri == g.pri {
-			f.rate = g.take()
-			total += f.rate
-			next = min(next, f.completesIn())
-		}
-	}
-	fed := false
+	unit := 0
 	for i := range c.groups {
-		// A class's last member takes all that is left unless every member
-		// took the full rate, so rem is exactly 0 once the share is spent.
-		if g := &c.groups[i]; g.n > 0 && g.lower && g.rem > 0 {
-			c.cascade(i)
-			fed = true
+		g := &c.groups[i]
+		if g.n == 0 {
+			continue
 		}
-	}
-	if fed {
-		c.stats.Visits += len(c.flows)
-		total, next = 0, math.Inf(1)
-		for i := range c.flows {
-			f := &c.flows[i]
-			total += f.rate
-			next = min(next, f.completesIn())
-		}
-	}
-	c.settle(total, next)
-}
-
-// fillClock sets the one rate of the home class's members, all of them on
-// the virtual clock: n members of an unshared group each move at the
-// group's rate while their n-fold demand fits the capacity and share it
-// equally otherwise, and a shared group's members split the lesser of its
-// rate and the capacity equally. The next completion is the heap minimum's.
-func (c *Channel) fillClock() {
-	g := &c.groups[c.homeGroup]
-	n, capacity, rate := float64(len(c.flows)), float64(c.capacity), float64(g.rate)
-	split := capacity
-	if g.shared {
-		split = min(rate, capacity)
-	}
-	r := split / n //mcdlalint:allow floatguard -- fillClock runs only with flows on the clock, so n >= 1
-	if !g.shared && n*rate <= capacity {
-		r = rate
-	}
-	c.rate = units.Bandwidth(r)
-	c.settle(units.Bandwidth(n*r), c.clockNext())
-}
-
-// clockNext reports the time until the heap minimum completes at the
-// clock's rate, with completesIn's residue rule.
-func (c *Channel) clockNext() float64 {
-	return max(c.flows[0].remaining-c.served, byteEpsilon) / float64(c.rate) //mcdlalint:allow floatguard -- fillClock sets a positive rate: a positive capacity or group rate over n >= 1
-}
-
-// enterClock puts the flow table, every flow in the home class, on the
-// virtual clock. served restarts at 0, so each flow's tag is its remaining
-// bytes, and the table is heapified in place.
-func (c *Channel) enterClock() {
-	if c.clock {
-		return
-	}
-	c.stats.Visits += len(c.flows)
-	c.clock, c.served = true, 0
-	for i := len(c.flows)/2 - 1; i >= 0; i-- {
-		c.down(i)
-	}
-}
-
-// leaveClock takes the flows off the virtual clock, for a flow outside the
-// home class to join them on the general route: the heap is sorted back
-// into start order in place, each tag becoming what it has left to move.
-func (c *Channel) leaveClock() {
-	if !c.clock {
-		return
-	}
-	c.clock = false
-	c.stats.Visits += len(c.flows)
-	slices.SortFunc(c.flows, func(a, b flow) int { return cmp.Compare(a.id, b.id) })
-	for i := range c.flows {
-		c.flows[i].remaining = max(c.flows[i].remaining-c.served, 0)
-	}
-}
-
-// push adds a flow to the heap.
-func (c *Channel) push(f flow) {
-	c.stats.Visits++
-	c.flows = append(c.flows, f)
-	for i := len(c.flows) - 1; i > 0; {
-		up := (i - 1) / 2
-		if !c.flows[i].before(&c.flows[up]) {
-			break
-		}
-		c.flows[i], c.flows[up] = c.flows[up], c.flows[i]
-		i = up
-	}
-}
-
-// pop removes the heap minimum and returns its stamp index.
-func (c *Channel) pop() int32 {
-	c.stats.Visits++
-	id, last := c.flows[0].id, len(c.flows)-1
-	c.flows[0] = c.flows[last]
-	c.flows = c.flows[:last]
-	c.down(0)
-	return id
-}
-
-// down sifts heap entry i down to its place.
-func (c *Channel) down(i int) {
-	for {
-		least := i
-		for _, k := range [2]int{2*i + 1, 2*i + 2} {
-			if k < len(c.flows) && c.flows[k].before(&c.flows[least]) {
-				least = k
+		rem, rate := shares[unit], float64(g.rate)
+		unit++
+		g.moving = 0
+		for k := range g.classes {
+			c.stats.Visits++
+			cl := &g.classes[k]
+			n, r := float64(len(cl.flows)), rate
+			if !g.shared && n*rate <= rem {
+				rem -= n * rate
+			} else {
+				r, rem = rem/n, 0 //mcdlalint:allow floatguard -- an active class has at least one member
+			}
+			cl.rate = units.Bandwidth(r)
+			g.moving++
+			total += units.Bandwidth(n * r)
+			next = min(next, cl.untilDone())
+			if rem <= 0 {
+				break
 			}
 		}
-		if least == i {
-			return
-		}
-		c.flows[i], c.flows[least] = c.flows[least], c.flows[i]
-		i = least
 	}
-}
-
-// serve moves the virtual clock's flows dt forward at their one rate:
-// served grows by the bytes one flow moves, and TotalBytes by what all of
-// them move, a flow with fewer bytes left than that moving only those.
-func (c *Channel) serve(dt units.Time) {
-	moved := float64(c.rate) * float64(dt)
-	n, left := c.short(0, moved)
-	if kept := len(c.flows) - n; kept > 0 {
-		left += float64(kept) * moved
-	}
-	c.stats.TotalBytes += left
-	c.served += moved
-}
-
-// short counts the heap entries at or below i with fewer than moved bytes
-// left and sums the bytes they have left. No entry has more left than the
-// entries below it, so the walk stops at the first with moved or more:
-// usually the root, or the flows about to complete.
-func (c *Channel) short(i int, moved float64) (n int, left float64) {
-	if i >= len(c.flows) {
-		return 0, 0
-	}
-	own := c.flows[i].remaining - c.served
-	if own >= moved {
-		return 0, 0
-	}
-	n1, left1 := c.short(2*i+1, moved)
-	n2, left2 := c.short(2*i+2, moved)
-	return 1 + n1 + n2, max(own, 0) + left1 + left2
-}
-
-// settle caches a fill's next-completion delta and folds its total into
-// PeakRate.
-func (c *Channel) settle(total units.Bandwidth, next float64) {
 	c.next, c.nextOK = units.Time(next), true
 	if total > c.stats.PeakRate {
 		c.stats.PeakRate = total
 	}
 }
 
-// take hands the next member of the class being filled its max-min share.
-// The rate is positive and the share non-negative, both finite, so the
-// inline compare returns math.Min's bits.
-func (g *group) take() units.Bandwidth {
-	share := g.rem / float64(g.left) //mcdlalint:allow floatguard -- left counts down from the class's member count, one per member, so left >= 1 here
-	r := float64(g.rate)
-	if share < r {
-		r = share
-	}
-	g.rem -= r
-	g.left--
-	return units.Bandwidth(r)
+// untilDone reports the time until the class's heap minimum completes at
+// the class's rate. A residue below byteEpsilon counts as byteEpsilon.
+func (cl *class) untilDone() float64 {
+	return max(cl.flows[0].tag-cl.served, byteEpsilon) / float64(cl.rate) //mcdlalint:allow floatguard -- only moving classes are asked, and a fill gives each a positive rate
 }
 
-// cascade hands what group id's top class left over to its lower classes,
-// one class at a time in descending priority, until the share is spent:
-// each member takes at most rem, so rem never goes negative, and the
-// classes below a spent share keep rate +0.
-func (c *Channel) cascade(id int) {
-	g := &c.groups[id]
-	for above := g.pri; g.rem > 0; above = g.pri {
-		c.stats.Visits += len(c.flows)
-		g.left = 0
-		for i := range c.flows {
-			f := &c.flows[i]
-			if int(f.group) != id || f.pri >= above {
-				continue
-			}
-			if g.left == 0 || f.pri > g.pri {
-				g.pri, g.left = f.pri, 0
-			}
-			if f.pri == g.pri {
-				g.left++
+// class returns group g's class pri, adding it in its place, with served
+// at 0, if it has no member in flight.
+func (c *Channel) class(g *group, pri int) *class {
+	k := 0
+	for ; k < len(g.classes) && g.classes[k].pri >= pri; k++ {
+		c.stats.Visits++
+		if g.classes[k].pri == pri {
+			return &g.classes[k]
+		}
+	}
+	n := len(g.classes)
+	if n < cap(g.classes) {
+		g.classes = g.classes[:n+1]
+	} else {
+		g.classes = append(g.classes, class{})
+	}
+	if k < n {
+		spare := g.classes[n]
+		copy(g.classes[k+1:], g.classes[k:n])
+		g.classes[k] = spare
+	}
+	cl := &g.classes[k]
+	*cl = class{pri: pri, flows: cl.flows[:0]}
+	return cl
+}
+
+// drop removes group g's class k, whose heap is empty, and keeps it as a
+// spare past the table's end.
+func (g *group) drop(k int) {
+	last := len(g.classes) - 1
+	if k < last {
+		spare := g.classes[k]
+		copy(g.classes[k:], g.classes[k+1:])
+		g.classes[last] = spare
+	}
+	g.classes = g.classes[:last]
+}
+
+// push adds a flow to the class's heap.
+func (c *Channel) push(cl *class, f flow) {
+	c.stats.Visits++
+	cl.flows = append(cl.flows, f)
+	h := cl.flows
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].before(&h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+}
+
+// pop removes the class's heap minimum and returns its stamp index.
+func (c *Channel) pop(cl *class) int32 {
+	c.stats.Visits++
+	id, last := cl.flows[0].id, len(cl.flows)-1
+	cl.flows[0] = cl.flows[last]
+	cl.flows = cl.flows[:last]
+	cl.down(0)
+	return id
+}
+
+// down sifts heap entry i down to its place.
+func (cl *class) down(i int) {
+	h := cl.flows
+	for {
+		least := i
+		for _, k := range [2]int{2*i + 1, 2*i + 2} {
+			if k < len(h) && h[k].before(&h[least]) {
+				least = k
 			}
 		}
-		if g.left == 0 {
+		if least == i {
 			return
 		}
-		c.stats.Visits += len(c.flows)
-		for i := range c.flows {
-			if f := &c.flows[i]; int(f.group) == id && f.pri == g.pri {
-				f.rate = g.take()
-			}
-		}
+		h[i], h[least] = h[least], h[i]
+		i = least
 	}
 }
 
-// fillScratch is the top-level water-fill's working set: callers load
-// caps, fill computes shares in place. It is also the sort.Sort interface
-// ordering indices by ascending cap.
+// serve moves the class's members dt forward at their one rate: served
+// grows by the bytes one member moves, and TotalBytes by what all of them
+// move, a member with fewer bytes left than that moving only those.
+func (c *Channel) serve(cl *class, dt units.Time) {
+	moved := float64(cl.rate) * float64(dt)
+	n, left := cl.short(0, moved)
+	if kept := len(cl.flows) - n; kept > 0 {
+		left += float64(kept) * moved
+	}
+	c.stats.TotalBytes += left
+	cl.served += moved
+}
+
+// short counts the heap entries at or below i with fewer than moved bytes
+// left and sums the bytes they have left. No entry has more left than the
+// entries below it, so the walk stops at the first with moved or more:
+// usually the root, or the flows about to complete.
+func (cl *class) short(i int, moved float64) (n int, left float64) {
+	if i >= len(cl.flows) {
+		return 0, 0
+	}
+	own := cl.flows[i].tag - cl.served
+	if own >= moved {
+		return 0, 0
+	}
+	n1, left1 := cl.short(2*i+1, moved)
+	n2, left2 := cl.short(2*i+2, moved)
+	return 1 + n1 + n2, max(own, 0) + left1 + left2
+}
+
+// fillScratch is the group-level water-fill's working set: callers load
+// caps, fill computes shares in place.
 type fillScratch struct {
 	caps  []float64
 	out   []float64
 	order []int
 }
 
-func (fs *fillScratch) Len() int           { return len(fs.order) }
-func (fs *fillScratch) Less(a, b int) bool { return fs.caps[fs.order[a]] < fs.caps[fs.order[b]] }
-func (fs *fillScratch) Swap(a, b int)      { fs.order[a], fs.order[b] = fs.order[b], fs.order[a] }
-
 // fill distributes capacity across fs.caps max-min fairly: ascending caps,
-// leftover shared among the unfilled. Caps are positive and finite, so the
-// inline compare returns math.Min's bits. The returned slice aliases fs.out
-// and is valid until the next fill.
+// equal caps in load order, leftover shared among the unfilled. Caps are
+// positive and finite, so the inline compare returns math.Min's bits. The
+// returned slice aliases fs.out and is valid until the next fill.
 func (fs *fillScratch) fill(capacity float64) []float64 {
 	n := len(fs.caps)
 	fs.out = resizeFloats(fs.out, n)
 	fs.order = resizeInts(fs.order, n)
+	// A channel has a handful of groups, so an insertion sort orders them.
 	for i := range fs.order {
-		fs.order[i] = i
+		k := i
+		for ; k > 0 && fs.caps[fs.order[k-1]] > fs.caps[i]; k-- {
+			fs.order[k] = fs.order[k-1]
+		}
+		fs.order[k] = i
 	}
-	sort.Sort(fs)
 	remaining := capacity
 	left := n
 	for _, i := range fs.order {
@@ -612,22 +501,11 @@ func (c *Channel) Start(t units.Time, g Group, size units.Bytes, extra units.Tim
 		c.stamps[h.id] = c.now + extra
 		return h
 	}
-	if len(c.flows) == 0 {
-		c.homeGroup, c.homePri, c.clock, c.served = g.id, pri, true, 0
-	}
-	f := flow{remaining: float64(size), pri: pri, group: int32(g.id), id: int32(h.id)}
-	switch {
-	case g.id != c.homeGroup || pri != c.homePri:
-		c.leaveClock()
-		c.flows = append(c.flows, f)
-	case c.clock:
-		c.homeN++
-		f.remaining += c.served
-		c.push(f)
-	default:
-		c.homeN++
-		c.flows = append(c.flows, f)
-	}
+	gr := &c.groups[g.id]
+	cl := c.class(gr, pri)
+	c.push(cl, flow{tag: cl.served + float64(size), id: int32(h.id)})
+	gr.n++
+	c.inFlight++
 	c.allocate()
 	return h
 }
@@ -636,7 +514,7 @@ func (c *Channel) Start(t units.Time, g Group, size units.Bytes, extra units.Tim
 // run out on the way. Calls with t before the channel clock are no-ops.
 func (c *Channel) AdvanceTo(t units.Time) {
 	for t > c.now {
-		if len(c.flows) == 0 {
+		if c.inFlight == 0 {
 			c.now = t
 			return
 		}
@@ -682,94 +560,85 @@ func (c *Channel) drainNearest(step units.Time) {
 }
 
 // nextCompletionDelta reports the time until the earliest flow completion at
-// current rates. At least one flow must be active. allocate leaves the delta
-// cached; progress and forceDrainNearest, which move bytes, drop it.
+// current rates: the least over the moving classes of the heap minimum's
+// time to completion. At least one flow must be active. allocate leaves the
+// delta cached; progress and forceDrainNearest, which move bytes, drop it.
 func (c *Channel) nextCompletionDelta() units.Time {
-	switch {
-	case c.nextOK:
-	case c.clock:
-		c.next, c.nextOK = units.Time(c.clockNext()), true
-	default:
-		c.stats.Visits += len(c.flows)
+	if !c.nextOK {
 		next := math.Inf(1)
-		for i := range c.flows {
-			next = min(next, c.flows[i].completesIn())
+		for i := range c.groups {
+			g := &c.groups[i]
+			if g.n == 0 {
+				continue
+			}
+			for k := range g.moving {
+				c.stats.Visits++
+				next = min(next, g.classes[k].untilDone())
+			}
 		}
 		c.next, c.nextOK = units.Time(next), true
 	}
 	if math.IsInf(float64(c.next), 1) {
 		// All active flows are rate-starved, which cannot happen with a
 		// positive-capacity channel and positive max rates.
-		panic(fmt.Sprintf("sim: channel %q deadlocked with %d rate-starved flows", c.name, len(c.flows)))
+		panic(fmt.Sprintf("sim: channel %q deadlocked with %d rate-starved flows", c.name, c.inFlight))
 	}
 	return c.next
 }
 
-// completesIn reports the time until f completes at its current rate, +Inf
-// for a flow without bandwidth. A residue below byteEpsilon counts as
-// byteEpsilon.
-func (f *flow) completesIn() float64 {
-	if f.rate <= 0 {
-		return math.Inf(1)
-	}
-	return max(f.remaining, byteEpsilon) / float64(f.rate)
-}
-
-// forceDrainNearest zeroes the remaining bytes of the flow closest to
-// completion, breaking sub-resolution stalls. On the virtual clock that is
-// the heap minimum, whose tag drops to served if above it: the heap order
-// holds, since every other tag is at least its old one.
+// forceDrainNearest drains the flow closest to completion, breaking
+// sub-resolution stalls: the heap minimum of the moving class it completes
+// soonest in, whose tag drops to served if above it. The heap order holds,
+// since every other tag in the class is at least its old one.
 func (c *Channel) forceDrainNearest() {
-	if c.clock {
-		f := &c.flows[0]
-		c.stats.TotalBytes += max(f.remaining-c.served, 0)
-		f.remaining = min(f.remaining, c.served)
-		c.nextOK = false
-		return
-	}
-	c.stats.Visits += len(c.flows)
-	nearest := -1
+	var nearest *class
 	best := math.Inf(1)
-	for i := range c.flows {
-		f := &c.flows[i]
-		if f.rate <= 0 {
+	for i := range c.groups {
+		g := &c.groups[i]
+		if g.n == 0 {
 			continue
 		}
-		if d := f.remaining / float64(f.rate); d < best {
-			best = d
-			nearest = i
+		for k := range g.moving {
+			c.stats.Visits++
+			cl := &g.classes[k]
+			if d := (cl.flows[0].tag - cl.served) / float64(cl.rate); d < best { //mcdlalint:allow floatguard -- a fill gives each moving class a positive rate
+				best, nearest = d, cl
+			}
 		}
 	}
-	if nearest >= 0 {
-		c.stats.TotalBytes += c.flows[nearest].remaining
-		c.flows[nearest].remaining = 0
+	if nearest != nil {
+		f := &nearest.flows[0]
+		c.stats.TotalBytes += max(f.tag-nearest.served, 0)
+		f.tag = min(f.tag, nearest.served)
 		c.nextOK = false
 	}
 }
 
-// progress moves every active flow forward by dt at its current rate.
+// progress moves every moving class forward by dt at its rate. A class
+// whose heap minimum it leaves within byteEpsilon of done becomes due: the
+// next completion step completes that flow even if a fill parks the class
+// in between.
 func (c *Channel) progress(dt units.Time) {
 	if dt <= 0 {
 		return
 	}
 	c.nextOK = false
 	c.stats.BusyTime += dt
-	if c.clock {
-		c.serve(dt)
-		return
-	}
-	c.stats.Visits += len(c.flows)
-	total := c.stats.TotalBytes
-	for i := range c.flows {
-		f := &c.flows[i]
-		moved := float64(f.rate) * float64(dt)
-		if moved > f.remaining {
-			moved = f.remaining
+	for i := range c.groups {
+		g := &c.groups[i]
+		if g.n == 0 {
+			continue
 		}
-		f.remaining -= moved
-		total += moved
+		for k := range g.moving {
+			c.stats.Visits++
+			cl := &g.classes[k]
+			c.serve(cl, dt)
+			if !cl.due && cl.flows[0].tag-cl.served <= byteEpsilon {
+				cl.due = true
+				g.due++
+			}
+		}
 	}
-	c.stats.TotalBytes = total
 }
 
 // byteEpsilon is the residue below which a flow counts as drained. Flow
@@ -778,55 +647,48 @@ func (c *Channel) progress(dt units.Time) {
 // channel clock (a sub-attosecond delta would otherwise stall AdvanceTo).
 const byteEpsilon = 0.5
 
-// advance is progress and the completion sweep in one pass: every flow
-// moves dt at its current rate, and a flow left with at most byteEpsilon
-// completes, stamped at the channel clock, and leaves the flow table. The
-// flows ahead of the first completion keep their slots untouched. The
-// channel then re-fills. advance(0) moves nothing and only sweeps: at an
-// infinite rate, rate·0 would be NaN. On the virtual clock the sweep pops
-// the heap while its minimum has at most byteEpsilon left.
+// advance is progress and the completion sweep in one step: every moving
+// class moves dt at its rate and pops the tags within byteEpsilon of its
+// served bytes, each stamped at the channel clock; a class left empty is
+// dropped. The sweep also reaches down to each due class, one parked with
+// its heap minimum drained by an earlier partial move. The channel then
+// re-fills. advance(0) moves nothing and only sweeps: at an infinite rate,
+// rate·0 would be NaN.
 func (c *Channel) advance(dt units.Time) {
 	if dt > 0 {
 		c.stats.BusyTime += dt
 	}
-	if c.clock {
-		if dt > 0 {
-			c.serve(dt)
-		}
-		for len(c.flows) > 0 && c.flows[0].remaining-c.served <= byteEpsilon {
-			c.complete(c.pop())
-			c.homeN--
-		}
-		c.allocate()
-		return
-	}
-	c.stats.Visits += len(c.flows)
-	total := c.stats.TotalBytes
-	kept := 0
-	for i := range c.flows {
-		f := &c.flows[i]
-		if dt > 0 {
-			moved := float64(f.rate) * float64(dt)
-			if moved > f.remaining {
-				moved = f.remaining
-			}
-			f.remaining -= moved
-			total += moved
-		}
-		if f.remaining <= byteEpsilon {
-			c.complete(f.id)
-			if int(f.group) == c.homeGroup && f.pri == c.homePri {
-				c.homeN--
-			}
+	for i := range c.groups {
+		g := &c.groups[i]
+		if g.n == 0 {
 			continue
 		}
-		if kept < i {
-			c.flows[kept] = *f
+		moving := g.moving
+		for k := 0; k < moving || g.due > 0 && k < len(g.classes); {
+			c.stats.Visits++
+			cl := &g.classes[k]
+			if k < moving && dt > 0 {
+				c.serve(cl, dt)
+			}
+			if cl.due {
+				cl.due = false
+				g.due--
+			}
+			for len(cl.flows) > 0 && cl.flows[0].tag-cl.served <= byteEpsilon {
+				c.complete(c.pop(cl))
+				g.n--
+				c.inFlight--
+			}
+			if len(cl.flows) > 0 {
+				k++
+				continue
+			}
+			g.drop(k)
+			if k < moving {
+				moving--
+			}
 		}
-		kept++
 	}
-	c.flows = c.flows[:kept]
-	c.stats.TotalBytes = total
 	c.allocate()
 }
 
@@ -856,7 +718,7 @@ func (c *Channel) Wait(t units.Time, f Flow) units.Time {
 func (c *Channel) Drain(t units.Time) units.Time {
 	c.AdvanceTo(t)
 	c.latest = t
-	for len(c.flows) > 0 {
+	for c.inFlight > 0 {
 		c.advanceToNextCompletion()
 	}
 	return c.latest

@@ -122,8 +122,8 @@ func TestDrainReturnsLastCompletion(t *testing.T) {
 	if !almostEqual(end.Seconds(), 2.0, 1e-9) {
 		t.Fatalf("drain finished at %v, want 2 s", end)
 	}
-	if len(ch.flows) != 0 {
-		t.Fatalf("drain left %d flows active", len(ch.flows))
+	if ch.inFlight != 0 {
+		t.Fatalf("drain left %d flows active", ch.inFlight)
 	}
 }
 
@@ -509,8 +509,8 @@ func TestSubResolutionCompletionTerminates(t *testing.T) {
 			}
 			lone(ch, now, 1024, units.GBps(gbps), 0)
 			lone(ch, now, 2048, units.GBps(gbps), 0)
-			if got := ch.Drain(now); got != now || len(ch.flows) != 0 {
-				t.Errorf("%g GB/s: Drain returned %v with %d flows active, want %v and none", gbps, got, len(ch.flows), now)
+			if got := ch.Drain(now); got != now || ch.inFlight != 0 {
+				t.Errorf("%g GB/s: Drain returned %v with %d flows active, want %v and none", gbps, got, ch.inFlight, now)
 			}
 		}
 	}()

@@ -25,16 +25,14 @@ type refFlow struct {
 }
 
 // refChannel is the oracle the channel's fill and event step are checked
-// against. Its fill is the sorted two-level water-fill that allocate's
-// one-pass member fill replaced: the top-level fill across groups, then in
-// each group a stable sort by descending priority and an ascending-cap fill
-// per class, each class taking what the classes above it left, with
-// referenceFill at both levels. It keeps a remaining byte count per flow
-// and fills a one-class set like any other, by serial division, where the
-// channel runs its virtual clock. Its event step is the one the fused
-// move-and-reap pass replaced: every flow moves, then a separate sweep
-// stamps and drops the drained ones. It tallies what it walks through in
-// cov.
+// against. Its fill is the sorted two-level water-fill, flow by flow: the
+// top-level fill across groups, then in each group a stable sort by
+// descending priority and an ascending-cap fill per class, each class
+// taking what the classes above it left, with referenceFill at both
+// levels. It keeps a remaining byte count per flow and divides each class's
+// share serially, where the channel keeps one rate and one virtual clock
+// per class. Its event step moves every flow, then a separate sweep stamps
+// and drops the drained ones. It tallies what it walks through in cov.
 type refChannel struct {
 	capacity float64
 	groups   []group
@@ -426,8 +424,8 @@ func (c fillCoverage) complete() bool {
 }
 
 // lockstepTol is the relative tolerance checkLockstep holds the channel
-// to. The virtual clock gives a one-class set one rate where the reference
-// divides serially, and keeps one served count where the reference keeps
+// to. The channel gives each class one rate where the reference divides
+// serially, and keeps one served count per class where the reference keeps
 // a byte count per flow, so the two agree to rounding, not to the bit.
 const lockstepTol = 1e-12
 
@@ -440,16 +438,33 @@ func near(a, b float64) bool {
 // same reports whether a and b have the same bits.
 func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// flowsInFlight lists ch's flows in flight in start order. On the virtual
-// clock each has tag − served bytes left at the clock's one rate.
-func flowsInFlight(ch *Channel) []flow {
-	fs := slices.Clone(ch.flows)
-	if ch.clock {
-		for i := range fs {
-			fs[i].remaining, fs[i].rate = max(fs[i].remaining-ch.served, 0), ch.rate
+// liveFlow is a flow in flight as checkLockstep sees it.
+type liveFlow struct {
+	id         int32
+	group, pri int
+	remaining  float64
+	rate       units.Bandwidth
+}
+
+// flowsInFlight lists the flows in every class heap of ch in stamp order.
+// Each has tag − served bytes left and moves at its class's rate, or at 0
+// in a class parked below where its group's share ran out.
+func flowsInFlight(ch *Channel) []liveFlow {
+	var fs []liveFlow
+	for gi := range ch.groups {
+		g := &ch.groups[gi]
+		for k := range g.classes {
+			cl := &g.classes[k]
+			rate := units.Bandwidth(0)
+			if k < g.moving {
+				rate = cl.rate
+			}
+			for _, f := range cl.flows {
+				fs = append(fs, liveFlow{id: f.id, group: gi, pri: cl.pri, remaining: max(f.tag-cl.served, 0), rate: rate})
+			}
 		}
-		slices.SortFunc(fs, func(a, b flow) int { return cmp.Compare(a.id, b.id) })
 	}
+	slices.SortFunc(fs, func(a, b liveFlow) int { return cmp.Compare(a.id, b.id) })
 	return fs
 }
 
@@ -470,7 +485,7 @@ func checkLockstep(tb testing.TB, ch *Channel, ref *refChannel, event string, n 
 	class := map[[2]int]int{}
 	for i, rf := range ref.flows {
 		f := flows[i]
-		if int(f.id) != rf.f.id || int(f.group) != rf.group || f.pri != rf.pri {
+		if int(f.id) != rf.f.id || f.group != rf.group || f.pri != rf.pri {
 			tb.Fatalf("%s %d: flow %d is not the reference's", event, n, i)
 		}
 		if !near(float64(f.rate), rf.rate) {
@@ -585,18 +600,15 @@ func TestFillMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFillClassTransitions drives the virtual clock, which carries the
-// flows while all of them sit in the home class, through its transitions
-// in lockstep with the reference channel. Two flows of the first group's
-// class 0 start the channel on the clock, with a zero-size start of
-// another class between them; the clock runs part way, and a flow of
-// another group takes the flows off it, each with what its tag had left.
-// The home class drains while the other stays in flight, and the general
-// fill that finds one class puts it on the clock as the home class. A
-// same-instant start keeps the one class, and a higher class in its group
-// takes the flows off the clock until it completes, when the completion
-// step puts them back. The channel drains empty; a new class then starts
-// it on the clock around another zero-size start.
+// TestFillClassTransitions drives a channel in lockstep with the
+// reference channel through classes arriving and leaving. Two flows of the
+// first group's class 0 start it, with a zero-size start of another class
+// between them; the channel runs part way, and a flow of another group
+// joins them. The first group's class drains while the other stays in
+// flight, so one class is left. A same-instant start joins that class, and
+// a higher class in its group takes the group's share until it completes.
+// The channel drains empty; a new class then starts it around another
+// zero-size start.
 func TestFillClassTransitions(t *testing.T) {
 	ch := NewChannel("host", units.GBps(100))
 	a := ch.Group(units.GBps(40), false)
@@ -618,43 +630,47 @@ func TestFillClassTransitions(t *testing.T) {
 		checkLockstep(t, ch, ref, "completion", step)
 		step++
 	}
-	mode := func(g Group, pri, inFlight int, onClock bool) {
+	classes := func(want ...[2]int) {
 		t.Helper()
-		if n := len(flowsInFlight(ch)); ch.homeGroup != g.id || ch.homePri != pri || n != inFlight || ch.clock != onClock {
-			t.Fatalf("step %d: home group %d class %d, %d flows in flight, on the clock %v; want group %d class %d, %d in flight, on the clock %v",
-				step, ch.homeGroup, ch.homePri, n, ch.clock, g.id, pri, inFlight, onClock)
+		var got [][2]int
+		for gi := range ch.groups {
+			for _, cl := range ch.groups[gi].classes {
+				got = append(got, [2]int{gi, cl.pri})
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: active (group, class) pairs %v, want %v", step, got, want)
 		}
 	}
 
 	start(0, fillStart{group: a, size: gb(1)})
 	start(0, fillStart{group: b, pri: 1, extra: 1e-3})
 	last := start(0, fillStart{group: a, size: gb(2)})
-	mode(a, 0, 2, true)
+	classes([2]int{a.id, 0})
 	at := ch.now + units.Time(ref.next()/2)
 	ch.AdvanceTo(at)
 	ref.advanceTo(at)
 	checkLockstep(t, ch, ref, "advance", step)
 	start(at, fillStart{group: b, size: gb(3)})
-	mode(a, 0, 3, false)
+	classes([2]int{a.id, 0}, [2]int{b.id, 0})
 	for !last.Done() {
 		complete()
 	}
-	mode(b, 0, 1, true)
+	classes([2]int{b.id, 0})
 	start(ch.now, fillStart{group: b, size: gb(1)})
-	mode(b, 0, 2, true)
 	start(ch.now, fillStart{group: b, pri: 2, size: gb(0.5)})
-	mode(b, 0, 3, false)
+	classes([2]int{b.id, 2}, [2]int{b.id, 0})
 	complete()
-	mode(b, 0, 2, true)
+	classes([2]int{b.id, 0})
 	for len(flowsInFlight(ch)) > 0 {
 		complete()
 	}
+	classes()
 
 	start(ch.now+1, fillStart{group: a, pri: 3, size: gb(1)})
-	mode(a, 3, 1, true)
 	start(ch.now, fillStart{group: a, extra: 2e-3})
 	start(ch.now, fillStart{group: a, pri: 3, size: gb(2)})
-	mode(a, 3, 2, true)
+	classes([2]int{a.id, 3})
 	for len(flowsInFlight(ch)) > 0 {
 		complete()
 	}
@@ -689,9 +705,8 @@ func FuzzChannelFill(f *testing.F) {
 }
 
 // TestFillsCountsFlowSetChanges pins the work counter exactly: every start
-// and every completion re-fills the channel once, moving the flows off the
-// virtual clock or onto it included, and a round over an empty channel is
-// free.
+// and every completion re-fills the channel once, a class arriving or
+// leaving included, and a round over an empty channel is free.
 func TestFillsCountsFlowSetChanges(t *testing.T) {
 	const n = 10
 	ch := NewChannel("burst", units.GBps(100))
@@ -704,7 +719,7 @@ func TestFillsCountsFlowSetChanges(t *testing.T) {
 	if got := ch.Stats().Fills; got != n {
 		t.Fatalf("%d same-instant starts then a Wait: %d fills, want %d", n, got, n)
 	}
-	lone(ch, 0, gb(0.001), units.GBps(100), 0) // takes the burst off the clock
+	lone(ch, 0, gb(0.001), units.GBps(100), 0) // another group's class
 	before := ch.Stats().Fills
 	for i := 0; i < n; i++ {
 		ch.Start(0, burst, gb(1), 0, 0)
@@ -725,13 +740,14 @@ func TestFillsCountsFlowSetChanges(t *testing.T) {
 	}
 }
 
-// TestVisitsCountsPasses pins the visit counter exactly. On the virtual
-// clock a start is one push and a completion one pop, whatever the number
-// in flight, and a cached next completion costs none. A flow of another
-// group takes the n flows off the clock in one pass over them, and the
-// general fill then makes a counting pass and a fill pass over all n+1. Its
-// completion is one move-and-reap pass, and the n flows it leaves go back
-// on the clock in one more. Their completion together is n pops.
+// TestVisitsCountsPasses pins the visit counter exactly. A start looks up
+// its class, one visit unless its group has no class yet, pushes its tag
+// and fills, visiting each class the fill walks; a cached next completion
+// costs none. So n starts in one class cost 3n − 1. A flow of another
+// group costs a push and a fill over both groups' classes. Its completion
+// step moves both classes, pops its tag and fills the one class left: four.
+// The n flows then complete in one step: one class moved, n pops, and a
+// fill of the empty channel, which is free.
 func TestVisitsCountsPasses(t *testing.T) {
 	const n = 10
 	ch := NewChannel("burst", units.GBps(100))
@@ -740,20 +756,53 @@ func TestVisitsCountsPasses(t *testing.T) {
 	for i := 0; i < n; i++ {
 		last = ch.Start(0, burst, gb(1), 0, 0)
 	}
-	if got := ch.Stats().Visits; got != n {
-		t.Fatalf("%d same-instant starts: %d visits, want %d", n, got, n)
+	if got, want := ch.Stats().Visits, 3*n-1; got != want {
+		t.Fatalf("%d same-instant starts: %d visits, want %d", n, got, want)
 	}
 	other := lone(ch, 0, gb(0.001), units.GBps(100), 0)
-	if got, want := ch.Stats().Visits, n+n+2*(n+1); got != want {
+	if got, want := ch.Stats().Visits, 3*n+2; got != want {
 		t.Fatalf("then a start in another group: %d visits, want %d", got, want)
 	}
 	ch.Wait(0, other)
-	if got, want := ch.Stats().Visits, 4*n+2+(n+1)+n; got != want {
+	if got, want := ch.Stats().Visits, 3*n+6; got != want {
 		t.Fatalf("then its completion: %d visits, want %d", got, want)
 	}
 	ch.Wait(0, last) // all n complete in one step, leaving the channel empty
-	if got, want := ch.Stats().Visits, 6*n+3+n; got != want {
+	if got, want := ch.Stats().Visits, 4*n+7; got != want {
 		t.Fatalf("then one completion step: %d visits, want %d", got, want)
+	}
+}
+
+// TestParkedClassesAreNotVisited: n pri-0 flows park under a pri-1 class
+// of their shared group, which takes the group's whole share. A start and
+// a completion in the top class cost the same visits whatever n is, and
+// the parked flows keep rate 0.
+func TestParkedClassesAreNotVisited(t *testing.T) {
+	cost := func(parked int) (start, done int) {
+		ch := NewChannel("host", units.GBps(100))
+		dma := ch.Group(units.GBps(40), true)
+		for i := 0; i < parked; i++ {
+			ch.Start(0, dma, gb(1), 0, 0)
+		}
+		top := ch.Start(0, dma, gb(0.5), 0, 1)
+		before := ch.Stats().Visits
+		ch.Start(0, dma, gb(1), 0, 1)
+		start = ch.Stats().Visits - before
+		before = ch.Stats().Visits
+		ch.Wait(0, top)
+		done = ch.Stats().Visits - before
+		for _, f := range flowsInFlight(ch) {
+			if f.pri == 0 && f.rate != 0 {
+				t.Fatalf("%d parked flows: a pri-0 flow moves at %v", parked, f.rate)
+			}
+		}
+		return start, done
+	}
+	start10, done10 := cost(10)
+	start1000, done1000 := cost(1000)
+	if start10 != start1000 || done10 != done1000 {
+		t.Fatalf("a top-class start and completion cost %d and %d visits over 10 parked flows, %d and %d over 1000",
+			start10, done10, start1000, done1000)
 	}
 }
 

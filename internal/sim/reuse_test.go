@@ -53,7 +53,7 @@ func replayFill(ch *Channel, run fillRun) ([]units.Time, ChannelStats) {
 	var flows []Flow
 	for _, s := range run.starts {
 		at := ch.now
-		if s.staggered && len(ch.flows) > 0 {
+		if s.staggered && ch.inFlight > 0 {
 			at += ch.nextCompletionDelta() / 2
 		}
 		flows = append(flows, ch.Start(at, s.group, s.size, s.extra, s.pri))
@@ -61,7 +61,7 @@ func replayFill(ch *Channel, run fillRun) ([]units.Time, ChannelStats) {
 	if run.drain {
 		ch.Drain(ch.now)
 	}
-	for len(ch.flows) > 0 {
+	for ch.inFlight > 0 {
 		ch.advanceToNextCompletion()
 	}
 	stamps := make([]units.Time, len(flows))
@@ -85,10 +85,10 @@ func reusedChannel(dirty []byte) (func(string, units.Bandwidth) *Channel, error)
 			continue // a new channel, not a released one
 		}
 		got := *c
-		if n := len(got.flows) + len(got.groups) + len(got.stamps) + len(got.topFill.caps) + len(got.topFill.out) + len(got.topFill.order); n != 0 {
+		if n := len(got.groups) + len(got.stamps) + len(got.topFill.caps) + len(got.topFill.out) + len(got.topFill.order); n != 0 {
 			return nil, fmt.Errorf("released channel came back with %d table entries", n)
 		}
-		got.flows, got.groups, got.stamps, got.topFill = nil, nil, nil, fillScratch{}
+		got.groups, got.stamps, got.topFill = nil, nil, fillScratch{}
 		if want := (Channel{name: "fill", capacity: 1}); !reflect.DeepEqual(got, want) {
 			return nil, fmt.Errorf("released channel came back as %+v, a fresh one is %+v", got, want)
 		}

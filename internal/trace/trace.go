@@ -48,8 +48,9 @@ type Log struct {
 	// channels (sim.ChannelStats.Fills): an exact work counter for
 	// benchmarks, kept out of the engines' results.
 	Fills int
-	// Visits sums the same channels' flow visits (sim.ChannelStats.Visits),
-	// the work each of those rounds and moves did.
+	// Visits sums the same channels' visits (sim.ChannelStats.Visits): the
+	// heap entries and priority classes each of those rounds and moves
+	// touched.
 	Visits int
 }
 
