@@ -453,14 +453,41 @@ func BenchmarkPrecisionSweep(b *testing.B) {
 	b.ReportMetric(ratio, "fp32-over-fp16-x")
 }
 
-// BenchmarkBuildNetworks measures workload construction (DAG + shape
-// inference) across the Table III registry.
+// BenchmarkBuildNetworks measures the whole cold build of every registry
+// workload, the Table III networks plus BERT-Large and GPT-2: the graph at
+// device batch 64 (DAG and shape inference), a data-parallel schedule over
+// 8 workers and a model-parallel one on it, and both memory plans, the
+// virtualized and the oracle one. graphs/op and plans/op are exact: one
+// graph and two plans per workload.
 func BenchmarkBuildNetworks(b *testing.B) {
+	const batch, workers = 64, 8
+	names := append(dnn.BenchmarkNames(), dnn.TransformerNames()...)
+	graphs0, plans0 := train.Builds()
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, name := range dnn.BenchmarkNames() {
-			dnn.MustBuild(name, 512)
+		for _, name := range names {
+			net, err := train.NewNetwork(name, batch, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := train.BuildOn(net, batch*workers, workers, train.DataParallel, train.FP16); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := train.BuildOn(net, batch, workers, train.ModelParallel, train.FP16); err != nil {
+				b.Fatal(err)
+			}
+			for _, oracle := range []bool{false, true} {
+				if _, err := net.Prepared(oracle); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
+	b.StopTimer()
+	graphs1, plans1 := train.Builds()
+	b.ReportMetric(float64(graphs1-graphs0)/float64(b.N), "graphs/op")
+	b.ReportMetric(float64(plans1-plans0)/float64(b.N), "plans/op")
 }
 
 // ---- Ablations --------------------------------------------------------------

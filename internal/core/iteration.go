@@ -86,7 +86,7 @@ func (it *Iteration) Run(c Collectives) {
 		tr.Add(l.Name, "/fwd", trace.Compute, t, t+ft)
 		t += ft
 		it.Compute += ft
-		for _, id := range prep.Offloads[l.ID] {
+		for _, id := range prep.Offloads(l.ID) {
 			it.offload(t, g.Layer(id).Name, "/offload", prep.Plan.Tensors[id].Bytes)
 		}
 		if extra := prep.Plan.ExtraStash[l.ID]; extra > 0 {
@@ -138,7 +138,7 @@ func (it *Iteration) Run(c Collectives) {
 		}
 		// Recompute cheap producers whose outputs were not stashed, each
 		// once, at the first backward step that needs it.
-		for _, rid := range prep.Recompute[id] {
+		for _, rid := range prep.Recompute(id) {
 			rl := g.Layer(rid)
 			rt := fwd[rid]
 			tr.Add(rl.Name, "/recompute", trace.Recompute, t, t+rt)

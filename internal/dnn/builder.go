@@ -13,6 +13,9 @@ type Builder struct {
 	g *Graph
 	// cellGroups lists the recurrent weight groups a cell already reads.
 	cellGroups []string
+	// perHead holds the attention layers' per-head GEMM lists, one per
+	// geometry, shared read-only by every layer of that geometry.
+	perHead [][]GEMM
 }
 
 // NewBuilder starts a graph for the given benchmark name and batch size.
@@ -80,11 +83,10 @@ func (b *Builder) Conv(name string, in, outC, k, stride, pad int) int {
 	}
 	return b.add(&Layer{
 		Name: name, Kind: Conv, Inputs: []int{in},
-		Out: Shape{N: s.N, C: outC, H: oh, W: ow},
-		KH:  k, KW: k, Stride: stride, Pad: pad,
+		Out:         Shape{N: s.N, C: outC, H: oh, W: ow},
 		GEMMs:       []GEMM{gemm},
 		WeightElems: int64(outC) * int64(s.C) * int64(k) * int64(k),
-		WeightGroup: b.g.Name + "/" + name,
+		WeightGroup: name,
 	})
 }
 
@@ -97,7 +99,7 @@ func (b *Builder) FC(name string, in, outC int) int {
 		Out:         MakeVec(s.N, outC),
 		GEMMs:       []GEMM{{M: int64(s.N), N: int64(outC), K: inFeat}},
 		WeightElems: inFeat * int64(outC),
-		WeightGroup: b.g.Name + "/" + name,
+		WeightGroup: name,
 	})
 }
 
@@ -108,8 +110,7 @@ func (b *Builder) Pool(name string, in, k, stride, pad int) int {
 	ow := convOut(s.W, k, stride, pad)
 	return b.add(&Layer{
 		Name: name, Kind: Pool, Inputs: []int{in},
-		Out: Shape{N: s.N, C: s.C, H: oh, W: ow},
-		KH:  k, KW: k, Stride: stride, Pad: pad,
+		Out:   Shape{N: s.N, C: s.C, H: oh, W: ow},
 		EwOps: int64(k) * int64(k),
 	})
 }
@@ -142,7 +143,7 @@ func (b *Builder) BatchNorm(name string, in int) int {
 	return b.add(&Layer{
 		Name: name, Kind: BatchNorm, Inputs: []int{in}, Out: s, EwOps: 4,
 		WeightElems: 2 * int64(s.C),
-		WeightGroup: b.g.Name + "/" + name,
+		WeightGroup: name,
 	})
 }
 
@@ -199,7 +200,7 @@ func (b *Builder) SeqLinear(name string, in, outF int) int {
 		Out:         Shape{N: s.N, C: outF, H: s.H, W: 1},
 		GEMMs:       []GEMM{{M: rows, N: int64(outF), K: int64(s.C)}},
 		WeightElems: int64(s.C) * int64(outF),
-		WeightGroup: b.g.Name + "/" + name,
+		WeightGroup: name,
 	})
 }
 
@@ -209,7 +210,7 @@ func (b *Builder) LayerNorm(name string, in int) int {
 	return b.add(&Layer{
 		Name: name, Kind: LayerNorm, Inputs: []int{in}, Out: s, EwOps: 8,
 		WeightElems: 2 * int64(s.C),
-		WeightGroup: b.g.Name + "/" + name,
+		WeightGroup: name,
 	})
 }
 
@@ -231,14 +232,10 @@ func (b *Builder) AttentionScores(name string, q, k, heads int) int {
 	}
 	headDim := int64(sq.C / heads)
 	rows := int64(sq.N) * int64(sq.H)
-	gemms := make([]GEMM, heads)
-	for h := range gemms {
-		gemms[h] = GEMM{M: rows, N: int64(sq.H), K: headDim}
-	}
 	return b.add(&Layer{
 		Name: name, Kind: Attention, Inputs: []int{q, k},
 		Out:   Shape{N: sq.N, C: heads, H: sq.H, W: sq.H},
-		GEMMs: gemms,
+		GEMMs: b.heads(GEMM{M: rows, N: int64(sq.H), K: headDim}, heads),
 		EwOps: 1, // 1/sqrt(d_head) scaling
 	})
 }
@@ -257,15 +254,28 @@ func (b *Builder) AttentionContext(name string, probs, v int) int {
 	}
 	headDim := int64(sv.C / heads)
 	rows := int64(sv.N) * int64(sv.H)
-	gemms := make([]GEMM, heads)
-	for h := range gemms {
-		gemms[h] = GEMM{M: rows, N: headDim, K: int64(sp.H)}
-	}
 	return b.add(&Layer{
 		Name: name, Kind: Attention, Inputs: []int{probs, v},
 		Out:   sv,
-		GEMMs: gemms,
+		GEMMs: b.heads(GEMM{M: rows, N: headDim, K: int64(sp.H)}, heads),
 	})
+}
+
+// heads returns the list of n copies of gm, one GEMM per attention head:
+// the builder's first list of that geometry, which every later layer of
+// the geometry shares.
+func (b *Builder) heads(gm GEMM, n int) []GEMM {
+	for _, l := range b.perHead {
+		if len(l) == n && l[0] == gm {
+			return l
+		}
+	}
+	l := make([]GEMM, n)
+	for h := range l {
+		l[h] = gm
+	}
+	b.perHead = append(b.perHead, l)
+	return l
 }
 
 // recurrent cell geometry: the gate GEMM consumes the concatenation [x; h]

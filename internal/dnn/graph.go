@@ -28,18 +28,6 @@ func (g *Graph) Layer(id int) *Layer {
 	return g.Layers[id]
 }
 
-// Consumers returns, for every layer ID, the IDs of layers that consume its
-// output, in topological order.
-func (g *Graph) Consumers() [][]int {
-	cons := make([][]int, len(g.Layers))
-	for _, l := range g.Layers {
-		for _, in := range l.Inputs {
-			cons[in] = append(cons[in], l.ID)
-		}
-	}
-	return cons
-}
-
 // LastForwardUse returns, for every layer ID, the topological index of the
 // last layer that reads its output during forward propagation (its own index
 // if unconsumed). This is the reuse-distance fact the virtual-memory runtime

@@ -106,7 +106,9 @@ type GEMM struct {
 func (g GEMM) MACs() int64 { return g.M * g.N * g.K }
 
 // Layer is one node of a network DAG. Layers are created through a Builder,
-// which performs shape inference and wires dependencies.
+// which performs shape inference and wires dependencies. A layer keeps only
+// what the cost model and the planner read: kernel, stride and padding are
+// consumed by shape inference and folded into Out and GEMMs.
 type Layer struct {
 	ID   int
 	Name string
@@ -117,11 +119,9 @@ type Layer struct {
 	// Out is the output feature-map shape.
 	Out Shape
 
-	// Convolution / pooling geometry (zero for other kinds).
-	KH, KW, Stride, Pad int
-
 	// GEMMs lists the forward-pass matrix multiplies of the layer (empty for
-	// elementwise layers, whose cost is element-count driven).
+	// elementwise layers, whose cost is element-count driven). The list is
+	// read-only: attention layers of equal geometry share one.
 	GEMMs []GEMM
 
 	// WeightElems is the trainable parameter count touched by one forward
@@ -129,10 +129,11 @@ type Layer struct {
 	// every timestep, so each cell carries the full count).
 	WeightElems int64
 
-	// WeightGroup names the parameter tensor this layer reads. Recurrent
-	// cells across timesteps share one group; the group is what gets
-	// all-reduced once per iteration under data-parallel training and what
-	// counts once toward the model's memory footprint.
+	// WeightGroup names the parameter tensor this layer reads: the layer's
+	// own name, except that recurrent cells across timesteps share one
+	// named group. The group is what gets all-reduced once per iteration
+	// under data-parallel training and what counts once toward the model's
+	// memory footprint; the simulator reads only whether it is set.
 	WeightGroup string
 	// groupLead marks the first layer, in topological order, to read
 	// WeightGroup; the Builder sets it as it appends the layer.

@@ -337,24 +337,6 @@ func TestPropertyMACsLinearInBatch(t *testing.T) {
 	}
 }
 
-func TestConsumersInverseOfInputs(t *testing.T) {
-	g := MustBuild("GoogLeNet", 1)
-	cons := g.Consumers()
-	for id, list := range cons {
-		for _, c := range list {
-			found := false
-			for _, in := range g.Layer(c).Inputs {
-				if in == id {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("consumer table wrong: %d -> %d", id, c)
-			}
-		}
-	}
-}
-
 func TestBuilderPanicsOnBadGeometry(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,6 +2,7 @@ package scaleout
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/memcentric/mcdla/internal/collective"
@@ -231,6 +232,12 @@ func (p Plane) simulate(workload string, globalBatch int, memCentric bool, strat
 	if strategy == Hybrid && p.SystemNodes > 1 {
 		e.hybridDW = s
 	}
+
+	// Each weight group stages at most one overlapped op: its dW reduction
+	// under data parallel, its uplink reduction under Hybrid. Sizing the
+	// table up front costs one allocation when the pooled scratch set is
+	// new, where appends would grow it by doubling.
+	e.pending = slices.Grow(e.pending, s.WeightGroups())
 
 	it := &sc.it
 	it.Device, it.Sched, it.Prep, it.Virt, it.Window, it.Trace = p.Device, s, prep, virt, window, tr

@@ -52,9 +52,11 @@ type SyncOp struct {
 	Blocking bool
 }
 
-// LayerWork is the per-device execution record for one layer.
+// LayerWork is the per-device execution record for one layer; its index in
+// Schedule.Work is the layer's ID. The slices are read-only and
+// cap-limited: GEMMs is the graph's own list or a window of the schedule's
+// shard table, and the sync lists are windows of the schedule's op table.
 type LayerWork struct {
-	LayerID int
 	// GEMMs are the device's shard of the layer's forward matrix work.
 	GEMMs []dnn.GEMM
 	// WeightBytes is the device's shard of parameters read per execution.
@@ -89,6 +91,8 @@ type Schedule struct {
 
 	// net is the graph's shared network, which holds the vmem analyses.
 	net *Network
+	// groups counts the graph's weight groups.
+	groups int
 
 	// priceMu guards the forward price tables below: schedules are shared
 	// by pointer across concurrent simulations (the runner memoizes them
@@ -142,6 +146,11 @@ func (s *Schedule) ForwardPrices(key accel.Config, price func(l *dnn.Layer, w La
 	s.priced++
 	return t.fwd
 }
+
+// WeightGroups reports how many weight groups the schedule's graph has: the
+// number of dW reductions a data-parallel iteration over several workers
+// overlaps with backprop, one per group.
+func (s *Schedule) WeightGroups() int { return s.groups }
 
 // StashBytes scales a plan tensor's bytes — counted at the graph's 2-byte
 // base — to what the device actually stashes and migrates. The precision
@@ -239,7 +248,8 @@ func inputBytes(g *dnn.Graph, l *dnn.Layer) int64 {
 // accumulate across timesteps and reduce once. Precision scales the byte
 // accounting: activation/weight reads by ActScale, the dW payload by DWScale
 // (fp32 master-weight gradients under mixed precision). Each layer's
-// forward GEMM list is the graph's own, read-only and shared.
+// forward GEMM list is the graph's own, read-only and shared, and the dW
+// ops are one-element windows of one table.
 func buildDataParallel(net *Network, globalBatch, workers int, prec Precision) *Schedule {
 	g := net.Graph
 	s := &Schedule{
@@ -252,17 +262,25 @@ func buildDataParallel(net *Network, globalBatch, workers int, prec Precision) *
 		Work:        make([]LayerWork, len(g.Layers)),
 		net:         net,
 	}
+	for _, l := range g.Layers {
+		if l.GroupLead() {
+			s.groups++
+		}
+	}
+	var ops []SyncOp
+	if workers > 1 {
+		ops = make([]SyncOp, 0, s.groups)
+	}
 	act, dw := prec.ActScale(), prec.DWScale()
 	for _, l := range g.Layers {
 		w := LayerWork{
-			LayerID:     l.ID,
 			GEMMs:       l.GEMMs,
 			WeightBytes: act * l.WeightBytes(),
 			InputBytes:  act * inputBytes(g, l),
 			OutputBytes: act * l.OutBytes(),
 		}
 		if workers > 1 && l.GroupLead() {
-			w.BwdSync = []SyncOp{{
+			ops = append(ops, SyncOp{
 				Op:    collective.AllReduce,
 				Bytes: units.Bytes(dw * l.WeightBytes()),
 				Tag:   "dW",
@@ -270,11 +288,18 @@ func buildDataParallel(net *Network, globalBatch, workers int, prec Precision) *
 				// backprop (Figure 3(a): synchronization only at gradient
 				// accumulation).
 				Blocking: false,
-			}}
+			})
+			w.BwdSync = window(ops, 1)
 		}
 		s.Work[l.ID] = w
 	}
 	return s
+}
+
+// window returns the last n elements of a table, capped so that an append
+// to the window cannot write into the table.
+func window[T any](table []T, n int) []T {
+	return table[len(table)-n : len(table) : len(table)]
 }
 
 // buildModelParallel: every GEMM layer's output features are sliced across
@@ -282,7 +307,8 @@ func buildDataParallel(net *Network, globalBatch, workers int, prec Precision) *
 // input gradients all-reduced in backward (Figure 3(b)). Elementwise layers
 // run replicated on the gathered tensors. Precision scales every term by
 // ActScale — the X/dX collectives carry activations and activation
-// gradients, which stay fp16 under the mixed policy.
+// gradients, which stay fp16 under the mixed policy. The GEMM shards are
+// windows of one table, and the X and dX ops windows of another.
 func buildModelParallel(net *Network, globalBatch, workers int, prec Precision) (*Schedule, error) {
 	g := net.Graph
 	s := &Schedule{
@@ -295,46 +321,61 @@ func buildModelParallel(net *Network, globalBatch, workers int, prec Precision) 
 		Work:        make([]LayerWork, len(g.Layers)),
 		net:         net,
 	}
-	act := prec.ActScale()
-	consumers := g.Consumers()
+	consumed := make([]bool, len(g.Layers))
+	nGEMMs, nOps := 0, 0
 	for _, l := range g.Layers {
-		w := LayerWork{
-			LayerID:     l.ID,
-			InputBytes:  act * inputBytes(g, l),
-			OutputBytes: act * l.OutBytes(),
+		for _, in := range l.Inputs {
+			consumed[in] = true
+		}
+		if l.GroupLead() {
+			s.groups++
 		}
 		if len(l.GEMMs) > 0 {
-			div := int64(workers)
+			nGEMMs += len(l.GEMMs)
+			nOps += 2
+		}
+	}
+	shards := make([]dnn.GEMM, 0, nGEMMs)
+	ops := make([]SyncOp, 0, nOps)
+	act := prec.ActScale()
+	div := int64(workers)
+	for _, l := range g.Layers {
+		w := LayerWork{
+			InputBytes:  act * inputBytes(g, l),
+			OutputBytes: act * l.OutBytes(),
+			WeightBytes: act * l.WeightBytes(),
+		}
+		if len(l.GEMMs) > 0 {
 			for _, gm := range l.GEMMs {
 				if gm.N%div != 0 {
 					return nil, fmt.Errorf("train: %s layer %s: output dim %d not divisible by %d workers",
 						g.Name, l.Name, gm.N, workers)
 				}
-				w.GEMMs = append(w.GEMMs, dnn.GEMM{M: gm.M, N: gm.N / div, K: gm.K})
+				shards = append(shards, dnn.GEMM{M: gm.M, N: gm.N / div, K: gm.K})
 			}
-			w.WeightBytes = act * l.WeightBytes() / div
+			w.GEMMs = window(shards, len(l.GEMMs))
+			w.WeightBytes /= div
 			// Forward: the device produced 1/workers of Y; gather the full
 			// tensor before downstream layers consume it. The final layer
 			// of the graph needs no gather.
-			if len(consumers[l.ID]) > 0 {
-				w.FwdSync = append(w.FwdSync, SyncOp{
+			if consumed[l.ID] {
+				ops = append(ops, SyncOp{
 					Op:       collective.AllGather,
 					Bytes:    units.Bytes(act * l.OutBytes()),
 					Tag:      "X",
 					Blocking: true,
 				})
+				w.FwdSync = window(ops, 1)
 			}
 			// Backward: each device's weight slice contributes a partial
 			// dX over the full input; sum them.
-			w.BwdSync = append(w.BwdSync, SyncOp{
+			ops = append(ops, SyncOp{
 				Op:       collective.AllReduce,
 				Bytes:    units.Bytes(w.InputBytes),
 				Tag:      "dX",
 				Blocking: true,
 			})
-		} else {
-			w.GEMMs = nil
-			w.WeightBytes = act * l.WeightBytes()
+			w.BwdSync = window(ops, 1)
 		}
 		s.Work[l.ID] = w
 	}
@@ -360,9 +401,6 @@ func (s *Schedule) Validate() error {
 		return fmt.Errorf("train: %s: work entries %d != layers %d", s.Name, len(s.Work), len(s.Graph.Layers))
 	}
 	for i, w := range s.Work {
-		if w.LayerID != i {
-			return fmt.Errorf("train: %s: work %d has layer ID %d", s.Name, i, w.LayerID)
-		}
 		if len(w.BwdSync) > 1 {
 			return fmt.Errorf("train: %s: layer %d has %d backward collectives, want at most one", s.Name, i, len(w.BwdSync))
 		}

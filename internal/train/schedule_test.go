@@ -108,11 +108,11 @@ func TestRecurrentWeightsReduceOnce(t *testing.T) {
 			firstCell = l.ID
 		}
 	}
-	for _, w := range s.Work {
+	for id, w := range s.Work {
 		if len(w.BwdSync) > 0 {
 			count += len(w.BwdSync)
-			if w.LayerID != firstCell {
-				t.Fatalf("dW reduce at layer %d, want first cell %d", w.LayerID, firstCell)
+			if id != firstCell {
+				t.Fatalf("dW reduce at layer %d, want first cell %d", id, firstCell)
 			}
 		}
 	}
@@ -123,8 +123,8 @@ func TestRecurrentWeightsReduceOnce(t *testing.T) {
 
 func TestModelParallelSyncStructure(t *testing.T) {
 	s := MustBuild("VGG-E", paperBatch, paperWorkers, ModelParallel)
-	for _, w := range s.Work {
-		l := s.Graph.Layer(w.LayerID)
+	for id, w := range s.Work {
+		l := s.Graph.Layer(id)
 		if len(l.GEMMs) > 0 {
 			// Major layers gather X forward (except terminal) and reduce
 			// dX backward, both blocking.
@@ -189,11 +189,19 @@ func TestTerminalLayerSkipsGather(t *testing.T) {
 	s := MustBuild("AlexNet", paperBatch, paperWorkers, ModelParallel)
 	// The softmax consumes fc8; fc8 has consumers so it gathers, but the
 	// softmax itself (no GEMM) must not. Verify no FwdSync on any layer
-	// without consumers.
-	cons := s.Graph.Consumers()
-	for _, w := range s.Work {
-		if len(cons[w.LayerID]) == 0 && len(w.FwdSync) > 0 {
-			t.Fatalf("terminal layer %d has forward sync", w.LayerID)
+	// without consumers, and one on every consumed GEMM layer.
+	consumed := make([]bool, len(s.Graph.Layers))
+	for _, l := range s.Graph.Layers {
+		for _, in := range l.Inputs {
+			consumed[in] = true
+		}
+	}
+	for id, w := range s.Work {
+		if !consumed[id] && len(w.FwdSync) > 0 {
+			t.Fatalf("terminal layer %d has forward sync", id)
+		}
+		if consumed[id] && len(s.Graph.Layer(id).GEMMs) > 0 && len(w.FwdSync) != 1 {
+			t.Fatalf("consumed GEMM layer %d has %d forward syncs, want 1", id, len(w.FwdSync))
 		}
 	}
 }

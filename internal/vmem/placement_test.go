@@ -64,8 +64,8 @@ func TestAllocationLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := map[int]int{}
-		for layer, ids := range pr.Offloads {
-			for _, id := range ids {
+		for layer := range pr.Plan.Graph.Layers {
+			for _, id := range pr.Offloads(layer) {
 				if pr.Plan.Tensors[id].OffloadAfter != layer {
 					t.Fatalf("%s: tensor %d offloaded after layer %d, plan says %d", name, id, layer, pr.Plan.Tensors[id].OffloadAfter)
 				}
@@ -105,35 +105,60 @@ func TestAllocationLifecycle(t *testing.T) {
 		if extra != want {
 			t.Errorf("%s: %d bytes of extra state return, %d left", name, extra, want)
 		}
+
+		// The oracle-mode plan keeps everything resident: nothing leaves,
+		// nothing returns, and no backward step waits on a transfer.
+		oracle, err := Prepare(pr.Plan.Graph, Options{Oracle: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(oracle.Sched.Items); n != 0 {
+			t.Errorf("%s: oracle plan queues %d prefetches", name, n)
+		}
+		for layer := range pr.Plan.Graph.Layers {
+			if ids, need := oracle.Offloads(layer), oracle.Sched.NeededAt(layer); ids != nil || need != nil {
+				t.Errorf("%s: oracle layer %d offloads %v and needs %v", name, layer, ids, need)
+			}
+			if m := oracle.Sched.MaxNeededAt(layer); m != -1 {
+				t.Errorf("%s: oracle layer %d needs queue item %d", name, layer, m)
+			}
+		}
 	}
 }
 
 // TestPreparedRecomputeMatchesRecomputeFor: Prepare's recompute table is
 // RecomputeFor's chains with each producer kept at its first occurrence,
 // walking the backward steps in order (highest layer ID first): the
-// sequence the kernel runs.
+// sequence the kernel runs. With recompute off, and in oracle mode, the
+// plan recomputes nothing and the table answers empty for every layer.
 func TestPreparedRecomputeMatchesRecomputeFor(t *testing.T) {
 	chains := 0
 	for _, name := range append(dnn.BenchmarkNames(), dnn.TransformerNames()...) {
 		g := dnn.MustBuild(name, 32)
-		pr, err := Prepare(g, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := make([]bool, len(g.Layers))
-		for id := len(g.Layers) - 1; id >= 0; id-- {
-			var want []int
-			for _, rid := range pr.Plan.RecomputeFor(id) {
-				if !seen[rid] {
-					seen[rid] = true
-					want = append(want, rid)
+		for _, opt := range []Options{{}, {DisableRecompute: true}, {Oracle: true}} {
+			pr, err := Prepare(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make([]bool, len(g.Layers))
+			for id := len(g.Layers) - 1; id >= 0; id-- {
+				var want []int
+				for _, rid := range pr.Plan.RecomputeFor(id) {
+					if !seen[rid] {
+						seen[rid] = true
+						want = append(want, rid)
+					}
 				}
-			}
-			if got := pr.Recompute[id]; !slices.Equal(got, want) {
-				t.Errorf("%s layer %d: Recompute = %v, first uses of RecomputeFor = %v", name, id, got, want)
-			}
-			if len(want) > 0 {
-				chains++
+				got := pr.Recompute(id)
+				if !slices.Equal(got, want) {
+					t.Errorf("%s %+v layer %d: Recompute = %v, first uses of RecomputeFor = %v", name, opt, id, got, want)
+				}
+				if opt != (Options{}) && len(got) > 0 {
+					t.Errorf("%s %+v layer %d: recomputes %v", name, opt, id, got)
+				}
+				if len(want) > 0 {
+					chains++
+				}
 			}
 		}
 	}

@@ -190,7 +190,8 @@ type PrefetchItem struct {
 // transfers must have landed before that layer's backward step (its stashed
 // inputs — wherever their first use put them — and its own extra state).
 // The one device-iteration kernel, core.Iteration, drives it for both the
-// core engine and the scale-out plane.
+// core engine and the scale-out plane. A plan that queues nothing gets an
+// empty schedule, with no index.
 type PrefetchSchedule struct {
 	// Items is the backward DMA queue in issue order: layers in reverse
 	// topological order, each stash tensor appearing exactly once at the
@@ -202,9 +203,10 @@ type PrefetchSchedule struct {
 
 	plan *Plan
 	// needed holds every layer's queue positions back to back, highest
-	// layer first: layer id's are needed[bound[id+1]:bound[id]].
+	// layer first: layer id's are needed[bound[id+1]:bound[id]]. Both are
+	// nil when the queue is empty.
 	needed []int
-	bound  []int
+	bound  []int32
 }
 
 // PrefetchSchedule builds the queue and its per-layer index in one pass
@@ -228,13 +230,14 @@ func (p *Plan) PrefetchSchedule() *PrefetchSchedule {
 			reads++
 		}
 	}
-	s := &PrefetchSchedule{
-		Items:  make([]PrefetchItem, 0, items),
-		plan:   p,
-		needed: make([]int, 0, reads),
-		bound:  make([]int, n+1),
+	s := &PrefetchSchedule{plan: p}
+	if items == 0 {
+		return s
 	}
-	item := make([]int, n) // 1 + queue position of each queued tensor
+	s.Items = make([]PrefetchItem, 0, items)
+	s.needed = make([]int, 0, reads)
+	s.bound = make([]int32, n+1)
+	item := make([]int32, n) // 1 + queue position of each queued tensor
 	for id := n - 1; id >= 0; id-- {
 		for _, in := range g.Layer(id).Inputs {
 			tp := p.Tensors[in]
@@ -243,22 +246,26 @@ func (p *Plan) PrefetchSchedule() *PrefetchSchedule {
 			}
 			if item[in] == 0 {
 				s.Items = append(s.Items, PrefetchItem{Layer: id, Tensor: in, Bytes: tp.Bytes})
-				item[in] = len(s.Items)
+				item[in] = int32(len(s.Items))
 			}
-			s.needed = append(s.needed, item[in]-1)
+			s.needed = append(s.needed, int(item[in]-1))
 		}
 		if extra := p.ExtraStash[id]; extra > 0 {
 			s.Items = append(s.Items, PrefetchItem{Layer: id, Tensor: -1, Bytes: extra})
 			s.needed = append(s.needed, len(s.Items)-1)
 		}
-		s.bound[id] = len(s.needed)
+		s.bound[id] = int32(len(s.needed))
 	}
 	return s
 }
 
 // NeededAt returns the queue indices that must be resident before the given
-// layer's backward step, in deterministic (input, then extra-state) order.
+// layer's backward step, in deterministic (input, then extra-state) order:
+// nil on an empty schedule.
 func (s *PrefetchSchedule) NeededAt(layer int) []int {
+	if s.bound == nil {
+		return nil
+	}
 	return s.needed[s.bound[layer+1]:s.bound[layer]]
 }
 

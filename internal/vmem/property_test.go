@@ -198,10 +198,11 @@ func TestOracleHasNoPlan(t *testing.T) {
 }
 
 // TestPreparedOffloadsMatchOffloadsAfter is the differential test for
-// Prepare's one-pass offload table: on every Table III network plus the
-// transformers, under both strategies and with recompute on and off, each
-// layer's bucket equals what OffloadsAfter derives for that layer alone
-// (slices.Equal treats nil and empty as equal).
+// Prepare's counting-pass offload table: on every Table III network plus the
+// transformers, under both strategies, with recompute on and off and in
+// oracle mode, each layer's list equals what OffloadsAfter derives for that
+// layer alone (slices.Equal treats nil and empty as equal). The oracle-mode
+// plan offloads nothing, so its table answers empty for every layer.
 func TestPreparedOffloadsMatchOffloadsAfter(t *testing.T) {
 	names := append(dnn.BenchmarkNames(), dnn.TransformerNames()...)
 	for _, name := range names {
@@ -210,14 +211,17 @@ func TestPreparedOffloadsMatchOffloadsAfter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, strategy, err)
 			}
-			for _, opt := range []vmem.Options{{}, {DisableRecompute: true}} {
+			for _, opt := range []vmem.Options{{}, {DisableRecompute: true}, {Oracle: true}} {
 				pr, err := vmem.Prepare(s.Graph, opt)
 				if err != nil {
 					t.Fatalf("%s %v %+v: %v", name, strategy, opt, err)
 				}
 				for id := range s.Graph.Layers {
 					want, _ := pr.Plan.OffloadsAfter(id)
-					if got := pr.Offloads[id]; !slices.Equal(got, want) {
+					if opt.Oracle && want != nil {
+						t.Fatalf("%s %v: oracle plan offloads %v after layer %d", name, strategy, want, id)
+					}
+					if got := pr.Offloads(id); !slices.Equal(got, want) {
 						t.Errorf("%s %v %+v layer %d: Offloads = %v, OffloadsAfter = %v", name, strategy, opt, id, got, want)
 					}
 				}

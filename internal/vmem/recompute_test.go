@@ -31,8 +31,8 @@ func TestRecomputeListedOnceChargedOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			listed := make(map[int]int)
-			for _, list := range prep.Recompute {
-				for _, id := range list {
+			for layer := range s.Graph.Layers {
+				for _, id := range prep.Recompute(layer) {
 					listed[id]++
 				}
 			}
