@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"regexp"
 	"slices"
 	"sort"
@@ -48,7 +49,8 @@ var benchLine = regexp.MustCompile(`^(Benchmark[^\s-]+(?:-\d+)?)\s+(\d+)\s+(.+)$
 var contLine = regexp.MustCompile(`^\s*(\d+)\s+(.+)$`)
 
 // Parse reads a `go test -json` stream and collects the benchmark result
-// lines. Multiple runs of one benchmark (e.g. -count > 1) keep the last.
+// lines. Several runs of one benchmark (-count > 1) fold into one result
+// (merge); runs whose exact counters disagree are an error.
 func Parse(r io.Reader) (map[string]Result, error) {
 	out := make(map[string]Result)
 	sc := bufio.NewScanner(r)
@@ -82,12 +84,35 @@ func Parse(r io.Reader) (map[string]Result, error) {
 		if !ok {
 			continue
 		}
-		out[stripProcSuffix(name)] = res
+		name = stripProcSuffix(name)
+		if prev, seen := out[name]; seen {
+			var err error
+			if res, err = merge(name, prev, res); err != nil {
+				return nil, err
+			}
+		}
+		out[name] = res
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// merge folds another run of a benchmark into the runs before it. It keeps
+// the least ns/op, because a stall of a shared host only ever slows a run,
+// and the most B/op and allocs/op, the stricter reading of the memory
+// columns. The exact counters count deterministic work, so every run must
+// report the same ones.
+func merge(name string, a, b Result) (Result, error) {
+	if !maps.Equal(a.Counters, b.Counters) {
+		return Result{}, fmt.Errorf("%s: exact counters differ across runs: %v and %v", name, a.Counters, b.Counters)
+	}
+	a.NsPerOp = min(a.NsPerOp, b.NsPerOp)
+	a.BytesPerOp = max(a.BytesPerOp, b.BytesPerOp)
+	a.AllocsPerOp = max(a.AllocsPerOp, b.AllocsPerOp)
+	a.HasMem = a.HasMem || b.HasMem
+	return a, nil
 }
 
 func stripProcSuffix(name string) string {

@@ -74,6 +74,38 @@ func TestParseSplitResultLine(t *testing.T) {
 	}
 }
 
+// TestParseFoldsRepeatedRuns covers -count > 1: the gate reads the least
+// ns/op of the runs, the most B/op and allocs/op, and requires the exact
+// counters to agree.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	const line = "BenchmarkScaleOutPlane-2 \t      20\t  %d ns/op\t  %s\t  %d B/op\t  %d allocs/op"
+	runs := []string{
+		fmt.Sprintf(line, 160000, "78.00 fills/op", 900, 3),
+		fmt.Sprintf(line, 1397790, "78.00 fills/op", 1000, 2), // a host stall
+		fmt.Sprintf(line, 201000, "78.00 fills/op", 800, 5),
+	}
+	res, err := Parse(strings.NewReader(stream(runs...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res["BenchmarkScaleOutPlane"]
+	if r.NsPerOp != 160000 {
+		t.Errorf("ns/op %.0f, want the least run's 160000", r.NsPerOp)
+	}
+	if r.AllocsPerOp != 5 || r.BytesPerOp != 1000 || !r.HasMem {
+		t.Errorf("allocs/op %.0f and B/op %.0f, want the most: 5 and 1000", r.AllocsPerOp, r.BytesPerOp)
+	}
+	if r.Counters["fills/op"] != 78 {
+		t.Errorf("fills/op %v, want 78", r.Counters)
+	}
+	for _, other := range []string{"79.00 fills/op", "2451 visits/op"} {
+		odd := fmt.Sprintf(line, 150000, other, 900, 3)
+		if _, err := Parse(strings.NewReader(stream(runs[0], odd))); err == nil || !strings.Contains(err.Error(), "BenchmarkScaleOutPlane") {
+			t.Errorf("runs reporting 78.00 fills/op and %s: error %v, want one naming the benchmark", other, err)
+		}
+	}
+}
+
 func TestCompareVerdicts(t *testing.T) {
 	th := Thresholds{TimePct: 400, AllocsPct: 10}
 	base := map[string]Result{

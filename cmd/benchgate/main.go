@@ -18,7 +18,9 @@
 // must match their baselines exactly, fewer as well as more: fills/op (the
 // simulator's water-fill rounds), visits/op (the entries its event loop
 // touches), graphs/op and plans/op (graph and memory-plan builds). Each is a
-// pure function of the work done.
+// pure function of the work done. A baseline or run may hold several runs
+// of a benchmark (-count): they fold into the least ns/op and the most B/op
+// and allocs/op, and their exact counters must agree.
 //
 // New benchmarks (in current, not in baseline) are reported but pass: they
 // gate once the baseline is regenerated. Benchmarks present in the baseline

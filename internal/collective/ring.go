@@ -15,8 +15,9 @@ import (
 	"github.com/memcentric/mcdla/internal/units"
 )
 
-// Op enumerates the collective primitives of Figure 4.
-type Op int
+// Op enumerates the collective primitives of Figure 4. One byte holds it,
+// so a train.SyncOp packs it with its Blocking flag.
+type Op uint8
 
 const (
 	// AllGather concatenates every participant's shard on every participant

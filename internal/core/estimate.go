@@ -55,7 +55,7 @@ func EstimateIteration(d Design, s *train.Schedule) (IterationEstimate, error) {
 	// recomputed tensor exactly once; sum in layer order so float
 	// accumulation is run-to-run identical.
 	for _, l := range g.Layers {
-		if prep.Plan.Tensors[l.ID].Action == vmem.Recompute {
+		if prep.Plan.Tensor(l.ID).Action == vmem.Recompute {
 			est.Compute += fwd[l.ID]
 		}
 	}
@@ -69,11 +69,11 @@ func EstimateIteration(d Design, s *train.Schedule) (IterationEstimate, error) {
 
 	if s.Workers > 1 {
 		ringBW := d.Sync.AggregateBW()
-		for _, w := range s.Work {
-			for _, op := range w.FwdSync {
+		for id := range g.Layers {
+			for _, op := range s.FwdSync(id) {
 				est.Sync += collective.Estimate(op.Op, op.Bytes, d.Sync).Latency(ringBW)
 			}
-			for _, op := range w.BwdSync {
+			for _, op := range s.BwdSync(id) {
 				est.Sync += collective.Estimate(op.Op, op.Bytes, d.Sync).Latency(ringBW)
 			}
 		}

@@ -81,18 +81,17 @@ func (it *Iteration) Run(c Collectives) {
 
 	// ---- Forward propagation ----
 	for _, l := range g.Layers {
-		w := s.Work[l.ID]
 		ft := fwd[l.ID]
 		tr.Add(l.Name, "/fwd", trace.Compute, t, t+ft)
 		t += ft
 		it.Compute += ft
 		for _, id := range prep.Offloads(l.ID) {
-			it.offload(t, g.Layer(id).Name, "/offload", prep.Plan.Tensors[id].Bytes)
+			it.offload(t, g.Layer(id).Name, "/offload", prep.Plan.Tensor(id).Bytes)
 		}
-		if extra := prep.Plan.ExtraStash[l.ID]; extra > 0 {
+		if extra := prep.Plan.ExtraStash(l.ID); extra > 0 {
 			it.offload(t, l.Name, "/offload-state", extra)
 		}
-		for _, op := range w.FwdSync {
+		for _, op := range s.FwdSync(l.ID) {
 			done := c.Blocking(t, t, op)
 			tr.Add(l.Name, "/"+op.Op.String(), trace.SyncWait, t, done)
 			t = done
@@ -129,7 +128,7 @@ func (it *Iteration) Run(c Collectives) {
 				t = it.Virt.Channel().Wait(t, f.flow)
 				if tr != nil && !f.traced {
 					f.traced = true
-					tr.Add(sched.ItemName(i), "/prefetch", trace.Prefetch, f.issued, f.flow.DoneAt())
+					tr.Add(sched.ItemName(int(i)), "/prefetch", trace.Prefetch, f.issued, f.flow.DoneAt())
 				}
 			}
 			tr.Add(g.Layer(id).Name, "/stall", trace.Stall, stallFrom, t)
@@ -153,7 +152,7 @@ func (it *Iteration) Run(c Collectives) {
 		// Backward runs two independent GEMMs: dX = dY·Wᵀ first (its result
 		// feeds the blocking dX reduction under model parallelism), then
 		// dW = Xᵀ·dY, which overlaps with the reduction in flight.
-		ops := s.Work[id].BwdSync
+		ops := s.BwdSync(id)
 		if len(ops) > 0 && ops[0].Blocking {
 			issue := t + bt/2        // the dX GEMM's result is ready
 			waitFrom := issue + bt/2 // the dW GEMM is done
@@ -186,7 +185,7 @@ func (it *Iteration) issue(at units.Time) {
 	queue := it.Prep.Sched.Items
 	layer, pri := queue[it.next].Layer, 0
 	if it.Window > 0 {
-		pri = 1 + layer
+		pri = 1 + int(layer)
 	}
 	for {
 		size := it.Sched.StashBytes(queue[it.next].Bytes)

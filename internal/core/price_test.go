@@ -36,7 +36,7 @@ func TestForwardPricesMatchLayerFwdTime(t *testing.T) {
 						t.Fatalf("%s %v %v on %s: %d entries for %d layers", net, st, prec, gen.Name, len(fwd), len(s.Graph.Layers))
 					}
 					for _, l := range s.Graph.Layers {
-						want := core.LayerFwdTime(gen.Config, s.Graph, l, s.Work[l.ID])
+						want := core.LayerFwdTime(gen.Config, s.Graph, l, s.Work(l.ID))
 						if math.Float64bits(float64(fwd[l.ID])) != math.Float64bits(float64(want)) {
 							t.Fatalf("%s %v %v on %s, layer %s: price %v, LayerFwdTime %v", net, st, prec, gen.Name, l.Name, fwd[l.ID], want)
 						}

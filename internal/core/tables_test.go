@@ -52,10 +52,11 @@ func TestBuildTablesStayReadOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id, w := range s.Work {
-				if cap(w.GEMMs) != len(w.GEMMs) || cap(w.FwdSync) != len(w.FwdSync) || cap(w.BwdSync) != len(w.BwdSync) {
+			for id := range g.Layers {
+				gemms, fwd, bwd := s.Work(id).GEMMs, s.FwdSync(id), s.BwdSync(id)
+				if cap(gemms) != len(gemms) || cap(fwd) != len(fwd) || cap(bwd) != len(bwd) {
 					t.Errorf("%s %v layer %d: GEMMs %d/%d, FwdSync %d/%d, BwdSync %d/%d (len/cap)", name, sc.strategy, id,
-						len(w.GEMMs), cap(w.GEMMs), len(w.FwdSync), cap(w.FwdSync), len(w.BwdSync), cap(w.BwdSync))
+						len(gemms), cap(gemms), len(fwd), cap(fwd), len(bwd), cap(bwd))
 				}
 			}
 			for _, d := range designs {

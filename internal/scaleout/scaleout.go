@@ -237,7 +237,7 @@ func (p Plane) Estimate(workload string, globalBatch int, memCentric bool) (Iter
 
 	var compute units.Time
 	for _, l := range g.Layers {
-		w := s.Work[l.ID]
+		w := s.Work(l.ID)
 		var in int64
 		for _, id := range l.Inputs {
 			in += g.Layer(id).OutBytes()
@@ -267,7 +267,7 @@ func (p Plane) Estimate(workload string, globalBatch int, memCentric bool) (Iter
 	// accumulation is run-to-run identical.
 	fwd := core.ForwardPrices(p.Device, s)
 	for _, l := range g.Layers {
-		if plan.Tensors[l.ID].Action == vmem.Recompute {
+		if plan.Tensor(l.ID).Action == vmem.Recompute {
 			compute += fwd[l.ID]
 		}
 	}

@@ -388,7 +388,7 @@ func (e *stagedSync) Overlapped(id int, t units.Time, ops []train.SyncOp) {
 	}
 	if s := e.hybridDW; s != nil && s.Graph.Layer(id).GroupLead() {
 		// The per-device shard is already 1/DevicesPerNode.
-		if b := s.Work[id].WeightBytes; b > 0 {
+		if b := s.Work(id).WeightBytes; b > 0 {
 			e.stage(t, e.inter(units.Bytes(b), "dW"))
 		}
 	}

@@ -5,6 +5,11 @@
 // §IV) splits each GEMM layer's outputs across workers, all-gathers feature
 // maps (X) at every layer boundary during forward propagation, and
 // all-reduces input gradients (dX) during backprop.
+//
+// A layer's bytes and GEMMs are facts of the graph, so a schedule derives
+// them on demand (Schedule.Work) instead of copying them per layer; it
+// stores only its scale factors, its collectives and, under model
+// parallel, its GEMM shards.
 package train
 
 import (
@@ -41,21 +46,22 @@ func (s Strategy) String() string {
 }
 
 // SyncOp is one collective a device participates in during the iteration.
+// Its one-byte fields come last, so it packs into 32 bytes.
 type SyncOp struct {
-	Op    collective.Op
 	Bytes units.Bytes
 	// Tag labels the traffic for accounting ("dW", "X", "dX").
 	Tag string
+	Op  collective.Op
 	// Blocking collectives stall the compute pipeline (model-parallel layer
 	// boundaries); non-blocking ones overlap with remaining backprop
 	// (data-parallel dW reductions).
 	Blocking bool
 }
 
-// LayerWork is the per-device execution record for one layer; its index in
-// Schedule.Work is the layer's ID. The slices are read-only and
-// cap-limited: GEMMs is the graph's own list or a window of the schedule's
-// shard table, and the sync lists are windows of the schedule's op table.
+// LayerWork is the per-device execution record for one layer, derived on
+// demand from the graph by Schedule.Work: the schedule keeps no per-layer
+// record. GEMMs is read-only and cap-limited: the graph's own list, or under
+// model parallel a window of the schedule's shard table.
 type LayerWork struct {
 	// GEMMs are the device's shard of the layer's forward matrix work.
 	GEMMs []dnn.GEMM
@@ -66,14 +72,13 @@ type LayerWork struct {
 	// gathered, outputs are gathered before the next major layer).
 	InputBytes  int64
 	OutputBytes int64
-	// FwdSync runs after this layer's forward pass (all-gather of Y).
-	FwdSync []SyncOp
-	// BwdSync runs with this layer's backward pass (all-reduce of dX or
-	// the layer's dW share).
-	BwdSync []SyncOp
 }
 
-// Schedule is a device's full iteration plan.
+// Schedule is a device's full iteration plan. It stores only what its graph
+// cannot give it: the scale factors (precision and workers), the
+// collectives and, under model parallel, the GEMM shards. Each of the two
+// tables holds every layer's entries back to back, delimited by int32
+// bounds; Work, FwdSync and BwdSync derive a layer's view on demand.
 type Schedule struct {
 	Name     string
 	Strategy Strategy
@@ -86,8 +91,19 @@ type Schedule struct {
 	// Graph is the per-device graph: batch/workers under data parallel,
 	// the full batch under model parallel.
 	Graph *dnn.Graph
-	// Work is indexed by layer ID.
-	Work []LayerWork
+
+	// ops holds every layer's collectives in layer order, a layer's forward
+	// ops before its backward ones: layer id's forward ops are
+	// ops[opBound[2*id]:opBound[2*id+1]] and its backward ops
+	// ops[opBound[2*id+1]:opBound[2*id+2]]. Both are nil when the iteration
+	// has no collectives (a single data-parallel worker).
+	ops     []SyncOp
+	opBound []int32
+	// shards holds the model-parallel GEMM shards of every layer: layer
+	// id's are shards[shardBound[id]:shardBound[id+1]]. Both are nil under
+	// data parallel, where every layer runs the graph's own list.
+	shards     []dnn.GEMM
+	shardBound []int32
 
 	// net is the graph's shared network, which holds the vmem analyses.
 	net *Network
@@ -136,7 +152,7 @@ func (s *Schedule) ForwardPrices(key accel.Config, price func(l *dnn.Layer, w La
 	}
 	t := priceTable{key: key, fwd: make([]units.Time, len(s.Graph.Layers))}
 	for _, l := range s.Graph.Layers {
-		t.fwd[l.ID] = price(l, s.Work[l.ID])
+		t.fwd[l.ID] = price(l, s.Work(l.ID))
 	}
 	if len(s.prices) < priceTables {
 		s.prices = append(s.prices, t)
@@ -234,6 +250,44 @@ func MustBuild(name string, globalBatch, workers int, strategy Strategy) *Schedu
 	return s
 }
 
+// Work returns layer id's per-device execution record, derived from the
+// graph: every byte count scaled by the precision's ActScale, and under
+// model parallel a GEMM layer's shards with 1/workers of its weights.
+func (s *Schedule) Work(id int) LayerWork {
+	g := s.Graph
+	l := g.Layers[id]
+	act := s.Precision.ActScale()
+	w := LayerWork{
+		GEMMs:       l.GEMMs,
+		WeightBytes: act * l.WeightBytes(),
+		InputBytes:  act * inputBytes(g, l),
+		OutputBytes: act * l.OutBytes(),
+	}
+	if s.Strategy == ModelParallel && len(l.GEMMs) > 0 {
+		lo, hi := s.shardBound[id], s.shardBound[id+1]
+		w.GEMMs = s.shards[lo:hi:hi]
+		w.WeightBytes /= int64(s.Workers)
+	}
+	return w
+}
+
+// FwdSync returns the collectives that run after layer id's forward pass
+// (the all-gather of its output). The list is read-only and cap-limited.
+func (s *Schedule) FwdSync(id int) []SyncOp { return s.syncWindow(2 * id) }
+
+// BwdSync returns the collectives that run with layer id's backward pass
+// (the all-reduce of its dX or of its weight group's dW). The list is
+// read-only and cap-limited.
+func (s *Schedule) BwdSync(id int) []SyncOp { return s.syncWindow(2*id + 1) }
+
+func (s *Schedule) syncWindow(i int) []SyncOp {
+	if s.opBound == nil {
+		return nil
+	}
+	lo, hi := s.opBound[i], s.opBound[i+1]
+	return s.ops[lo:hi:hi]
+}
+
 func inputBytes(g *dnn.Graph, l *dnn.Layer) int64 {
 	var total int64
 	for _, in := range l.Inputs {
@@ -246,10 +300,9 @@ func inputBytes(g *dnn.Graph, l *dnn.Layer) int64 {
 // all-reduce of each weight group's gradients, issued when backprop finishes
 // the group's lead (earliest) layer — gradients for shared recurrent weights
 // accumulate across timesteps and reduce once. Precision scales the byte
-// accounting: activation/weight reads by ActScale, the dW payload by DWScale
-// (fp32 master-weight gradients under mixed precision). Each layer's
-// forward GEMM list is the graph's own, read-only and shared, and the dW
-// ops are one-element windows of one table.
+// accounting: activation/weight reads by ActScale (Work), the dW payload by
+// DWScale (fp32 master-weight gradients under mixed precision). Each
+// layer's forward GEMM list is the graph's own, read-only and shared.
 func buildDataParallel(net *Network, globalBatch, workers int, prec Precision) *Schedule {
 	g := net.Graph
 	s := &Schedule{
@@ -259,7 +312,6 @@ func buildDataParallel(net *Network, globalBatch, workers int, prec Precision) *
 		GlobalBatch: globalBatch,
 		Precision:   prec,
 		Graph:       g,
-		Work:        make([]LayerWork, len(g.Layers)),
 		net:         net,
 	}
 	for _, l := range g.Layers {
@@ -267,20 +319,16 @@ func buildDataParallel(net *Network, globalBatch, workers int, prec Precision) *
 			s.groups++
 		}
 	}
-	var ops []SyncOp
-	if workers > 1 {
-		ops = make([]SyncOp, 0, s.groups)
+	if workers == 1 {
+		return s
 	}
-	act, dw := prec.ActScale(), prec.DWScale()
+	s.ops = make([]SyncOp, 0, s.groups)
+	s.opBound = make([]int32, 2*len(g.Layers)+1)
+	dw := prec.DWScale()
 	for _, l := range g.Layers {
-		w := LayerWork{
-			GEMMs:       l.GEMMs,
-			WeightBytes: act * l.WeightBytes(),
-			InputBytes:  act * inputBytes(g, l),
-			OutputBytes: act * l.OutBytes(),
-		}
-		if workers > 1 && l.GroupLead() {
-			ops = append(ops, SyncOp{
+		s.opBound[2*l.ID+1] = int32(len(s.ops))
+		if l.GroupLead() {
+			s.ops = append(s.ops, SyncOp{
 				Op:    collective.AllReduce,
 				Bytes: units.Bytes(dw * l.WeightBytes()),
 				Tag:   "dW",
@@ -289,17 +337,10 @@ func buildDataParallel(net *Network, globalBatch, workers int, prec Precision) *
 				// accumulation).
 				Blocking: false,
 			})
-			w.BwdSync = window(ops, 1)
 		}
-		s.Work[l.ID] = w
+		s.opBound[2*l.ID+2] = int32(len(s.ops))
 	}
 	return s
-}
-
-// window returns the last n elements of a table, capped so that an append
-// to the window cannot write into the table.
-func window[T any](table []T, n int) []T {
-	return table[len(table)-n : len(table) : len(table)]
 }
 
 // buildModelParallel: every GEMM layer's output features are sliced across
@@ -307,10 +348,10 @@ func window[T any](table []T, n int) []T {
 // input gradients all-reduced in backward (Figure 3(b)). Elementwise layers
 // run replicated on the gathered tensors. Precision scales every term by
 // ActScale — the X/dX collectives carry activations and activation
-// gradients, which stay fp16 under the mixed policy. The GEMM shards are
-// windows of one table, and the X and dX ops windows of another.
+// gradients, which stay fp16 under the mixed policy.
 func buildModelParallel(net *Network, globalBatch, workers int, prec Precision) (*Schedule, error) {
 	g := net.Graph
+	n := len(g.Layers)
 	s := &Schedule{
 		Name:        g.Name,
 		Strategy:    ModelParallel,
@@ -318,10 +359,9 @@ func buildModelParallel(net *Network, globalBatch, workers int, prec Precision) 
 		GlobalBatch: globalBatch,
 		Precision:   prec,
 		Graph:       g,
-		Work:        make([]LayerWork, len(g.Layers)),
 		net:         net,
 	}
-	consumed := make([]bool, len(g.Layers))
+	consumed := make([]bool, n)
 	nGEMMs, nOps := 0, 0
 	for _, l := range g.Layers {
 		for _, in := range l.Inputs {
@@ -335,49 +375,46 @@ func buildModelParallel(net *Network, globalBatch, workers int, prec Precision) 
 			nOps += 2
 		}
 	}
-	shards := make([]dnn.GEMM, 0, nGEMMs)
-	ops := make([]SyncOp, 0, nOps)
+	s.shards = make([]dnn.GEMM, 0, nGEMMs)
+	s.shardBound = make([]int32, n+1)
+	s.ops = make([]SyncOp, 0, nOps)
+	s.opBound = make([]int32, 2*n+1)
 	act := prec.ActScale()
 	div := int64(workers)
 	for _, l := range g.Layers {
-		w := LayerWork{
-			InputBytes:  act * inputBytes(g, l),
-			OutputBytes: act * l.OutBytes(),
-			WeightBytes: act * l.WeightBytes(),
-		}
 		if len(l.GEMMs) > 0 {
 			for _, gm := range l.GEMMs {
 				if gm.N%div != 0 {
 					return nil, fmt.Errorf("train: %s layer %s: output dim %d not divisible by %d workers",
 						g.Name, l.Name, gm.N, workers)
 				}
-				shards = append(shards, dnn.GEMM{M: gm.M, N: gm.N / div, K: gm.K})
+				s.shards = append(s.shards, dnn.GEMM{M: gm.M, N: gm.N / div, K: gm.K})
 			}
-			w.GEMMs = window(shards, len(l.GEMMs))
-			w.WeightBytes /= div
 			// Forward: the device produced 1/workers of Y; gather the full
 			// tensor before downstream layers consume it. The final layer
 			// of the graph needs no gather.
 			if consumed[l.ID] {
-				ops = append(ops, SyncOp{
+				s.ops = append(s.ops, SyncOp{
 					Op:       collective.AllGather,
 					Bytes:    units.Bytes(act * l.OutBytes()),
 					Tag:      "X",
 					Blocking: true,
 				})
-				w.FwdSync = window(ops, 1)
 			}
+			s.opBound[2*l.ID+1] = int32(len(s.ops))
 			// Backward: each device's weight slice contributes a partial
 			// dX over the full input; sum them.
-			ops = append(ops, SyncOp{
+			s.ops = append(s.ops, SyncOp{
 				Op:       collective.AllReduce,
-				Bytes:    units.Bytes(w.InputBytes),
+				Bytes:    units.Bytes(act * inputBytes(g, l)),
 				Tag:      "dX",
 				Blocking: true,
 			})
-			w.BwdSync = window(ops, 1)
+		} else {
+			s.opBound[2*l.ID+1] = int32(len(s.ops))
 		}
-		s.Work[l.ID] = w
+		s.opBound[2*l.ID+2] = int32(len(s.ops))
+		s.shardBound[l.ID+1] = int32(len(s.shards))
 	}
 	return s, nil
 }
@@ -385,26 +422,34 @@ func buildModelParallel(net *Network, globalBatch, workers int, prec Precision) 
 // SyncBytes totals the collective payload bytes of the iteration, by tag.
 func (s *Schedule) SyncBytes() map[string]int64 {
 	out := make(map[string]int64)
-	for _, w := range s.Work {
-		for _, op := range append(append([]SyncOp(nil), w.FwdSync...), w.BwdSync...) {
-			out[op.Tag] += int64(op.Bytes)
-		}
+	for _, op := range s.ops {
+		out[op.Tag] += int64(op.Bytes)
 	}
 	return out
 }
 
-// Validate checks schedule invariants, among them the collective shape the
-// event engines' device-iteration kernel relies on: every forward op blocks,
-// and a layer's backward pass carries at most one op.
+// Validate checks schedule invariants: the bound tables cover every layer
+// and delimit windows of their tables, and the collective shape the event
+// engines' device-iteration kernel relies on holds — every forward op
+// blocks, and a layer's backward pass carries at most one op.
 func (s *Schedule) Validate() error {
-	if len(s.Work) != len(s.Graph.Layers) {
-		return fmt.Errorf("train: %s: work entries %d != layers %d", s.Name, len(s.Work), len(s.Graph.Layers))
-	}
-	for i, w := range s.Work {
-		if len(w.BwdSync) > 1 {
-			return fmt.Errorf("train: %s: layer %d has %d backward collectives, want at most one", s.Name, i, len(w.BwdSync))
+	n := len(s.Graph.Layers)
+	if s.opBound != nil {
+		if err := checkBounds(s.opBound, 2*n+1, len(s.ops)); err != nil {
+			return fmt.Errorf("train: %s: sync ops: %w", s.Name, err)
 		}
-		for _, op := range w.FwdSync {
+	}
+	if s.Strategy == ModelParallel {
+		if err := checkBounds(s.shardBound, n+1, len(s.shards)); err != nil {
+			return fmt.Errorf("train: %s: GEMM shards: %w", s.Name, err)
+		}
+	}
+	for i := range n {
+		bwd := s.BwdSync(i)
+		if len(bwd) > 1 {
+			return fmt.Errorf("train: %s: layer %d has %d backward collectives, want at most one", s.Name, i, len(bwd))
+		}
+		for _, op := range s.FwdSync(i) {
 			if !op.Blocking {
 				return fmt.Errorf("train: %s: layer %d has a non-blocking forward collective", s.Name, i)
 			}
@@ -412,8 +457,25 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("train: %s: layer %d has negative sync bytes", s.Name, i)
 			}
 		}
-		if len(w.BwdSync) == 1 && w.BwdSync[0].Bytes < 0 {
+		if len(bwd) == 1 && bwd[0].Bytes < 0 {
 			return fmt.Errorf("train: %s: layer %d has negative sync bytes", s.Name, i)
+		}
+	}
+	return nil
+}
+
+// checkBounds checks that a bound table has want entries, rising from 0 to
+// the length of its table.
+func checkBounds(bound []int32, want, table int) error {
+	if len(bound) != want {
+		return fmt.Errorf("%d bounds, want %d", len(bound), want)
+	}
+	if bound[0] != 0 || int(bound[want-1]) != table {
+		return fmt.Errorf("bounds run from %d to %d over a table of %d", bound[0], bound[want-1], table)
+	}
+	for i := 1; i < want; i++ {
+		if bound[i] < bound[i-1] {
+			return fmt.Errorf("bound %d falls from %d to %d", i, bound[i-1], bound[i])
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package train
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/memcentric/mcdla/internal/accel"
 	"github.com/memcentric/mcdla/internal/collective"
@@ -57,8 +58,8 @@ func TestPerDeviceComputeEqualAcrossStrategies(t *testing.T) {
 // computeMACs totals the device's forward MAC count for the iteration.
 func computeMACs(s *Schedule) int64 {
 	var total int64
-	for _, w := range s.Work {
-		for _, g := range w.GEMMs {
+	for id := range s.Graph.Layers {
+		for _, g := range s.Work(id).GEMMs {
 			total += g.MACs()
 		}
 	}
@@ -82,8 +83,8 @@ func TestDataParallelSyncIsWeights(t *testing.T) {
 
 func TestDataParallelSyncsNonBlocking(t *testing.T) {
 	s := MustBuild("VGG-E", paperBatch, paperWorkers, DataParallel)
-	for _, w := range s.Work {
-		for _, op := range w.BwdSync {
+	for id := range s.Graph.Layers {
+		for _, op := range s.BwdSync(id) {
 			if op.Blocking {
 				t.Fatal("DP dW all-reduce must be non-blocking (overlapped)")
 			}
@@ -91,7 +92,7 @@ func TestDataParallelSyncsNonBlocking(t *testing.T) {
 				t.Fatalf("DP sync op = %v, want all-reduce", op.Op)
 			}
 		}
-		if len(w.FwdSync) != 0 {
+		if len(s.FwdSync(id)) != 0 {
 			t.Fatal("DP must have no forward syncs")
 		}
 	}
@@ -108,9 +109,9 @@ func TestRecurrentWeightsReduceOnce(t *testing.T) {
 			firstCell = l.ID
 		}
 	}
-	for id, w := range s.Work {
-		if len(w.BwdSync) > 0 {
-			count += len(w.BwdSync)
+	for id := range s.Graph.Layers {
+		if bwd := s.BwdSync(id); len(bwd) > 0 {
+			count += len(bwd)
 			if id != firstCell {
 				t.Fatalf("dW reduce at layer %d, want first cell %d", id, firstCell)
 			}
@@ -123,18 +124,18 @@ func TestRecurrentWeightsReduceOnce(t *testing.T) {
 
 func TestModelParallelSyncStructure(t *testing.T) {
 	s := MustBuild("VGG-E", paperBatch, paperWorkers, ModelParallel)
-	for id, w := range s.Work {
-		l := s.Graph.Layer(id)
+	for id, l := range s.Graph.Layers {
+		fwd, bwd := s.FwdSync(id), s.BwdSync(id)
 		if len(l.GEMMs) > 0 {
 			// Major layers gather X forward (except terminal) and reduce
 			// dX backward, both blocking.
-			if len(w.BwdSync) != 1 || w.BwdSync[0].Op != collective.AllReduce || !w.BwdSync[0].Blocking {
-				t.Fatalf("layer %s: bad backward sync %+v", l.Name, w.BwdSync)
+			if len(bwd) != 1 || bwd[0].Op != collective.AllReduce || !bwd[0].Blocking {
+				t.Fatalf("layer %s: bad backward sync %+v", l.Name, bwd)
 			}
-			if w.BwdSync[0].Tag != "dX" {
-				t.Fatalf("layer %s: backward sync tag %q", l.Name, w.BwdSync[0].Tag)
+			if bwd[0].Tag != "dX" {
+				t.Fatalf("layer %s: backward sync tag %q", l.Name, bwd[0].Tag)
 			}
-		} else if len(w.FwdSync) != 0 || len(w.BwdSync) != 0 {
+		} else if len(fwd) != 0 || len(bwd) != 0 {
 			t.Fatalf("elementwise layer %s has syncs", l.Name)
 		}
 	}
@@ -148,13 +149,12 @@ func TestModelParallelSyncStructure(t *testing.T) {
 }
 
 func TestModelParallelShardsGEMMs(t *testing.T) {
-	dp := MustBuild("AlexNet", paperBatch, paperWorkers, DataParallel)
 	mp := MustBuild("AlexNet", paperBatch, paperWorkers, ModelParallel)
-	for i, w := range mp.Work {
-		l := mp.Graph.Layer(i)
+	for i, l := range mp.Graph.Layers {
 		if len(l.GEMMs) == 0 {
 			continue
 		}
+		w := mp.Work(i)
 		if w.GEMMs[0].N*int64(paperWorkers) != l.GEMMs[0].N {
 			t.Fatalf("layer %s: sharded N=%d vs full N=%d", l.Name, w.GEMMs[0].N, l.GEMMs[0].N)
 		}
@@ -162,7 +162,6 @@ func TestModelParallelShardsGEMMs(t *testing.T) {
 			t.Fatalf("layer %s: weight shard %d vs full %d", l.Name, w.WeightBytes, l.WeightBytes())
 		}
 	}
-	_ = dp
 }
 
 func TestModelParallelSyncHeavierThanDataParallel(t *testing.T) {
@@ -196,12 +195,13 @@ func TestTerminalLayerSkipsGather(t *testing.T) {
 			consumed[in] = true
 		}
 	}
-	for id, w := range s.Work {
-		if !consumed[id] && len(w.FwdSync) > 0 {
+	for id, l := range s.Graph.Layers {
+		fwd := s.FwdSync(id)
+		if !consumed[id] && len(fwd) > 0 {
 			t.Fatalf("terminal layer %d has forward sync", id)
 		}
-		if consumed[id] && len(s.Graph.Layer(id).GEMMs) > 0 && len(w.FwdSync) != 1 {
-			t.Fatalf("consumed GEMM layer %d has %d forward syncs, want 1", id, len(w.FwdSync))
+		if consumed[id] && len(l.GEMMs) > 0 && len(fwd) != 1 {
+			t.Fatalf("consumed GEMM layer %d has %d forward syncs, want 1", id, len(fwd))
 		}
 	}
 }
@@ -248,19 +248,30 @@ func TestMustBuildPanics(t *testing.T) {
 
 // Validate holds the collective shape the event engines' iteration kernel
 // relies on: forward ops block, and a backward pass carries at most one op.
+// Each case mutates the op table or its bounds at the first layer that has
+// both a forward and a backward op; the bound cases keep the bounds a
+// rising cover of the table, so only the shape checks can catch them.
 func TestValidateRejectsUnsupportedSyncShapes(t *testing.T) {
 	for _, c := range []struct {
 		name   string
-		mutate func(w *LayerWork)
+		mutate func(s *Schedule, id int)
 	}{
-		{"two backward ops", func(w *LayerWork) { w.BwdSync = append(w.BwdSync, w.BwdSync[0]) }},
-		{"non-blocking forward op", func(w *LayerWork) { w.FwdSync[0].Blocking = false }},
-		{"negative backward bytes", func(w *LayerWork) { w.BwdSync[0].Bytes = -1 }},
+		// The layer's forward op becomes a second backward op.
+		{"two backward ops", func(s *Schedule, id int) { s.opBound[2*id+1]-- }},
+		{"non-blocking forward op", func(s *Schedule, id int) { s.ops[s.opBound[2*id]].Blocking = false }},
+		{"negative forward bytes", func(s *Schedule, id int) { s.ops[s.opBound[2*id]].Bytes = -1 }},
+		{"negative backward bytes", func(s *Schedule, id int) { s.ops[s.opBound[2*id+1]].Bytes = -1 }},
+		{"bounds miss a layer", func(s *Schedule, id int) { s.opBound = s.opBound[:len(s.opBound)-1] }},
+		{"bounds fall", func(s *Schedule, id int) { s.opBound[2*id+1] = s.opBound[2*id+2] + 1 }},
+		{"shard bounds miss a layer", func(s *Schedule, id int) { s.shardBound = s.shardBound[1:] }},
 	} {
 		s := MustBuild("AlexNet", paperBatch, paperWorkers, ModelParallel)
-		for i := range s.Work {
-			if len(s.Work[i].FwdSync) > 0 && len(s.Work[i].BwdSync) > 0 {
-				c.mutate(&s.Work[i])
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for id := range s.Graph.Layers {
+			if len(s.FwdSync(id)) > 0 && len(s.BwdSync(id)) > 0 {
+				c.mutate(s, id)
 				break
 			}
 		}
@@ -298,5 +309,13 @@ func TestForwardPricesBoundedAndEvictOldest(t *testing.T) {
 	s.ForwardPrices(key(0), price)
 	if want := (priceTables + 2) * layers; priced != want {
 		t.Fatalf("the evicted key priced %d layers, want %d", priced-(priceTables+1)*layers, layers)
+	}
+}
+
+// TestSyncOpIs32Bytes: the op table holds one SyncOp per collective, with
+// its one-byte fields packed after the string.
+func TestSyncOpIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(SyncOp{}); n != 32 {
+		t.Errorf("SyncOp is %d bytes, want 32", n)
 	}
 }

@@ -66,8 +66,8 @@ func TestAllocationLifecycle(t *testing.T) {
 		out := map[int]int{}
 		for layer := range pr.Plan.Graph.Layers {
 			for _, id := range pr.Offloads(layer) {
-				if pr.Plan.Tensors[id].OffloadAfter != layer {
-					t.Fatalf("%s: tensor %d offloaded after layer %d, plan says %d", name, id, layer, pr.Plan.Tensors[id].OffloadAfter)
+				if int(pr.Plan.Tensor(id).OffloadAfter) != layer {
+					t.Fatalf("%s: tensor %d offloaded after layer %d, plan says %d", name, id, layer, pr.Plan.Tensor(id).OffloadAfter)
 				}
 				out[id]++
 			}
@@ -76,14 +76,14 @@ func TestAllocationLifecycle(t *testing.T) {
 		var extra int64
 		for i, it := range pr.Sched.Items {
 			if it.Tensor < 0 {
-				if it.Bytes != pr.Plan.ExtraStash[it.Layer] {
-					t.Fatalf("%s: layer %d's state returns %d bytes, left with %d", name, it.Layer, it.Bytes, pr.Plan.ExtraStash[it.Layer])
+				if it.Bytes != pr.Plan.ExtraStash(int(it.Layer)) {
+					t.Fatalf("%s: layer %d's state returns %d bytes, left with %d", name, it.Layer, it.Bytes, pr.Plan.ExtraStash(int(it.Layer)))
 				}
 				extra += it.Bytes
 				continue
 			}
-			back[it.Tensor]++
-			if it.Layer < pr.Plan.FirstBackwardUse(it.Tensor) {
+			back[int(it.Tensor)]++
+			if int(it.Layer) < pr.Plan.FirstBackwardUse(int(it.Tensor)) {
 				t.Fatalf("%s: item %d fetches tensor %d after its first backward use", name, i, it.Tensor)
 			}
 		}
@@ -99,8 +99,8 @@ func TestAllocationLifecycle(t *testing.T) {
 			t.Errorf("%s: %d tensors fetched, %d offloaded", name, len(back), len(out))
 		}
 		var want int64
-		for _, b := range pr.Plan.ExtraStash {
-			want += b
+		for id := range pr.Plan.Graph.Layers {
+			want += pr.Plan.ExtraStash(id)
 		}
 		if extra != want {
 			t.Errorf("%s: %d bytes of extra state return, %d left", name, extra, want)

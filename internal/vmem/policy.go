@@ -21,7 +21,7 @@ import (
 )
 
 // Action says how a tensor needed by backprop is made available.
-type Action int
+type Action uint8
 
 const (
 	// None is the zero value: backprop does not read the tensor, and the
@@ -55,24 +55,52 @@ func (a Action) String() string {
 type TensorPlan struct {
 	// Action selects the backprop strategy.
 	Action Action
+	// OffloadAfter is the topological index of the last forward consumer —
+	// the DMA offload is enqueued when that layer's forward completes.
+	OffloadAfter int32
 	// Bytes is the tensor footprint (per device; the caller has already
 	// applied the parallelization split).
 	Bytes int64
-	// OffloadAfter is the topological index of the last forward consumer —
-	// the DMA offload is enqueued when that layer's forward completes.
-	OffloadAfter int
 }
 
-// Plan is the per-iteration memory-overlaying schedule for one device.
+// Plan is the per-iteration memory-overlaying schedule for one device. It
+// copies no graph field: a layer's extra backward state is read from the
+// graph (ExtraStash), and only the per-tensor decisions are a table.
 type Plan struct {
 	Graph *dnn.Graph
-	// Tensors is indexed by producer layer ID. Only the tensors backprop
+	// tensors is indexed by producer layer ID. Only the tensors backprop
 	// needs are planned; the others keep the zero entry, whose Action is
-	// None.
-	Tensors []TensorPlan
-	// ExtraStash is indexed by layer ID: the additional backward state
-	// bytes (recurrent gate activations) stashed alongside the inputs.
-	ExtraStash []int64
+	// None. An oracle plan plans nothing and allocates no table.
+	tensors []TensorPlan
+	opt     Options
+}
+
+// Tensor returns the plan's decision for layer id's output tensor: the
+// zero TensorPlan, whose Action is None, when backprop does not need it,
+// and for every layer of an oracle plan.
+func (p *Plan) Tensor(id int) TensorPlan {
+	if p.tensors == nil {
+		return TensorPlan{}
+	}
+	return p.tensors[id]
+}
+
+// ExtraStash returns the additional backward state bytes (recurrent gate
+// activations) stashed alongside layer id's inputs: the layer's
+// StashExtraBytes when the plan stashes its inputs, else 0, and 0 on every
+// layer of an oracle plan.
+func (p *Plan) ExtraStash(id int) int64 {
+	if l := p.Graph.Layer(id); p.stashesInputs(l) {
+		return l.StashExtraBytes
+	}
+	return 0
+}
+
+// stashesInputs reports whether the plan makes layer l's inputs available
+// to its backward pass: every non-input layer that is expensive, or every
+// one when recompute is disabled, and none in oracle mode.
+func (p *Plan) stashesInputs(l *dnn.Layer) bool {
+	return !p.opt.Oracle && l.Kind != dnn.Input && (l.Kind.Expensive() || p.opt.DisableRecompute)
 }
 
 // Options tunes the planner.
@@ -92,24 +120,20 @@ type Options struct {
 // hold 1/workers of the batch — callers express this by building the graph
 // at the per-device batch, so scale is normally 1).
 func Analyze(g *dnn.Graph, opt Options) *Plan {
-	p := &Plan{
-		Graph:      g,
-		Tensors:    make([]TensorPlan, len(g.Layers)),
-		ExtraStash: make([]int64, len(g.Layers)),
-	}
+	p := &Plan{Graph: g, opt: opt}
 	if opt.Oracle {
 		return p
 	}
+	p.tensors = make([]TensorPlan, len(g.Layers))
 	lastUse := g.LastForwardUse()
 	recompute := !opt.DisableRecompute
 	for _, l := range g.Layers {
-		if l.Kind == dnn.Input || !(l.Kind.Expensive() || opt.DisableRecompute) {
+		if !p.stashesInputs(l) {
 			continue
 		}
 		for _, in := range l.Inputs {
 			p.plan(in, lastUse, recompute)
 		}
-		p.ExtraStash[l.ID] = l.StashExtraBytes
 	}
 	// Recompute chains: a cheap producer's own inputs must be planned too
 	// (stashed, or recomputed further back) so the backward pass can
@@ -117,7 +141,7 @@ func Analyze(g *dnn.Graph, opt Options) *Plan {
 	// descending ID order reaches every link of a chain after the link
 	// that planned it.
 	for id := len(g.Layers) - 1; id >= 0; id-- {
-		if p.Tensors[id].Action != Recompute {
+		if p.tensors[id].Action != Recompute {
 			continue
 		}
 		for _, in := range g.Layer(id).Inputs {
@@ -132,7 +156,7 @@ func Analyze(g *dnn.Graph, opt Options) *Plan {
 // walk of a recompute chain terminates at an expensive or input layer,
 // whose output is stashed.
 func (p *Plan) plan(id int, lastUse []int, recompute bool) {
-	if p.Tensors[id].Action != None {
+	if p.tensors[id].Action != None {
 		return
 	}
 	src := p.Graph.Layer(id)
@@ -140,13 +164,13 @@ func (p *Plan) plan(id int, lastUse []int, recompute bool) {
 	if recompute && src.Kind != dnn.Input && !src.Kind.Expensive() {
 		action = Recompute
 	}
-	p.Tensors[id] = TensorPlan{Action: action, Bytes: src.OutBytes(), OffloadAfter: lastUse[id]}
+	p.tensors[id] = TensorPlan{Action: action, OffloadAfter: int32(lastUse[id]), Bytes: src.OutBytes()}
 }
 
 // count reports how many tensors the plan gives action a.
 func (p *Plan) count(a Action) int {
 	n := 0
-	for _, tp := range p.Tensors {
+	for _, tp := range p.tensors {
 		if tp.Action == a {
 			n++
 		}
@@ -157,13 +181,13 @@ func (p *Plan) count(a Action) int {
 // OffloadBytes reports the per-iteration bytes DMAed to the backing store.
 func (p *Plan) OffloadBytes() int64 {
 	var total int64
-	for _, tp := range p.Tensors {
+	for _, tp := range p.tensors {
 		if tp.Action == Stash {
 			total += tp.Bytes
 		}
 	}
-	for _, b := range p.ExtraStash {
-		total += b
+	for id := range p.Graph.Layers {
+		total += p.ExtraStash(id)
 	}
 	return total
 }
@@ -177,10 +201,10 @@ func (p *Plan) TrafficBytes() int64 { return 2 * p.OffloadBytes() }
 // PrefetchItem is one DMA the backward pass issues from the backing store.
 type PrefetchItem struct {
 	// Layer is the backward step the transfer must precede.
-	Layer int
+	Layer int32
 	// Tensor is the stashed producer ID, or -1 for a layer's extra backward
 	// state (recurrent gate activations).
-	Tensor int
+	Tensor int32
 	// Bytes is the transfer size.
 	Bytes int64
 }
@@ -205,7 +229,7 @@ type PrefetchSchedule struct {
 	// needed holds every layer's queue positions back to back, highest
 	// layer first: layer id's are needed[bound[id+1]:bound[id]]. Both are
 	// nil when the queue is empty.
-	needed []int
+	needed []int32
 	bound  []int32
 }
 
@@ -221,11 +245,11 @@ func (p *Plan) PrefetchSchedule() *PrefetchSchedule {
 	items, reads := p.count(Stash), 0
 	for _, l := range g.Layers {
 		for _, in := range l.Inputs {
-			if p.Tensors[in].Action == Stash {
+			if p.Tensor(in).Action == Stash {
 				reads++
 			}
 		}
-		if p.ExtraStash[l.ID] > 0 {
+		if p.ExtraStash(l.ID) > 0 {
 			items++
 			reads++
 		}
@@ -235,24 +259,24 @@ func (p *Plan) PrefetchSchedule() *PrefetchSchedule {
 		return s
 	}
 	s.Items = make([]PrefetchItem, 0, items)
-	s.needed = make([]int, 0, reads)
+	s.needed = make([]int32, 0, reads)
 	s.bound = make([]int32, n+1)
 	item := make([]int32, n) // 1 + queue position of each queued tensor
 	for id := n - 1; id >= 0; id-- {
 		for _, in := range g.Layer(id).Inputs {
-			tp := p.Tensors[in]
+			tp := p.tensors[in]
 			if tp.Action != Stash {
 				continue
 			}
 			if item[in] == 0 {
-				s.Items = append(s.Items, PrefetchItem{Layer: id, Tensor: in, Bytes: tp.Bytes})
+				s.Items = append(s.Items, PrefetchItem{Layer: int32(id), Tensor: int32(in), Bytes: tp.Bytes})
 				item[in] = int32(len(s.Items))
 			}
-			s.needed = append(s.needed, int(item[in]-1))
+			s.needed = append(s.needed, item[in]-1)
 		}
-		if extra := p.ExtraStash[id]; extra > 0 {
-			s.Items = append(s.Items, PrefetchItem{Layer: id, Tensor: -1, Bytes: extra})
-			s.needed = append(s.needed, len(s.Items)-1)
+		if extra := p.ExtraStash(id); extra > 0 {
+			s.Items = append(s.Items, PrefetchItem{Layer: int32(id), Tensor: -1, Bytes: extra})
+			s.needed = append(s.needed, int32(len(s.Items)-1))
 		}
 		s.bound[id] = int32(len(s.needed))
 	}
@@ -262,7 +286,7 @@ func (p *Plan) PrefetchSchedule() *PrefetchSchedule {
 // NeededAt returns the queue indices that must be resident before the given
 // layer's backward step, in deterministic (input, then extra-state) order:
 // nil on an empty schedule.
-func (s *PrefetchSchedule) NeededAt(layer int) []int {
+func (s *PrefetchSchedule) NeededAt(layer int) []int32 {
 	if s.bound == nil {
 		return nil
 	}
@@ -275,8 +299,8 @@ func (s *PrefetchSchedule) NeededAt(layer int) []int {
 func (s *PrefetchSchedule) MaxNeededAt(layer int) int {
 	max := -1
 	for _, i := range s.NeededAt(layer) {
-		if i > max {
-			max = i
+		if int(i) > max {
+			max = int(i)
 		}
 	}
 	return max
@@ -286,32 +310,36 @@ func (s *PrefetchSchedule) MaxNeededAt(layer int) int {
 // tensor, or "<layer>/state" for extra backward state.
 func (s *PrefetchSchedule) ItemName(i int) string {
 	if it := s.Items[i]; it.Tensor >= 0 {
-		return s.plan.Graph.Layer(it.Tensor).Name
+		return s.plan.Graph.Layer(int(it.Tensor)).Name
 	}
-	return s.plan.Graph.Layer(s.Items[i].Layer).Name + "/state"
+	return s.plan.Graph.Layer(int(s.Items[i].Layer)).Name + "/state"
 }
 
-// Validate checks plan invariants: the tables cover every layer, every
-// planned tensor has positive size and a legal offload point, and every
-// recompute chain terminates in stashed or input tensors.
+// Validate checks plan invariants: the tensor table covers every layer (an
+// oracle plan has none), every planned tensor has positive size and a legal
+// offload point, and every recompute chain terminates in stashed or input
+// tensors.
 func (p *Plan) Validate() error {
-	if n := len(p.Graph.Layers); len(p.Tensors) != n || len(p.ExtraStash) != n {
-		return fmt.Errorf("vmem: plan tables hold %d tensors and %d extra-state entries for %d layers",
-			len(p.Tensors), len(p.ExtraStash), n)
+	want := len(p.Graph.Layers)
+	if p.opt.Oracle {
+		want = 0
 	}
-	for id, tp := range p.Tensors {
+	if len(p.tensors) != want {
+		return fmt.Errorf("vmem: plan table holds %d tensors for %d layers (oracle %v)", len(p.tensors), len(p.Graph.Layers), p.opt.Oracle)
+	}
+	for id, tp := range p.tensors {
 		if tp.Action == None {
 			continue
 		}
 		if tp.Bytes <= 0 {
 			return fmt.Errorf("vmem: tensor %d has nonpositive size", id)
 		}
-		if tp.OffloadAfter < id {
+		if int(tp.OffloadAfter) < id {
 			return fmt.Errorf("vmem: tensor %d offloads before it is produced", id)
 		}
 		if tp.Action == Recompute {
 			for _, in := range p.Graph.Layer(id).Inputs {
-				if p.Graph.Layer(in).Kind != dnn.Input && p.Tensors[in].Action == None {
+				if p.Graph.Layer(in).Kind != dnn.Input && p.tensors[in].Action == None {
 					return fmt.Errorf("vmem: recompute tensor %d has unplanned input %d", id, in)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/memcentric/mcdla/internal/dnn"
 	"github.com/memcentric/mcdla/internal/units"
@@ -84,7 +85,7 @@ func TestCheapLayersRecomputed(t *testing.T) {
 			conv2 = l.ID
 		}
 	}
-	if a := p.Tensors[pool1].Action; a != Recompute {
+	if a := p.Tensor(pool1).Action; a != Recompute {
 		t.Fatalf("pool1 action = %v, want recompute", a)
 	}
 	if !slices.Contains(p.RecomputeFor(conv2), pool1) {
@@ -95,7 +96,8 @@ func TestCheapLayersRecomputed(t *testing.T) {
 func TestRecomputeChainsTerminate(t *testing.T) {
 	g := dnn.MustBuild("GoogLeNet", 8)
 	p := Analyze(g, Options{})
-	for id, tp := range p.Tensors {
+	for id := range p.Graph.Layers {
+		tp := p.Tensor(id)
 		if tp.Action != Recompute {
 			continue
 		}
@@ -138,7 +140,8 @@ func TestDisableRecomputeStashesEverything(t *testing.T) {
 		t.Fatalf("disable-recompute traffic %d not larger than policy traffic %d",
 			all.OffloadBytes(), base.OffloadBytes())
 	}
-	for _, tp := range all.Tensors {
+	for id := range all.Graph.Layers {
+		tp := all.Tensor(id)
 		if tp.Action == Recompute {
 			t.Fatal("recompute entry despite DisableRecompute")
 		}
@@ -155,7 +158,7 @@ func (p *Plan) RecomputeFor(layer int) []int {
 	l := p.Graph.Layer(layer)
 	var walk func(in int)
 	walk = func(in int) {
-		if p.Tensors[in].Action != Recompute {
+		if p.Tensor(in).Action != Recompute {
 			return
 		}
 		// Rebuild this tensor by re-running its producer, which first needs
@@ -177,19 +180,21 @@ func (p *Plan) RecomputeFor(layer int) []int {
 // itself). It derives one layer's offloads from the plan's tables alone,
 // the oracle Prepare's one-pass Offloads table is checked against.
 func (p *Plan) OffloadsAfter(layer int) (tensors []int, extraBytes int64) {
-	for id, tp := range p.Tensors {
-		if tp.Action == Stash && tp.OffloadAfter == layer {
+	for id := range p.Graph.Layers {
+		tp := p.Tensor(id)
+		if tp.Action == Stash && int(tp.OffloadAfter) == layer {
 			tensors = append(tensors, id)
 		}
 	}
 	sort.Ints(tensors)
-	return tensors, p.ExtraStash[layer]
+	return tensors, p.ExtraStash(layer)
 }
 
 // Planned counts the plan's planned tensors.
 func (p *Plan) Planned() int {
 	n := 0
-	for _, tp := range p.Tensors {
+	for id := range p.Graph.Layers {
+		tp := p.Tensor(id)
 		if tp.Action != None {
 			n++
 		}
@@ -263,8 +268,9 @@ func TestOffloadsAfterLastUse(t *testing.T) {
 	g := dnn.MustBuild("ResNet", 8)
 	p := Analyze(g, Options{})
 	last := g.LastForwardUse()
-	for id, tp := range p.Tensors {
-		if tp.Action != None && tp.OffloadAfter != last[id] {
+	for id := range p.Graph.Layers {
+		tp := p.Tensor(id)
+		if tp.Action != None && int(tp.OffloadAfter) != last[id] {
 			t.Fatalf("tensor %d offloads after %d, want last use %d", id, tp.OffloadAfter, last[id])
 		}
 	}
@@ -277,7 +283,7 @@ func TestOffloadsAfterEnumeratesAllStashes(t *testing.T) {
 	for _, l := range g.Layers {
 		tensors, extra := p.OffloadsAfter(l.ID)
 		for _, id := range tensors {
-			sum += p.Tensors[id].Bytes
+			sum += p.Tensor(id).Bytes
 		}
 		sum += extra
 	}
@@ -309,7 +315,7 @@ func TestRNNExtraStashCounted(t *testing.T) {
 	for _, l := range g.Layers {
 		if l.Kind == dnn.LSTMCell {
 			cells++
-			if p.ExtraStash[l.ID] <= 0 {
+			if p.ExtraStash(l.ID) <= 0 {
 				t.Fatalf("cell %s has no extra stash", l.Name)
 			}
 		}
@@ -350,5 +356,17 @@ func TestActionAndPlacementStrings(t *testing.T) {
 	}
 	if Local.String() != "LOCAL" || BWAware.String() != "BW_AWARE" {
 		t.Fatal("placement strings wrong")
+	}
+}
+
+// TestPlanEntriesAre16Bytes: a plan's tensor table and prefetch queue hold
+// one entry per layer or transfer, so their entries keep layer IDs and
+// offload points as int32 and the action in a byte.
+func TestPlanEntriesAre16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(TensorPlan{}); n != 16 {
+		t.Errorf("TensorPlan is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(PrefetchItem{}); n != 16 {
+		t.Errorf("PrefetchItem is %d bytes, want 16", n)
 	}
 }

@@ -69,7 +69,7 @@ func Prepare(g *dnn.Graph, opt Options) (*Prepared, error) {
 		// so the bounds shift back one place after it.
 		pr.offloads = make([]int, stashed)
 		pr.offBound = make([]int32, n+1)
-		for _, tp := range plan.Tensors {
+		for _, tp := range plan.tensors {
 			if tp.Action == Stash {
 				pr.offBound[tp.OffloadAfter+1]++
 			}
@@ -77,7 +77,7 @@ func Prepare(g *dnn.Graph, opt Options) (*Prepared, error) {
 		for id := range n {
 			pr.offBound[id+1] += pr.offBound[id]
 		}
-		for id, tp := range plan.Tensors {
+		for id, tp := range plan.tensors {
 			if tp.Action == Stash {
 				pr.offloads[pr.offBound[tp.OffloadAfter]] = id
 				pr.offBound[tp.OffloadAfter]++
@@ -97,7 +97,7 @@ func Prepare(g *dnn.Graph, opt Options) (*Prepared, error) {
 		pr.recBound = make([]int32, n+1)
 		var walk func(in int)
 		walk = func(in int) {
-			if seen[in] || plan.Tensors[in].Action != Recompute {
+			if seen[in] || plan.tensors[in].Action != Recompute {
 				return
 			}
 			for _, pin := range g.Layer(in).Inputs {

@@ -117,21 +117,23 @@ func TestPlanProperties(t *testing.T) {
 		var queueBytes int64
 		prevLayer := len(g.Layers)
 		for _, it := range queue {
-			if it.Layer > prevLayer {
-				t.Fatalf("seed %d (%s): queue not in backward order: layer %d after %d", seed, g.Name, it.Layer, prevLayer)
+			layer, tensor := int(it.Layer), int(it.Tensor)
+			if layer > prevLayer {
+				t.Fatalf("seed %d (%s): queue not in backward order: layer %d after %d", seed, g.Name, layer, prevLayer)
 			}
-			prevLayer = it.Layer
+			prevLayer = layer
 			queueBytes += it.Bytes
-			if it.Tensor < 0 {
+			if tensor < 0 {
 				continue
 			}
-			seen[it.Tensor]++
-			if first := p.FirstBackwardUse(it.Tensor); it.Layer < first {
+			seen[tensor]++
+			if first := p.FirstBackwardUse(tensor); layer < first {
 				t.Fatalf("seed %d (%s): tensor %d queued at layer %d after its first backward use %d",
-					seed, g.Name, it.Tensor, it.Layer, first)
+					seed, g.Name, tensor, layer, first)
 			}
 		}
-		for id, tp := range p.Tensors {
+		for id := range p.Graph.Layers {
+			tp := p.Tensor(id)
 			producer := g.Layer(id)
 			switch tp.Action {
 			case vmem.Stash:

@@ -36,13 +36,14 @@ func TestRecomputeListedOnceChargedOnce(t *testing.T) {
 					listed[id]++
 				}
 			}
-			for id, tp := range prep.Plan.Tensors {
+			for id := range prep.Plan.Graph.Layers {
+				tp := prep.Plan.Tensor(id)
 				if tp.Action == vmem.Recompute && listed[id] != 1 {
 					t.Errorf("%s %v: recompute tensor %d sits in %d Recompute lists", name, strategy, id, listed[id])
 				}
 			}
 			for id := range listed {
-				if a := prep.Plan.Tensors[id].Action; a != vmem.Recompute {
+				if a := prep.Plan.Tensor(id).Action; a != vmem.Recompute {
 					t.Errorf("%s %v: layer %d is listed for recompute, planned %v", name, strategy, id, a)
 				}
 			}
